@@ -4,10 +4,11 @@
 
 Runs whole rounds of the workload's seeded requests (at least 100 each, so
 a round's 90th percentile has ten samples beyond it) until ``--seconds`` of
-wall time have passed, checks every distinct answer once against the
-benchmark's own evaluation, and prints one JSON object as its last line.  With ``--trace 0`` it reports the end-to-end
-metrics; with ``--trace 1`` it times half the run untraced and half traced and
-reports the per-layer metrics (see README.md).  Result and trace files go to
+wall time have passed, checks the first round's answers against the
+benchmark's own evaluation, and prints one JSON object as its last line.
+With ``--trace 0`` it reports the end-to-end metrics; with ``--trace 1`` it
+times half the run untraced and half traced and reports the per-layer
+metrics (see README.md).  Result and trace files go to
 ``perfbench/results/``.
 """
 
@@ -28,7 +29,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 RESULTS = HERE / "results"
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 REF_NOMINAL_S = 0.002  # CPU seconds of one reference() on an idle core here
 CACHES = ("summand_h_vector", "atom_h_vector")
 VERDICT_IDS = ("T3", "T2B", "T0", "T4")
@@ -54,9 +55,9 @@ class Calibration:
     work swings by a quarter over tens of seconds.  Every CPU time the
     benchmark reports is multiplied by REF_NOMINAL_S over the mean reference
     time sampled in the same round, which cancels most of that swing; the
-    raw times are kept in the result file.  The collector is off while the
-    reference runs, so a collection the program's heap is due does not land
-    in it."""
+    uncalibrated figures are kept in the result file.  The collector is off
+    while the reference runs, so a collection the program's heap is due
+    does not land in it."""
 
     def __init__(self):
         self.samples: list[float] = []
@@ -94,6 +95,8 @@ def setup(workload, seed: int):
         start = time.process_time()
         import_mpreg()
         requests = workload.make(seed)
+        if workload.prepare:
+            workload.prepare()
         elapsed = time.process_time() - start
         for _ in range(5):
             cal.sample()
@@ -162,7 +165,6 @@ class Rounds:
         execute = self.workload.execute
         if tracer is not None:
             execute = lambda req, _run=self.workload.execute: tracer.request(_run, req)
-        per_request = not self.workload.session
         pauses = GcPauses()
         rounds = []
         deadline = time.perf_counter() + seconds
@@ -175,8 +177,6 @@ class Rounds:
                 cal = Calibration()
                 cpu, in_gc, answers, bundles = [], [], [], 0
                 for j, req in enumerate(self.requests):
-                    if per_request:
-                        self.reset()
                     cal.sample()
                     pauses.cpu = 0.0
                     start = time.process_time()
@@ -220,33 +220,36 @@ def peak_rss_mb() -> float:
 
 
 def end_to_end(rounds: Rounds, seconds: float, setup_s: float):
-    """Each metric is taken per round and reported as the median over the
+    """Throughput is taken per round and reported as the median over the
     rounds, so a burst of load from outside moves one round, not the result.
-    Throughput counts all CPU time.  The latency of a request leaves out the
-    pauses of the cyclic garbage collector in it: a full collection walks
-    every cached object and lands on whichever request happens to cross the
-    allocation threshold, which would make the tail a lottery; the pauses
-    are still in bundles_per_s, and the traced run reports them."""
+    The latency of a request is the median of its times over the rounds, and
+    the percentiles are taken over the requests of a round, so a burst that
+    slows a few requests in one round does not reach them.  Throughput counts
+    all CPU time.  Latency leaves out the pauses of the cyclic garbage
+    collector: a full collection walks every cached object and lands on
+    whichever request crosses the allocation threshold, so the tail would
+    depend on the seed through where the pauses land (see README.md).  The
+    result file also keeps the figures without calibration."""
     done = rounds.run(seconds)
     rss = peak_rss_mb()
-    rates, p50, p90 = [], [], []
-    for rnd in done:
-        own = [(c - g) * rnd["scale"] for c, g in zip(rnd["cpu"], rnd["gc"])]
-        deciles = statistics.quantiles(own, n=10, method="inclusive")
-        rates.append(rnd["bundles"] / (sum(rnd["cpu"]) * rnd["scale"]))
-        p50.append(deciles[4] * 1e3)
-        p90.append(deciles[8] * 1e3)
+    figures, raw = {}, {}
+    for out, calibrated in ((figures, True), (raw, False)):
+        scales = [rnd["scale"] if calibrated else 1.0 for rnd in done]
+        rates = [rnd["bundles"] / (sum(rnd["cpu"]) * s) for rnd, s in zip(done, scales)]
+        typical = [statistics.median(times) for times in zip(*(
+            [(c - g) * s for c, g in zip(rnd["cpu"], rnd["gc"])] for rnd, s in zip(done, scales)))]
+        deciles = statistics.quantiles(typical, n=10, method="inclusive")
+        out.update(bundles_per_s_by_round=rates, bundles_per_s=statistics.median(rates),
+                   query_p50_ms=deciles[4] * 1e3, query_p90_ms=deciles[8] * 1e3)
     metrics = {
         "setup_s": (setup_s, "s"),
-        "bundles_per_s": (statistics.median(rates), "1/s"),
-        "query_p50_ms": (statistics.median(p50), "ms"),
-        "query_p90_ms": (statistics.median(p90), "ms"),
+        "bundles_per_s": (figures["bundles_per_s"], "1/s"),
+        "query_p50_ms": (figures["query_p50_ms"], "ms"),
+        "query_p90_ms": (figures["query_p90_ms"], "ms"),
         "peak_rss_mb": (rss, "MB"),
     }
-    extra = {"rounds": len(done), "bundles_per_s_by_round": rates,
-             "query_p50_ms_by_round": p50, "query_p90_ms_by_round": p90,
+    extra = {"rounds": len(done), "calibrated": figures, "raw": raw,
              "gc_s_by_round": [sum(rnd["gc"]) for rnd in done],
-             "raw_bundles_per_s_by_round": [rnd["bundles"] / sum(rnd["cpu"]) for rnd in done],
              "scale_by_round": [rnd["scale"] for rnd in done]}
     return len(done), metrics, extra
 
@@ -316,7 +319,8 @@ def per_layer(rounds: Rounds, seconds: float):
         "untraced_rounds": len(untraced),
         "traced_rounds": count,
         "calls": tracer.calls,
-        "reg_calls_by_verdict_applicability": tracer.verdict_regs,
+        "reg_calls_by_verdict_applicability": {  # [verdicts, reg calls] per round
+            k: [per_round(n) for n in v] for k, v in tracer.verdict_regs.items()},
         "self_ms": {k: v / 1e6 for k, v in tracer.self_ns.items()},
     }
     return len(untraced) + count, m, extra

@@ -1,8 +1,8 @@
 """The three workloads: their seeded inputs, the timed call, and the checks.
 
 A workload makes one round of requests from the seed.  A request is one
-``run_verification`` call on a small enumeration config (the sweeps) or one
-command line query (``query_session``).  ``execute`` is the only code that
+``run_verification`` call on a slice of a seeded sample of a family (the
+sweeps) or one command line query (``query_session``).  ``execute`` is the only code that
 runs inside the timed section; ``check`` judges a request's answer against
 the benchmark's own cohomology in ``oracle`` or against a property the
 answer must have, never against stored output.
@@ -20,74 +20,125 @@ from math import comb
 import oracle
 
 # ---------------------------------------------------------------------------
-# sweeps: run_verification with jobs=1 on seeded slices of a family
+# sweeps: run_verification with jobs=1 on seeded samples of two families
+
+# The families of the issue's sweeps, as EnumerationConfig fields: line
+# bundles of degrees -2..2 with up to 2 summands on P1xP1xP1 and P1xP1xP2
+# (8000 bundles each), and P2xP2 with degrees and cotangent twists -2..2
+# (5150 bundles).
+WINDOW_FAMILY = {"spaces": ("P1xP1xP1", "P1xP1xP2"), "theorems": ("T3", "T2B")}
+REGULAR_FAMILY = {"spaces": ("P2xP2",), "theorems": ("T0", "T4"), "cotangent": True}
+FAMILY_RANGE = (-2, 2)  # degrees and cotangent twists
+MAX_SUMMANDS = 2
 
 
-def _sweep_config(space, degrees, theorems, max_summands=2, cot=None):
-    cfg = {
-        "spaces": (space,),
-        "degree_min": degrees[0],
-        "degree_max": degrees[1],
-        "max_summands": max_summands,
-        "theorems": theorems,
-        "jobs": 1,
-    }
-    if cot is not None:
-        cfg.update(cotangent=True, cot_twist_min=cot, cot_twist_max=cot)
-    return cfg
+def family_summands(dims, family) -> list[tuple]:
+    """Every summand of the family on one space, in the benchmark's atoms."""
+    lo, hi = FAMILY_RANGE
+    per_factor = []
+    for n in dims:
+        atoms = [("O", a) for a in range(lo, hi + 1)]
+        if family.get("cotangent"):
+            atoms += [("W", p, t) for p in range(1, n) for t in range(lo, hi + 1)]
+        per_factor.append(atoms)
+    return list(itertools.product(*per_factor))
 
 
-# (space, degree window width, max summands, requests per round).  Width 3
-# with single summands brings the staircases O(a, a+1, a+2), which satisfy
-# the T2B condition outside the step form; width 2 brings two-summand sums.
-# The counts put the median request inside the middle cost group and the
-# 90th percentile inside the costliest one, away from the gaps between them.
-_WINDOW_SHAPES = (
-    ("P1xP1xP2", 2, 2, 30),
-    ("P1xP1xP2", 3, 1, 25),
-    ("P1xP1xP1", 2, 2, 25),
-    ("P1xP1xP1", 3, 1, 20),
-)
-_WINDOW_STARTS = 25  # window starts run over [-12, 12] plus a seeded shift
+def family_bundles(dims, family) -> list[tuple]:
+    """Every bundle of the family on one space, one per multiset of summands,
+    grouped by first summand."""
+    summands = family_summands(dims, family)
+    return [
+        tuple(summands[j] for j in combo)
+        for size in range(1, MAX_SUMMANDS + 1)
+        for combo in itertools.combinations_with_replacement(range(len(summands)), size)
+    ]
+
+
+def sample_requests(seed: int, family: dict, bundles_per_space: int, count: int) -> list[dict]:
+    """A stratified sample of the family, split into ``count`` requests.  The
+    family on each space, in the order of ``family_bundles``, is cut into
+    ``bundles_per_space`` equal strata and the seed picks one bundle from
+    each.  Request j verifies the j-th run of consecutive picks on every
+    space of the family, so it holds bundles with neighbouring first
+    summands, as one stretch of a full ``verify-paper`` run does."""
+    rng = random.Random(seed)
+    size = bundles_per_space // count
+    reqs = [{"family": family, "bundles": {}} for _ in range(count)]
+    for space in family["spaces"]:
+        dims = oracle.parse_space(space)
+        pool = family_bundles(dims, family)
+        bounds = [len(pool) * j // bundles_per_space for j in range(bundles_per_space + 1)]
+        picks = [pool[rng.randrange(lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
+        for j, req in enumerate(reqs):
+            req["bundles"][dims] = picks[j * size:(j + 1) * size]
+    return reqs
 
 
 def windows_requests(seed: int) -> list[dict]:
-    """100 line bundle slices on P1xP1xP2 and P1xP1xP1, checked for T3 and
-    T2B.  Each shape's window starts are spread evenly over 25 consecutive
-    integers around 0, shifted by up to 3 either way by the seed, so every
-    seed has the same share of windows near 0, where the nonvanishing
-    windows are densest."""
-    rng = random.Random(seed)
-    shift = rng.randint(-3, 3)
-    reqs = []
-    for space, width, max_summands, count in _WINDOW_SHAPES:
-        for j in range(count):
-            lo = shift - 12 + int(_WINDOW_STARTS * (j + rng.random()) / count)
-            reqs.append(_sweep_config(space, (lo, lo + width - 1), ("T3", "T2B"), max_summands))
-    rng.shuffle(reqs)
-    return reqs
+    """2000 of the 16000 bundles of WINDOW_FAMILY, in 100 requests of 10 on
+    each space."""
+    return sample_requests(seed, WINDOW_FAMILY, 1000, 100)
 
 
 def regular_requests(seed: int) -> list[dict]:
-    """103 slices of P2xP2 with degrees and cotangent twists in [-2, 2]
-    (the family of 5150 bundles), checked for T0 and T4: each pair (a, c)
-    with the summands built from O(a) and W1(c), three times, and each line
-    window [a, a + 1], seven times.  The seed orders them."""
-    rng = random.Random(seed)
-    reqs = []
-    for a in range(-2, 3):
-        for c in range(-2, 3):
-            reqs += [_sweep_config("P2xP2", (a, a), ("T0", "T4"), cot=c) for _ in range(3)]
-    for a in range(-2, 2):
-        reqs += [_sweep_config("P2xP2", (a, a + 1), ("T0", "T4")) for _ in range(7)]
-    rng.shuffle(reqs)
-    return reqs
+    """1030 of the 5150 bundles of REGULAR_FAMILY, in 103 requests of 10."""
+    return sample_requests(seed, REGULAR_FAMILY, 1030, 103)
+
+
+def family_config(family: dict, spaces=None) -> dict:
+    """EnumerationConfig fields of the family, on all its spaces or on some."""
+    lo, hi = FAMILY_RANGE
+    return {"spaces": spaces or family["spaces"], "theorems": family["theorems"],
+            "cotangent": family.get("cotangent", False), "degree_min": lo, "degree_max": hi,
+            "cot_twist_min": lo, "cot_twist_max": hi, "max_summands": MAX_SUMMANDS, "jobs": 1}
+
+
+def program_atoms(summand) -> tuple:
+    """A program summand in the benchmark's atoms."""
+    return tuple(("O", a.degree) if hasattr(a, "degree") else ("W", a.p, a.twist)
+                 for a in summand.atoms)
+
+
+class SampledBundles:
+    """Stands in for ``harness.enumerate_bundles`` during the sweeps, so that
+    ``run_verification`` verifies the bundles of the current request and not
+    the whole family.  Like the program's enumerator it builds each bundle
+    with ``make_bundle``, here from the program's summands, made once."""
+
+    def __init__(self):
+        from mpreg import bundles, harness
+
+        self.make_bundle = bundles.make_bundle
+        self.real = harness.enumerate_bundles
+        self.current: dict[tuple, list[tuple]] = {}  # dims -> bundles
+        self.summands = {}  # (dims, benchmark atoms) -> the program's summand
+        for family in (WINDOW_FAMILY, REGULAR_FAMILY):
+            for space in family["spaces"]:
+                cfg = harness.EnumerationConfig(**family_config(family, (space,)))
+                parsed = bundles.parse_space(space)
+                for summand in harness.enumerate_summands(parsed, cfg):
+                    self.summands[(parsed.dims, program_atoms(summand))] = summand
+        harness.enumerate_bundles = self.enumerate
+
+    def enumerate(self, space, cfg):
+        for bundle in self.current[space.dims]:
+            yield self.make_bundle(space, [self.summands[(space.dims, s)] for s in bundle])
+
+
+SAMPLER = None  # the SampledBundles in use
+
+
+def prepare_sweeps() -> None:
+    global SAMPLER
+    SAMPLER = SampledBundles()
 
 
 def execute_sweep(req: dict):
     from mpreg import harness
 
-    report = harness.run_verification(harness.EnumerationConfig(**req))
+    SAMPLER.current = req["bundles"]
+    report = harness.run_verification(harness.EnumerationConfig(**family_config(req["family"])))
     return report.total_bundles, report
 
 
@@ -103,29 +154,37 @@ def sweep_digest(report) -> str:
     )
 
 
-def _config_summands(dims, req):
-    per_factor = []
-    for n in dims:
-        atoms = [("O", a) for a in range(req["degree_min"], req["degree_max"] + 1)]
-        if req.get("cotangent"):
-            atoms += [
-                ("W", p, t)
-                for p in range(1, n)
-                for t in range(req["cot_twist_min"], req["cot_twist_max"] + 1)
-            ]
-        per_factor.append(atoms)
-    return list(itertools.product(*per_factor))
-
-
 def _multiset_count(n: int, k_max: int) -> int:
     return sum(comb(n + k - 1, k) for k in range(1, k_max + 1))
 
 
-def _check_totals(req, report, dims) -> list[str]:
+def check_family(family: dict) -> list[str]:
+    """The family the sweeps sample is the program's own: its size is the
+    multiset count from the config, and the program's enumerator yields the
+    same bundles."""
+    from mpreg import bundles, harness
+
     errors = []
-    expected = _multiset_count(len(_config_summands(dims, req)), req["max_summands"])
-    if report.total_bundles != expected:
-        errors.append(f"total_bundles {report.total_bundles} != multiset count {expected}")
+    for space in family["spaces"]:
+        dims = oracle.parse_space(space)
+        ours = family_bundles(dims, family)
+        expected = _multiset_count(len(family_summands(dims, family)), MAX_SUMMANDS)
+        cfg = harness.EnumerationConfig(**family_config(family, (space,)))
+        theirs = [tuple(program_atoms(s) for s in b.summands)
+                  for b in SAMPLER.real(bundles.parse_space(space), cfg)]
+        if not len(ours) == len(theirs) == expected:
+            errors.append(f"{space}: the family has {len(ours)} bundles, the program "
+                          f"enumerates {len(theirs)}, the multiset count is {expected}")
+        elif {tuple(sorted(b)) for b in ours} != {tuple(sorted(b)) for b in theirs}:
+            errors.append(f"{space}: the program enumerates other bundles than the family")
+    return errors
+
+
+def _check_totals(req, report) -> list[str]:
+    errors = []
+    count = sum(map(len, req["bundles"].values()))
+    if report.total_bundles != count:
+        errors.append(f"total_bundles {report.total_bundles} != {count} enumerated")
     for tid, st in report.per_theorem.items():
         if st.applicable + st.not_applicable != report.total_bundles:
             errors.append(f"{tid}: verdict counts do not add up to the bundle count")
@@ -153,8 +212,7 @@ def _t2b_condition_holds(dims, bundle) -> bool:
 
 
 def check_windows(req, report, _answers=None) -> list[str]:
-    dims = oracle.parse_space(req["spaces"][0])
-    errors = _check_totals(req, report, dims)
+    errors = _check_totals(req, report)
     t3, t2b = report.per_theorem["T3"], report.per_theorem["T2B"]
     if t3.inconsistent:
         errors.append(f"T3 reports {t3.inconsistent} inconsistencies; the paper proves T3")
@@ -169,6 +227,7 @@ def check_windows(req, report, _answers=None) -> list[str]:
     if len(gaps) != t2b.inconsistent:
         errors.append("T2B inconsistency findings do not match the count")
     for f in gaps:
+        dims = oracle.parse_space(f["space"])
         bundle = oracle.parse_bundle(dims, f["bundle"])
         step = all(max(a[1] for a in s) - min(a[1] for a in s) <= 1 for s in bundle)
         if not (f["condition"] and not f["form"]) or step:
@@ -178,17 +237,18 @@ def check_windows(req, report, _answers=None) -> list[str]:
     return errors
 
 
+_SUMMAND_REG: dict = {}  # (dims, summand) -> brute-force Reg
+
+
 def check_regular(req, report, _answers=None) -> list[str]:
-    dims = oracle.parse_space(req["spaces"][0])
-    errors = _check_totals(req, report, dims)
-    summands = _config_summands(dims, req)
-    regs = [oracle.scan_reg(dims, (s,)) for s in summands]
-    reg_zero = sum(
-        1
-        for size in range(1, req["max_summands"] + 1)
-        for combo in itertools.combinations_with_replacement(range(len(summands)), size)
-        if max(regs[j] for j in combo) == 0
-    )
+    errors = _check_totals(req, report)
+    reg_zero = 0
+    for dims, bundles in req["bundles"].items():
+        for s in {s for bundle in bundles for s in bundle}:
+            if (dims, s) not in _SUMMAND_REG:
+                _SUMMAND_REG[(dims, s)] = oracle.scan_reg(dims, (s,))
+        reg_zero += sum(1 for bundle in bundles
+                        if max(_SUMMAND_REG[(dims, s)] for s in bundle) == 0)
     for tid in ("T0", "T4"):
         applicable = report.per_theorem[tid].applicable
         if applicable != reg_zero:
@@ -406,34 +466,34 @@ def check_query(req, answer, answers_by_id) -> list[str]:
 
 
 class Workload:
-    """``session`` workloads keep the program's caches across the requests of
-    a round, as one interpreter answering many queries does; the others empty
-    them before every request, as a fresh ``mpreg verify-paper`` starts."""
+    """A round of a workload is one session: the program's caches are emptied
+    at its start and kept across its requests, as in one ``mpreg
+    verify-paper`` run or one interpreter answering many queries."""
 
-    def __init__(self, make, execute, digest, check, session):
+    def __init__(self, make, execute, digest, check, prepare=None, family=None):
         self.make, self.execute, self.digest, self._check = make, execute, digest, check
-        self.session = session
+        self.prepare, self.family = prepare, family
 
     def check(self, requests, answers) -> list[list[str]]:
         """Errors per request; ``answers[j]`` is None when request j raised."""
+        shared = check_family(self.family) if self.family else []
         by_id = {id(r): a for r, a in zip(requests, answers)}
-        out, seen = [], {}
+        out = []
         for req, answer in zip(requests, answers):
             if answer is None:
                 out.append(["raised"])
                 continue
-            key = None if self.session else json.dumps(req, sort_keys=True)
-            if key not in seen or key is None:
-                try:
-                    seen[key] = self._check(req, answer, by_id)
-                except Exception as exc:  # an answer the checks cannot read is wrong
-                    seen[key] = [f"check raised {type(exc).__name__}: {exc}"]
-            out.append(list(seen[key]))
+            try:
+                out.append(self._check(req, answer, by_id) + shared)
+            except Exception as exc:  # an answer the checks cannot read is wrong
+                out.append([f"check raised {type(exc).__name__}: {exc}"])
         return out
 
 
 WORKLOADS = {
-    "sweep_windows": Workload(windows_requests, execute_sweep, sweep_digest, check_windows, False),
-    "sweep_regular": Workload(regular_requests, execute_sweep, sweep_digest, check_regular, False),
-    "query_session": Workload(query_requests, execute_query, query_digest, check_query, True),
+    "sweep_windows": Workload(windows_requests, execute_sweep, sweep_digest, check_windows,
+                              prepare_sweeps, WINDOW_FAMILY),
+    "sweep_regular": Workload(regular_requests, execute_sweep, sweep_digest, check_regular,
+                              prepare_sweeps, REGULAR_FAMILY),
+    "query_session": Workload(query_requests, execute_query, query_digest, check_query),
 }
