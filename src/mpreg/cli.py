@@ -14,13 +14,12 @@ import sys
 from typing import Optional
 
 from .bundles import (
-    ArityError,
     Bundle,
     ModelError,
-    ParseError,
     format_bundle,
     format_space,
     parse_bundle,
+    rank,
 )
 from .cohomology import build_table
 from .harness import (
@@ -28,6 +27,7 @@ from .harness import (
     EnumerationConfig,
     default_jobs,
     load_config,
+    parse_range,
     run_verification,
 )
 from .regularity import DEFINITIONS, reg
@@ -37,7 +37,6 @@ from .splitting import (
     acm_witnesses,
     classify_form,
     detect_extremal_summand,
-    is_acm,
     verify_theorem,
 )
 
@@ -48,19 +47,7 @@ EXIT_PRECONDITION = 4
 
 
 def _parse_twist_box(value: str, num_factors: int) -> tuple[tuple[int, int], ...]:
-    parts = [p.strip() for p in value.split(",")]
-    boxes = []
-    for part in parts:
-        bounds = part.split("..")
-        if len(bounds) != 2:
-            raise ConfigError(f"expected a range like -2..2, got {part!r}")
-        try:
-            lo, hi = int(bounds[0]), int(bounds[1])
-        except ValueError as exc:
-            raise ConfigError(f"non-integer bound in {part!r}") from exc
-        if lo > hi:
-            raise ConfigError(f"empty twist range {part!r}")
-        boxes.append((lo, hi))
+    boxes = [parse_range(part.strip()) for part in value.split(",")]
     if len(boxes) == 1 and num_factors > 1:
         boxes = boxes * num_factors
     if len(boxes) != num_factors:
@@ -73,10 +60,6 @@ def _parse_twist_box(value: str, num_factors: int) -> tuple[tuple[int, int], ...
 def _load_bundle(args) -> Bundle:
     _, bundle = parse_bundle(args.space, args.bundle)
     return bundle
-
-
-def _witness_json(w) -> dict:
-    return {"i": w.i, "k": list(w.k), "t": w.t, "dim": str(w.dim), "required": w.required}
 
 
 def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
@@ -145,13 +128,13 @@ def cmd_reg(args, out) -> int:
 
 def cmd_acm(args, out) -> int:
     bundle = _load_bundle(args)
-    verdict = is_acm(bundle)
-    witnesses = [] if verdict else acm_witnesses(bundle)
+    witnesses = acm_witnesses(bundle)
+    verdict = not witnesses
     payload = {
         "space": list(bundle.space.dims),
         "bundle": format_bundle(bundle),
         "acm": verdict,
-        "witnesses": [_witness_json(w) for w in witnesses],
+        "witnesses": [w.to_json() for w in witnesses],
     }
     lines = [f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}"]
     lines.append("ACM: yes" if verdict else "ACM: no")
@@ -171,7 +154,7 @@ def _verdict_payload(bundle: Bundle, verdict) -> dict:
         "condition": verdict.condition_holds,
         "form": verdict.form_holds,
         "consistent": verdict.consistent,
-        "witnesses": [_witness_json(w) for w in verdict.witnesses],
+        "witnesses": [w.to_json() for w in verdict.witnesses],
         "detected": [t.label for t in verdict.detected],
         "detector_agrees": verdict.detector_agrees,
     }
@@ -203,22 +186,15 @@ def cmd_check(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     bundle = _load_bundle(args)
-    from .bundles import rank as bundle_rank
-
     report = reg(bundle)
-    forms = {}
-    for tid in TheoremId:
-        try:
-            forms[tid.value] = classify_form(bundle, tid)
-        except ModelError:
-            continue
+    forms = {tid.value: classify_form(bundle, tid) for tid in TheoremId}
     detected = []
     if report.value == 0:
-        detected = [t.label for t in detect_extremal_summand(bundle)]
+        detected = [t.label for t in detect_extremal_summand(bundle, report.value)]
     payload = {
         "space": list(bundle.space.dims),
         "bundle": format_bundle(bundle),
-        "rank": bundle_rank(bundle),
+        "rank": rank(bundle),
         "reg": report.value,
         "forms": forms,
         "detected": detected,
@@ -362,13 +338,7 @@ def main(argv: Optional[list] = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ParseError, ConfigError, ArityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelError as exc:
+    except (ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

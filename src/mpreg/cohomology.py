@@ -354,15 +354,11 @@ def summand_t_window(
     return out
 
 
-def nonvanishing_t_window(
-    bundle: Bundle, k: Iterable[int], i: int, balanced: bool = True
-) -> IntervalSet:
+def nonvanishing_t_window(bundle: Bundle, k: Iterable[int], i: int) -> IntervalSet:
     """Exact set of integers t with h^i(bundle twisted by (t,...,t)+k) nonzero.
 
     Finite for 0 < i < dim X; for i = 0 or i = dim X the set may contain rays.
     """
-    if not balanced:
-        raise ValueError("only balanced windows are supported")
     k = tuple(k)
     space = bundle.space
     if len(k) != space.num_factors:

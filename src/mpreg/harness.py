@@ -25,7 +25,7 @@ from .bundles import (
     parse_space,
 )
 from .regularity import is_regular_at
-from .splitting import TheoremId, is_acm, verify_theorem
+from .splitting import CHECKS, TheoremId, is_acm, verify_theorem
 
 ALL_THEOREMS = tuple(t.value for t in TheoremId)
 
@@ -60,7 +60,9 @@ class EnumerationConfig:
                 raise ConfigError(f"unknown check id {t!r}")
 
 
-def _parse_range(value: str) -> tuple[int, int]:
+def parse_range(value: str) -> tuple[int, int]:
+    """An inclusive integer range written lo..hi, as in config files and
+    on the command line."""
     parts = value.split("..")
     if len(parts) != 2:
         raise ConfigError(f"expected a range like -2..2, got {value!r}")
@@ -100,13 +102,13 @@ def parse_config_text(text: str) -> EnumerationConfig:
                     ) from exc
             values["spaces"] = tuple(parts)
         elif key == "degrees":
-            values["degree_min"], values["degree_max"] = _parse_range(val)
+            values["degree_min"], values["degree_max"] = parse_range(val)
         elif key == "cotangent":
             if val.lower() not in _BOOL:
                 raise ConfigError(f"line {lineno}: expected on/off, got {val!r}")
             values["cotangent"] = _BOOL[val.lower()]
         elif key == "cotangent_twists":
-            values["cot_twist_min"], values["cot_twist_max"] = _parse_range(val)
+            values["cot_twist_min"], values["cot_twist_max"] = parse_range(val)
         elif key == "max_summands":
             try:
                 values["max_summands"] = int(val)
@@ -191,19 +193,13 @@ _WITNESS_CAP = 4
 _SAMPLE_CAP = 3
 
 
-def _witness_dicts(witnesses) -> list[dict]:
-    out = []
-    for w in witnesses[:_WITNESS_CAP]:
-        out.append({"i": w.i, "k": list(w.k), "t": w.t, "dim": str(w.dim), "required": w.required})
-    return out
-
-
 def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
     """Worker: returns, per check id, applicability, consistency and findings."""
     name = format_bundle(bundle)
     rows = []
     for tid in theorems:
         verdict = verify_theorem(bundle, TheoremId(tid))
+        spec = CHECKS[verdict.theorem]
         fnds = []
         if verdict.applicable:
             base = {"space": space_text, "bundle": name, "theorem": tid}
@@ -214,7 +210,7 @@ def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
                         **base,
                         "condition": verdict.condition_holds,
                         "form": verdict.form_holds,
-                        "witnesses": _witness_dicts(list(verdict.witnesses)),
+                        "witnesses": [w.to_json() for w in verdict.witnesses[:_WITNESS_CAP]],
                     }
                 )
             if verdict.detected and verdict.detector_agrees is False:
@@ -225,9 +221,9 @@ def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
                         "detected": [t.label for t in verdict.detected],
                     }
                 )
-            if tid in ("T0", "T4") and verdict.condition_holds and not verdict.detected:
+            if spec.detector and verdict.condition_holds and not verdict.detected:
                 fnds.append({"type": "detector_empty", **base})
-            if tid in ("T1", "T3") and verdict.condition_holds and not is_acm(bundle):
+            if spec.acm_crosscheck and verdict.condition_holds and not is_acm(bundle):
                 fnds.append({"type": "t1_without_acm", **base})
         rows.append((tid, verdict.applicable, bool(verdict.consistent), fnds))
     return name, rows

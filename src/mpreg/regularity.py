@@ -12,6 +12,7 @@ Reg is the least balanced p at which the bundle is regular.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -32,24 +33,20 @@ def _as_vector(space: Space, p: Union[int, tuple]) -> tuple[int, ...]:
     return p
 
 
-def paper_offsets(space: Space, i: int) -> Iterator[tuple[int, ...]]:
-    """Box vectors k with sum -i and -n_j <= k_j <= 0."""
+def box_offsets(
+    space: Space, i: int, at_least: bool = False, interior: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Box vectors k with -n_j <= k_j <= 0 and sum -i, in lexicographic order.
 
-    def rec(j: int, remaining: int):
-        if j == space.num_factors:
-            if remaining == 0:
-                yield ()
-            return
-        tail_capacity = sum(space.dims[j + 1 :])
-        n = space.dims[j]
-        # k_j must leave a sum the remaining factors can still absorb
-        for kj in range(max(-n, remaining), 1):
-            rest = remaining - kj
-            if -tail_capacity <= rest <= 0:
-                for tail in rec(j + 1, rest):
-                    yield (kj,) + tail
-
-    yield from rec(0, -i)
+    With at_least the sum may be anything from -i up to 0; with interior the
+    box is open at the bottom, -n_j < k_j.  The "paper" definition uses the
+    plain family; the splitting checks also use the other two.
+    """
+    ranges = [range(-n + 1 if interior else -n, 1) for n in space.dims]
+    for k in itertools.product(*ranges):
+        total = sum(k)
+        if total == -i or (at_least and total > -i):
+            yield k
 
 
 def hw_offsets(space: Space, i: int) -> Iterator[tuple[int, int]]:
@@ -59,39 +56,31 @@ def hw_offsets(space: Space, i: int) -> Iterator[tuple[int, int]]:
         yield (j, -i - 1 - j)
 
 
+def _failures(
+    bundle: Bundle, p: Union[int, tuple], definition: str
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Each (i, k, dim) with the required group nonzero at base twist p, lazily."""
+    if definition not in DEFINITIONS:
+        raise ValueError(f"unknown regularity definition {definition!r}")
+    space = bundle.space
+    pv = _as_vector(space, p)
+    offsets = box_offsets if definition == "paper" else hw_offsets
+    for i in range(1, space.total_dim + 1):
+        for k in offsets(space, i):
+            dim = h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i)
+            if dim:
+                yield i, k, dim
+
+
 def regularity_failures(
     bundle: Bundle, p: Union[int, tuple], definition: str = "paper"
 ) -> list[tuple[int, tuple[int, ...], int]]:
     """All (i, k, dim) with the required group nonzero at base twist p."""
-    if definition not in DEFINITIONS:
-        raise ValueError(f"unknown regularity definition {definition!r}")
-    space = bundle.space
-    pv = _as_vector(space, p)
-    d = space.total_dim
-    offsets = paper_offsets if definition == "paper" else hw_offsets
-    fails = []
-    for i in range(1, d + 1):
-        for k in offsets(space, i):
-            tv = tuple(a + b for a, b in zip(pv, k))
-            dim = h_bundle(bundle, tv, i)
-            if dim:
-                fails.append((i, tuple(k), dim))
-    return fails
+    return list(_failures(bundle, p, definition))
 
 
 def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper") -> bool:
-    if definition not in DEFINITIONS:
-        raise ValueError(f"unknown regularity definition {definition!r}")
-    space = bundle.space
-    pv = _as_vector(space, p)
-    d = space.total_dim
-    offsets = paper_offsets if definition == "paper" else hw_offsets
-    for i in range(1, d + 1):
-        for k in offsets(space, i):
-            tv = tuple(a + b for a, b in zip(pv, k))
-            if h_bundle(bundle, tv, i):
-                return False
-    return True
+    return next(_failures(bundle, p, definition), None) is None
 
 
 def is_hw_regular_at(bundle: Bundle, p: Union[int, tuple]) -> bool:

@@ -4,15 +4,17 @@ classifiers, and the extremal-summand detector.
 Each check id pairs a cohomological condition with a structural description
 of the bundles expected to satisfy it; verify_theorem evaluates both sides
 and reports whether they agree, together with explicit witnesses for any
-nonvanishing group.
+nonvanishing group.  The checks are rows of one table, CHECKS, read by one
+evaluator.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bundles import (
     ArityError,
@@ -29,7 +31,7 @@ from .bundles import (
     rank,
 )
 from .cohomology import h_bundle, nonvanishing_t_window
-from .regularity import paper_offsets, reg
+from .regularity import box_offsets, reg
 
 
 class TheoremId(str, Enum):
@@ -59,40 +61,39 @@ class Witness:
     dim: int
     required: bool = True
 
+    def to_json(self) -> dict:
+        """The witness as JSON; the dimension is a decimal string."""
+        return {**asdict(self), "k": list(self.k), "dim": str(self.dim)}
 
-def _witness_at(bundle: Bundle, i: int, k: tuple[int, ...], t: int, required=True) -> Witness:
-    tv = tuple(t + kj for kj in k)
-    return Witness(i, k, t, h_bundle(bundle, tv, i), required)
 
-
-def _window_witness(bundle: Bundle, i: int, k: tuple[int, ...]) -> Optional[Witness]:
-    w = nonvanishing_t_window(bundle, k, i)
-    if w.is_empty:
-        return None
-    return _witness_at(bundle, i, k, w.min_point())
+def _witness(bundle: Bundle, i: int, k: tuple, twist: Optional[int] = None, required=True):
+    """The group H^i at offset k and the given balanced twist, or at the least
+    twist of its nonvanishing window when twist is None; None if it vanishes."""
+    if twist is None:
+        window = nonvanishing_t_window(bundle, k, i)
+        if window.is_empty:
+            return None
+        twist = window.min_point()
+    dim = h_bundle(bundle, tuple(twist + kj for kj in k), i)
+    return Witness(i, k, twist, dim, required) if dim else None
 
 
 # ---------------------------------------------------------------------------
 # ACM
 
 
+def acm_witnesses(bundle: Bundle) -> list[Witness]:
+    """The nonvanishing intermediate groups H^i, 0 < i < dim X, one per i at
+    the least balanced twist where H^i is nonzero."""
+    zero = (0,) * bundle.space.num_factors
+    found = (_witness(bundle, i, zero) for i in range(1, bundle.space.total_dim))
+    return [w for w in found if w is not None]
+
+
 def is_acm(bundle: Bundle) -> bool:
     """True when every intermediate cohomology group vanishes for all
     balanced twists."""
-    d = bundle.space.total_dim
-    zero = (0,) * bundle.space.num_factors
-    return all(nonvanishing_t_window(bundle, zero, i).is_empty for i in range(1, d))
-
-
-def acm_witnesses(bundle: Bundle) -> list[Witness]:
-    d = bundle.space.total_dim
-    zero = (0,) * bundle.space.num_factors
-    out = []
-    for i in range(1, d):
-        w = _window_witness(bundle, i, zero)
-        if w is not None:
-            out.append(w)
-    return out
+    return not acm_witnesses(bundle)
 
 
 def acm_closed_form_line(space: Space, degrees: Iterable[int]) -> bool:
@@ -153,217 +154,69 @@ def acm_discrepancy(space: Space, degree_range: tuple[int, int], variant: str) -
 
 
 # ---------------------------------------------------------------------------
-# offset families for the condition checkers
+# offset families: (i, k, required) for a space and the bundle's rank
 
 
-def _box_offsets_at_least(space: Space, floor: int) -> Iterable[tuple[int, ...]]:
-    """Box vectors -n_j <= k_j <= 0 with sum >= floor."""
-    ranges = [range(-n, 1) for n in space.dims]
-    for k in itertools.product(*ranges):
-        if sum(k) >= floor:
-            yield k
+def _exact_family(space: Space, r: int):
+    """Box offsets with sum exactly -i, for 0 < i < dim X."""
+    return ((i, k, True) for i in range(1, space.total_dim) for k in box_offsets(space, i))
 
 
-def _interior_offsets_at_least(space: Space, floor: int) -> Iterable[tuple[int, ...]]:
-    """Strict-interior vectors -n_j < k_j <= 0 with sum >= floor."""
-    ranges = [range(-n + 1, 1) for n in space.dims]
-    for k in itertools.product(*ranges):
-        if sum(k) >= floor:
-            yield k
-
-
-def _is_corner_vector(space: Space, k: tuple[int, ...]) -> bool:
-    return all(kj in (0, -n) for kj, n in zip(k, space.dims))
-
-
-# ---------------------------------------------------------------------------
-# conditions
-
-
-def condition_t1(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """Vanishing of H^i at every balanced twist and every box offset with
-    offset sum exactly -i, for 0 < i < dim X."""
-    space = bundle.space
-    d = space.total_dim
-    witnesses = []
-    for i in range(1, d):
-        for k in paper_offsets(space, i):
-            w = _window_witness(bundle, i, k)
-            if w is not None:
-                witnesses.append(w)
-    return (not witnesses, witnesses)
-
-
-def condition_t2(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """As condition_t1 but with offset sums in [-i, 0], excluding the corner
+def _step_family(space: Space, r: int):
+    """Box offsets with sum in [-i, 0], for 0 < i < dim X, except the corner
     offsets whose coordinates all lie in {0, -n_j}; the zero offset stays in."""
-    space = bundle.space
-    d = space.total_dim
-    witnesses = []
-    for i in range(1, d):
-        for k in _box_offsets_at_least(space, -i):
-            if _is_corner_vector(space, k) and any(k):
-                continue
-            w = _window_witness(bundle, i, k)
-            if w is not None:
-                witnesses.append(w)
-    return (not witnesses, witnesses)
+    for i in range(1, space.total_dim):
+        for k in box_offsets(space, i, at_least=True):
+            if not any(k) or not all(kj in (0, -n) for kj, n in zip(k, space.dims)):
+                yield i, k, True
 
 
-def c1_boundary_witnesses(bundle: Bundle) -> list[Witness]:
-    """Boundary-family scan: offsets with sum -i touching k_1 = -n or
-    k_2 = -m, for every 0 < i < dim X.  Witnesses at i = n or i = m carry
-    required=False; they are informational only."""
-    space = bundle.space
-    if space.num_factors != 2:
-        raise ArityError("the boundary family is a two-factor construction")
+def _interior_family(space: Space, r: int):
+    """Strict-interior offsets -n_j < k_j <= 0 with sum at least -i, for
+    i below min(rank, dim X)."""
+    for i in range(1, min(r, space.total_dim)):
+        for k in box_offsets(space, i, at_least=True, interior=True):
+            yield i, k, True
+
+
+def _boundary_family(space: Space, r: int):
+    """The interior family, then the two-factor boundary family: offsets with
+    sum -i touching k_1 = -n or k_2 = -m, for 0 < i < dim X.  Groups at i = n
+    or i = m are informational only."""
+    yield from _interior_family(space, r)
     n, m = space.dims
-    d = n + m
-    out = []
-    for i in range(1, d):
-        for k in _box_offsets_at_least(space, -i):
-            if sum(k) != -i:
-                continue
-            if k[0] != -n and k[1] != -m:
-                continue
-            w = _window_witness(bundle, i, k)
-            if w is not None:
-                required = i != n and i != m
-                out.append(Witness(w.i, w.k, w.t, w.dim, required))
-    return out
+    for i, k, _ in _exact_family(space, r):
+        if k[0] == -n or k[1] == -m:
+            yield i, k, i != n and i != m
 
 
-def condition_c1(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """Interior vanishing up to the rank, plus the boundary family with the
-    degrees i = n and i = m exempted."""
-    space = bundle.space
-    if space.num_factors != 2:
-        raise ArityError("this condition is a two-factor statement")
-    r = rank(bundle)
-    witnesses = []
-    for i in range(1, r):
-        for k in _interior_offsets_at_least(space, -i):
-            w = _window_witness(bundle, i, k)
-            if w is not None:
-                witnesses.append(w)
-    boundary = c1_boundary_witnesses(bundle)
-    witnesses.extend(boundary)
-    ok = not any(w.required for w in witnesses)
-    return (ok, witnesses)
-
-
-def condition_c2(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """Interior vanishing for i below the rank with nonpositive offsets of
-    sum at least -i."""
-    space = bundle.space
-    if space.num_factors != 2:
-        raise ArityError("this condition is a two-factor statement")
-    r = rank(bundle)
-    witnesses = []
-    for i in range(1, r):
-        for k in itertools.product(range(-i, 1), repeat=2):
-            if sum(k) < -i:
-                continue
-            w = _window_witness(bundle, i, k)
-            if w is not None:
-                witnesses.append(w)
-    return (not witnesses, witnesses)
-
-
-def _require_reg_zero(bundle: Bundle) -> None:
-    value = reg(bundle).value
-    if value != 0:
-        raise PreconditionError(f"needs Reg = 0, got {value}")
-
-
-def condition_t0(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """Fixed-twist variant: vanishing of H^i(E(-1,-1) tensor O(k)) for
-    strict-interior offsets with sum >= -i and i below min(rank, dim)."""
-    space = bundle.space
-    if space.num_factors != 2:
-        raise ArityError("this condition is a two-factor statement")
-    _require_reg_zero(bundle)
-    top = min(rank(bundle), space.total_dim)
-    witnesses = []
-    for i in range(1, top):
-        for k in _interior_offsets_at_least(space, -i):
-            w = _witness_at(bundle, i, k, -1)
-            if w.dim:
-                witnesses.append(w)
-    return (not witnesses, witnesses)
-
-
-def condition_t4(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """All-twist variant of condition_t0 on any number of factors."""
-    space = bundle.space
-    _require_reg_zero(bundle)
-    top = min(rank(bundle), space.total_dim)
-    witnesses = []
-    for i in range(1, top):
-        for k in _interior_offsets_at_least(space, -i):
-            w = _window_witness(bundle, i, k)
-            if w is not None:
-                witnesses.append(w)
-    return (not witnesses, witnesses)
-
-
-def condition_p4(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """Three first-cohomology vanishings at the natural twist."""
-    space = bundle.space
-    if space.num_factors != 2:
-        raise ArityError("this condition is a two-factor statement")
-    if any(n <= 2 for n in space.dims):
-        raise PreconditionError("needs every factor of dimension > 2")
-    if rank(bundle) != 2:
-        raise PreconditionError("needs a rank 2 bundle")
-    _require_reg_zero(bundle)
-    witnesses = []
-    for k in ((0, 0), (-1, 0), (0, -1)):
-        w = _witness_at(bundle, 1, k, 0)
-        if w.dim:
-            witnesses.append(w)
-    return (not witnesses, witnesses)
-
-
-def condition_p4b(bundle: Bundle) -> tuple[bool, list[Witness]]:
-    """First-cohomology vanishing at the natural twist and one step down in
-    each factor."""
-    space = bundle.space
-    if any(n <= 2 for n in space.dims):
-        raise PreconditionError("needs every factor of dimension > 2")
-    if rank(bundle) != 2:
-        raise PreconditionError("needs a rank 2 bundle")
-    _require_reg_zero(bundle)
+def _first_cohomology_family(space: Space, r: int):
+    """H^1 at the zero offset and one step down in each factor."""
     s = space.num_factors
-    offsets = [(0,) * s]
+    yield 1, (0,) * s, True
     for j in range(s):
-        e = [0] * s
-        e[j] = -1
-        offsets.append(tuple(e))
-    witnesses = []
-    for k in offsets:
-        w = _witness_at(bundle, 1, k, 0)
-        if w.dim:
-            witnesses.append(w)
-    return (not witnesses, witnesses)
+        yield 1, tuple(-1 if h == j else 0 for h in range(s)), True
 
 
-_CONDITIONS = {
-    TheoremId.T1: condition_t1,
-    TheoremId.T3: condition_t1,
-    TheoremId.T2: condition_t2,
-    TheoremId.T2B: condition_t2,
-    TheoremId.C1: condition_c1,
-    TheoremId.C2: condition_c2,
-    TheoremId.T0: condition_t0,
-    TheoremId.T4: condition_t4,
-    TheoremId.P4: condition_p4,
-    TheoremId.P4B: condition_p4b,
-}
+# rank rules: None when the rule holds, otherwise the reason
 
 
-def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
-    return _CONDITIONS[TheoremId(theorem)](bundle)
+def _rank_below_dim(space: Space, r: int) -> Optional[str]:
+    d = space.total_dim
+    return f"rank {r} is not below dim X = {d}" if r >= d else None
+
+
+def _rank_below_min_factor(space: Space, r: int) -> Optional[str]:
+    n = min(space.dims)
+    return f"rank {r} is not below min factor dimension {n}" if r >= n else None
+
+
+def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
+    if any(n <= 2 for n in space.dims):
+        return "every factor must have dimension greater than 2"
+    if r != 2:
+        return f"rank must be 2, got {r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -376,85 +229,142 @@ def _summand_degrees(s: BoxSummand) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _is_balanced_line(s: BoxSummand) -> bool:
-    degs = _summand_degrees(s)
-    return degs is not None and len(set(degs)) == 1
+def _lines_within(bundle: Bundle, spread: int) -> bool:
+    """Every summand a line whose degrees differ by at most spread: balanced
+    lines for spread 0, step lines for spread 1."""
+    degs = [_summand_degrees(s) for s in bundle.summands]
+    return all(d is not None and max(d) - min(d) <= spread for d in degs)
 
 
-def _is_step_line(s: BoxSummand) -> bool:
-    degs = _summand_degrees(s)
-    return degs is not None and max(degs) - min(degs) <= 1
-
-
-def is_extremal_summand(space: Space, s: BoxSummand) -> bool:
-    """Membership in the extremal menu: every atom O, O(1) or W^a(a+1),
-    with O occurring on at least one factor."""
-    has_zero = False
-    for n, atom in zip(space.dims, s.atoms):
-        if isinstance(atom, Line):
-            if atom.degree == 0:
-                has_zero = True
-            elif atom.degree != 1:
-                return False
-        else:
-            if atom.twist != atom.p + 1:
-                return False
-    return has_zero
+def _top_corners(space: Space) -> Iterator[tuple[int, ...]]:
+    """Corner vectors 0 <= h_j <= n_j with h_j = n_j on at least one factor."""
+    corners = itertools.product(*[range(0, n + 1) for n in space.dims])
+    return (h for h in corners if any(hj == n for hj, n in zip(h, space.dims)))
 
 
 def extremal_menu(space: Space) -> list[BoxSummand]:
     """All box summands realizable from a top-touching corner vector."""
-    out = []
-    for h in itertools.product(*[range(0, n + 1) for n in space.dims]):
-        if not any(hj == n for hj, n in zip(h, space.dims)):
-            continue
-        out.append(_corner_summand(space, h))
-    return out
+    return [_corner_summand(space, h) for h in _top_corners(space)]
 
 
 def _corner_summand(space: Space, h: tuple[int, ...]) -> BoxSummand:
-    atoms = []
-    for hj, n in zip(h, space.dims):
-        if hj == n:
-            atoms.append(Line(0))
-        elif hj == 0:
-            atoms.append(Line(1))
-        else:
-            atoms.append(Cotangent(hj, hj + 1))
+    """O where h_j = n_j, O(1) where h_j = 0, W^h_j(h_j + 1) in between."""
+    atoms = [Line(0) if hj == n else Line(1) if hj == 0 else Cotangent(hj, hj + 1)
+             for hj, n in zip(h, space.dims)]
     return make_summand(space, atoms)
+
+
+def _has_extremal_summand(bundle: Bundle) -> bool:
+    """Some summand is on the extremal menu: every atom O, O(1) or
+    W^a(a+1), with O on at least one factor."""
+    menu = set(extremal_menu(bundle.space))
+    return any(s in menu for s in bundle.summands)
+
+
+def _line_pair(bundle: Bundle, menu: set) -> bool:
+    """Two line summands, one with degrees in the menu and the other with
+    nonnegative degrees."""
+    degs = [_summand_degrees(s) for s in bundle.summands]
+    if len(degs) != 2 or None in degs:
+        return False
+    return any(first in menu and min(second) >= 0 for first, second in (degs, degs[::-1]))
+
+
+def _p4_pair(bundle: Bundle) -> bool:
+    s = bundle.space.num_factors
+    return _line_pair(bundle, {(0,) * s, (0, 1), (1, 0)})
+
+
+def _p4b_pair(bundle: Bundle) -> bool:
+    """The menu is every 0/1 degree vector except all ones."""
+    s = bundle.space.num_factors
+    return _line_pair(bundle, set(itertools.product((0, 1), repeat=s)) - {(1,) * s})
 
 
 def classify_form(bundle: Bundle, theorem: TheoremId) -> bool:
     """Does the canonical form match the structure the check id predicts?"""
+    return CHECKS[TheoremId(theorem)].form(bundle)
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One check id: the condition is the vanishing of every group of the
+    offset family at the fixed balanced twist, or at every balanced twist
+    when twist is None.  Preconditions: two factors, rank rule, Reg = 0."""
+
+    family: Callable[[Space, int], Iterator[tuple[int, tuple[int, ...], bool]]]
+    form: Callable[[Bundle], bool]
+    twist: Optional[int] = None
+    two_factor: bool = False
+    rank_rule: Optional[Callable[[Space, int], Optional[str]]] = None
+    reg_zero: bool = False
+    detector: bool = False  # cross-check the verdict with the extremal detector
+    acm_crosscheck: bool = False  # the condition should force ACM
+
+
+_T3 = CheckSpec(_exact_family, partial(_lines_within, spread=0), acm_crosscheck=True)
+_T2B = CheckSpec(_step_family, partial(_lines_within, spread=1))
+_T4 = CheckSpec(_interior_family, _has_extremal_summand, reg_zero=True, detector=True)
+_P4B = CheckSpec(_first_cohomology_family, _p4b_pair, twist=0,
+                 rank_rule=_rank_two_on_large_factors, reg_zero=True)
+
+# The two-factor checks restrict the any-factor ones.  C2 reads T4's interior
+# family, which under C2's rank bound is the family C2 states; C1 reads that
+# family plus the boundary family; T0 reads it at the fixed twist -1.  P4 is
+# P4B with its own form menu.
+CHECKS: dict[TheoremId, CheckSpec] = {
+    TheoremId.T1: replace(_T3, two_factor=True),
+    TheoremId.T2: replace(_T2B, two_factor=True),
+    TheoremId.C1: replace(_T2B, two_factor=True, family=_boundary_family,
+                          rank_rule=_rank_below_dim),
+    TheoremId.C2: replace(_T2B, two_factor=True, family=_interior_family,
+                          rank_rule=_rank_below_min_factor),
+    TheoremId.T0: replace(_T4, two_factor=True, twist=-1),
+    TheoremId.P4: replace(_P4B, two_factor=True, form=_p4_pair),
+    TheoremId.T3: _T3,
+    TheoremId.T2B: _T2B,
+    TheoremId.T4: _T4,
+    TheoremId.P4B: _P4B,
+}
+
+
+def _failed_precondition(bundle: Bundle, theorem: TheoremId) -> Optional[ModelError]:
+    """The first precondition of the check that the bundle fails, as the
+    error condition_for raises; None when the check applies."""
+    spec = CHECKS[theorem]
+    s = bundle.space.num_factors
+    if spec.two_factor and s != 2:
+        return ArityError(f"{theorem.value} is a two-factor check, space has {s} factors")
+    reason = spec.rank_rule(bundle.space, rank(bundle)) if spec.rank_rule else None
+    if reason is not None:
+        return PreconditionError(reason)
+    value = reg(bundle).value if spec.reg_zero else 0
+    return PreconditionError(f"Reg must be 0, got {value}") if value != 0 else None
+
+
+def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
+    """None when the check applies; otherwise a human-readable reason."""
+    error = _failed_precondition(bundle, TheoremId(theorem))
+    return None if error is None else str(error)
+
+
+def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
+    """Evaluate the check's vanishing condition.  A failed precondition
+    raises ArityError (two-factor checks) or PreconditionError, with the
+    reason applicability gives."""
     theorem = TheoremId(theorem)
-    space = bundle.space
-    if theorem in (TheoremId.T1, TheoremId.T3):
-        return all(_is_balanced_line(s) for s in bundle.summands)
-    if theorem in (TheoremId.T2, TheoremId.T2B, TheoremId.C1, TheoremId.C2):
-        return all(_is_step_line(s) for s in bundle.summands)
-    if theorem in (TheoremId.T0, TheoremId.T4):
-        return any(is_extremal_summand(space, s) for s in bundle.summands)
-    if theorem in (TheoremId.P4, TheoremId.P4B):
-        if len(bundle.summands) != 2:
-            return False
-        degs = [_summand_degrees(s) for s in bundle.summands]
-        if any(d is None for d in degs):
-            return False
-        s = space.num_factors
-        menu = {(0,) * s}
-        if theorem == TheoremId.P4:
-            menu |= {(0, 1), (1, 0)}
-        else:
-            menu |= {
-                l
-                for l in itertools.product((0, 1), repeat=s)
-                if l != (1,) * s
-            }
-        for first, second in (degs, degs[::-1]):
-            if tuple(first) in menu and all(x >= 0 for x in second):
-                return True
-        return False
-    raise ValueError(f"unknown check id {theorem!r}")
+    error = _failed_precondition(bundle, theorem)
+    if error is not None:
+        raise error
+    spec = CHECKS[theorem]
+    family = spec.family(bundle.space, rank(bundle))
+    found = (_witness(bundle, i, k, spec.twist, required) for i, k, required in family)
+    witnesses = [w for w in found if w is not None]
+    return (not any(w.required for w in witnesses), witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +394,17 @@ def _tag_label(space: Space, h: tuple[int, ...], summand: BoxSummand) -> str:
     return f"GeneralBox[{format_summand(space, summand)}]"
 
 
-def detect_extremal_summand(bundle: Bundle) -> list[SummandTag]:
+def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> list[SummandTag]:
     """Probe the corner groups of E(-1,...,-1) and name the summand each
-    nonzero probe forces.  Requires Reg = 0."""
-    report = reg(bundle)
-    if report.value != 0:
-        raise PreconditionError(f"detector needs Reg = 0, got {report.value}")
+    nonzero probe forces.  Requires Reg = 0; a caller that already knows Reg
+    passes it as reg_value instead of having it computed again."""
+    reg_value = reg(bundle).value if reg_value is None else reg_value
+    if reg_value != 0:
+        raise PreconditionError(f"detector needs Reg = 0, got {reg_value}")
     space = bundle.space
     tags = []
-    for h in itertools.product(*[range(0, n + 1) for n in space.dims]):
-        if not any(hj == n for hj, n in zip(h, space.dims)):
-            continue
-        tv = tuple(-1 - hj for hj in h)
-        if h_bundle(bundle, tv, sum(h)):
+    for h in _top_corners(space):
+        if h_bundle(bundle, tuple(-1 - hj for hj in h), sum(h)):
             s = _corner_summand(space, h)
             tags.append(SummandTag(_tag_label(space, h, s), h, s))
     return tags
@@ -519,57 +427,17 @@ class TheoremVerdict:
     detector_agrees: Optional[bool] = None
 
 
-def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
-    """None when the check applies; otherwise a human-readable reason."""
-    theorem = TheoremId(theorem)
-    space = bundle.space
-    s = space.num_factors
-    two_factor = {
-        TheoremId.T1,
-        TheoremId.T2,
-        TheoremId.C1,
-        TheoremId.C2,
-        TheoremId.T0,
-        TheoremId.P4,
-    }
-    if theorem in two_factor and s != 2:
-        return f"{theorem.value} is a two-factor check, space has {s} factors"
-    if theorem == TheoremId.C1:
-        r = rank(bundle)
-        if r >= space.total_dim:
-            return f"rank {r} is not below dim X = {space.total_dim}"
-    if theorem == TheoremId.C2:
-        r = rank(bundle)
-        if r >= min(space.dims):
-            return f"rank {r} is not below min factor dimension {min(space.dims)}"
-    if theorem in (TheoremId.P4, TheoremId.P4B):
-        if any(n <= 2 for n in space.dims):
-            return "every factor must have dimension greater than 2"
-        r = rank(bundle)
-        if r != 2:
-            return f"rank must be 2, got {r}"
-    if theorem in (TheoremId.T0, TheoremId.T4, TheoremId.P4, TheoremId.P4B):
-        value = reg(bundle).value
-        if value != 0:
-            return f"Reg must be 0, got {value}"
-    return None
-
-
 def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:
     theorem = TheoremId(theorem)
-    reason = applicability(bundle, theorem)
-    if reason is not None:
-        return TheoremVerdict(theorem, applicable=False, reason=reason)
-    cond, witnesses = condition_for(bundle, theorem)
-    form = classify_form(bundle, theorem)
-    detected: tuple = ()
-    agrees = None
-    if theorem in (TheoremId.T0, TheoremId.T4):
-        tags = detect_extremal_summand(bundle)
-        detected = tuple(tags)
-        if tags:
-            present = set(bundle.summands)
-            agrees = all(tag.summand in present for tag in tags)
+    spec = CHECKS[theorem]
+    try:
+        cond, witnesses = condition_for(bundle, theorem)
+    except (ArityError, PreconditionError) as exc:
+        return TheoremVerdict(theorem, applicable=False, reason=str(exc))
+    form = spec.form(bundle)
+    # condition_for has just established Reg = 0 for the checks with a detector
+    detected = tuple(detect_extremal_summand(bundle, reg_value=0)) if spec.detector else ()
+    agrees = all(tag.summand in bundle.summands for tag in detected) if detected else None
     return TheoremVerdict(
         theorem,
         applicable=True,

@@ -229,12 +229,6 @@ def test_window_middle_degrees_always_finite():
             assert nonvanishing_t_window(b, k, i).is_finite
 
 
-def test_window_unbalanced_request_rejected():
-    _, b = parse_bundle("P1xP1", "O(0,0)")
-    with pytest.raises(ValueError):
-        nonvanishing_t_window(b, (0, 0), 1, balanced=False)
-
-
 def test_interval_set_algebra():
     a = IntervalSet.of(0, 4)
     b = IntervalSet.of(2, 9)

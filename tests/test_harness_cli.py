@@ -346,3 +346,21 @@ def test_cli_jobs_env_override(tmp_path):
                   env={"MPREG_JOBS": "2"})
     assert res.returncode == 0
     assert json.loads(res.stdout)["ok"] is True
+
+
+def test_cli_classify_computes_reg_once(monkeypatch, capsys):
+    from mpreg import cli, splitting
+    from mpreg.regularity import reg as real_reg
+
+    calls = []
+
+    def counting_reg(*args, **kwargs):
+        calls.append(args)
+        return real_reg(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reg", counting_reg)
+    monkeypatch.setattr(splitting, "reg", counting_reg)
+    code = cli.main(["classify", "--space", "P2xP3", "--bundle", "O(0,0) + O(0,1)"])
+    assert code == 0
+    assert "detected: E01, Triv" in capsys.readouterr().out
+    assert len(calls) == 1

@@ -13,10 +13,10 @@ from mpreg.bundles import (
     restrict_to_hyperplane,
 )
 from mpreg.regularity import (
+    box_offsets,
     hw_offsets,
     is_hw_regular_at,
     is_regular_at,
-    paper_offsets,
     reg,
     regularity_failures,
 )
@@ -24,18 +24,25 @@ from mpreg.regularity import (
 
 def test_box_offsets_enumeration():
     sp = parse_space("P1xP2")
-    got = sorted(paper_offsets(sp, 1))
+    got = sorted(box_offsets(sp, 1))
     assert got == [(-1, 0), (0, -1)]
-    got2 = sorted(paper_offsets(sp, 2))
+    got2 = sorted(box_offsets(sp, 2))
     assert got2 == [(-1, -1), (0, -2)]
     # i = 3 can use the full depth of the second factor
-    assert (-1, -2) in set(paper_offsets(sp, 3))
-    assert all(-1 <= a <= 0 and -2 <= b <= 0 for a, b in paper_offsets(sp, 3))
+    assert (-1, -2) in set(box_offsets(sp, 3))
+    assert all(-1 <= a <= 0 and -2 <= b <= 0 for a, b in box_offsets(sp, 3))
+
+
+def test_box_offsets_variants_in_lexicographic_order():
+    sp = parse_space("P1xP2")
+    assert list(box_offsets(sp, 2)) == [(-1, -1), (0, -2)]
+    assert list(box_offsets(sp, 1, at_least=True)) == [(-1, 0), (0, -1), (0, 0)]
+    assert list(box_offsets(sp, 2, at_least=True, interior=True)) == [(0, -1), (0, 0)]
 
 
 def test_box_offsets_empty_when_too_deep():
     sp = parse_space("P1xP1")
-    assert list(paper_offsets(sp, 3)) == []
+    assert list(box_offsets(sp, 3)) == []
 
 
 def test_strict_offsets_enumeration():

@@ -300,3 +300,39 @@ def test_condition_checker_arity_guard():
         condition_for(b, TheoremId.C1)
     v = verify_theorem(b, TheoremId.T2)
     assert not v.applicable
+
+
+def test_condition_for_enforces_rank_preconditions():
+    # rank 6 on P2xP3: both rank bounds fail, and the condition must say so
+    # instead of evaluating an unbounded window
+    _, b = parse_bundle("P2xP3", "W1(-1)*W2(-1)")
+    for tid in (TheoremId.C1, TheoremId.C2):
+        with pytest.raises(PreconditionError):
+            condition_for(b, tid)
+
+
+def test_condition_for_enforces_arity_of_two_factor_checks():
+    _, b = parse_bundle("P1xP1xP2", "O(0,0,0)")
+    for tid in (TheoremId.T1, TheoremId.T2):
+        with pytest.raises(ArityError):
+            condition_for(b, tid)
+
+
+def test_verify_theorem_computes_reg_at_most_once(monkeypatch):
+    from mpreg import splitting
+
+    real_reg = splitting.reg
+    calls = []
+
+    def counting_reg(*args, **kwargs):
+        calls.append(args)
+        return real_reg(*args, **kwargs)
+
+    monkeypatch.setattr(splitting, "reg", counting_reg)
+    for space, text in (("P2xP3", "O(0,0) + O(0,1)"), ("P3xP3", "O(0,0) + O(1,2)"),
+                        ("P2xP3", "O(1,1)"), ("P1xP1xP2", "O(0,0,0)")):
+        _, b = parse_bundle(space, text)
+        for tid in TheoremId:
+            calls.clear()
+            verify_theorem(b, tid)
+            assert len(calls) <= 1, (text, tid)
