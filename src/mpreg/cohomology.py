@@ -290,15 +290,22 @@ class IntervalSet:
         return IntervalSet(tuple(merged))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = IntervalSet.empty()
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo = alo if blo is None else (blo if alo is None else max(alo, blo))
-                hi = ahi if bhi is None else (bhi if ahi is None else min(ahi, bhi))
-                if lo is not None and hi is not None and lo > hi:
-                    continue
-                out = out.union(IntervalSet.of(lo, hi))
-        return out
+        """One sweep over both sorted lists, advancing whichever interval
+        ends first; the pieces come out sorted and disjoint."""
+        a, b = self.intervals, other.intervals
+        out: list[tuple[Endpoint, Endpoint]] = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (alo, ahi), (blo, bhi) = a[i], b[j]
+            lo = alo if blo is None else (blo if alo is None else max(alo, blo))
+            hi = ahi if bhi is None else (bhi if ahi is None else min(ahi, bhi))
+            if lo is None or hi is None or lo <= hi:
+                out.append((lo, hi))
+            if bhi is None or (ahi is not None and ahi < bhi):
+                i += 1
+            else:
+                j += 1
+        return IntervalSet(tuple(out))
 
 
 def _atom_level_window(n: int, atom: Atom, offset: int, level: int) -> IntervalSet:
@@ -321,10 +328,14 @@ def _atom_level_window(n: int, atom: Atom, offset: int, level: int) -> IntervalS
     return IntervalSet.empty()
 
 
+@lru_cache(maxsize=None)
 def summand_t_window(
     space: Space, summand: BoxSummand, k: tuple[int, ...], i: int
 ) -> IntervalSet:
-    """Set of t with h^i(summand twisted by (t+k_1, ..., t+k_s)) nonzero."""
+    """Set of t with h^i(summand twisted by (t+k_1, ..., t+k_s)) nonzero.
+
+    Memoized: a bundle's windows, and so Reg, are folds over its summands'.
+    """
     out = IntervalSet.empty()
 
     def rec(factor: int, remaining: int, acc: IntervalSet):

@@ -197,6 +197,7 @@ def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
     """Worker: returns, per check id, applicability, consistency and findings."""
     name = format_bundle(bundle)
     rows = []
+    acm = None  # is_acm(bundle), computed at most once
     for tid in theorems:
         verdict = verify_theorem(bundle, TheoremId(tid))
         spec = CHECKS[verdict.theorem]
@@ -223,8 +224,11 @@ def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
                 )
             if spec.detector and verdict.condition_holds and not verdict.detected:
                 fnds.append({"type": "detector_empty", **base})
-            if spec.acm_crosscheck and verdict.condition_holds and not is_acm(bundle):
-                fnds.append({"type": "t1_without_acm", **base})
+            if spec.acm_crosscheck and verdict.condition_holds:
+                if acm is None:
+                    acm = is_acm(bundle)
+                if not acm:
+                    fnds.append({"type": "t1_without_acm", **base})
         rows.append((tid, verdict.applicable, bool(verdict.consistent), fnds))
     return name, rows
 
@@ -232,6 +236,12 @@ def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
 def _run_chunk(args):
     space_text, bundles, theorems = args
     return [_check_bundle(space_text, b, theorems) for b in bundles]
+
+
+def pool_size(jobs: int, cpus: Optional[int], bundles: int) -> int:
+    """Worker processes for a run: no more than asked for, than there are
+    cores (``os.cpu_count()``, None when unknown) or than there are bundles."""
+    return max(1, min(jobs, cpus or 1, bundles))
 
 
 def run_verification(cfg: EnumerationConfig) -> RunReport:
@@ -258,20 +268,23 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                         st.samples.append(name)
                 findings.extend(fnds)
 
-    tasks = []
+    families = []
     for space_text in cfg.spaces:
         space = parse_space(space_text)
-        bundles = list(enumerate_bundles(space, cfg))
-        label = format_space(space)
-        if cfg.jobs > 1:
-            chunk = max(1, len(bundles) // (cfg.jobs * 8))
+        families.append((format_space(space), list(enumerate_bundles(space, cfg))))
+    workers = pool_size(cfg.jobs, os.cpu_count(), sum(len(b) for _, b in families))
+
+    tasks = []
+    for label, bundles in families:
+        if workers > 1:
+            chunk = max(1, len(bundles) // (workers * 8))
             for start_idx in range(0, len(bundles), chunk):
                 tasks.append((label, bundles[start_idx : start_idx + chunk], cfg.theorems))
         else:
             tasks.append((label, bundles, cfg.theorems))
 
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_run_chunk, tasks):
                 consume(result)
     else:

@@ -7,7 +7,10 @@ Two definition families are implemented and kept strictly separate:
 * "hw": the two-factor variant asking vanishing at p + (j, k) with
   j + k = -i - 1 and j, k <= -1, for every i >= 1.
 
-Reg is the least balanced p at which the bundle is regular.
+Reg is the least balanced p at which the bundle is regular.  Both
+definitions are monotone (regular at p implies regular at p + 1), so the
+irregular balanced twists are the union of the nonvanishing windows of the
+required groups, and Reg is one past the largest point of that union.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .bundles import ArityError, Bundle, Cotangent, Line, ModelError, Space
-from .cohomology import h_bundle
+from .bundles import ArityError, Bundle, ModelError, Space
+from .cohomology import h_bundle, nonvanishing_t_window
 
 DEFINITIONS = ("paper", "hw")
-
-_SCAN_GUARD = 10000
 
 
 def _as_vector(space: Space, p: Union[int, tuple]) -> tuple[int, ...]:
@@ -56,20 +57,25 @@ def hw_offsets(space: Space, i: int) -> Iterator[tuple[int, int]]:
         yield (j, -i - 1 - j)
 
 
+def _required(space: Space, definition: str) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each (i, k) whose group H^i(E(p + k)) must vanish for regularity at p."""
+    if definition not in DEFINITIONS:
+        raise ValueError(f"unknown regularity definition {definition!r}")
+    offsets = box_offsets if definition == "paper" else hw_offsets
+    for i in range(1, space.total_dim + 1):
+        for k in offsets(space, i):
+            yield i, k
+
+
 def _failures(
     bundle: Bundle, p: Union[int, tuple], definition: str
 ) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """Each (i, k, dim) with the required group nonzero at base twist p, lazily."""
-    if definition not in DEFINITIONS:
-        raise ValueError(f"unknown regularity definition {definition!r}")
-    space = bundle.space
-    pv = _as_vector(space, p)
-    offsets = box_offsets if definition == "paper" else hw_offsets
-    for i in range(1, space.total_dim + 1):
-        for k in offsets(space, i):
-            dim = h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i)
-            if dim:
-                yield i, k, dim
+    pv = _as_vector(bundle.space, p)
+    for i, k in _required(bundle.space, definition):
+        dim = h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i)
+        if dim:
+            yield i, k, dim
 
 
 def regularity_failures(
@@ -95,34 +101,23 @@ class RegularityReport:
     failures: tuple  # witnesses (i, k, dim) one step below the value
 
 
-def _scan_floor(bundle: Bundle) -> int:
-    d = bundle.space.total_dim
-    floor = 0
-    for s in bundle.summands:
-        for atom in s.atoms:
-            base = atom.degree if isinstance(atom, Line) else atom.twist
-            floor = min(floor, -base - d)
-    return floor
-
-
 def reg(bundle: Bundle, definition: str = "paper") -> RegularityReport:
     """Least balanced twist at which the bundle is regular.
 
-    The scan starts from a safe heuristic floor and walks in both
-    directions, so the reported value does not depend on the heuristic.
+    Every required group with i >= 1 vanishes above its window: the window
+    is finite for 0 < i < dim X and a downward ray at i = dim X.  Reg is one
+    past the largest upper endpoint, whatever the size of the degrees.
     """
-    floor = _scan_floor(bundle)
-    p = floor
-    if is_regular_at(bundle, p, definition):
-        while is_regular_at(bundle, p - 1, definition):
-            p -= 1
-            if p < floor - _SCAN_GUARD:
-                raise ModelError("regularity walk-down failed to terminate")
-    else:
-        while not is_regular_at(bundle, p, definition):
-            p += 1
-            if p > floor + _SCAN_GUARD:
-                raise ModelError("regularity walk-up failed to terminate")
+    tops = []
+    for i, k in _required(bundle.space, definition):
+        window = nonvanishing_t_window(bundle, k, i)
+        if window.is_empty:
+            continue
+        hi = window.intervals[-1][1]
+        if hi is None:
+            raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
+        tops.append(hi)
+    p = max(tops) + 1
     monotone = is_regular_at(bundle, p + 1, definition)
     failures = tuple(regularity_failures(bundle, p - 1, definition))
     return RegularityReport(definition, p, monotone, failures)

@@ -241,6 +241,28 @@ def test_interval_set_algebra():
     assert IntervalSet.empty().is_empty
 
 
+_endpoint = st.one_of(st.none(), st.integers(min_value=-12, max_value=12))
+
+
+@st.composite
+def interval_sets(draw):
+    out = IntervalSet.empty()
+    for lo, hi in draw(st.lists(st.tuples(_endpoint, _endpoint), max_size=4)):
+        out = out.union(IntervalSet.of(lo, hi))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_sets(), interval_sets())
+def test_interval_intersect_matches_pointwise(a, b):
+    both = a.intersect(b)
+    for t in range(-20, 21):
+        assert both.contains(t) == (a.contains(t) and b.contains(t)), t
+    # sorted, disjoint and not adjacent: merging changes nothing
+    assert both == both.union(IntervalSet.empty())
+    assert both == b.intersect(a)
+
+
 # ---------------------------------------------------------------------------
 # tables
 

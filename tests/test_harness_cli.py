@@ -21,6 +21,7 @@ from mpreg.harness import (
     enumerate_bundles,
     enumerate_summands,
     parse_config_text,
+    pool_size,
     run_verification,
 )
 
@@ -125,6 +126,47 @@ def test_run_verification_parallel_matches_serial():
     assert r1.total_bundles == r2.total_bundles
     assert r1.per_theorem["T1"].consistent == r2.per_theorem["T1"].consistent
     assert r1.findings == r2.findings
+
+
+def test_pool_size_bounded_by_jobs_cores_and_bundles():
+    assert pool_size(8, 2, 100) == 2
+    assert pool_size(2, 16, 100) == 2
+    assert pool_size(8, 16, 3) == 3
+    assert pool_size(4, None, 100) == 1
+    assert pool_size(4, 4, 0) == 1
+    assert pool_size(1, 64, 1000) == 1
+
+
+def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
+    from collections import Counter
+
+    from mpreg import harness
+    from mpreg.bundles import format_bundle
+    from mpreg.splitting import TheoremId, is_acm, verify_theorem
+
+    cfg = EnumerationConfig(spaces=("P1xP1",), degree_min=-2, degree_max=2,
+                            max_summands=2, theorems=("T1", "T3"))
+    calls = Counter()
+
+    def counting_is_acm(bundle):
+        calls[bundle] += 1
+        return is_acm(bundle)
+
+    monkeypatch.setattr(harness, "is_acm", counting_is_acm)
+    rep = run_verification(cfg)
+
+    expected_calls, expected = set(), []
+    for bundle in enumerate_bundles(parse_space("P1xP1"), cfg):
+        for tid in cfg.theorems:
+            if verify_theorem(bundle, TheoremId(tid)).condition_holds:
+                expected_calls.add(bundle)
+                if not is_acm(bundle):
+                    expected.append({"type": "t1_without_acm", "space": "P1xP1",
+                                     "bundle": format_bundle(bundle), "theorem": tid})
+    assert expected_calls
+    assert set(calls) == expected_calls
+    assert max(calls.values()) == 1
+    assert [f for f in rep.findings if f["type"] == "t1_without_acm"] == expected
 
 
 def test_comparison_requires_two_factors():
@@ -256,6 +298,24 @@ def test_cli_reg_hw_three_factors_exits_2():
     res = run_cli("reg", "--space", "P1xP1xP1", "--bundle", "O(0,0,0)",
                   "--definition", "hw")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "space,bundle,expected",
+    [
+        ("P1xP1", "O(-20000,-20000)", 20000),
+        ("P1xP1", "O(20000,0)", 0),
+        ("P2xP2", "O(20000,0)", 0),
+        ("P2xP2", "O(-20,-20)", 20),
+        ("P2xP2", "O(200,0)", 0),
+    ],
+)
+def test_cli_reg_far_from_the_degrees(space, bundle, expected):
+    res = run_cli("reg", "--space", space, "--bundle", bundle, "--format", "json")
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["value"] == expected
+    assert payload["monotone_checked"] is True
 
 
 def test_cli_acm():

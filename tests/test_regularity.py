@@ -1,16 +1,27 @@
-"""Both vanishing-based regularity variants and the Reg scan."""
+"""Both vanishing-based regularity variants and the closed-form Reg."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpreg.bundles import (
     ArityError,
+    Cotangent,
+    Line,
     line_bundle,
+    make_bundle,
+    make_summand,
     parse_bundle,
     parse_space,
     restrict_to_hyperplane,
+)
+from mpreg.cohomology import (
+    euler_characteristic,
+    h_bundle,
+    h_vector,
+    summand_t_window,
 )
 from mpreg.regularity import (
     box_offsets,
@@ -151,3 +162,121 @@ def test_hw_implies_paper_on_samples():
         for p in range(-2, 3):
             if is_hw_regular_at(b, (p, p)):
                 assert is_regular_at(b, (p, p)), (text, p)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Reg against a walk over the twists
+
+
+def _walk_reg(bundle, definition="paper", guard=200):
+    """Reg by walking one balanced twist at a time from a floor below the
+    degrees: down while the next twist is still regular, or up until one is.
+    Only for small degrees."""
+    d = bundle.space.total_dim
+    floor = min(
+        [0]
+        + [
+            -(a.degree if isinstance(a, Line) else a.twist) - d
+            for s in bundle.summands
+            for a in s.atoms
+        ]
+    )
+    p = floor
+    if is_regular_at(bundle, p, definition):
+        while is_regular_at(bundle, p - 1, definition):
+            p -= 1
+            assert p > floor - guard, "walk-down did not stop"
+    else:
+        while not is_regular_at(bundle, p, definition):
+            p += 1
+            assert p < floor + guard, "walk-up did not stop"
+    return p
+
+
+def _atoms(n):
+    lines = st.builds(Line, st.integers(min_value=-3, max_value=3))
+    if n == 1:
+        return lines
+    cotangents = st.builds(
+        Cotangent, st.integers(min_value=1, max_value=n - 1), st.integers(min_value=-3, max_value=3)
+    )
+    return st.one_of(lines, cotangents)
+
+
+@st.composite
+def small_bundles(draw, spaces):
+    space = parse_space(draw(st.sampled_from(spaces)))
+    atoms = st.tuples(*[_atoms(n) for n in space.dims])
+    summands = draw(st.lists(atoms, min_size=1, max_size=2))
+    return make_bundle(space, [make_summand(space, a) for a in summands])
+
+
+def _assert_reg_matches_walk(bundle, definition):
+    rep = reg(bundle, definition)
+    assert rep.value == _walk_reg(bundle, definition)
+    assert rep.monotone_checked
+    assert rep.failures
+    assert is_regular_at(bundle, rep.value, definition)
+    assert not is_regular_at(bundle, rep.value - 1, definition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bundles(["P1", "P3", "P1xP2", "P2xP2", "P2xP3", "P1xP1xP1", "P1xP1xP2"]))
+def test_reg_closed_form_matches_walk_paper(bundle):
+    _assert_reg_matches_walk(bundle, "paper")
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_bundles(["P1xP1", "P1xP2", "P2xP2", "P2xP3"]))
+def test_reg_closed_form_matches_walk_hw(bundle):
+    _assert_reg_matches_walk(bundle, "hw")
+
+
+def test_summand_t_window_memo_matches_unwrapped():
+    for space_text, text in [
+        ("P1xP2", "O(0,2) + O(-3)*W1(1)"),
+        ("P2xP2", "W1(0)*W1(3) + O(-2,1)"),
+        ("P1xP1xP2", "O(0,1,2) + O(-1)*O(0)*W1(-2)"),
+    ]:
+        space, b = parse_bundle(space_text, text)
+        for s in b.summands:
+            for i in range(space.total_dim + 1):
+                for k in box_offsets(space, i):
+                    memo = summand_t_window(space, s, k, i)
+                    assert memo == summand_t_window.__wrapped__(space, s, k, i)
+                    assert summand_t_window(space, s, k, i) is memo
+
+
+@pytest.mark.parametrize(
+    "space,text,expected",
+    [
+        ("P1xP1", "O(-20000,-20000)", 20000),
+        ("P1xP1", "O(20000,0)", 0),
+        ("P2xP2", "O(20000,0)", 0),
+        ("P2xP2", "O(-20,-20)", 20),
+        ("P2xP2", "O(200,0)", 0),
+    ],
+)
+def test_reg_far_from_the_degrees(space, text, expected):
+    _, b = parse_bundle(space, text)
+    rep = reg(b)
+    assert rep.value == expected
+    assert rep.monotone_checked and rep.failures
+
+
+def test_extreme_degrees_exact_and_fast():
+    big = 10**6
+    start = time.perf_counter()
+    _, b = parse_bundle("P1xP2", f"O({big},-{big}) + O(-{big})*W1({big})")
+    # O(big) x O(-big): h^2 = (big + 1) * C(big - 1, 2); O(-big) x W1(big):
+    # h^1 = (big - 1) * (big + 1) * (big - 1)
+    assert h_bundle(b, (0, 0), 2) == (big + 1) * (big - 1) * (big - 2) // 2
+    assert h_bundle(b, (0, 0), 1) == (big - 1) ** 2 * (big + 1)
+    vec = h_vector(b, (0, 0))
+    assert euler_characteristic(b) == sum((-1) ** i * x for i, x in enumerate(vec))
+    rep = reg(b)
+    assert rep.value >= big
+    assert is_regular_at(b, rep.value) and not is_regular_at(b, rep.value - 1)
+    _, lines = parse_bundle("P2xP3", f"O(-{big},{big}) + O({big},{big})")
+    assert reg(lines).value == big
+    assert time.perf_counter() - start < 1.0
