@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -30,7 +31,7 @@ from .harness import (
     parse_range,
     run_verification,
 )
-from .regularity import DEFINITIONS, reg
+from .regularity import DEFINITIONS, is_regular_at, reg, regularity_failures
 from .splitting import (
     PreconditionError,
     TheoremId,
@@ -106,21 +107,21 @@ def cmd_cohomology(args, out) -> int:
 
 def cmd_reg(args, out) -> int:
     bundle = _load_bundle(args)
-    report = reg(bundle, args.definition)
+    p = reg(bundle, args.definition)
+    monotone_checked = is_regular_at(bundle, p + 1, args.definition)
+    failures = regularity_failures(bundle, p - 1, args.definition)
     payload = {
         "space": list(bundle.space.dims),
         "bundle": format_bundle(bundle),
-        "definition": report.definition,
-        "value": report.value,
-        "monotone_checked": report.monotone_checked,
-        "failures": [
-            {"i": i, "k": list(k), "dim": str(dim)} for i, k, dim in report.failures
-        ],
+        "definition": args.definition,
+        "value": p,
+        "monotone_checked": monotone_checked,
+        "failures": [{"i": i, "k": list(k), "dim": str(dim)} for i, k, dim in failures],
     }
     lines = [
         f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}",
-        f"Reg ({report.definition}) = {report.value}",
-        f"monotone step checked: {report.monotone_checked}",
+        f"Reg ({args.definition}) = {p}",
+        f"monotone step checked: {monotone_checked}",
     ]
     _emit(payload, lines, args.format, out)
     return EXIT_OK
@@ -186,23 +187,23 @@ def cmd_check(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     bundle = _load_bundle(args)
-    report = reg(bundle)
+    reg_value = reg(bundle)
     forms = {tid.value: classify_form(bundle, tid) for tid in TheoremId}
     detected = []
-    if report.value == 0:
-        detected = [t.label for t in detect_extremal_summand(bundle, report.value)]
+    if reg_value == 0:
+        detected = [t.label for t in detect_extremal_summand(bundle, reg_value)]
     payload = {
         "space": list(bundle.space.dims),
         "bundle": format_bundle(bundle),
         "rank": rank(bundle),
-        "reg": report.value,
+        "reg": reg_value,
         "forms": forms,
         "detected": detected,
     }
     lines = [
         f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}",
         f"rank: {payload['rank']}",
-        f"Reg: {report.value}",
+        f"Reg: {reg_value}",
         "forms: " + ", ".join(f"{k}={v}" for k, v in sorted(forms.items())),
     ]
     if detected:
@@ -257,6 +258,7 @@ def cmd_verify_paper(args, out) -> int:
     return EXIT_OK if report.ok else EXIT_INCONSISTENT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpreg",

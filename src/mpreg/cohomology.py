@@ -4,13 +4,19 @@ Two independent routes are provided for a single projective factor: closed
 formulas (h_line, h_bott) and a long-exact-sequence chase through the Euler
 sequence (oracle_euler_sequence).  The test suite plays them against each
 other; the engine itself only uses the closed formulas.
+
+By Bott's formula an atom has at most one nonzero group at any twist, so by
+Kunneth a box summand has at most one too.  Each atom's support is stated
+once, as ranges of the twist (_atom_support); point values and nonvanishing
+windows are both folds of those ranges over the summands.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Optional
 
 from .bundles import (
@@ -24,6 +30,8 @@ from .bundles import (
     normalize_atom,
     twist_atom,
 )
+
+Endpoint = Optional[int]  # None encodes an unbounded endpoint
 
 
 def extended_binomial(x: int, k: int) -> int:
@@ -128,59 +136,65 @@ def oracle_euler_sequence(n: int, p: int, t: int, i: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def atom_h_vector(n: int, atom: Atom) -> tuple[int, ...]:
+def _atom_support(n: int, atom: Atom) -> tuple[tuple[int, Endpoint, Endpoint], ...]:
+    """Bott's formula as ranges: each (level, lo, hi) such that
+    H^level(atom(t)) on P^n is nonzero exactly for lo <= t <= hi, None
+    unbounded.  The ranges are disjoint, so at most one group is nonzero at
+    any twist."""
     atom = normalize_atom(n, atom)
     if isinstance(atom, Line):
-        return tuple(h_line(n, atom.degree, i) for i in range(n + 1))
-    return tuple(h_bott(n, atom.p, atom.twist, i) for i in range(n + 1))
+        a = atom.degree
+        return ((0, -a, None), (n, None, -a - n - 1))
+    p, c = atom.p, atom.twist
+    return ((0, p + 1 - c, None), (p, -c, -c), (n, None, p - n - 1 - c))
 
 
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
+def _summand_group(space: Space, summand: BoxSummand, tvec: tuple[int, ...]):
+    """The one nonzero group (i, dim) of the summand twisted by tvec, or None.
+
+    By Kunneth it is the product of one group per atom: the levels add up
+    and the dimensions multiply."""
+    i, dim = 0, 1
+    for n, atom, t in zip(space.dims, summand.atoms, tvec):
+        atom = normalize_atom(n, atom)
+        for level, lo, hi in _atom_support(n, atom):
+            if (lo is None or lo <= t) and (hi is None or t <= hi):
+                break
+        else:
+            return None
+        i += level
+        if isinstance(atom, Line):
+            dim *= h_line(n, atom.degree + t, level)
+        else:
+            dim *= h_bott(n, atom.p, atom.twist + t, level)
+    return i, dim
 
 
-@lru_cache(maxsize=None)
-def summand_h_vector(space: Space, summand: BoxSummand) -> tuple[int, ...]:
-    """Full cohomology vector (h^0, ..., h^d) of one box summand."""
-    vec = (1,)
-    for n, atom in zip(space.dims, summand.atoms):
-        vec = _convolve(vec, atom_h_vector(n, atom))
-    return vec
+def _twist_vector(space: Space, tvec: Iterable[int]) -> tuple[int, ...]:
+    tvec = tuple(tvec)
+    if len(tvec) != space.num_factors:
+        raise ModelError(f"twist vector length {len(tvec)} does not match the space")
+    return tvec
 
 
-def h_box(space: Space, summand: BoxSummand, i: int) -> int:
-    if i < 0 or i > space.total_dim:
-        return 0
-    return summand_h_vector(space, summand)[i]
-
-
-def _twisted_summands(bundle: Bundle, tvec: tuple[int, ...]):
+def _groups(bundle: Bundle, tvec: Iterable[int]):
+    """The nonzero group (i, dim) of each summand twisted by tvec."""
+    tvec = _twist_vector(bundle.space, tvec)
     for s in bundle.summands:
-        yield BoxSummand(tuple(twist_atom(a, t) for a, t in zip(s.atoms, tvec)))
+        group = _summand_group(bundle.space, s, tvec)
+        if group is not None:
+            yield group
 
 
 def h_bundle(bundle: Bundle, tvec: Iterable[int], i: int) -> int:
     """dim H^i of the bundle twisted by O(tvec)."""
-    tvec = tuple(tvec)
-    if len(tvec) != bundle.space.num_factors:
-        raise ModelError(f"twist vector length {len(tvec)} does not match the space")
-    return sum(h_box(bundle.space, s, i) for s in _twisted_summands(bundle, tvec))
+    return sum(dim for j, dim in _groups(bundle, tvec) if j == i)
 
 
 def h_vector(bundle: Bundle, tvec: Iterable[int]) -> tuple[int, ...]:
-    tvec = tuple(tvec)
-    d = bundle.space.total_dim
-    out = [0] * (d + 1)
-    for s in _twisted_summands(bundle, tvec):
-        for i, x in enumerate(summand_h_vector(bundle.space, s)):
-            out[i] += x
+    out = [0] * (bundle.space.total_dim + 1)
+    for i, dim in _groups(bundle, tvec):
+        out[i] += dim
     return tuple(out)
 
 
@@ -210,21 +224,18 @@ def euler_characteristic_atom(n: int, atom: Atom) -> int:
 
 def euler_characteristic(bundle: Bundle, tvec: Iterable[int] = None) -> int:
     space = bundle.space
-    tvec = tuple(tvec) if tvec is not None else (0,) * space.num_factors
+    tvec = _twist_vector(space, (0,) * space.num_factors if tvec is None else tvec)
     total = 0
-    for s in _twisted_summands(bundle, tvec):
-        prod = 1
-        for n, atom in zip(space.dims, s.atoms):
-            prod *= euler_characteristic_atom(n, atom)
-        total += prod
+    for s in bundle.summands:
+        term = 1
+        for n, atom, t in zip(space.dims, s.atoms, tvec):
+            term *= euler_characteristic_atom(n, twist_atom(atom, t))
+        total += term
     return total
 
 
 # ---------------------------------------------------------------------------
 # nonvanishing windows in a balanced twist parameter
-
-
-Endpoint = Optional[int]  # None encodes an unbounded endpoint
 
 
 @dataclass(frozen=True)
@@ -308,60 +319,28 @@ class IntervalSet:
         return IntervalSet(tuple(out))
 
 
-def _atom_level_window(n: int, atom: Atom, offset: int, level: int) -> IntervalSet:
-    """Window of t with h^level(atom twisted by t + offset) nonzero."""
-    atom = normalize_atom(n, atom)
-    if isinstance(atom, Line):
-        a = atom.degree + offset
-        if level == 0:
-            return IntervalSet.of(-a, None)
-        if level == n:
-            return IntervalSet.of(None, -a - n - 1)
-        return IntervalSet.empty()
-    c = atom.twist + offset
-    if level == 0:
-        return IntervalSet.of(atom.p + 1 - c, None)
-    if level == atom.p:
-        return IntervalSet.of(-c, -c)
-    if level == n:
-        return IntervalSet.of(None, atom.p - n - 1 - c)
-    return IntervalSet.empty()
-
-
 @lru_cache(maxsize=None)
 def summand_t_window(
     space: Space, summand: BoxSummand, k: tuple[int, ...], i: int
 ) -> IntervalSet:
     """Set of t with h^i(summand twisted by (t+k_1, ..., t+k_s)) nonzero.
 
-    Memoized: a bundle's windows, and so Reg, are folds over its summands'.
+    The intersection of one support range per atom, over every choice of
+    levels adding up to i; twisting an atom by k_j shifts its ranges down
+    by k_j.  Memoized: a bundle's windows, and so Reg, are folds over its
+    summands'.
     """
     out = IntervalSet.empty()
-
-    def rec(factor: int, remaining: int, acc: IntervalSet):
-        nonlocal out
-        if acc.is_empty:
-            return
-        if factor == space.num_factors:
-            if remaining == 0:
-                out = out.union(acc)
-            return
-        n = space.dims[factor]
-        atom = summand.atoms[factor]
-        levels = [0, n] if isinstance(normalize_atom(n, atom), Line) else [
-            0,
-            normalize_atom(n, atom).p,
-            n,
-        ]
-        for lev in levels:
-            if lev > remaining:
-                continue
-            w = _atom_level_window(n, atom, k[factor], lev)
-            if w.is_empty:
-                continue
-            rec(factor + 1, remaining - lev, acc.intersect(w))
-
-    rec(0, i, IntervalSet.of(None, None))
+    supports = [
+        _atom_support(n, twist_atom(atom, kj))
+        for n, atom, kj in zip(space.dims, summand.atoms, k)
+    ]
+    for ranges in itertools.product(*supports):
+        if sum(level for level, _, _ in ranges) == i:
+            window = IntervalSet.of(None, None)
+            for _, lo, hi in ranges:
+                window = window.intersect(IntervalSet.of(lo, hi))
+            out = out.union(window)
     return out
 
 
@@ -386,6 +365,8 @@ def nonvanishing_t_window(bundle: Bundle, k: Iterable[int], i: int) -> IntervalS
 # tables
 
 
+MAX_TABLE_TWISTS = 10**5  # twist vectors in one table; a larger box is refused
+
 @dataclass(frozen=True)
 class CohomologyTable:
     bundle: Bundle
@@ -396,16 +377,6 @@ class CohomologyTable:
         return self.entries.get((i, tuple(tvec)), 0)
 
 
-def _iter_box(box: tuple[tuple[int, int], ...]):
-    if not box:
-        yield ()
-        return
-    (lo, hi), rest = box[0], box[1:]
-    for v in range(lo, hi + 1):
-        for tail in _iter_box(rest):
-            yield (v,) + tail
-
-
 def build_table(bundle: Bundle, twist_box: Iterable[tuple[int, int]]) -> CohomologyTable:
     """Tabulate all nonzero h^i over a rectangular box of twists."""
     twist_box = tuple((int(lo), int(hi)) for lo, hi in twist_box)
@@ -414,9 +385,11 @@ def build_table(bundle: Bundle, twist_box: Iterable[tuple[int, int]]) -> Cohomol
     for lo, hi in twist_box:
         if lo > hi:
             raise ModelError(f"empty twist range {lo}..{hi}")
+    ranges = [range(lo, hi + 1) for lo, hi in twist_box]
+    if prod(map(len, ranges)) > MAX_TABLE_TWISTS:
+        raise ModelError(f"twist box has more than {MAX_TABLE_TWISTS} twist vectors")
     entries = {}
-    for tvec in _iter_box(twist_box):
-        for i, x in enumerate(h_vector(bundle, tvec)):
-            if x:
-                entries[(i, tvec)] = x
+    for tvec in itertools.product(*ranges):
+        for i, dim in _groups(bundle, tvec):
+            entries[(i, tvec)] = entries.get((i, tvec), 0) + dim
     return CohomologyTable(bundle, twist_box, entries)

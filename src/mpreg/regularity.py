@@ -16,7 +16,6 @@ required groups, and Reg is one past the largest point of that union.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .bundles import ArityError, Bundle, ModelError, Space
@@ -93,15 +92,7 @@ def is_hw_regular_at(bundle: Bundle, p: Union[int, tuple]) -> bool:
     return is_regular_at(bundle, p, "hw")
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    definition: str
-    value: int
-    monotone_checked: bool
-    failures: tuple  # witnesses (i, k, dim) one step below the value
-
-
-def reg(bundle: Bundle, definition: str = "paper") -> RegularityReport:
+def reg(bundle: Bundle, definition: str = "paper") -> int:
     """Least balanced twist at which the bundle is regular.
 
     Every required group with i >= 1 vanishes above its window: the window
@@ -117,7 +108,4 @@ def reg(bundle: Bundle, definition: str = "paper") -> RegularityReport:
         if hi is None:
             raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
         tops.append(hi)
-    p = max(tops) + 1
-    monotone = is_regular_at(bundle, p + 1, definition)
-    failures = tuple(regularity_failures(bundle, p - 1, definition))
-    return RegularityReport(definition, p, monotone, failures)
+    return max(tops) + 1

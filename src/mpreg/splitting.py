@@ -342,7 +342,7 @@ def _failed_precondition(bundle: Bundle, theorem: TheoremId) -> Optional[ModelEr
     reason = spec.rank_rule(bundle.space, rank(bundle)) if spec.rank_rule else None
     if reason is not None:
         return PreconditionError(reason)
-    value = reg(bundle).value if spec.reg_zero else 0
+    value = reg(bundle) if spec.reg_zero else 0
     return PreconditionError(f"Reg must be 0, got {value}") if value != 0 else None
 
 
@@ -398,7 +398,7 @@ def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> 
     """Probe the corner groups of E(-1,...,-1) and name the summand each
     nonzero probe forces.  Requires Reg = 0; a caller that already knows Reg
     passes it as reg_value instead of having it computed again."""
-    reg_value = reg(bundle).value if reg_value is None else reg_value
+    reg_value = reg(bundle) if reg_value is None else reg_value
     if reg_value != 0:
         raise PreconditionError(f"detector needs Reg = 0, got {reg_value}")
     space = bundle.space

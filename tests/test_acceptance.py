@@ -119,10 +119,10 @@ def test_criterion_03_line_regularity_characterization():
     for a, b in itertools.product(range(-3, 4), repeat=2):
         bundle = line_bundle(sp, (a, b))
         assert is_regular_at(bundle, (0, 0)) == (a >= 0 and b >= 0), (a, b)
-    assert reg(line_bundle(sp, (0, 0))).value == 0
+    assert reg(line_bundle(sp, (0, 0))) == 0
     for text in ("O(0)*W1(2)", "O(0)*W2(3)"):
         _, bundle = parse_bundle("P2xP3", text)
-        assert reg(bundle).value == 0, text
+        assert reg(bundle) == 0, text
     report("03: PASS O(a,b) regular iff a,b >= 0; Reg(O) = 0; "
            "Reg(O x W^a(a+1)) = 0 for a = 1, 2")
 
@@ -178,7 +178,7 @@ def test_criterion_06a_menu_bundles_detected_exactly():
         space = parse_space(name)
         for s in extremal_menu(space):
             b = make_bundle(space, [s])
-            assert reg(b).value == 0, (name, s)
+            assert reg(b) == 0, (name, s)
             ok, _ = condition_for(b, TheoremId.T0)
             assert ok, (name, s)
             tags = detect_extremal_summand(b)

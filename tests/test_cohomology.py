@@ -16,6 +16,7 @@ from mpreg.bundles import (
 )
 from mpreg.cohomology import (
     IntervalSet,
+    _atom_support,
     build_table,
     euler_characteristic,
     extended_binomial,
@@ -103,6 +104,24 @@ def test_h_bott_rejects_out_of_range_power():
         h_bott(3, 0, 1, 0)
 
 
+def test_atom_support_is_the_oracles_one_nonzero_level():
+    # every atom on P^n, boundary powers included, has at most one nonzero
+    # level at each twist, and it is the level whose support range holds t
+    for n in (1, 2, 3, 4):
+        atoms = [Line(0)] + [Cotangent(p, c) for p in range(n + 1) for c in (-1, 0, 2)]
+        for atom in atoms:
+            support = _atom_support(n, atom)
+            for t in range(-12, 12):
+                if isinstance(atom, Line):
+                    nonzero = [i for i in range(n + 1) if h_line(n, atom.degree + t, i)]
+                else:
+                    nonzero = [i for i in range(n + 1)
+                               if oracle_euler_sequence(n, atom.p, atom.twist + t, i)]
+                held = [level for level, lo, hi in support
+                        if (lo is None or lo <= t) and (hi is None or t <= hi)]
+                assert len(nonzero) <= 1 and nonzero == held, (n, atom, t)
+
+
 def test_koszul_section_rank_small():
     # global sections of the presenting sum minus those of the quotient
     assert koszul_section_rank(2, 1, 2) == 6
@@ -149,6 +168,15 @@ def test_additivity_over_summands():
             assert h_bundle(b, t, i) == h_bundle(b1, t, i) + h_bundle(b2, t, i)
 
 
+def test_twist_vector_length_checked():
+    _, b = parse_bundle("P1xP2", "O(1,1)")
+    for query in (h_vector, euler_characteristic, lambda b, t: h_bundle(b, t, 0)):
+        with pytest.raises(ModelError):
+            query(b, (0,))
+        with pytest.raises(ModelError):
+            query(b, (0, 0, 0))
+
+
 def test_h_vector_out_of_range_degrees_zero():
     _, b = parse_bundle("P1xP1", "O(0,0)")
     assert h_bundle(b, (0, 0), 3) == 0
@@ -185,6 +213,32 @@ def test_serre_duality_dimension_identity(b, tv):
     dual_tv = tuple(kj - t for kj, t in zip(K, tv))
     for i in range(d + 1):
         assert h_bundle(b, tv, i) == h_bundle(bd, dual_tv, d - i)
+
+
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _oracle_atom_vector(n, atom, t):
+    if isinstance(atom, Line):
+        return tuple(h_line(n, atom.degree + t, i) for i in range(n + 1))
+    return tuple(oracle_euler_sequence(n, atom.p, atom.twist + t, i) for i in range(n + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_bundles(), st.tuples(deg, deg))
+def test_h_vector_is_kunneth_convolution_of_oracle_vectors(b, tv):
+    expected = [0] * (b.space.total_dim + 1)
+    for s in b.summands:
+        vec = (1,)
+        for n, atom, t in zip(b.space.dims, s.atoms, tv):
+            vec = _convolve(vec, _oracle_atom_vector(n, atom, t))
+        expected = [x + y for x, y in zip(expected, vec)]
+    assert h_vector(b, tv) == tuple(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,3 +338,5 @@ def test_build_table_validates_box():
         build_table(b, ((0, -1), (0, 0)))
     with pytest.raises(ModelError):
         build_table(b, ((0, 1),))
+    with pytest.raises(ModelError):
+        build_table(b, ((-3000, 3000), (-3000, 3000)))

@@ -1,5 +1,7 @@
-"""Golden replay of the command line: `check` for every check id, `classify`
-and `acm` on a fixed set of bundles, and `verify-paper` on a small config.
+"""Golden replay of the command line: `check` for every check id, `classify`,
+`acm`, `reg` (definition `paper`, and `hw` on two-factor spaces) and
+`cohomology` over a small twist box on a fixed set of bundles, and
+`verify-paper` on a small config.
 
 The fixture `golden_cli.json` holds, per bundle, each command's exit code and
 JSON payload.  Every replay must print exactly that payload, rendered the way
@@ -98,6 +100,8 @@ VERIFY_CONFIG = (
     "max_summands = 2\n"
 )
 
+TWIST_BOX = "--twist-range=-2..1"
+
 # A check payload repeats the space, the bundle and the check id, and half of
 # them are not-applicable verdicts full of nulls.  The fixture stores the
 # space and bundle once per bundle and drops the check id and the nulls; the
@@ -151,6 +155,15 @@ def _verify_paper(config_path):
     return code, payload
 
 
+def _queries(space: str, text: str) -> dict:
+    """The `reg` and `cohomology` command lines replayed on a bundle, by name."""
+    queries = {"reg paper": ["reg", *_base(space, text), "--definition", "paper"]}
+    if space.count("x") == 1:
+        queries["reg hw"] = ["reg", *_base(space, text), "--definition", "hw"]
+    queries["cohomology"] = ["cohomology", *_base(space, text), TWIST_BOX]
+    return queries
+
+
 def capture_bundle(space: str, text: str) -> dict:
     """One fixture record: exit code and payload of each command on a bundle."""
     record = {"space": space, "text": text, "check": {}}
@@ -165,6 +178,10 @@ def capture_bundle(space: str, text: str) -> dict:
     for command in ("classify", "acm"):
         code, out = _run([command, *_base(space, text)])
         record[command] = [code, json.loads(out) if out else None]
+    record["queries"] = {}
+    for name, argv in _queries(space, text).items():
+        code, out = _run(argv)
+        record["queries"][name] = [code, json.loads(out) if out else None]
     return record
 
 
@@ -180,6 +197,11 @@ def replay_bundle(record: dict) -> None:
         code, payload = record[command]
         expected = (code, "" if payload is None else _render(payload))
         assert _run([command, *_base(space, text)]) == expected, (text, command)
+    queries = _queries(space, text)
+    assert sorted(record["queries"]) == sorted(queries)
+    for name, (code, payload) in record["queries"].items():
+        expected = (code, "" if payload is None else _render(payload))
+        assert _run(queries[name]) == expected, (text, name)
 
 
 @pytest.fixture(scope="module")

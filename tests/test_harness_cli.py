@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -278,6 +279,15 @@ def test_cli_bad_range_exits_2():
                   "--twist-range", "5..1")
     assert res.returncode == 2
     assert "error" in res.stderr.lower()
+
+
+def test_cli_oversized_twist_box_exits_2_at_once():
+    start = time.perf_counter()
+    res = run_cli("cohomology", "--space", "P1xP1", "--bundle", "O(0,0)",
+                  "--twist-range=-3000..3000")
+    assert res.returncode == 2
+    assert "twist vectors" in res.stderr
+    assert time.perf_counter() - start < 10
 
 
 def test_cli_parse_error_exits_2():

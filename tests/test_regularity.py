@@ -94,12 +94,12 @@ def test_failures_carry_dimensions():
 def test_reg_line_bundle_values():
     sp = parse_space("P2xP3")
     for a, b in itertools.product(range(-3, 4), repeat=2):
-        assert reg(line_bundle(sp, (a, b))).value == max(-a, -b)
+        assert reg(line_bundle(sp, (a, b))) == max(-a, -b)
 
 
 def test_reg_direct_sum_takes_worst_summand():
     _, b = parse_bundle("P1xP2", "O(2,2) + O(-1,3)")
-    assert reg(b).value == 1
+    assert reg(b) == 1
 
 
 def test_reg_balanced_scalar_argument():
@@ -111,18 +111,18 @@ def test_reg_balanced_scalar_argument():
 def test_reg_reports_are_coherent():
     for text in ["O(0,0)", "O(-2,1)", "O(0)*W1(2)"]:
         _, b = parse_bundle("P2xP3", text)
-        rep = reg(b)
-        assert is_regular_at(b, rep.value)
-        assert not is_regular_at(b, rep.value - 1)
-        assert rep.monotone_checked
-        assert rep.failures  # the step below the value must fail somewhere
+        p = reg(b)
+        assert is_regular_at(b, p)
+        assert not is_regular_at(b, p - 1)
+        assert is_regular_at(b, p + 1)
+        assert regularity_failures(b, p - 1)  # the step below Reg must fail somewhere
 
 
 def test_reg_hw_definition_smoke():
     _, b = parse_bundle("P1xP1", "O(0,0)")
-    assert reg(b, "hw").value == 0
+    assert reg(b, "hw") == 0
     _, b2 = parse_bundle("P1xP1", "O(2,-1)")
-    assert reg(b2, "hw").value == 1
+    assert reg(b2, "hw") == 1
 
 
 def test_unknown_definition_rejected():
@@ -212,12 +212,12 @@ def small_bundles(draw, spaces):
 
 
 def _assert_reg_matches_walk(bundle, definition):
-    rep = reg(bundle, definition)
-    assert rep.value == _walk_reg(bundle, definition)
-    assert rep.monotone_checked
-    assert rep.failures
-    assert is_regular_at(bundle, rep.value, definition)
-    assert not is_regular_at(bundle, rep.value - 1, definition)
+    p = reg(bundle, definition)
+    assert p == _walk_reg(bundle, definition)
+    assert is_regular_at(bundle, p + 1, definition)
+    assert regularity_failures(bundle, p - 1, definition)
+    assert is_regular_at(bundle, p, definition)
+    assert not is_regular_at(bundle, p - 1, definition)
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,9 +259,9 @@ def test_summand_t_window_memo_matches_unwrapped():
 )
 def test_reg_far_from_the_degrees(space, text, expected):
     _, b = parse_bundle(space, text)
-    rep = reg(b)
-    assert rep.value == expected
-    assert rep.monotone_checked and rep.failures
+    p = reg(b)
+    assert p == expected
+    assert is_regular_at(b, p + 1) and regularity_failures(b, p - 1)
 
 
 def test_extreme_degrees_exact_and_fast():
@@ -274,9 +274,9 @@ def test_extreme_degrees_exact_and_fast():
     assert h_bundle(b, (0, 0), 1) == (big - 1) ** 2 * (big + 1)
     vec = h_vector(b, (0, 0))
     assert euler_characteristic(b) == sum((-1) ** i * x for i, x in enumerate(vec))
-    rep = reg(b)
-    assert rep.value >= big
-    assert is_regular_at(b, rep.value) and not is_regular_at(b, rep.value - 1)
+    p = reg(b)
+    assert p >= big
+    assert is_regular_at(b, p) and not is_regular_at(b, p - 1)
     _, lines = parse_bundle("P2xP3", f"O(-{big},{big}) + O({big},{big})")
-    assert reg(lines).value == big
+    assert reg(lines) == big
     assert time.perf_counter() - start < 1.0
