@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
     jobs = default_jobs(args.jobs)
     clean = True
     for label, cfg in battery(args.quick):
-        cfg = EnumerationConfig(**{**cfg.__dict__, "jobs": jobs})
+        cfg = replace(cfg, jobs=jobs)
         rep = run_verification(cfg)
         print_report(label, rep)
         clean = clean and rep.ok

@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .bundles import (
@@ -218,12 +219,10 @@ def cmd_verify_paper(args, out) -> int:
     else:
         cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2"))
     if args.theorem:
-        cfg = EnumerationConfig(
-            **{**cfg.__dict__, "theorems": tuple(args.theorem)}
-        )
+        cfg = replace(cfg, theorems=tuple(args.theorem))
     jobs = default_jobs(args.jobs)
     if jobs != cfg.jobs:
-        cfg = EnumerationConfig(**{**cfg.__dict__, "jobs": jobs})
+        cfg = replace(cfg, jobs=jobs)
     report = run_verification(cfg)
     payload = {
         "spaces": list(cfg.spaces),

@@ -8,7 +8,9 @@ other; the engine itself only uses the closed formulas.
 By Bott's formula an atom has at most one nonzero group at any twist, so by
 Kunneth a box summand has at most one too.  Each atom's support is stated
 once, as ranges of the twist (_atom_support); point values and nonvanishing
-windows are both folds of those ranges over the summands.
+windows are both folds of those ranges over the summands.  In a balanced
+twist a summand's window is one interval, a bundle's is the sorted union of
+its summands', and Reg and the witnesses read the ends of that union.
 """
 
 from __future__ import annotations
@@ -238,127 +240,61 @@ def euler_characteristic(bundle: Bundle, tvec: Iterable[int] = None) -> int:
 # nonvanishing windows in a balanced twist parameter
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    """Union of disjoint integer intervals, endpoints possibly infinite."""
-
-    intervals: tuple[tuple[Endpoint, Endpoint], ...]
-
-    @staticmethod
-    def empty() -> "IntervalSet":
-        return IntervalSet(())
-
-    @staticmethod
-    def of(lo: Endpoint, hi: Endpoint) -> "IntervalSet":
-        if lo is not None and hi is not None and lo > hi:
-            return IntervalSet.empty()
-        return IntervalSet(((lo, hi),))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    @property
-    def is_finite(self) -> bool:
-        return all(lo is not None and hi is not None for lo, hi in self.intervals)
-
-    def min_point(self) -> int:
-        if self.is_empty:
-            raise ModelError("empty interval set has no minimum")
-        lo = self.intervals[0][0]
-        if lo is None:
-            raise ModelError("interval set is unbounded below")
-        return lo
-
-    def contains(self, t: int) -> bool:
-        for lo, hi in self.intervals:
-            if (lo is None or t >= lo) and (hi is None or t <= hi):
-                return True
-        return False
-
-    def points(self) -> list[int]:
-        if not self.is_finite:
-            raise ModelError("cannot list the points of an unbounded interval set")
-        out = []
-        for lo, hi in self.intervals:
-            out.extend(range(lo, hi + 1))
-        return out
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        def lo_key(iv):
-            return (0, 0) if iv[0] is None else (1, iv[0])
-
-        merged: list[tuple[Endpoint, Endpoint]] = []
-        for lo, hi in sorted(self.intervals + other.intervals, key=lo_key):
-            if merged:
-                plo, phi = merged[-1]
-                # overlapping or adjacent integer intervals merge
-                if phi is None or lo is None or lo <= phi + 1:
-                    new_hi = None if (phi is None or hi is None) else max(phi, hi)
-                    merged[-1] = (plo, new_hi)
-                    continue
-            merged.append((lo, hi))
-        return IntervalSet(tuple(merged))
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        """One sweep over both sorted lists, advancing whichever interval
-        ends first; the pieces come out sorted and disjoint."""
-        a, b = self.intervals, other.intervals
-        out: list[tuple[Endpoint, Endpoint]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (alo, ahi), (blo, bhi) = a[i], b[j]
-            lo = alo if blo is None else (blo if alo is None else max(alo, blo))
-            hi = ahi if bhi is None else (bhi if ahi is None else min(ahi, bhi))
-            if lo is None or hi is None or lo <= hi:
-                out.append((lo, hi))
-            if bhi is None or (ahi is not None and ahi < bhi):
-                i += 1
-            else:
-                j += 1
-        return IntervalSet(tuple(out))
-
-
 @lru_cache(maxsize=None)
 def summand_t_window(
     space: Space, summand: BoxSummand, k: tuple[int, ...], i: int
-) -> IntervalSet:
-    """Set of t with h^i(summand twisted by (t+k_1, ..., t+k_s)) nonzero.
+) -> Optional[tuple[Endpoint, Endpoint]]:
+    """The t with h^i(summand twisted by (t+k_1, ..., t+k_s)) nonzero, as one
+    interval (lo, hi), None for an unbounded end, or None when there are none.
 
-    The intersection of one support range per atom, over every choice of
-    levels adding up to i; twisting an atom by k_j shifts its ranges down
-    by k_j.  Memoized: a bundle's windows, and so Reg, are folds over its
-    summands'.
+    Each atom's nonzero level can only fall as t grows (n -> 0 for O(a),
+    n -> p -> 0 for W^p(c)), and each level holds on an interval of t.  So
+    two twists with the same total level i have the same level on every
+    factor, and so does every twist between them: the window is one
+    interval, the intersection of the atoms' ranges for the one choice of
+    levels adding up to i whose ranges meet.  Twisting an atom by k_j
+    shifts its ranges down by k_j.  Memoized: a bundle's windows, and so
+    Reg, are folds over its summands'.
     """
-    out = IntervalSet.empty()
     supports = [
         _atom_support(n, twist_atom(atom, kj))
         for n, atom, kj in zip(space.dims, summand.atoms, k)
     ]
     for ranges in itertools.product(*supports):
-        if sum(level for level, _, _ in ranges) == i:
-            window = IntervalSet.of(None, None)
-            for _, lo, hi in ranges:
-                window = window.intersect(IntervalSet.of(lo, hi))
-            out = out.union(window)
-    return out
+        if sum(level for level, _, _ in ranges) != i:
+            continue
+        los = [lo for _, lo, _ in ranges if lo is not None]
+        his = [hi for _, _, hi in ranges if hi is not None]
+        lo, hi = max(los, default=None), min(his, default=None)
+        if lo is None or hi is None or lo <= hi:
+            return lo, hi
+    return None
 
 
-def nonvanishing_t_window(bundle: Bundle, k: Iterable[int], i: int) -> IntervalSet:
+def nonvanishing_t_window(
+    bundle: Bundle, k: Iterable[int], i: int
+) -> tuple[tuple[Endpoint, Endpoint], ...]:
     """Exact set of integers t with h^i(bundle twisted by (t,...,t)+k) nonzero.
 
-    Finite for 0 < i < dim X; for i = 0 or i = dim X the set may contain rays.
+    Sorted, disjoint and non-adjacent (lo, hi) pairs, None for an unbounded
+    end: the summands' intervals, sorted and merged.  Finite for
+    0 < i < dim X; for i = 0 or i = dim X the set may contain rays.
     """
-    k = tuple(k)
     space = bundle.space
-    if len(k) != space.num_factors:
-        raise ModelError(f"offset vector length {len(k)} does not match the space")
-    if i < 0 or i > space.total_dim:
-        return IntervalSet.empty()
-    out = IntervalSet.empty()
-    for s in bundle.summands:
-        out = out.union(summand_t_window(space, s, k, i))
-    return out
+    k = _twist_vector(space, k)
+    if not 0 <= i <= space.total_dim:
+        return ()
+    windows = (summand_t_window(space, s, k, i) for s in bundle.summands)
+    merged: list[tuple[Endpoint, Endpoint]] = []
+    for lo, hi in sorted(filter(None, windows), key=lambda w: (w[0] is not None, w[0])):
+        if merged:
+            plo, phi = merged[-1]
+            # overlapping or adjacent integer intervals merge
+            if phi is None or lo is None or lo <= phi + 1:
+                merged[-1] = (plo, None if phi is None or hi is None else max(phi, hi))
+                continue
+        merged.append((lo, hi))
+    return tuple(merged)
 
 
 # ---------------------------------------------------------------------------

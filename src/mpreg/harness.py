@@ -7,6 +7,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -250,24 +251,6 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     findings: list = []
     total = 0
 
-    def consume(result):
-        nonlocal total
-        for name, rows in result:
-            total += 1
-            for tid, applicable, consistent, fnds in rows:
-                st = per_theorem[tid]
-                if not applicable:
-                    st.not_applicable += 1
-                    continue
-                st.applicable += 1
-                if consistent:
-                    st.consistent += 1
-                else:
-                    st.inconsistent += 1
-                    if len(st.samples) < _SAMPLE_CAP:
-                        st.samples.append(name)
-                findings.extend(fnds)
-
     families = []
     for space_text in cfg.spaces:
         space = parse_space(space_text)
@@ -276,20 +259,27 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
 
     tasks = []
     for label, bundles in families:
-        if workers > 1:
-            chunk = max(1, len(bundles) // (workers * 8))
-            for start_idx in range(0, len(bundles), chunk):
-                tasks.append((label, bundles[start_idx : start_idx + chunk], cfg.theorems))
-        else:
-            tasks.append((label, bundles, cfg.theorems))
+        chunk = max(1, len(bundles) // (workers * 8))
+        for start_idx in range(0, len(bundles), chunk):
+            tasks.append((label, bundles[start_idx : start_idx + chunk], cfg.theorems))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_chunk, tasks):
-                consume(result)
-    else:
-        for task in tasks:
-            consume(_run_chunk(task))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for result in (pool.map if pool else map)(_run_chunk, tasks):
+            for name, rows in result:
+                total += 1
+                for tid, applicable, consistent, fnds in rows:
+                    st = per_theorem[tid]
+                    if not applicable:
+                        st.not_applicable += 1
+                        continue
+                    st.applicable += 1
+                    if consistent:
+                        st.consistent += 1
+                    else:
+                        st.inconsistent += 1
+                        if len(st.samples) < _SAMPLE_CAP:
+                            st.samples.append(name)
+                    findings.extend(fnds)
 
     return RunReport(
         config=cfg,

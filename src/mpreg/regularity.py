@@ -102,9 +102,9 @@ def reg(bundle: Bundle, definition: str = "paper") -> int:
     tops = []
     for i, k in _required(bundle.space, definition):
         window = nonvanishing_t_window(bundle, k, i)
-        if window.is_empty:
+        if not window:
             continue
-        hi = window.intervals[-1][1]
+        hi = window[-1][1]
         if hi is None:
             raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
         tops.append(hi)

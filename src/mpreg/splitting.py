@@ -71,9 +71,11 @@ def _witness(bundle: Bundle, i: int, k: tuple, twist: Optional[int] = None, requ
     twist of its nonvanishing window when twist is None; None if it vanishes."""
     if twist is None:
         window = nonvanishing_t_window(bundle, k, i)
-        if window.is_empty:
+        if not window:
             return None
-        twist = window.min_point()
+        twist = window[0][0]
+        if twist is None:
+            raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
     dim = h_bundle(bundle, tuple(twist + kj for kj in k), i)
     return Witness(i, k, twist, dim, required) if dim else None
 

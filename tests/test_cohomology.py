@@ -15,7 +15,6 @@ from mpreg.bundles import (
     parse_space,
 )
 from mpreg.cohomology import (
-    IntervalSet,
     _atom_support,
     build_table,
     euler_characteristic,
@@ -27,6 +26,7 @@ from mpreg.cohomology import (
     koszul_section_rank,
     nonvanishing_t_window,
     oracle_euler_sequence,
+    summand_t_window,
 )
 
 
@@ -272,49 +272,80 @@ def brute_window(bundle, k, i, lo=-25, hi=25):
 def test_window_matches_brute_force(space, text, k, i):
     _, b = parse_bundle(space, text)
     win = nonvanishing_t_window(b, k, i)
-    assert win.is_finite
-    assert sorted(win.points()) == brute_window(b, k, i)
+    assert all(lo is not None and hi is not None for lo, hi in win)
+    assert [t for lo, hi in win for t in range(lo, hi + 1)] == brute_window(b, k, i)
 
 
 def test_window_middle_degrees_always_finite():
     _, b = parse_bundle("P2xP2", "W1(0)*W1(3) + O(-2,1)")
     for i in range(1, 4):
         for k in [(0, 0), (-1, -1), (-2, 0)]:
-            assert nonvanishing_t_window(b, k, i).is_finite
+            win = nonvanishing_t_window(b, k, i)
+            assert all(lo is not None and hi is not None for lo, hi in win)
 
 
-def test_interval_set_algebra():
-    a = IntervalSet.of(0, 4)
-    b = IntervalSet.of(2, 9)
-    assert sorted(a.intersect(b).points()) == [2, 3, 4]
-    u = a.union(IntervalSet.of(6, 7))
-    assert sorted(u.points()) == [0, 1, 2, 3, 4, 6, 7]
-    ray = IntervalSet(((None, 3),))
-    assert not ray.is_finite
-    assert ray.intersect(IntervalSet(((1, None),))).points() == [1, 2, 3]
-    assert IntervalSet.empty().is_empty
+# Every endpoint of a window drawn below lies in -15..15, so a window is
+# known on all integers once it is known on -30..30.
+_REACH = 30
 
 
-_endpoint = st.one_of(st.none(), st.integers(min_value=-12, max_value=12))
+def _window_points(window):
+    """The points of a (lo, hi) window inside -_REACH.._REACH."""
+    if window is None:
+        return []
+    lo, hi = window
+    lo = -_REACH if lo is None else lo
+    hi = _REACH if hi is None else hi
+    return list(range(lo, hi + 1))
 
 
 @st.composite
-def interval_sets(draw):
-    out = IntervalSet.empty()
-    for lo, hi in draw(st.lists(st.tuples(_endpoint, _endpoint), max_size=4)):
-        out = out.union(IntervalSet.of(lo, hi))
-    return out
+def _random_summands(draw, count):
+    """A space of 1 to 3 factors of dimension 1 to 4, count summands of
+    O(a) and W^p(c) atoms (boundary powers included), an offset in the box."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    space = parse_space("x".join(f"P{n}" for n in dims))
+    degree = st.integers(-4, 4)
+
+    def atom(n):
+        return st.one_of(
+            degree.map(Line),
+            st.builds(Cotangent, st.integers(0, n), degree),
+        )
+
+    summands = [
+        make_summand(space, [draw(atom(n)) for n in dims]) for _ in range(count)
+    ]
+    k = tuple(draw(st.integers(-n, 0)) for n in dims)
+    return space, summands, k
 
 
 @settings(max_examples=300, deadline=None)
-@given(interval_sets(), interval_sets())
-def test_interval_intersect_matches_pointwise(a, b):
-    both = a.intersect(b)
-    for t in range(-20, 21):
-        assert both.contains(t) == (a.contains(t) and b.contains(t)), t
-    # sorted, disjoint and not adjacent: merging changes nothing
-    assert both == both.union(IntervalSet.empty())
-    assert both == b.intersect(a)
+@given(_random_summands(1))
+def test_summand_window_is_one_interval_matching_brute_force(case):
+    space, (summand,), k = case
+    bundle = make_bundle(space, [summand])
+    for i in range(space.total_dim + 1):
+        window = summand_t_window(space, summand, k, i)
+        assert window is None or len(window) == 2
+        if window is not None and None not in window:
+            assert window[0] <= window[1]
+        assert _window_points(window) == brute_window(bundle, k, i, -_REACH, _REACH), i
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_summands(2))
+def test_bundle_window_sorted_disjoint_nonadjacent_matching_brute_force(case):
+    space, summands, k = case
+    bundle = make_bundle(space, summands)
+    for i in range(space.total_dim + 1):
+        window = nonvanishing_t_window(bundle, k, i)
+        for lo, hi in window:
+            assert lo is None or hi is None or lo <= hi
+        for (_, hi), (lo, _) in zip(window, window[1:]):
+            assert hi is not None and lo is not None and hi + 1 < lo
+        points = [t for w in window for t in _window_points(w)]
+        assert points == brute_window(bundle, k, i, -_REACH, _REACH), i
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ except ImportError:  # pragma: no cover
 
 from mpreg.bundles import parse_space
 from mpreg.harness import (
+    ALL_THEOREMS,
     ConfigError,
     EnumerationConfig,
     compare_regularity_definitions,
@@ -119,14 +121,15 @@ def test_run_verification_small_all_consistent():
 
 
 def test_run_verification_parallel_matches_serial():
-    cfg1 = EnumerationConfig(spaces=("P1xP2",), degree_min=-1, degree_max=1,
-                             max_summands=2, theorems=("T1",))
-    cfg2 = EnumerationConfig(spaces=("P1xP2",), degree_min=-1, degree_max=1,
-                             max_summands=2, theorems=("T1",), jobs=2)
-    r1, r2 = run_verification(cfg1), run_verification(cfg2)
-    assert r1.total_bundles == r2.total_bundles
-    assert r1.per_theorem["T1"].consistent == r2.per_theorem["T1"].consistent
-    assert r1.findings == r2.findings
+    cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2"), degree_min=-1, degree_max=1,
+                            cotangent=True, theorems=ALL_THEOREMS)
+    serial = run_verification(cfg)
+    parallel = run_verification(replace(cfg, jobs=2))
+    assert (serial.total_bundles, len(serial.findings)) == (378, 28)
+    assert parallel.total_bundles == serial.total_bundles
+    # every TheoremStats field, samples included, and the findings in order
+    assert parallel.per_theorem == serial.per_theorem
+    assert parallel.findings == serial.findings
 
 
 def test_pool_size_bounded_by_jobs_cores_and_bundles():

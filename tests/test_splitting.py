@@ -6,6 +6,7 @@ import pytest
 
 from mpreg.bundles import (
     ArityError,
+    ModelError,
     line_bundle,
     parse_bundle,
     parse_space,
@@ -13,6 +14,7 @@ from mpreg.bundles import (
 from mpreg.splitting import (
     PreconditionError,
     TheoremId,
+    _witness,
     acm_closed_form_line,
     acm_discrepancy,
     acm_printed_variant_line,
@@ -292,6 +294,15 @@ def test_verdict_detector_agreement_on_menu():
     assert v.applicable and v.consistent
     assert v.detector_agrees
     assert {t.label for t in v.detected} == {"Triv", "E01"}
+
+
+def test_witness_refuses_a_window_unbounded_below():
+    # H^1 of O(t) on P1 is nonzero for every t <= -2: there is no least twist
+    _, b = parse_bundle("P1", "O(0)")
+    with pytest.raises(ModelError, match="unbounded below"):
+        _witness(b, 1, (0,))
+    w = _witness(b, 0, (0,))
+    assert (w.t, w.dim) == (0, 1)
 
 
 def test_condition_checker_arity_guard():
