@@ -10,7 +10,7 @@ Kunneth a box summand has at most one too.  Each atom's support is stated
 once, as ranges of the twist (_atom_support); point values and nonvanishing
 windows are both folds of those ranges over the summands.  In a balanced
 twist a summand's window is one interval, a bundle's is the sorted union of
-its summands', and Reg and the witnesses read the ends of that union.
+its summands', and Reg and the witnesses fold the summands' interval ends.
 """
 
 from __future__ import annotations

@@ -10,16 +10,19 @@ Two definition families are implemented and kept strictly separate:
 Reg is the least balanced p at which the bundle is regular.  Both
 definitions are monotone (regular at p implies regular at p + 1), so the
 irregular balanced twists are the union of the nonvanishing windows of the
-required groups, and Reg is one past the largest point of that union.
+required groups, and Reg is one past the largest point of that union.  The
+windows of a direct sum are the union of its summands', so Reg(E + F) is
+max(Reg E, Reg F): reg is a max over a memoized Reg per summand.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, Union
 
-from .bundles import ArityError, Bundle, ModelError, Space
-from .cohomology import h_bundle, nonvanishing_t_window
+from .bundles import ArityError, BoxSummand, Bundle, ModelError, Space
+from .cohomology import h_bundle, summand_t_window
 
 DEFINITIONS = ("paper", "hw")
 
@@ -92,6 +95,17 @@ def is_hw_regular_at(bundle: Bundle, p: Union[int, tuple]) -> bool:
     return is_regular_at(bundle, p, "hw")
 
 
+@lru_cache(maxsize=None)
+def _summand_reg(space: Space, summand: BoxSummand, definition: str) -> int:
+    """Reg of one summand: one past the largest upper end of its windows."""
+    required = _required(space, definition)
+    windows = {(i, k): summand_t_window(space, summand, k, i) for i, k in required}
+    for (i, k), window in windows.items():
+        if window and window[1] is None:
+            raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
+    return 1 + max(window[1] for window in windows.values() if window)
+
+
 def reg(bundle: Bundle, definition: str = "paper") -> int:
     """Least balanced twist at which the bundle is regular.
 
@@ -99,13 +113,4 @@ def reg(bundle: Bundle, definition: str = "paper") -> int:
     is finite for 0 < i < dim X and a downward ray at i = dim X.  Reg is one
     past the largest upper endpoint, whatever the size of the degrees.
     """
-    tops = []
-    for i, k in _required(bundle.space, definition):
-        window = nonvanishing_t_window(bundle, k, i)
-        if not window:
-            continue
-        hi = window[-1][1]
-        if hi is None:
-            raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
-        tops.append(hi)
-    return max(tops) + 1
+    return max(_summand_reg(bundle.space, s, definition) for s in bundle.summands)

@@ -5,7 +5,8 @@ Each check id pairs a cohomological condition with a structural description
 of the bundles expected to satisfy it; verify_theorem evaluates both sides
 and reports whether they agree, together with explicit witnesses for any
 nonvanishing group.  The checks are rows of one table, CHECKS, read by one
-evaluator.
+evaluator.  The witnesses at the least twist of a window, and so the
+verdicts and the ACM test, are folds of memoized per-summand records.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bundles import (
@@ -30,7 +31,7 @@ from .bundles import (
     make_summand,
     rank,
 )
-from .cohomology import h_bundle, nonvanishing_t_window
+from .cohomology import _summand_group, h_bundle, summand_t_window
 from .regularity import box_offsets, reg
 
 
@@ -66,18 +67,53 @@ class Witness:
         return {**asdict(self), "k": list(self.k), "dim": str(self.dim)}
 
 
-def _witness(bundle: Bundle, i: int, k: tuple, twist: Optional[int] = None, required=True):
-    """The group H^i at offset k and the given balanced twist, or at the least
-    twist of its nonvanishing window when twist is None; None if it vanishes."""
-    if twist is None:
-        window = nonvanishing_t_window(bundle, k, i)
-        if not window:
-            return None
-        twist = window[0][0]
-        if twist is None:
-            raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
+def _witness(bundle: Bundle, i: int, k: tuple, twist: int, required=True):
+    """The group H^i at offset k and the fixed balanced twist, or None."""
     dim = h_bundle(bundle, tuple(twist + kj for kj in k), i)
     return Witness(i, k, twist, dim, required) if dim else None
+
+
+@lru_cache(maxsize=None)
+def _offsets(space: Space, family: Callable, r: int) -> tuple:
+    """The offset family (i, k, required) for the space and rank r."""
+    return tuple(family(space, r))
+
+
+@lru_cache(maxsize=None)
+def _summand_record(space: Space, summand: BoxSummand, family: Callable, r: int) -> tuple:
+    """(index, lo, dim at lo) for each index of the family where the
+    summand's window is nonempty; lo is None when it is unbounded below."""
+    record = []
+    for index, (i, k, _) in enumerate(_offsets(space, family, r)):
+        window = summand_t_window(space, summand, k, i)
+        if window is not None:
+            lo = window[0]
+            dim = None if lo is None else _summand_group(space, summand, [lo + kj for kj in k])[1]
+            record.append((index, lo, dim))
+    return tuple(record)
+
+
+def _least_witnesses(bundle: Bundle, family: Callable, r: int) -> list[Witness]:
+    """One witness per group of the family that is nonzero at some balanced
+    twist, at the least such twist t0 = min lo, folded from the summand
+    records.  A summand's window is one interval, so the dimension at t0 is
+    the sum over the summands whose lo is t0."""
+    least: dict[int, tuple[int, int]] = {}
+    unbounded = []
+    for s in bundle.summands:
+        for index, lo, dim in _summand_record(bundle.space, s, family, r):
+            if lo is None:
+                unbounded.append(index)
+                continue
+            t0, total = least.get(index, (lo, 0))
+            if lo <= t0:
+                least[index] = (lo, total + dim if lo == t0 else dim)
+    offsets = _offsets(bundle.space, family, r)
+    if unbounded:
+        i, k, _ = offsets[min(unbounded)]
+        raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
+    return [Witness(i, k, *least[j], required)
+            for j, (i, k, required) in enumerate(offsets) if j in least]
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +123,7 @@ def _witness(bundle: Bundle, i: int, k: tuple, twist: Optional[int] = None, requ
 def acm_witnesses(bundle: Bundle) -> list[Witness]:
     """The nonvanishing intermediate groups H^i, 0 < i < dim X, one per i at
     the least balanced twist where H^i is nonzero."""
-    zero = (0,) * bundle.space.num_factors
-    found = (_witness(bundle, i, zero) for i in range(1, bundle.space.total_dim))
-    return [w for w in found if w is not None]
+    return _least_witnesses(bundle, _acm_family, 0)  # the family ignores the rank
 
 
 def is_acm(bundle: Bundle) -> bool:
@@ -157,6 +191,11 @@ def acm_discrepancy(space: Space, degree_range: tuple[int, int], variant: str) -
 
 # ---------------------------------------------------------------------------
 # offset families: (i, k, required) for a space and the bundle's rank
+
+
+def _acm_family(space: Space, r: int):
+    """The zero offset, for 0 < i < dim X."""
+    return ((i, (0,) * space.num_factors, True) for i in range(1, space.total_dim))
 
 
 def _exact_family(space: Space, r: int):
@@ -363,9 +402,13 @@ def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witnes
     if error is not None:
         raise error
     spec = CHECKS[theorem]
-    family = spec.family(bundle.space, rank(bundle))
-    found = (_witness(bundle, i, k, spec.twist, required) for i, k, required in family)
-    witnesses = [w for w in found if w is not None]
+    r = rank(bundle)
+    if spec.twist is None:
+        witnesses = _least_witnesses(bundle, spec.family, r)
+    else:
+        family = _offsets(bundle.space, spec.family, r)
+        found = (_witness(bundle, i, k, spec.twist, required) for i, k, required in family)
+        witnesses = [w for w in found if w is not None]
     return (not any(w.required for w in witnesses), witnesses)
 
 

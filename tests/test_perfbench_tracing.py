@@ -16,3 +16,28 @@ def test_traced_functions_exist():
     for module, function, _ in tracing.TRACED:
         target = importlib.import_module(f"mpreg.{module}")
         assert callable(getattr(target, function, None)), f"mpreg.{module}.{function}"
+
+
+_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def test_benchmark_reset_clears_every_memo():
+    # The benchmark empties the program's caches before each round; a memo it
+    # cannot find would stay warm across rounds and change what is measured.
+    from mpreg import regularity, splitting
+    from mpreg.bundles import parse_bundle
+
+    spec = importlib.util.spec_from_file_location("perfbench_run", _RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    memos = (splitting._offsets, splitting._summand_record, regularity._summand_reg)
+    _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
+    before = [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId]
+    assert all(memo.cache_info().currsize for memo in memos)
+    caches = list(run.program_caches().values())
+    for memo in memos:
+        assert any(cache is memo for cache in caches), memo.__qualname__
+    for cache in caches:
+        cache.cache_clear()
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    assert [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId] == before

@@ -24,6 +24,7 @@ from mpreg.cohomology import (
     summand_t_window,
 )
 from mpreg.regularity import (
+    _summand_reg,
     box_offsets,
     hw_offsets,
     is_hw_regular_at,
@@ -245,6 +246,21 @@ def test_summand_t_window_memo_matches_unwrapped():
                     memo = summand_t_window(space, s, k, i)
                     assert memo == summand_t_window.__wrapped__(space, s, k, i)
                     assert summand_t_window(space, s, k, i) is memo
+
+
+def test_summand_reg_memo_matches_unwrapped():
+    for space_text, text in [
+        ("P1xP2", "O(0,2) + O(-3)*W1(1)"),
+        ("P2xP2", "W1(0)*W1(3) + O(-2,1)"),
+        ("P1xP1xP2", "O(0,1,2) + O(-1)*O(0)*W1(-2)"),
+    ]:
+        space, b = parse_bundle(space_text, text)
+        definitions = ("paper", "hw") if space.num_factors == 2 else ("paper",)
+        for s in b.summands:
+            for definition in definitions:
+                memo = _summand_reg(space, s, definition)
+                assert memo == _summand_reg.__wrapped__(space, s, definition)
+                assert _summand_reg(space, s, definition) is memo
 
 
 @pytest.mark.parametrize(

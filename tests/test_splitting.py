@@ -3,18 +3,32 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpreg.bundles import (
     ArityError,
+    Cotangent,
+    Line,
     ModelError,
     line_bundle,
+    make_bundle,
+    make_summand,
     parse_bundle,
     parse_space,
+    rank,
 )
+from mpreg.cohomology import h_bundle, nonvanishing_t_window, summand_t_window
+from mpreg.regularity import _required, box_offsets, reg
 from mpreg.splitting import (
+    CHECKS,
     PreconditionError,
     TheoremId,
-    _witness,
+    Witness,
+    _acm_family,
+    _least_witnesses,
+    _offsets,
+    _summand_record,
+    applicability,
     acm_closed_form_line,
     acm_discrepancy,
     acm_printed_variant_line,
@@ -299,9 +313,16 @@ def test_verdict_detector_agreement_on_menu():
 def test_witness_refuses_a_window_unbounded_below():
     # H^1 of O(t) on P1 is nonzero for every t <= -2: there is no least twist
     _, b = parse_bundle("P1", "O(0)")
+
+    def top(space, r):
+        return [(1, (0,), True)]
+
+    def bottom(space, r):
+        return [(0, (0,), True)]
+
     with pytest.raises(ModelError, match="unbounded below"):
-        _witness(b, 1, (0,))
-    w = _witness(b, 0, (0,))
+        _least_witnesses(b, top, rank(b))
+    [w] = _least_witnesses(b, bottom, rank(b))
     assert (w.t, w.dim) == (0, 1)
 
 
@@ -347,3 +368,103 @@ def test_verify_theorem_computes_reg_at_most_once(monkeypatch):
             calls.clear()
             verify_theorem(b, tid)
             assert len(calls) <= 1, (text, tid)
+
+
+# ---------------------------------------------------------------------------
+# verdicts, witnesses and Reg as folds of per-summand records
+
+
+@st.composite
+def _fold_bundles(draw):
+    """1 to 3 factors of dimension 1 to 3, 1 to 3 summands of O(a) and
+    W^p(c) atoms with degrees and twists -3..3."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    space = parse_space("x".join(f"P{n}" for n in dims))
+    degree = st.integers(-3, 3)
+
+    def atom(n):
+        lines = degree.map(Line)
+        return st.one_of(lines, st.builds(Cotangent, st.integers(1, n - 1), degree)) if n > 1 else lines
+
+    count = draw(st.integers(1, 3))
+    return make_bundle(space, [make_summand(space, [draw(atom(n)) for n in dims])
+                               for _ in range(count)])
+
+
+def _reference_witnesses(bundle, family, twist):
+    """The witnesses read off the merged bundle window and h_bundle."""
+    found = []
+    for i, k, required in family:
+        t = twist
+        if t is None:
+            window = nonvanishing_t_window(bundle, k, i)
+            if not window:
+                continue
+            t = window[0][0]
+        dim = h_bundle(bundle, tuple(t + kj for kj in k), i)
+        if dim:
+            found.append(Witness(i, k, t, dim, required))
+    return found
+
+
+def _reference_reg(bundle, definition):
+    tops = []
+    for i, k in _required(bundle.space, definition):
+        window = nonvanishing_t_window(bundle, k, i)
+        if window:
+            tops.append(window[-1][1])
+    return 1 + max(tops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fold_bundles())
+def test_fold_matches_bundle_windows_and_h_bundle(bundle):
+    space, r = bundle.space, rank(bundle)
+    for tid in TheoremId:
+        if applicability(bundle, tid) is not None:
+            continue
+        spec = CHECKS[tid]
+        witnesses = _reference_witnesses(bundle, spec.family(space, r), spec.twist)
+        expected = (not any(w.required for w in witnesses), witnesses)
+        assert condition_for(bundle, tid) == expected, tid
+    assert acm_witnesses(bundle) == _reference_witnesses(bundle, _acm_family(space, r), None)
+    assert reg(bundle) == _reference_reg(bundle, "paper")
+    if space.num_factors == 2:
+        assert reg(bundle, "hw") == _reference_reg(bundle, "hw")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fold_bundles())
+def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
+    space = bundle.space
+    for i in range(1, space.total_dim):
+        for k in box_offsets(space, i, at_least=True):
+            windows = [summand_t_window(space, s, k, i) for s in bundle.summands]
+            los = [w[0] for w in windows if w is not None]
+            if not los:
+                continue
+            t0 = min(los)
+            tvec = tuple(t0 + kj for kj in k)
+            starting = [s for s, w in zip(bundle.summands, windows) if w and w[0] == t0]
+            expected = sum(h_bundle(make_bundle(space, [s]), tvec, i) for s in starting)
+            assert h_bundle(bundle, tvec, i) == expected > 0
+
+
+def test_splitting_memos_match_unwrapped():
+    for space_text, text in [
+        ("P1xP2", "O(0,2) + O(-3)*W1(1)"),
+        ("P2xP2", "W1(0)*W1(3) + O(-2,1)"),
+        ("P1xP1xP2", "O(0,1,2) + O(-1)*O(0)*W1(-2)"),
+    ]:
+        space, b = parse_bundle(space_text, text)
+        r = rank(b)
+        for spec in CHECKS.values():
+            if spec.two_factor and space.num_factors != 2:
+                continue
+            offsets = _offsets(space, spec.family, r)
+            assert offsets == _offsets.__wrapped__(space, spec.family, r)
+            assert _offsets(space, spec.family, r) is offsets
+            for s in b.summands:
+                record = _summand_record(space, s, spec.family, r)
+                assert record == _summand_record.__wrapped__(space, s, spec.family, r)
+                assert _summand_record(space, s, spec.family, r) is record
