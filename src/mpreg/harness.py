@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .bundles import (
@@ -19,9 +20,9 @@ from .bundles import (
     ModelError,
     ParseError,
     Space,
+    _summand_key,
     format_bundle,
     format_space,
-    make_bundle,
     make_summand,
     parse_space,
 )
@@ -159,9 +160,12 @@ def enumerate_bundles(space: Space, cfg: EnumerationConfig):
         enumerate_summands(space, cfg),
         key=lambda s: tuple((a.degree, -1) if isinstance(a, Line) else (a.twist, a.p) for a in s.atoms),
     )
+    # the summands are canonical already: sorting a multiset by the canonical
+    # key (unique per summand) gives the bundle make_bundle would
+    keyed = [(_summand_key(s), s) for s in summands]
     for size in range(1, cfg.max_summands + 1):
-        for combo in itertools.combinations_with_replacement(summands, size):
-            yield make_bundle(space, combo)
+        for combo in itertools.combinations_with_replacement(keyed, size):
+            yield Bundle(space, tuple(s for _, s in sorted(combo, key=itemgetter(0))))
 
 
 # ---------------------------------------------------------------------------
@@ -195,41 +199,42 @@ _SAMPLE_CAP = 3
 
 
 def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
-    """Worker: returns, per check id, applicability, consistency and findings."""
-    name = format_bundle(bundle)
+    """Worker: returns, per check id, applicability, consistency and findings,
+    and the bundle's name, formatted only when there is a finding (else None)."""
+    name = None
     rows = []
     acm = None  # is_acm(bundle), computed at most once
+
+    def finding(kind: str, **extra) -> dict:
+        nonlocal name
+        name = name or format_bundle(bundle)
+        return {"type": kind, "space": space_text, "bundle": name, "theorem": tid, **extra}
+
     for tid in theorems:
         verdict = verify_theorem(bundle, TheoremId(tid))
         spec = CHECKS[verdict.theorem]
         fnds = []
         if verdict.applicable:
-            base = {"space": space_text, "bundle": name, "theorem": tid}
             if not verdict.consistent:
                 fnds.append(
-                    {
-                        "type": "inconsistent",
-                        **base,
-                        "condition": verdict.condition_holds,
-                        "form": verdict.form_holds,
-                        "witnesses": [w.to_json() for w in verdict.witnesses[:_WITNESS_CAP]],
-                    }
+                    finding(
+                        "inconsistent",
+                        condition=verdict.condition_holds,
+                        form=verdict.form_holds,
+                        witnesses=[w.to_json() for w in verdict.witnesses[:_WITNESS_CAP]],
+                    )
                 )
             if verdict.detected and verdict.detector_agrees is False:
                 fnds.append(
-                    {
-                        "type": "detector_mismatch",
-                        **base,
-                        "detected": [t.label for t in verdict.detected],
-                    }
+                    finding("detector_mismatch", detected=[t.label for t in verdict.detected])
                 )
             if spec.detector and verdict.condition_holds and not verdict.detected:
-                fnds.append({"type": "detector_empty", **base})
+                fnds.append(finding("detector_empty"))
             if spec.acm_crosscheck and verdict.condition_holds:
                 if acm is None:
                     acm = is_acm(bundle)
                 if not acm:
-                    fnds.append({"type": "t1_without_acm", **base})
+                    fnds.append(finding("t1_without_acm"))
         rows.append((tid, verdict.applicable, bool(verdict.consistent), fnds))
     return name, rows
 

@@ -5,16 +5,16 @@ Each check id pairs a cohomological condition with a structural description
 of the bundles expected to satisfy it; verify_theorem evaluates both sides
 and reports whether they agree, together with explicit witnesses for any
 nonvanishing group.  The checks are rows of one table, CHECKS, read by one
-evaluator.  The witnesses at the least twist of a window, and so the
-verdicts and the ACM test, are folds of memoized per-summand records.
+evaluator.  A condition is an AND over summands of one memoized bit each;
+the witnesses, folded from memoized per-summand records, are built when read.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bundles import (
@@ -65,12 +65,6 @@ class Witness:
     def to_json(self) -> dict:
         """The witness as JSON; the dimension is a decimal string."""
         return {**asdict(self), "k": list(self.k), "dim": str(self.dim)}
-
-
-def _witness(bundle: Bundle, i: int, k: tuple, twist: int, required=True):
-    """The group H^i at offset k and the fixed balanced twist, or None."""
-    dim = h_bundle(bundle, tuple(twist + kj for kj in k), i)
-    return Witness(i, k, twist, dim, required) if dim else None
 
 
 @lru_cache(maxsize=None)
@@ -393,6 +387,32 @@ def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
     return None if error is None else str(error)
 
 
+def _witnesses(bundle: Bundle, spec: CheckSpec) -> list[Witness]:
+    """The witnesses of the check's family; preconditions are not checked."""
+    r = rank(bundle)
+    if spec.twist is None:
+        return _least_witnesses(bundle, spec.family, r)
+    found = ((i, k, h_bundle(bundle, tuple(spec.twist + kj for kj in k), i), required)
+             for i, k, required in _offsets(bundle.space, spec.family, r))
+    return [Witness(i, k, spec.twist, dim, required) for i, k, dim, required in found if dim]
+
+
+@lru_cache(maxsize=None)
+def _summand_fails(space: Space, summand: BoxSummand, family: Callable, r: int,
+                   twist: Optional[int]) -> Optional[bool]:
+    """Does the summand make a required group of the family nonzero?  None
+    when one of its windows is unbounded below."""
+    offsets = _offsets(space, family, r)
+    if twist is None:
+        record = _summand_record(space, summand, family, r)
+        if any(lo is None for _, lo, _ in record):
+            return None
+        return any(offsets[index][2] for index, _, _ in record)
+    groups = ((i, _summand_group(space, summand, tuple(twist + kj for kj in k)))
+              for i, k, required in offsets if required)
+    return any(group is not None and group[0] == i for i, group in groups)
+
+
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
     """Evaluate the check's vanishing condition.  A failed precondition
     raises ArityError (two-factor checks) or PreconditionError, with the
@@ -401,14 +421,7 @@ def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witnes
     error = _failed_precondition(bundle, theorem)
     if error is not None:
         raise error
-    spec = CHECKS[theorem]
-    r = rank(bundle)
-    if spec.twist is None:
-        witnesses = _least_witnesses(bundle, spec.family, r)
-    else:
-        family = _offsets(bundle.space, spec.family, r)
-        found = (_witness(bundle, i, k, spec.twist, required) for i, k, required in family)
-        witnesses = [w for w in found if w is not None]
+    witnesses = _witnesses(bundle, CHECKS[theorem])
     return (not any(w.required for w in witnesses), witnesses)
 
 
@@ -467,20 +480,29 @@ class TheoremVerdict:
     condition_holds: Optional[bool] = None
     form_holds: Optional[bool] = None
     consistent: Optional[bool] = None
-    witnesses: tuple = ()
     detected: tuple = ()
     detector_agrees: Optional[bool] = None
+    bundle: Optional[Bundle] = field(default=None, repr=False)
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        """The condition_for witnesses, folded on first read."""
+        return tuple(_witnesses(self.bundle, CHECKS[self.theorem])) if self.applicable else ()
 
 
 def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:
     theorem = TheoremId(theorem)
     spec = CHECKS[theorem]
-    try:
-        cond, witnesses = condition_for(bundle, theorem)
-    except (ArityError, PreconditionError) as exc:
-        return TheoremVerdict(theorem, applicable=False, reason=str(exc))
+    error = _failed_precondition(bundle, theorem)
+    if error is not None:
+        return TheoremVerdict(theorem, applicable=False, reason=str(error))
+    r = rank(bundle)
+    bits = [_summand_fails(bundle.space, s, spec.family, r, spec.twist) for s in bundle.summands]
+    if None in bits:
+        _witnesses(bundle, spec)  # raises: a window is unbounded below
+    cond = not any(bits)
     form = spec.form(bundle)
-    # condition_for has just established Reg = 0 for the checks with a detector
+    # the preconditions have just established Reg = 0 for the checks with a detector
     detected = tuple(detect_extremal_summand(bundle, reg_value=0)) if spec.detector else ()
     agrees = all(tag.summand in bundle.summands for tag in detected) if detected else None
     return TheoremVerdict(
@@ -489,7 +511,7 @@ def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:
         condition_holds=cond,
         form_holds=form,
         consistent=(cond == form),
-        witnesses=tuple(witnesses),
         detected=detected,
         detector_agrees=agrees,
+        bundle=bundle,
     )

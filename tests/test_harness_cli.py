@@ -108,6 +108,84 @@ def test_enumeration_includes_cotangent_atoms():
     assert len(summands) == 4
 
 
+def test_enumeration_matches_make_bundle():
+    # enumerate_bundles builds each Bundle from canonical summands directly;
+    # the reference re-normalises every combination through make_bundle
+    import itertools
+
+    from mpreg.bundles import Line, make_bundle
+
+    sp = parse_space("P2xP2")
+    cfg = EnumerationConfig(spaces=("P2xP2",), degree_min=-1, degree_max=1,
+                            cotangent=True, max_summands=2)
+    summands = sorted(
+        enumerate_summands(sp, cfg),
+        key=lambda s: tuple((a.degree, -1) if isinstance(a, Line) else (a.twist, a.p)
+                            for a in s.atoms),
+    )
+    expected = [make_bundle(sp, combo) for size in (1, 2)
+                for combo in itertools.combinations_with_replacement(summands, size)]
+    assert len(expected) == 64 + 64 * 65 // 2
+    assert list(enumerate_bundles(sp, cfg)) == expected
+
+
+def _reference_report(cfg):
+    """run_verification as a plain loop: full verdicts with the witnesses of
+    condition_for, built eagerly, and every bundle formatted."""
+    from mpreg.bundles import ArityError, format_bundle, format_space
+    from mpreg.harness import TheoremStats
+    from mpreg.splitting import (CHECKS, PreconditionError, TheoremId, classify_form,
+                                 condition_for, detect_extremal_summand, is_acm)
+
+    per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
+    findings, total = [], 0
+    for space_text in cfg.spaces:
+        space = parse_space(space_text)
+        label = format_space(space)
+        for bundle in enumerate_bundles(space, cfg):
+            total += 1
+            name = format_bundle(bundle)
+            for tid in cfg.theorems:
+                spec, st = CHECKS[TheoremId(tid)], per_theorem[tid]
+                try:
+                    cond, witnesses = condition_for(bundle, tid)
+                except (ArityError, PreconditionError):
+                    st.not_applicable += 1
+                    continue
+                st.applicable += 1
+                form = classify_form(bundle, tid)
+                detected = detect_extremal_summand(bundle) if spec.detector else []
+                base = {"space": label, "bundle": name, "theorem": tid}
+                if cond == form:
+                    st.consistent += 1
+                else:
+                    st.inconsistent += 1
+                    if len(st.samples) < 3:
+                        st.samples.append(name)
+                    findings.append({"type": "inconsistent", **base, "condition": cond,
+                                     "form": form,
+                                     "witnesses": [w.to_json() for w in witnesses[:4]]})
+                if detected and not all(t.summand in bundle.summands for t in detected):
+                    findings.append({"type": "detector_mismatch", **base,
+                                     "detected": [t.label for t in detected]})
+                if spec.detector and cond and not detected:
+                    findings.append({"type": "detector_empty", **base})
+                if spec.acm_crosscheck and cond and not is_acm(bundle):
+                    findings.append({"type": "t1_without_acm", **base})
+    return total, per_theorem, findings
+
+
+def test_run_verification_matches_eager_reference():
+    cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2"), degree_min=-1, degree_max=1,
+                            cotangent=True, theorems=ALL_THEOREMS)
+    rep = run_verification(cfg)
+    total, per_theorem, findings = _reference_report(cfg)
+    assert rep.total_bundles == total == 378
+    assert rep.per_theorem == per_theorem
+    assert any(f.get("witnesses") for f in findings)
+    assert [json.dumps(f) for f in rep.findings] == [json.dumps(f) for f in findings]
+
+
 def test_run_verification_small_all_consistent():
     cfg = EnumerationConfig(spaces=("P1xP1",), degree_min=-1, degree_max=1,
                             max_summands=2, theorems=("T1", "T2"))

@@ -30,7 +30,8 @@ def test_benchmark_reset_clears_every_memo():
     spec = importlib.util.spec_from_file_location("perfbench_run", _RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    memos = (splitting._offsets, splitting._summand_record, regularity._summand_reg)
+    memos = (splitting._offsets, splitting._summand_record, splitting._summand_fails,
+             regularity._summand_reg)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
     before = [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId]
     assert all(memo.cache_info().currsize for memo in memos)
@@ -39,5 +40,5 @@ def test_benchmark_reset_clears_every_memo():
         assert any(cache is memo for cache in caches), memo.__qualname__
     for cache in caches:
         cache.cache_clear()
-    assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId] == before

@@ -27,6 +27,7 @@ from mpreg.splitting import (
     _acm_family,
     _least_witnesses,
     _offsets,
+    _summand_fails,
     _summand_record,
     applicability,
     acm_closed_form_line,
@@ -324,6 +325,9 @@ def test_witness_refuses_a_window_unbounded_below():
         _least_witnesses(b, top, rank(b))
     [w] = _least_witnesses(b, bottom, rank(b))
     assert (w.t, w.dim) == (0, 1)
+    # the per-summand bit defers such a window to the fold, which raises
+    assert _summand_fails(b.space, b.summands[0], top, rank(b), None) is None
+    assert _summand_fails(b.space, b.summands[0], bottom, rank(b), None) is True
 
 
 def test_condition_checker_arity_guard():
@@ -468,3 +472,85 @@ def test_splitting_memos_match_unwrapped():
                 record = _summand_record(space, s, spec.family, r)
                 assert record == _summand_record.__wrapped__(space, s, spec.family, r)
                 assert _summand_record(space, s, spec.family, r) is record
+                bit = _summand_fails(space, s, spec.family, r, spec.twist)
+                assert bit == _summand_fails.__wrapped__(space, s, spec.family, r, spec.twist)
+
+
+# ---------------------------------------------------------------------------
+# verdicts: the condition from per-summand bits, the witnesses when read
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fold_bundles())
+def test_verdict_bits_and_lazy_witnesses_match_condition_for(bundle):
+    for tid in TheoremId:
+        if applicability(bundle, tid) is not None:
+            continue
+        cond, witnesses = condition_for(bundle, tid)
+        verdict = verify_theorem(bundle, tid)
+        assert verdict.condition_holds == cond, tid
+        assert verdict.witnesses == tuple(witnesses), tid
+
+
+_LAZY_CASES = (("P2xP3", "O(0,0) + O(0,1)"), ("P1xP2", "O(1,1)"), ("P1xP2", "O(0,2)"),
+               ("P3xP3", "O(0,0) + O(1,2)"), ("P1xP1xP2", "O(0,0,1) + O(-1,0,2)"))
+
+
+def test_verdict_builds_witnesses_only_when_read(monkeypatch):
+    from mpreg import splitting
+
+    real_witnesses, real_witness = splitting._witnesses, splitting.Witness
+    folds, built = [], []
+
+    def counting_witnesses(*args):
+        folds.append(args)
+        return real_witnesses(*args)
+
+    def counting_witness(*args):
+        built.append(args)
+        return real_witness(*args)
+
+    monkeypatch.setattr(splitting, "_witnesses", counting_witnesses)
+    monkeypatch.setattr(splitting, "Witness", counting_witness)
+    read = 0
+    for space, text in _LAZY_CASES:
+        _, b = parse_bundle(space, text)
+        for tid in TheoremId:
+            verdict = verify_theorem(b, tid)
+            if verdict.applicable and verdict.consistent:
+                assert isinstance(verdict.condition_holds, bool)
+                assert (folds, built) == ([], []), (text, tid)
+                # read once, then cached
+                assert verdict.witnesses == verdict.witnesses
+                assert len(folds) == 1
+                read += bool(built)
+                folds.clear()
+                built.clear()
+    assert read  # some verdicts did have witnesses to build
+
+
+def test_reading_witnesses_calls_reg_no_further(monkeypatch):
+    from mpreg import splitting
+
+    real_reg = splitting.reg
+    calls = []
+
+    def counting_reg(*args, **kwargs):
+        calls.append(args)
+        return real_reg(*args, **kwargs)
+
+    monkeypatch.setattr(splitting, "reg", counting_reg)
+    checked = 0
+    for space, text in _LAZY_CASES:
+        _, b = parse_bundle(space, text)
+        for tid in TheoremId:
+            calls.clear()
+            verdict = verify_theorem(b, tid)
+            assert len(calls) <= 1, (text, tid)
+            calls.clear()
+            witnesses = verdict.witnesses
+            assert calls == [], (text, tid)
+            if verdict.applicable:
+                assert witnesses == tuple(condition_for(b, tid)[1])
+                checked += CHECKS[tid].reg_zero
+    assert checked
