@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterable, Union
 
 
@@ -264,10 +264,16 @@ class _Parser:
         tok = self.next()
         if tok[0] != "int":
             raise ParseError(f"expected an integer, got {tok[1]!r}", tok[2])
-        return int(tok[1])
+        try:
+            return int(tok[1])
+        except ValueError:  # over the interpreter's limit on integer digits
+            raise ParseError(f"integer of {len(tok[1])} characters is too long", tok[2]) from None
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
+
+
+MAX_SPACE_SIZE = 4096  # dim X * prod(n_j + 1); a larger space is refused
 
 
 def parse_space(text: str) -> Space:
@@ -281,6 +287,8 @@ def parse_space(text: str) -> Space:
         if n < 1:
             raise ParseError(f"factor dimension must be >= 1, got {n}", tok[2])
         dims.append(n)
+        if sum(dims) * prod(d + 1 for d in dims) > MAX_SPACE_SIZE:
+            raise ParseError(f"space exceeds dim X * prod(n_j + 1) <= {MAX_SPACE_SIZE}", tok[2])
         if p.done():
             break
         tok = p.next()

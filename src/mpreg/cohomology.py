@@ -9,8 +9,8 @@ By Bott's formula an atom has at most one nonzero group at any twist, so by
 Kunneth a box summand has at most one too.  Each atom's support is stated
 once, as ranges of the twist (_atom_support); point values and nonvanishing
 windows are both folds of those ranges over the summands.  In a balanced
-twist a summand's window is one interval, a bundle's is the sorted union of
-its summands', and Reg and the witnesses fold the summands' interval ends.
+twist a summand's window is one interval; regularity.summand_windows keeps
+them per offset family for the check bits, the witnesses and Reg.
 """
 
 from __future__ import annotations
@@ -240,7 +240,6 @@ def euler_characteristic(bundle: Bundle, tvec: Iterable[int] = None) -> int:
 # nonvanishing windows in a balanced twist parameter
 
 
-@lru_cache(maxsize=None)
 def summand_t_window(
     space: Space, summand: BoxSummand, k: tuple[int, ...], i: int
 ) -> Optional[tuple[Endpoint, Endpoint]]:
@@ -252,9 +251,7 @@ def summand_t_window(
     two twists with the same total level i have the same level on every
     factor, and so does every twist between them: the window is one
     interval, the intersection of the atoms' ranges for the one choice of
-    levels adding up to i whose ranges meet.  Twisting an atom by k_j
-    shifts its ranges down by k_j.  Memoized: a bundle's windows, and so
-    Reg, are folds over its summands'.
+    levels adding up to i whose ranges meet.
     """
     supports = [
         _atom_support(n, twist_atom(atom, kj))

@@ -10,16 +10,18 @@ Two definition families are implemented and kept strictly separate:
 Reg is the least balanced p at which the bundle is regular.  Both
 definitions are monotone (regular at p implies regular at p + 1), so the
 irregular balanced twists are the union of the nonvanishing windows of the
-required groups, and Reg is one past the largest point of that union.  The
-windows of a direct sum are the union of its summands', so Reg(E + F) is
-max(Reg E, Reg F): reg is a max over a memoized Reg per summand.
+required groups, and Reg is one past the largest point of that union.
+
+Each definition, like each splitting check, is an offset family (i, k,
+required).  summand_windows is the one memoized (index, lo, hi) record per
+(summand, family); reg is a max of a memoized Reg per summand read off it.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .bundles import ArityError, BoxSummand, Bundle, ModelError, Space
 from .cohomology import h_bundle, summand_t_window
@@ -59,25 +61,42 @@ def hw_offsets(space: Space, i: int) -> Iterator[tuple[int, int]]:
         yield (j, -i - 1 - j)
 
 
-def _required(space: Space, definition: str) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Each (i, k) whose group H^i(E(p + k)) must vanish for regularity at p."""
+@lru_cache(maxsize=None)
+def offsets(space: Space, family: Callable, r: int) -> tuple:
+    """The offset family (i, k, required) for the space and rank r."""
+    return tuple(family(space, r))
+
+
+@lru_cache(maxsize=None)
+def summand_windows(space: Space, summand: BoxSummand, family: Callable, r: int) -> tuple:
+    """(index, lo, hi) for each index of the family where the summand's
+    window is nonempty, None for an unbounded end."""
+    windows = ((index, summand_t_window(space, summand, k, i))
+               for index, (i, k, _) in enumerate(offsets(space, family, r)))
+    return tuple((index, *window) for index, window in windows if window is not None)
+
+
+def _paper_family(space: Space, r: int):
+    return ((i, k, True) for i in range(1, space.total_dim + 1) for k in box_offsets(space, i))
+
+
+def _hw_family(space: Space, r: int):
+    return ((i, k, True) for i in range(1, space.total_dim + 1) for k in hw_offsets(space, i))
+
+
+def _family(definition: str) -> Callable:
+    """The groups H^i(E(p + k)) that must vanish for regularity at p."""
     if definition not in DEFINITIONS:
         raise ValueError(f"unknown regularity definition {definition!r}")
-    offsets = box_offsets if definition == "paper" else hw_offsets
-    for i in range(1, space.total_dim + 1):
-        for k in offsets(space, i):
-            yield i, k
+    return _paper_family if definition == "paper" else _hw_family
 
 
-def _failures(
-    bundle: Bundle, p: Union[int, tuple], definition: str
-) -> Iterator[tuple[int, tuple[int, ...], int]]:
+def _failures(bundle: Bundle, p: Union[int, tuple], definition: str) -> Iterator[tuple]:
     """Each (i, k, dim) with the required group nonzero at base twist p, lazily."""
     pv = _as_vector(bundle.space, p)
-    for i, k in _required(bundle.space, definition):
-        dim = h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i)
-        if dim:
-            yield i, k, dim
+    groups = ((i, k, h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i))
+              for i, k, _ in offsets(bundle.space, _family(definition), 0))
+    return (group for group in groups if group[2])
 
 
 def regularity_failures(
@@ -98,12 +117,13 @@ def is_hw_regular_at(bundle: Bundle, p: Union[int, tuple]) -> bool:
 @lru_cache(maxsize=None)
 def _summand_reg(space: Space, summand: BoxSummand, definition: str) -> int:
     """Reg of one summand: one past the largest upper end of its windows."""
-    required = _required(space, definition)
-    windows = {(i, k): summand_t_window(space, summand, k, i) for i, k in required}
-    for (i, k), window in windows.items():
-        if window and window[1] is None:
+    family = _family(definition)
+    windows = summand_windows(space, summand, family, 0)
+    for index, _, hi in windows:
+        if hi is None:
+            i, k, _ = offsets(space, family, 0)[index]
             raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
-    return 1 + max(window[1] for window in windows.values() if window)
+    return 1 + max(hi for _, _, hi in windows)
 
 
 def reg(bundle: Bundle, definition: str = "paper") -> int:

@@ -5,8 +5,9 @@ Each check id pairs a cohomological condition with a structural description
 of the bundles expected to satisfy it; verify_theorem evaluates both sides
 and reports whether they agree, together with explicit witnesses for any
 nonvanishing group.  The checks are rows of one table, CHECKS, read by one
-evaluator.  A condition is an AND over summands of one memoized bit each;
-the witnesses, folded from memoized per-summand records, are built when read.
+evaluator from the window records of its offset family
+(regularity.summand_windows): the condition is an AND of one memoized bit
+per summand; witnesses, built when read, take dimensions from h_bundle.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .bundles import (
     make_summand,
     rank,
 )
-from .cohomology import _summand_group, h_bundle, summand_t_window
-from .regularity import box_offsets, reg
+from .cohomology import h_bundle
+from .regularity import box_offsets, offsets, reg, summand_windows
 
 
 class TheoremId(str, Enum):
@@ -67,47 +68,24 @@ class Witness:
         return {**asdict(self), "k": list(self.k), "dim": str(self.dim)}
 
 
-@lru_cache(maxsize=None)
-def _offsets(space: Space, family: Callable, r: int) -> tuple:
-    """The offset family (i, k, required) for the space and rank r."""
-    return tuple(family(space, r))
-
-
-@lru_cache(maxsize=None)
-def _summand_record(space: Space, summand: BoxSummand, family: Callable, r: int) -> tuple:
-    """(index, lo, dim at lo) for each index of the family where the
-    summand's window is nonempty; lo is None when it is unbounded below."""
-    record = []
-    for index, (i, k, _) in enumerate(_offsets(space, family, r)):
-        window = summand_t_window(space, summand, k, i)
-        if window is not None:
-            lo = window[0]
-            dim = None if lo is None else _summand_group(space, summand, [lo + kj for kj in k])[1]
-            record.append((index, lo, dim))
-    return tuple(record)
-
-
-def _least_witnesses(bundle: Bundle, family: Callable, r: int) -> list[Witness]:
-    """One witness per group of the family that is nonzero at some balanced
-    twist, at the least such twist t0 = min lo, folded from the summand
-    records.  A summand's window is one interval, so the dimension at t0 is
-    the sum over the summands whose lo is t0."""
-    least: dict[int, tuple[int, int]] = {}
-    unbounded = []
+def _witnesses(bundle: Bundle, family: Callable, r: int, twist: Optional[int]) -> list[Witness]:
+    """One witness per group of the family that some summand makes nonzero:
+    at the twist, or with twist None at the least lo over the summands, with
+    dimension h_bundle there.  Preconditions are not checked."""
+    starts: dict[int, list] = {}
     for s in bundle.summands:
-        for index, lo, dim in _summand_record(bundle.space, s, family, r):
-            if lo is None:
-                unbounded.append(index)
-                continue
-            t0, total = least.get(index, (lo, 0))
-            if lo <= t0:
-                least[index] = (lo, total + dim if lo == t0 else dim)
-    offsets = _offsets(bundle.space, family, r)
-    if unbounded:
-        i, k, _ = offsets[min(unbounded)]
-        raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
-    return [Witness(i, k, *least[j], required)
-            for j, (i, k, required) in enumerate(offsets) if j in least]
+        for index, lo, _ in summand_windows(bundle.space, s, family, r):
+            starts.setdefault(index, []).append(lo)
+    groups, found = offsets(bundle.space, family, r), []
+    for index in sorted(starts):
+        i, k, required = groups[index]
+        if twist is None and None in starts[index]:
+            raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
+        t = min(starts[index]) if twist is None else twist
+        dim = h_bundle(bundle, tuple(t + kj for kj in k), i)
+        if dim:
+            found.append(Witness(i, k, t, dim, required))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +95,7 @@ def _least_witnesses(bundle: Bundle, family: Callable, r: int) -> list[Witness]:
 def acm_witnesses(bundle: Bundle) -> list[Witness]:
     """The nonvanishing intermediate groups H^i, 0 < i < dim X, one per i at
     the least balanced twist where H^i is nonzero."""
-    return _least_witnesses(bundle, _acm_family, 0)  # the family ignores the rank
+    return _witnesses(bundle, _acm_family, 0, None)  # the family ignores the rank
 
 
 def is_acm(bundle: Bundle) -> bool:
@@ -387,30 +365,27 @@ def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
     return None if error is None else str(error)
 
 
-def _witnesses(bundle: Bundle, spec: CheckSpec) -> list[Witness]:
-    """The witnesses of the check's family; preconditions are not checked."""
-    r = rank(bundle)
-    if spec.twist is None:
-        return _least_witnesses(bundle, spec.family, r)
-    found = ((i, k, h_bundle(bundle, tuple(spec.twist + kj for kj in k), i), required)
-             for i, k, required in _offsets(bundle.space, spec.family, r))
-    return [Witness(i, k, spec.twist, dim, required) for i, k, dim, required in found if dim]
-
-
 @lru_cache(maxsize=None)
 def _summand_fails(space: Space, summand: BoxSummand, family: Callable, r: int,
                    twist: Optional[int]) -> Optional[bool]:
-    """Does the summand make a required group of the family nonzero?  None
-    when one of its windows is unbounded below."""
-    offsets = _offsets(space, family, r)
-    if twist is None:
-        record = _summand_record(space, summand, family, r)
-        if any(lo is None for _, lo, _ in record):
-            return None
-        return any(offsets[index][2] for index, _, _ in record)
-    groups = ((i, _summand_group(space, summand, tuple(twist + kj for kj in k)))
-              for i, k, required in offsets if required)
-    return any(group is not None and group[0] == i for i, group in groups)
+    """Does the summand make a required group of the family nonzero, at the
+    twist or, with twist None, at some balanced twist?  None when a window
+    is unbounded below."""
+    windows = summand_windows(space, summand, family, r)
+    if twist is None and any(lo is None for _, lo, _ in windows):
+        return None
+    groups = offsets(space, family, r)
+    return any(groups[index][2] and (twist is None or (lo is None or lo <= twist)
+                                     and (hi is None or twist <= hi))
+               for index, lo, hi in windows)
+
+
+def _condition(bundle: Bundle, spec: CheckSpec, r: int) -> bool:
+    """The check's condition: no summand makes a required group nonzero."""
+    bits = [_summand_fails(bundle.space, s, spec.family, r, spec.twist) for s in bundle.summands]
+    if None in bits:
+        _witnesses(bundle, spec.family, r, spec.twist)  # raises: a window is unbounded below
+    return not any(bits)
 
 
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
@@ -421,8 +396,8 @@ def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witnes
     error = _failed_precondition(bundle, theorem)
     if error is not None:
         raise error
-    witnesses = _witnesses(bundle, CHECKS[theorem])
-    return (not any(w.required for w in witnesses), witnesses)
+    spec, r = CHECKS[theorem], rank(bundle)
+    return _condition(bundle, spec, r), _witnesses(bundle, spec.family, r, spec.twist)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +461,11 @@ class TheoremVerdict:
 
     @cached_property
     def witnesses(self) -> tuple:
-        """The condition_for witnesses, folded on first read."""
-        return tuple(_witnesses(self.bundle, CHECKS[self.theorem])) if self.applicable else ()
+        """The condition_for witnesses, built on first read."""
+        if not self.applicable:
+            return ()
+        spec = CHECKS[self.theorem]
+        return tuple(_witnesses(self.bundle, spec.family, rank(self.bundle), spec.twist))
 
 
 def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:
@@ -496,11 +474,7 @@ def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:
     error = _failed_precondition(bundle, theorem)
     if error is not None:
         return TheoremVerdict(theorem, applicable=False, reason=str(error))
-    r = rank(bundle)
-    bits = [_summand_fails(bundle.space, s, spec.family, r, spec.twist) for s in bundle.summands]
-    if None in bits:
-        _witnesses(bundle, spec)  # raises: a window is unbounded below
-    cond = not any(bits)
+    cond = _condition(bundle, spec, rank(bundle))
     form = spec.form(bundle)
     # the preconditions have just established Reg = 0 for the checks with a detector
     detected = tuple(detect_extremal_summand(bundle, reg_value=0)) if spec.detector else ()

@@ -46,6 +46,26 @@ def test_space_rejects_garbage(text):
         parse_space(text)
 
 
+def test_space_size_is_bounded():
+    # dim X * prod(n_j + 1): P3xP3xP3 (576) is the largest space the suite
+    # uses, P63 (4032) is under the bound and P64 (4160) over it
+    assert parse_space("P3xP3xP3").dims == (3, 3, 3)
+    assert parse_space("P63").dims == (63,)
+    for text in ("P64", "P3000", "P1x" * 8 + "P1"):
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_space(text)
+
+
+def test_overlong_integer_is_a_parse_error():
+    # past the interpreter's limit on integer digits, int() raises ValueError
+    digits = "9" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_bundle("P1", f"O({digits})")
+    assert err.value.position == 2
+    with pytest.raises(ParseError):
+        parse_space("P" + digits)
+
+
 def test_normalize_atom_edges():
     # 0-th exterior power is the line itself
     assert normalize_atom(3, Cotangent(0, 5)) == Line(5)

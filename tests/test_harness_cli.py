@@ -8,13 +8,14 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import jsonschema
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from mpreg.bundles import parse_space
+from mpreg.bundles import ParseError, parse_bundle, parse_space
 from mpreg.harness import (
     ALL_THEOREMS,
     ConfigError,
@@ -69,6 +70,50 @@ def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert fragment.lower() in str(err.value).lower()
+
+
+# only ParseError or ConfigError may escape the parsers
+_DSL_PIECES = st.one_of(
+    st.sampled_from(["P", "p", "x", "O(", "W", "(", ")", ",", "*", "+", "@", "-", "..", " ",
+                     "=", "#", "\n"]),
+    st.integers(-99, 99).map(str),
+    st.just("9" * 5000),  # past the interpreter's limit on integer digits
+    st.text(max_size=3),
+)
+_dsl_text = st.lists(_DSL_PIECES, max_size=12).map("".join)
+_space_text = st.lists(st.one_of(st.sampled_from(["P", "x"]), st.integers(0, 99).map(str),
+                                 st.just("9" * 5000)), max_size=6).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_space_text, _dsl_text, st.sampled_from(["P1", "P2xP3", "P1xP1xP2"])),
+       _dsl_text)
+def test_parse_bundle_raises_only_parse_error(space_text, bundle_text):
+    try:
+        parse_bundle(space_text, bundle_text)
+    except ParseError:
+        pass
+
+
+def test_parse_config_overlong_integer_is_a_config_error():
+    with pytest.raises(ConfigError, match="bad space"):
+        parse_config_text("spaces = P" + "9" * 5000)
+
+
+_CONFIG_LINE = st.tuples(
+    st.sampled_from(["spaces", "degrees", "cotangent", "cotangent_twists", "max_summands",
+                     "theorems", "jobs", "bogus"]),
+    st.one_of(_dsl_text, _space_text),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_CONFIG_LINE, _dsl_text), max_size=6).map("\n".join))
+def test_parse_config_raises_only_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
 
 
 def test_default_jobs_env(monkeypatch):
@@ -184,6 +229,27 @@ def test_run_verification_matches_eager_reference():
     assert rep.per_theorem == per_theorem
     assert any(f.get("witnesses") for f in findings)
     assert [json.dumps(f) for f in rep.findings] == [json.dumps(f) for f in findings]
+
+
+def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
+    from types import SimpleNamespace
+
+    from mpreg import harness
+    from mpreg.splitting import Witness
+
+    # no real inconsistent verdict is known with more than four witnesses
+    witnesses = tuple(Witness(1, (-j, 0), j, j + 1) for j in range(6))
+
+    def stub_verdict(bundle, theorem):
+        return SimpleNamespace(theorem=theorem, applicable=True, consistent=False,
+                               condition_holds=False, form_holds=True, witnesses=witnesses,
+                               detected=(), detector_agrees=None)
+
+    monkeypatch.setattr(harness, "verify_theorem", stub_verdict)
+    cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
+                            theorems=("T2B",))
+    [finding] = run_verification(cfg).findings
+    assert finding["witnesses"] == [w.to_json() for w in witnesses[:4]]
 
 
 def test_run_verification_small_all_consistent():
@@ -368,6 +434,14 @@ def test_cli_oversized_twist_box_exits_2_at_once():
                   "--twist-range=-3000..3000")
     assert res.returncode == 2
     assert "twist vectors" in res.stderr
+    assert time.perf_counter() - start < 10
+
+
+def test_cli_oversized_space_exits_2_at_once():
+    start = time.perf_counter()
+    res = run_cli("reg", "--space", "P3000", "--bundle", "O(0)")
+    assert res.returncode == 2
+    assert "exceeds" in res.stderr
     assert time.perf_counter() - start < 10
 
 

@@ -30,7 +30,7 @@ def test_benchmark_reset_clears_every_memo():
     spec = importlib.util.spec_from_file_location("perfbench_run", _RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    memos = (splitting._offsets, splitting._summand_record, splitting._summand_fails,
+    memos = (regularity.offsets, regularity.summand_windows, splitting._summand_fails,
              regularity._summand_reg)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
     before = [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId]

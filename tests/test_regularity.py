@@ -21,7 +21,6 @@ from mpreg.cohomology import (
     euler_characteristic,
     h_bundle,
     h_vector,
-    summand_t_window,
 )
 from mpreg.regularity import (
     _summand_reg,
@@ -231,21 +230,6 @@ def test_reg_closed_form_matches_walk_paper(bundle):
 @given(small_bundles(["P1xP1", "P1xP2", "P2xP2", "P2xP3"]))
 def test_reg_closed_form_matches_walk_hw(bundle):
     _assert_reg_matches_walk(bundle, "hw")
-
-
-def test_summand_t_window_memo_matches_unwrapped():
-    for space_text, text in [
-        ("P1xP2", "O(0,2) + O(-3)*W1(1)"),
-        ("P2xP2", "W1(0)*W1(3) + O(-2,1)"),
-        ("P1xP1xP2", "O(0,1,2) + O(-1)*O(0)*W1(-2)"),
-    ]:
-        space, b = parse_bundle(space_text, text)
-        for s in b.summands:
-            for i in range(space.total_dim + 1):
-                for k in box_offsets(space, i):
-                    memo = summand_t_window(space, s, k, i)
-                    assert memo == summand_t_window.__wrapped__(space, s, k, i)
-                    assert summand_t_window(space, s, k, i) is memo
 
 
 def test_summand_reg_memo_matches_unwrapped():

@@ -18,17 +18,15 @@ from mpreg.bundles import (
     rank,
 )
 from mpreg.cohomology import h_bundle, nonvanishing_t_window, summand_t_window
-from mpreg.regularity import _required, box_offsets, reg
+from mpreg.regularity import _family, box_offsets, offsets, reg, summand_windows
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
     TheoremId,
     Witness,
     _acm_family,
-    _least_witnesses,
-    _offsets,
     _summand_fails,
-    _summand_record,
+    _witnesses,
     applicability,
     acm_closed_form_line,
     acm_discrepancy,
@@ -322,12 +320,22 @@ def test_witness_refuses_a_window_unbounded_below():
         return [(0, (0,), True)]
 
     with pytest.raises(ModelError, match="unbounded below"):
-        _least_witnesses(b, top, rank(b))
-    [w] = _least_witnesses(b, bottom, rank(b))
+        _witnesses(b, top, rank(b), None)
+    [w] = _witnesses(b, bottom, rank(b), None)
     assert (w.t, w.dim) == (0, 1)
-    # the per-summand bit defers such a window to the fold, which raises
+    # the per-summand bit defers such a window to the witnesses, which raise
     assert _summand_fails(b.space, b.summands[0], top, rank(b), None) is None
     assert _summand_fails(b.space, b.summands[0], bottom, rank(b), None) is True
+
+
+def test_fixed_twist_bit_reads_only_windows_holding_the_twist():
+    # H^1 of O(t, t+2) on P1xP1 is nonzero at t = -2 only: inside T0's family
+    # at some balanced twist, but not at T0's fixed twist -1
+    _, b = parse_bundle("P1xP1", "O(0,0) + O(0,2)")
+    spec, r = CHECKS[TheoremId.T0], rank(b)
+    assert any(_summand_fails(b.space, s, spec.family, r, None) for s in b.summands)
+    assert verify_theorem(b, TheoremId.T0).condition_holds is True
+    assert condition_for(b, TheoremId.T0) == (True, [])
 
 
 def test_condition_checker_arity_guard():
@@ -413,7 +421,7 @@ def _reference_witnesses(bundle, family, twist):
 
 def _reference_reg(bundle, definition):
     tops = []
-    for i, k in _required(bundle.space, definition):
+    for i, k, _ in offsets(bundle.space, _family(definition), 0):
         window = nonvanishing_t_window(bundle, k, i)
         if window:
             tops.append(window[-1][1])
@@ -465,13 +473,13 @@ def test_splitting_memos_match_unwrapped():
         for spec in CHECKS.values():
             if spec.two_factor and space.num_factors != 2:
                 continue
-            offsets = _offsets(space, spec.family, r)
-            assert offsets == _offsets.__wrapped__(space, spec.family, r)
-            assert _offsets(space, spec.family, r) is offsets
+            family = offsets(space, spec.family, r)
+            assert family == offsets.__wrapped__(space, spec.family, r)
+            assert offsets(space, spec.family, r) is family
             for s in b.summands:
-                record = _summand_record(space, s, spec.family, r)
-                assert record == _summand_record.__wrapped__(space, s, spec.family, r)
-                assert _summand_record(space, s, spec.family, r) is record
+                record = summand_windows(space, s, spec.family, r)
+                assert record == summand_windows.__wrapped__(space, s, spec.family, r)
+                assert summand_windows(space, s, spec.family, r) is record
                 bit = _summand_fails(space, s, spec.family, r, spec.twist)
                 assert bit == _summand_fails.__wrapped__(space, s, spec.family, r, spec.twist)
 
