@@ -9,8 +9,12 @@ By Bott's formula an atom has at most one nonzero group at any twist, so by
 Kunneth a box summand has at most one too.  Each atom's support is stated
 once, as ranges of the twist (_atom_support); point values and nonvanishing
 windows are both folds of those ranges over the summands.  In a balanced
-twist a summand's window is one interval; regularity.summand_windows keeps
-them per offset family for the check bits, the witnesses and Reg.
+twist a summand's window for each level is one interval.  A summand's
+supports are read once (summand_supports); an offset k only shifts them, and
+one sweep over the ranges' starts gives the windows of every level at k
+(level_windows), in O(s^2) for s factors.  regularity.summand_windows
+sweeps each distinct offset of a family once and keeps the windows for the
+check bits, the witnesses and Reg.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ def _atom_support(n: int, atom: Atom) -> tuple[tuple[int, Endpoint, Endpoint], .
     """Bott's formula as ranges: each (level, lo, hi) such that
     H^level(atom(t)) on P^n is nonzero exactly for lo <= t <= hi, None
     unbounded.  The ranges are disjoint, so at most one group is nonzero at
-    any twist."""
+    any twist; they are listed from the top down, the last one unbounded
+    below."""
     atom = normalize_atom(n, atom)
     if isinstance(atom, Line):
         a = atom.degree
@@ -240,6 +245,45 @@ def euler_characteristic(bundle: Bundle, tvec: Iterable[int] = None) -> int:
 # nonvanishing windows in a balanced twist parameter
 
 
+def summand_supports(space: Space, summand: BoxSummand) -> tuple:
+    """The support ranges of each atom of the summand, untwisted.  Twisting
+    the atom by k_j only moves its ranges by -k_j."""
+    return tuple(_atom_support(n, atom) for n, atom in zip(space.dims, summand.atoms))
+
+
+def level_windows(supports: tuple, k: tuple[int, ...]) -> dict[int, tuple[Endpoint, Endpoint]]:
+    """{i: summand_t_window at level i} for every level i with a nonempty
+    window at offset k, from the summand's supports.
+
+    A window is the intersection of one range per factor, so it starts at
+    the largest lo among them, or at -infinity when none has a finite lo.
+    The sweep visits those starts: -infinity, where each factor sits in its
+    last range, and each finite lo shifted by -k_j.  A factor's ranges are
+    disjoint, so at each start it sits in at most one of them; that fixes
+    the level and the window's upper end, and every window is found.
+    O(s^2) for s factors.
+    """
+    windows = {sum(ranges[-1][0] for ranges in supports):
+               (None, min(ranges[-1][2] - kj for ranges, kj in zip(supports, k)))}
+    starts = {lo - kj for ranges, kj in zip(supports, k) for _, lo, _ in ranges if lo is not None}
+    for t in starts:
+        i, hi = 0, None
+        for ranges, kj in zip(supports, k):
+            u = t + kj
+            for level, rlo, rhi in ranges:  # top down: the one range that can hold u
+                if rlo is None or rlo <= u:
+                    break
+            if rhi is not None:
+                if rhi < u:
+                    break
+                if hi is None or rhi - kj < hi:
+                    hi = rhi - kj
+            i += level
+        else:
+            windows[i] = (t, hi)
+    return windows
+
+
 def summand_t_window(
     space: Space, summand: BoxSummand, k: tuple[int, ...], i: int
 ) -> Optional[tuple[Endpoint, Endpoint]]:
@@ -251,21 +295,9 @@ def summand_t_window(
     two twists with the same total level i have the same level on every
     factor, and so does every twist between them: the window is one
     interval, the intersection of the atoms' ranges for the one choice of
-    levels adding up to i whose ranges meet.
+    levels adding up to i whose ranges meet.  It is read off level_windows.
     """
-    supports = [
-        _atom_support(n, twist_atom(atom, kj))
-        for n, atom, kj in zip(space.dims, summand.atoms, k)
-    ]
-    for ranges in itertools.product(*supports):
-        if sum(level for level, _, _ in ranges) != i:
-            continue
-        los = [lo for _, lo, _ in ranges if lo is not None]
-        his = [hi for _, _, hi in ranges if hi is not None]
-        lo, hi = max(los, default=None), min(his, default=None)
-        if lo is None or hi is None or lo <= hi:
-            return lo, hi
-    return None
+    return level_windows(summand_supports(space, summand), k).get(i)
 
 
 def nonvanishing_t_window(

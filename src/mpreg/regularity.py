@@ -14,7 +14,9 @@ required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
 required).  summand_windows is the one memoized (index, lo, hi) record per
-(summand, family); reg is a max of a memoized Reg per summand read off it.
+(summand, family): it reads the summand's atom supports once and sweeps each
+distinct offset of the family once, for the windows of all its levels.  reg
+is a max of a memoized Reg per summand read off it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from .bundles import ArityError, BoxSummand, Bundle, ModelError, Space
-from .cohomology import h_bundle, summand_t_window
+from .cohomology import h_bundle, level_windows, summand_supports
 
 DEFINITIONS = ("paper", "hw")
 
@@ -70,10 +72,18 @@ def offsets(space: Space, family: Callable, r: int) -> tuple:
 @lru_cache(maxsize=None)
 def summand_windows(space: Space, summand: BoxSummand, family: Callable, r: int) -> tuple:
     """(index, lo, hi) for each index of the family where the summand's
-    window is nonempty, None for an unbounded end."""
-    windows = ((index, summand_t_window(space, summand, k, i))
-               for index, (i, k, _) in enumerate(offsets(space, family, r)))
-    return tuple((index, *window) for index, window in windows if window is not None)
+    window is nonempty, None for an unbounded end.  The atom supports are
+    read once, and each distinct offset of the family is swept once."""
+    supports = summand_supports(space, summand)
+    levels: dict = {}
+    records = []
+    for index, (i, k, _) in enumerate(offsets(space, family, r)):
+        if k not in levels:
+            levels[k] = level_windows(supports, k)
+        window = levels[k].get(i)
+        if window is not None:
+            records.append((index, *window))
+    return tuple(records)
 
 
 def _paper_family(space: Space, r: int):

@@ -1,9 +1,14 @@
 """Dimension engine: closed forms, the independent recursion, box products."""
 
+import itertools
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpreg import regularity
 from mpreg.bundles import (
+    MAX_SPACE_SIZE,
     Cotangent,
     Line,
     ModelError,
@@ -13,6 +18,8 @@ from mpreg.bundles import (
     make_summand,
     parse_bundle,
     parse_space,
+    rank,
+    twist_atom,
 )
 from mpreg.cohomology import (
     _atom_support,
@@ -24,10 +31,13 @@ from mpreg.cohomology import (
     h_line,
     h_vector,
     koszul_section_rank,
+    level_windows,
     nonvanishing_t_window,
     oracle_euler_sequence,
     summand_t_window,
 )
+from mpreg.regularity import _family, offsets, summand_windows
+from mpreg.splitting import CHECKS, TheoremId, _acm_family
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +121,10 @@ def test_atom_support_is_the_oracles_one_nonzero_level():
         atoms = [Line(0)] + [Cotangent(p, c) for p in range(n + 1) for c in (-1, 0, 2)]
         for atom in atoms:
             support = _atom_support(n, atom)
+            # listed from the top down, the last range unbounded below
+            assert support[0][2] is None and support[-1][1] is None
+            for (_, lo, _), (_, _, hi) in zip(support, support[1:]):
+                assert hi < lo, (n, atom)
             for t in range(-12, 12):
                 if isinstance(atom, Line):
                     nonzero = [i for i in range(n + 1) if h_line(n, atom.degree + t, i)]
@@ -301,9 +315,11 @@ def _window_points(window):
 
 @st.composite
 def _random_summands(draw, count):
-    """A space of 1 to 3 factors of dimension 1 to 4, count summands of
-    O(a) and W^p(c) atoms (boundary powers included), an offset in the box."""
-    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    """A space of 1 to 6 factors of dimension 1 to 4 within MAX_SPACE_SIZE,
+    count summands of O(a) and W^p(c) atoms (boundary powers included), an
+    offset in the box."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)
+                .filter(lambda dims: sum(dims) * prod(n + 1 for n in dims) <= MAX_SPACE_SIZE))
     space = parse_space("x".join(f"P{n}" for n in dims))
     degree = st.integers(-4, 4)
 
@@ -346,6 +362,69 @@ def test_bundle_window_sorted_disjoint_nonadjacent_matching_brute_force(case):
             assert hi is not None and lo is not None and hi + 1 < lo
         points = [t for w in window for t in _window_points(w)]
         assert points == brute_window(bundle, k, i, -_REACH, _REACH), i
+
+
+def _reference_t_window(space, summand, k, i):
+    """The window by a search over every choice of one support range per
+    factor: the one choice whose levels add up to i and whose ranges meet."""
+    supports = [
+        _atom_support(n, twist_atom(atom, kj))
+        for n, atom, kj in zip(space.dims, summand.atoms, k)
+    ]
+    for ranges in itertools.product(*supports):
+        if sum(level for level, _, _ in ranges) != i:
+            continue
+        los = [lo for _, lo, _ in ranges if lo is not None]
+        his = [hi for _, _, hi in ranges if hi is not None]
+        lo, hi = max(los, default=None), min(his, default=None)
+        if lo is None or hi is None or lo <= hi:
+            return lo, hi
+    return None
+
+
+def _window_families(space):
+    """Every check family, the ACM family and both regularity definitions."""
+    families = [spec.family for spec in CHECKS.values()
+                if not spec.two_factor or space.num_factors == 2]
+    families += [_acm_family, _family("paper")]
+    if space.num_factors == 2:
+        families.append(_family("hw"))
+    return families
+
+
+@settings(max_examples=50, deadline=None)
+@given(_random_summands(2))
+def test_summand_windows_match_the_per_group_search(case):
+    space, summands, _ = case
+    r = rank(make_bundle(space, summands))
+    for family in _window_families(space):
+        for s in summands:
+            expected = []
+            for index, (i, k, _) in enumerate(offsets(space, family, r)):
+                window = _reference_t_window(space, s, k, i)
+                if window is not None:
+                    expected.append((index, *window))
+            assert summand_windows(space, s, family, r) == tuple(expected), family
+
+
+@pytest.mark.parametrize("space_text,text,groups,distinct",
+                         [("P1xP1xP2", "O(0,1,2)", 11, 5), ("P2xP2", "O(0)*W1(1)", 13, 6)])
+def test_summand_windows_sweep_each_distinct_offset_once(monkeypatch, space_text, text,
+                                                         groups, distinct):
+    space, bundle = parse_bundle(space_text, text)
+    family, r = CHECKS[TheoremId.T2B].family, rank(bundle)
+    assert len(offsets(space, family, r)) == groups
+    (summand,) = bundle.summands
+    expected = summand_windows.__wrapped__(space, summand, family, r)
+    calls = []
+
+    def counting(supports, k):
+        calls.append(k)
+        return level_windows(supports, k)
+
+    monkeypatch.setattr(regularity, "level_windows", counting)
+    assert summand_windows.__wrapped__(space, summand, family, r) == expected
+    assert len(calls) == len(set(calls)) == distinct
 
 
 # ---------------------------------------------------------------------------

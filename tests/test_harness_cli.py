@@ -445,6 +445,18 @@ def test_cli_oversized_space_exits_2_at_once():
     assert time.perf_counter() - start < 10
 
 
+_MANY_FACTORS = ("--space", "P1xP1xP1xP1xP1xP1xP1xP2", "--bundle",
+                 "O(0,1,0,1,0,1,0,2) + O(-1)*O(0)*O(1)*O(0)*O(-1)*O(0)*O(1)*W1(1)")
+
+
+@pytest.mark.parametrize("command", [("reg",), ("check", "--theorem", "T3"), ("acm",)])
+def test_cli_many_factor_space_answers(command):
+    # eight factors, size 3456 within MAX_SPACE_SIZE: answered with the normal code
+    res = run_cli(*command, *_MANY_FACTORS, "--format", "json")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["space"] == [1] * 7 + [2]
+
+
 def test_cli_parse_error_exits_2():
     res = run_cli("reg", "--space", "P1xP1", "--bundle", "O(0,0")
     assert res.returncode == 2
