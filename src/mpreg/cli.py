@@ -220,9 +220,7 @@ def cmd_verify_paper(args, out) -> int:
         cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2"))
     if args.theorem:
         cfg = replace(cfg, theorems=tuple(args.theorem))
-    jobs = default_jobs(args.jobs)
-    if jobs != cfg.jobs:
-        cfg = replace(cfg, jobs=jobs)
+    cfg = replace(cfg, jobs=default_jobs(args.jobs, cfg.jobs))
     report = run_verification(cfg)
     payload = {
         "spaces": list(cfg.spaces),

@@ -26,6 +26,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Optional
 
 from .bundles import (
+    ArityError,
     Atom,
     BoxSummand,
     Bundle,
@@ -180,7 +181,7 @@ def _summand_group(space: Space, summand: BoxSummand, tvec: tuple[int, ...]):
 def _twist_vector(space: Space, tvec: Iterable[int]) -> tuple[int, ...]:
     tvec = tuple(tvec)
     if len(tvec) != space.num_factors:
-        raise ModelError(f"twist vector length {len(tvec)} does not match the space")
+        raise ArityError(f"twist vector length {len(tvec)} does not match the space")
     return tvec
 
 
@@ -252,10 +253,15 @@ def summand_supports(space: Space, summand: BoxSummand) -> tuple:
 
 
 def level_windows(supports: tuple, k: tuple[int, ...]) -> dict[int, tuple[Endpoint, Endpoint]]:
-    """{i: summand_t_window at level i} for every level i with a nonempty
-    window at offset k, from the summand's supports.
+    """{i: (lo, hi)} for every level i where some t makes h^i(summand
+    twisted by (t+k_1, ..., t+k_s)) nonzero, from the summand's supports;
+    None for an unbounded end.
 
-    A window is the intersection of one range per factor, so it starts at
+    Each atom's nonzero level can only fall as t grows (n -> 0 for O(a),
+    n -> p -> 0 for W^p(c)), and each level holds on an interval of t.  So
+    two twists with the same total level i have the same level on every
+    factor, and so does every twist between them: the window is one
+    interval, the intersection of one range per factor, and it starts at
     the largest lo among them, or at -infinity when none has a finite lo.
     The sweep visits those starts: -infinity, where each factor sits in its
     last range, and each finite lo shifted by -k_j.  A factor's ranges are
@@ -284,22 +290,6 @@ def level_windows(supports: tuple, k: tuple[int, ...]) -> dict[int, tuple[Endpoi
     return windows
 
 
-def summand_t_window(
-    space: Space, summand: BoxSummand, k: tuple[int, ...], i: int
-) -> Optional[tuple[Endpoint, Endpoint]]:
-    """The t with h^i(summand twisted by (t+k_1, ..., t+k_s)) nonzero, as one
-    interval (lo, hi), None for an unbounded end, or None when there are none.
-
-    Each atom's nonzero level can only fall as t grows (n -> 0 for O(a),
-    n -> p -> 0 for W^p(c)), and each level holds on an interval of t.  So
-    two twists with the same total level i have the same level on every
-    factor, and so does every twist between them: the window is one
-    interval, the intersection of the atoms' ranges for the one choice of
-    levels adding up to i whose ranges meet.  It is read off level_windows.
-    """
-    return level_windows(summand_supports(space, summand), k).get(i)
-
-
 def nonvanishing_t_window(
     bundle: Bundle, k: Iterable[int], i: int
 ) -> tuple[tuple[Endpoint, Endpoint], ...]:
@@ -313,7 +303,7 @@ def nonvanishing_t_window(
     k = _twist_vector(space, k)
     if not 0 <= i <= space.total_dim:
         return ()
-    windows = (summand_t_window(space, s, k, i) for s in bundle.summands)
+    windows = (level_windows(summand_supports(space, s), k).get(i) for s in bundle.summands)
     merged: list[tuple[Endpoint, Endpoint]] = []
     for lo, hi in sorted(filter(None, windows), key=lambda w: (w[0] is not None, w[0])):
         if merged:

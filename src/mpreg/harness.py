@@ -27,7 +27,7 @@ from .bundles import (
     parse_space,
 )
 from .regularity import is_regular_at
-from .splitting import CHECKS, TheoremId, is_acm, verify_theorem
+from .splitting import CHECKS, TheoremId, is_acm, verify_bundle
 
 ALL_THEOREMS = tuple(t.value for t in TheoremId)
 
@@ -60,6 +60,8 @@ class EnumerationConfig:
         for t in self.theorems:
             if t not in ALL_THEOREMS:
                 raise ConfigError(f"unknown check id {t!r}")
+        if not self.theorems or len(set(self.theorems)) < len(self.theorems):
+            raise ConfigError(f"list each check id once, got {', '.join(self.theorems) or 'none'}")
 
 
 def parse_range(value: str) -> tuple[int, int]:
@@ -111,18 +113,13 @@ def parse_config_text(text: str) -> EnumerationConfig:
             values["cotangent"] = _BOOL[val.lower()]
         elif key == "cotangent_twists":
             values["cot_twist_min"], values["cot_twist_max"] = parse_range(val)
-        elif key == "max_summands":
+        elif key in ("max_summands", "jobs"):
             try:
-                values["max_summands"] = int(val)
+                values[key] = int(val)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad integer {val!r}") from exc
         elif key == "theorems":
             values["theorems"] = tuple(p.strip() for p in val.split(",") if p.strip())
-        elif key == "jobs":
-            try:
-                values["jobs"] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad integer {val!r}") from exc
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if "spaces" not in values:
@@ -198,7 +195,7 @@ _WITNESS_CAP = 4
 _SAMPLE_CAP = 3
 
 
-def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
+def _check_bundle(space_text: str, bundle: Bundle, ids: tuple[TheoremId, ...]):
     """Worker: returns, per check id, applicability, consistency and findings,
     and the bundle's name, formatted only when there is a finding (else None)."""
     name = None
@@ -210,8 +207,8 @@ def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
         name = name or format_bundle(bundle)
         return {"type": kind, "space": space_text, "bundle": name, "theorem": tid, **extra}
 
-    for tid in theorems:
-        verdict = verify_theorem(bundle, TheoremId(tid))
+    for verdict in verify_bundle(bundle, ids):
+        tid = verdict.theorem.value
         spec = CHECKS[verdict.theorem]
         fnds = []
         if verdict.applicable:
@@ -241,7 +238,8 @@ def _check_bundle(space_text: str, bundle: Bundle, theorems: tuple[str, ...]):
 
 def _run_chunk(args):
     space_text, bundles, theorems = args
-    return [_check_bundle(space_text, b, theorems) for b in bundles]
+    ids = tuple(map(TheoremId, theorems))
+    return [_check_bundle(space_text, b, ids) for b in bundles]
 
 
 def pool_size(jobs: int, cpus: Optional[int], bundles: int) -> int:
@@ -295,7 +293,8 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     )
 
 
-def default_jobs(explicit: Optional[int] = None) -> int:
+def default_jobs(explicit: Optional[int] = None, configured: int = 1) -> int:
+    """Worker processes: explicit (--jobs), else MPREG_JOBS, else configured."""
     if explicit is not None:
         return explicit
     env = os.environ.get("MPREG_JOBS")
@@ -304,7 +303,7 @@ def default_jobs(explicit: Optional[int] = None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"MPREG_JOBS must be an integer, got {env!r}") from exc
-    return 1
+    return configured
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +343,9 @@ def compare_regularity_definitions(
                         {"bundle": name, "space": format_space(space), "p": (p, q)}
                     )
         for p in range(lo, hi + 1):
-            if is_regular_at(bundle, (p - m + 1, p - n + 1), "paper") and not is_regular_at(
-                bundle, (p, p), "hw"
-            ):
-                report["shift_literal_violations"].append(
-                    {"bundle": name, "space": format_space(space), "p": p}
-                )
-            if is_regular_at(bundle, (p - n + 1, p - m + 1), "paper") and not is_regular_at(
-                bundle, (p, p), "hw"
-            ):
-                report["shift_swapped_violations"].append(
-                    {"bundle": name, "space": format_space(space), "p": p}
-                )
+            for key, shifted in (("shift_literal_violations", (p - m + 1, p - n + 1)),
+                                 ("shift_swapped_violations", (p - n + 1, p - m + 1))):
+                if is_regular_at(bundle, shifted, "paper") and not is_regular_at(
+                        bundle, (p, p), "hw"):
+                    report[key].append({"bundle": name, "space": format_space(space), "p": p})
     return report

@@ -26,18 +26,9 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from .bundles import ArityError, BoxSummand, Bundle, ModelError, Space
-from .cohomology import h_bundle, level_windows, summand_supports
+from .cohomology import _twist_vector, h_bundle, level_windows, summand_supports
 
 DEFINITIONS = ("paper", "hw")
-
-
-def _as_vector(space: Space, p: Union[int, tuple]) -> tuple[int, ...]:
-    if isinstance(p, int):
-        return (p,) * space.num_factors
-    p = tuple(p)
-    if len(p) != space.num_factors:
-        raise ArityError(f"twist vector length {len(p)} does not match the space")
-    return p
 
 
 def box_offsets(
@@ -103,7 +94,7 @@ def _family(definition: str) -> Callable:
 
 def _failures(bundle: Bundle, p: Union[int, tuple], definition: str) -> Iterator[tuple]:
     """Each (i, k, dim) with the required group nonzero at base twist p, lazily."""
-    pv = _as_vector(bundle.space, p)
+    pv = _twist_vector(bundle.space, (p,) * bundle.space.num_factors if isinstance(p, int) else p)
     groups = ((i, k, h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i))
               for i, k, _ in offsets(bundle.space, _family(definition), 0))
     return (group for group in groups if group[2])
@@ -118,10 +109,6 @@ def regularity_failures(
 
 def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper") -> bool:
     return next(_failures(bundle, p, definition), None) is None
-
-
-def is_hw_regular_at(bundle: Bundle, p: Union[int, tuple]) -> bool:
-    return is_regular_at(bundle, p, "hw")
 
 
 @lru_cache(maxsize=None)

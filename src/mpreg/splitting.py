@@ -2,12 +2,13 @@
 classifiers, and the extremal-summand detector.
 
 Each check id pairs a cohomological condition with a structural description
-of the bundles expected to satisfy it; verify_theorem evaluates both sides
+of the bundles expected to satisfy it; verify_bundle evaluates both sides
 and reports whether they agree, together with explicit witnesses for any
 nonvanishing group.  The checks are rows of one table, CHECKS, read by one
 evaluator from the window records of its offset family
 (regularity.summand_windows): the condition is an AND of one memoized bit
 per summand; witnesses, built when read, take dimensions from h_bundle.
+Rank, Reg and degrees are read once per bundle (_facts).
 """
 
 from __future__ import annotations
@@ -236,17 +237,17 @@ def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
 # structural forms
 
 
-def _summand_degrees(s: BoxSummand) -> Optional[tuple[int, ...]]:
-    if all(isinstance(a, Line) for a in s.atoms):
-        return tuple(a.degree for a in s.atoms)
-    return None
+def _degrees(bundle: Bundle) -> tuple:
+    """What a form reads besides the bundle: per summand, the degrees of a
+    line summand, or None for a summand with a cotangent atom."""
+    return tuple(tuple(a.degree for a in s.atoms) if all(isinstance(a, Line) for a in s.atoms)
+                 else None for s in bundle.summands)
 
 
-def _lines_within(bundle: Bundle, spread: int) -> bool:
+def _lines_within(bundle: Bundle, degrees: tuple, spread: int) -> bool:
     """Every summand a line whose degrees differ by at most spread: balanced
     lines for spread 0, step lines for spread 1."""
-    degs = [_summand_degrees(s) for s in bundle.summands]
-    return all(d is not None and max(d) - min(d) <= spread for d in degs)
+    return all(d is not None and max(d) - min(d) <= spread for d in degrees)
 
 
 def _top_corners(space: Space) -> Iterator[tuple[int, ...]]:
@@ -267,36 +268,36 @@ def _corner_summand(space: Space, h: tuple[int, ...]) -> BoxSummand:
     return make_summand(space, atoms)
 
 
-def _has_extremal_summand(bundle: Bundle) -> bool:
+def _has_extremal_summand(bundle: Bundle, degrees: tuple) -> bool:
     """Some summand is on the extremal menu: every atom O, O(1) or
-    W^a(a+1), with O on at least one factor."""
-    menu = set(extremal_menu(bundle.space))
-    return any(s in menu for s in bundle.summands)
+    W^a(a+1), with O on at least one factor.  Those are the corner summands
+    (h_j = n_j, 0 or a on factor j), so the menu itself is not built."""
+    corner = (Line(0), Line(1))
+    return any(Line(0) in s.atoms and all(
+        a in corner or isinstance(a, Cotangent) and a.twist == a.p + 1 for a in s.atoms)
+        for s in bundle.summands)
 
 
-def _line_pair(bundle: Bundle, menu: set) -> bool:
-    """Two line summands, one with degrees in the menu and the other with
+def _line_pair(bundle: Bundle, degrees: tuple, menu: Callable[[tuple], bool]) -> bool:
+    """Two line summands, one with degrees on the menu and the other with
     nonnegative degrees."""
-    degs = [_summand_degrees(s) for s in bundle.summands]
-    if len(degs) != 2 or None in degs:
+    if len(degrees) != 2 or None in degrees:
         return False
-    return any(first in menu and min(second) >= 0 for first, second in (degs, degs[::-1]))
+    return any(menu(first) and min(second) >= 0 for first, second in (degrees, degrees[::-1]))
 
 
-def _p4_pair(bundle: Bundle) -> bool:
-    s = bundle.space.num_factors
-    return _line_pair(bundle, {(0,) * s, (0, 1), (1, 0)})
+def _p4_menu(d: tuple) -> bool:
+    return not any(d) or d in ((0, 1), (1, 0))
 
 
-def _p4b_pair(bundle: Bundle) -> bool:
-    """The menu is every 0/1 degree vector except all ones."""
-    s = bundle.space.num_factors
-    return _line_pair(bundle, set(itertools.product((0, 1), repeat=s)) - {(1,) * s})
+def _p4b_menu(d: tuple) -> bool:
+    """Every 0/1 degree vector except all ones."""
+    return set(d) <= {0, 1} and 0 in d
 
 
 def classify_form(bundle: Bundle, theorem: TheoremId) -> bool:
     """Does the canonical form match the structure the check id predicts?"""
-    return CHECKS[TheoremId(theorem)].form(bundle)
+    return CHECKS[TheoremId(theorem)].form(bundle, _degrees(bundle))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ class CheckSpec:
     when twist is None.  Preconditions: two factors, rank rule, Reg = 0."""
 
     family: Callable[[Space, int], Iterator[tuple[int, tuple[int, ...], bool]]]
-    form: Callable[[Bundle], bool]
+    form: Callable[[Bundle, tuple], bool]
     twist: Optional[int] = None
     two_factor: bool = False
     rank_rule: Optional[Callable[[Space, int], Optional[str]]] = None
@@ -322,7 +323,7 @@ class CheckSpec:
 _T3 = CheckSpec(_exact_family, partial(_lines_within, spread=0), acm_crosscheck=True)
 _T2B = CheckSpec(_step_family, partial(_lines_within, spread=1))
 _T4 = CheckSpec(_interior_family, _has_extremal_summand, reg_zero=True, detector=True)
-_P4B = CheckSpec(_first_cohomology_family, _p4b_pair, twist=0,
+_P4B = CheckSpec(_first_cohomology_family, partial(_line_pair, menu=_p4b_menu), twist=0,
                  rank_rule=_rank_two_on_large_factors, reg_zero=True)
 
 # The two-factor checks restrict the any-factor ones.  C2 reads T4's interior
@@ -337,7 +338,7 @@ CHECKS: dict[TheoremId, CheckSpec] = {
     TheoremId.C2: replace(_T2B, two_factor=True, family=_interior_family,
                           rank_rule=_rank_below_min_factor),
     TheoremId.T0: replace(_T4, two_factor=True, twist=-1),
-    TheoremId.P4: replace(_P4B, two_factor=True, form=_p4_pair),
+    TheoremId.P4: replace(_P4B, two_factor=True, form=partial(_line_pair, menu=_p4_menu)),
     TheoremId.T3: _T3,
     TheoremId.T2B: _T2B,
     TheoremId.T4: _T4,
@@ -345,23 +346,38 @@ CHECKS: dict[TheoremId, CheckSpec] = {
 }
 
 
-def _failed_precondition(bundle: Bundle, theorem: TheoremId) -> Optional[ModelError]:
+def _facts(bundle: Bundle) -> Callable:
+    """fact(f) is f(bundle), computed on first use and kept, for the facts
+    the checks of a bundle share (rank, reg, _degrees).  Most bundles of a
+    Reg-gated sweep fail the gate and never pay for rank or degrees."""
+    known: dict = {}
+
+    def fact(f: Callable):
+        if f not in known:
+            known[f] = f(bundle)
+        return known[f]
+
+    return fact
+
+
+def _failed_precondition(bundle: Bundle, theorem: TheoremId,
+                         fact: Callable) -> Optional[ModelError]:
     """The first precondition of the check that the bundle fails, as the
     error condition_for raises; None when the check applies."""
     spec = CHECKS[theorem]
     s = bundle.space.num_factors
     if spec.two_factor and s != 2:
         return ArityError(f"{theorem.value} is a two-factor check, space has {s} factors")
-    reason = spec.rank_rule(bundle.space, rank(bundle)) if spec.rank_rule else None
+    reason = spec.rank_rule(bundle.space, fact(rank)) if spec.rank_rule else None
     if reason is not None:
         return PreconditionError(reason)
-    value = reg(bundle) if spec.reg_zero else 0
+    value = fact(reg) if spec.reg_zero else 0
     return PreconditionError(f"Reg must be 0, got {value}") if value != 0 else None
 
 
 def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
     """None when the check applies; otherwise a human-readable reason."""
-    error = _failed_precondition(bundle, TheoremId(theorem))
+    error = _failed_precondition(bundle, TheoremId(theorem), _facts(bundle))
     return None if error is None else str(error)
 
 
@@ -392,11 +408,11 @@ def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witnes
     """Evaluate the check's vanishing condition.  A failed precondition
     raises ArityError (two-factor checks) or PreconditionError, with the
     reason applicability gives."""
-    theorem = TheoremId(theorem)
-    error = _failed_precondition(bundle, theorem)
+    theorem, fact = TheoremId(theorem), _facts(bundle)
+    error = _failed_precondition(bundle, theorem, fact)
     if error is not None:
         raise error
-    spec, r = CHECKS[theorem], rank(bundle)
+    spec, r = CHECKS[theorem], fact(rank)
     return _condition(bundle, spec, r), _witnesses(bundle, spec.family, r, spec.twist)
 
 
@@ -458,6 +474,7 @@ class TheoremVerdict:
     detected: tuple = ()
     detector_agrees: Optional[bool] = None
     bundle: Optional[Bundle] = field(default=None, repr=False)
+    rank: Optional[int] = field(default=None, repr=False)  # the bundle's, for the witnesses
 
     @cached_property
     def witnesses(self) -> tuple:
@@ -465,27 +482,39 @@ class TheoremVerdict:
         if not self.applicable:
             return ()
         spec = CHECKS[self.theorem]
-        return tuple(_witnesses(self.bundle, spec.family, rank(self.bundle), spec.twist))
+        return tuple(_witnesses(self.bundle, spec.family, self.rank, spec.twist))
+
+
+def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
+    """The verdicts of the check ids (TheoremId members) on the bundle, in
+    order, from one pass that computes rank, Reg and the summands' degrees
+    at most once each, when a check first needs them."""
+    fact, verdicts = _facts(bundle), []
+    for theorem in ids:
+        spec = CHECKS[theorem]
+        error = _failed_precondition(bundle, theorem, fact)
+        if error is not None:
+            verdicts.append(TheoremVerdict(theorem, applicable=False, reason=str(error)))
+            continue
+        r = fact(rank)
+        cond = _condition(bundle, spec, r)
+        form = spec.form(bundle, fact(_degrees))
+        # the preconditions have just established Reg = 0 for the checks with a detector
+        detected = tuple(detect_extremal_summand(bundle, reg_value=0)) if spec.detector else ()
+        agrees = all(tag.summand in bundle.summands for tag in detected) if detected else None
+        verdicts.append(TheoremVerdict(
+            theorem,
+            applicable=True,
+            condition_holds=cond,
+            form_holds=form,
+            consistent=(cond == form),
+            detected=detected,
+            detector_agrees=agrees,
+            bundle=bundle,
+            rank=r,
+        ))
+    return verdicts
 
 
 def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:
-    theorem = TheoremId(theorem)
-    spec = CHECKS[theorem]
-    error = _failed_precondition(bundle, theorem)
-    if error is not None:
-        return TheoremVerdict(theorem, applicable=False, reason=str(error))
-    cond = _condition(bundle, spec, rank(bundle))
-    form = spec.form(bundle)
-    # the preconditions have just established Reg = 0 for the checks with a detector
-    detected = tuple(detect_extremal_summand(bundle, reg_value=0)) if spec.detector else ()
-    agrees = all(tag.summand in bundle.summands for tag in detected) if detected else None
-    return TheoremVerdict(
-        theorem,
-        applicable=True,
-        condition_holds=cond,
-        form_holds=form,
-        consistent=(cond == form),
-        detected=detected,
-        detector_agrees=agrees,
-        bundle=bundle,
-    )
+    return verify_bundle(bundle, (TheoremId(theorem),))[0]

@@ -34,7 +34,7 @@ from mpreg.cohomology import (
     level_windows,
     nonvanishing_t_window,
     oracle_euler_sequence,
-    summand_t_window,
+    summand_supports,
 )
 from mpreg.regularity import _family, offsets, summand_windows
 from mpreg.splitting import CHECKS, TheoremId, _acm_family
@@ -342,7 +342,7 @@ def test_summand_window_is_one_interval_matching_brute_force(case):
     space, (summand,), k = case
     bundle = make_bundle(space, [summand])
     for i in range(space.total_dim + 1):
-        window = summand_t_window(space, summand, k, i)
+        window = level_windows(summand_supports(space, summand), k).get(i)
         assert window is None or len(window) == 2
         if window is not None and None not in window:
             assert window[0] <= window[1]

@@ -240,12 +240,12 @@ def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
     # no real inconsistent verdict is known with more than four witnesses
     witnesses = tuple(Witness(1, (-j, 0), j, j + 1) for j in range(6))
 
-    def stub_verdict(bundle, theorem):
-        return SimpleNamespace(theorem=theorem, applicable=True, consistent=False,
-                               condition_holds=False, form_holds=True, witnesses=witnesses,
-                               detected=(), detector_agrees=None)
+    def stub_verdicts(bundle, ids):
+        return [SimpleNamespace(theorem=theorem, applicable=True, consistent=False,
+                                condition_holds=False, form_holds=True, witnesses=witnesses,
+                                detected=(), detector_agrees=None) for theorem in ids]
 
-    monkeypatch.setattr(harness, "verify_theorem", stub_verdict)
+    monkeypatch.setattr(harness, "verify_bundle", stub_verdicts)
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
                             theorems=("T2B",))
     [finding] = run_verification(cfg).findings
@@ -315,6 +315,36 @@ def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
     assert set(calls) == expected_calls
     assert max(calls.values()) == 1
     assert [f for f in rep.findings if f["type"] == "t1_without_acm"] == expected
+
+
+def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
+    from collections import Counter
+
+    from mpreg import splitting
+
+    real_reg, real_rank = splitting.reg, splitting.rank
+    regs, ranks = Counter(), Counter()
+
+    def counting_reg(bundle, *args):
+        regs[bundle] += 1
+        return real_reg(bundle, *args)
+
+    def counting_rank(bundle):
+        ranks[bundle] += 1
+        return real_rank(bundle)
+
+    monkeypatch.setattr(splitting, "reg", counting_reg)
+    monkeypatch.setattr(splitting, "rank", counting_rank)
+    regular = run_verification(EnumerationConfig(spaces=("P2xP2",), cotangent=True,
+                                                 theorems=("T0", "T4")))
+    windows = run_verification(EnumerationConfig(spaces=("P1xP1xP2",), theorems=("T3", "T2B")))
+    assert (regular.total_bundles, windows.total_bundles) == (5150, 8000)
+    assert max(regs.values()) == max(ranks.values()) == 1
+    # every P2xP2 bundle needs Reg; only the Reg = 0 ones go on to need the rank
+    assert sum(regs.values()) == 5150
+    applicable = regular.per_theorem["T4"].applicable
+    assert 0 < applicable == regular.per_theorem["T0"].applicable < 5150
+    assert sum(ranks.values()) == applicable + 8000
 
 
 def test_comparison_requires_two_factors():
@@ -583,6 +613,54 @@ def test_cli_jobs_env_override(tmp_path):
                   env={"MPREG_JOBS": "2"})
     assert res.returncode == 0
     assert json.loads(res.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--theorem", "T1", "--theorem", "t1"], "spaces = P1xP1\n"),
+        ([], "spaces = P1xP1\ntheorems = T1, T1\n"),
+        ([], "spaces = P1xP1\ntheorems =\n"),
+    ],
+    ids=["repeated-flag", "repeated-in-config", "empty-in-config"],
+)
+def test_cli_verify_paper_empty_or_repeated_ids_exit_2(tmp_path, capsys, argv, config):
+    from mpreg import cli
+
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert cli.main(["verify-paper", "--config", str(path), *argv]) == 2
+    assert "check id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, env, argv, expected",
+    [
+        ("jobs = 2\n", None, [], 2),
+        ("jobs = 2\n", "3", [], 3),
+        ("jobs = 2\n", "3", ["--jobs", "1"], 1),
+        ("", None, [], 1),
+    ],
+    ids=["config", "env-over-config", "flag-over-env", "default"],
+)
+def test_cli_jobs_precedence(tmp_path, monkeypatch, capsys, config, env, argv, expected):
+    from mpreg import cli
+
+    seen = []
+
+    def spy(cfg):
+        seen.append(cfg.jobs)
+        return run_verification(replace(cfg, jobs=1))
+
+    monkeypatch.setattr(cli, "run_verification", spy)
+    if env is None:
+        monkeypatch.delenv("MPREG_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("MPREG_JOBS", env)
+    path = tmp_path / "run.cfg"
+    path.write_text("spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\n" + config)
+    assert cli.main(["verify-paper", "--config", str(path), *argv]) == 0
+    assert seen == [expected]
 
 
 def test_cli_classify_computes_reg_once(monkeypatch, capsys):

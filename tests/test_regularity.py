@@ -26,7 +26,6 @@ from mpreg.regularity import (
     _summand_reg,
     box_offsets,
     hw_offsets,
-    is_hw_regular_at,
     is_regular_at,
     reg,
     regularity_failures,
@@ -68,7 +67,7 @@ def test_strict_offsets_two_factors_only():
         list(hw_offsets(sp, 1))
     _, b = parse_bundle("P1xP1xP1", "O(0,0,0)")
     with pytest.raises(ArityError):
-        is_hw_regular_at(b, (0, 0, 0))
+        is_regular_at(b, (0, 0, 0), "hw")
 
 
 # closed form for a single line bundle: regular at (p,q) iff both shifted
@@ -160,7 +159,7 @@ def test_hw_implies_paper_on_samples():
     for text in ["O(0,0)", "O(1,-1)", "O(0)*W1(2)", "W1(1)*O(0) + O(2,2)"]:
         _, b = parse_bundle("P2xP3", text)
         for p in range(-2, 3):
-            if is_hw_regular_at(b, (p, p)):
+            if is_regular_at(b, (p, p), "hw"):
                 assert is_regular_at(b, (p, p)), (text, p)
 
 

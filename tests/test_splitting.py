@@ -17,7 +17,7 @@ from mpreg.bundles import (
     parse_space,
     rank,
 )
-from mpreg.cohomology import h_bundle, nonvanishing_t_window, summand_t_window
+from mpreg.cohomology import h_bundle, level_windows, nonvanishing_t_window, summand_supports
 from mpreg.regularity import _family, box_offsets, offsets, reg, summand_windows
 from mpreg.splitting import (
     CHECKS,
@@ -37,6 +37,7 @@ from mpreg.splitting import (
     detect_extremal_summand,
     extremal_menu,
     is_acm,
+    verify_bundle,
     verify_theorem,
 )
 
@@ -224,6 +225,19 @@ def test_extremal_menu_membership():
     assert t.summands[0] in menu
     _, c = parse_bundle("P2xP3", "O(0)*W2(3)")
     assert c.summands[0] in menu
+
+
+@pytest.mark.parametrize("space_text", ["P1xP1", "P2xP2", "P2xP3", "P3xP3", "P1xP1xP2", "P1xP2xP3"])
+def test_extremal_form_is_menu_membership(space_text):
+    from mpreg.harness import EnumerationConfig, enumerate_summands
+
+    space = parse_space(space_text)
+    menu = set(extremal_menu(space))
+    cfg = EnumerationConfig(spaces=(space_text,), cotangent=True, cot_twist_max=4)
+    summands = list(enumerate_summands(space, cfg))
+    assert menu <= set(summands)
+    for s in summands:
+        assert classify_form(make_bundle(space, [s]), TheoremId.T4) == (s in menu), s
 
 
 def test_form_menus_for_t0():
@@ -451,7 +465,7 @@ def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
     space = bundle.space
     for i in range(1, space.total_dim):
         for k in box_offsets(space, i, at_least=True):
-            windows = [summand_t_window(space, s, k, i) for s in bundle.summands]
+            windows = [level_windows(summand_supports(space, s), k).get(i) for s in bundle.summands]
             los = [w[0] for w in windows if w is not None]
             if not los:
                 continue
@@ -498,6 +512,15 @@ def test_verdict_bits_and_lazy_witnesses_match_condition_for(bundle):
         verdict = verify_theorem(bundle, tid)
         assert verdict.condition_holds == cond, tid
         assert verdict.witnesses == tuple(witnesses), tid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fold_bundles())
+def test_verify_bundle_matches_one_verdict_per_id(bundle):
+    verdicts = verify_bundle(bundle, tuple(TheoremId))
+    expected = [verify_theorem(bundle, tid) for tid in TheoremId]
+    assert verdicts == expected
+    assert [v.witnesses for v in verdicts] == [v.witnesses for v in expected]
 
 
 _LAZY_CASES = (("P2xP3", "O(0,0) + O(0,1)"), ("P1xP2", "O(1,1)"), ("P1xP2", "O(0,2)"),
