@@ -9,10 +9,11 @@ The default battery covers the ranges the test suite uses:
 
 Each batch prints per-check counts (applicable, consistent, inconsistent)
 followed by a capped listing of findings.  Exit status is 0 when every batch
-is clean and 1 otherwise.  The full battery exits 1 by design: beyond the
-catalogued T2B and P4 gaps, the C1/T0/T4 conditions quantify over ranges
-bounded by the rank, so low-rank bundles satisfy them vacuously while
-falling outside the predicted form, and those show up here as findings too.
+is clean, 1 otherwise, and 2 on a configuration error such as ``--jobs 0``.
+The full battery exits 1 by design: beyond the catalogued T2B and P4 gaps,
+the C1/T0/T4 conditions quantify over ranges bounded by the rank, so
+low-rank bundles satisfy them vacuously while falling outside the predicted
+form, and those show up here as findings too.
 
 Usage:
   python scripts/run_verification.py              # full battery
@@ -29,6 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from mpreg.bundles import ModelError
 from mpreg.harness import EnumerationConfig, RunReport, default_jobs, run_verification
 
 FINDINGS_CAP = 12
@@ -115,13 +117,16 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=None, help="worker processes")
     args = ap.parse_args(argv)
 
-    jobs = default_jobs(args.jobs)
     clean = True
-    for label, cfg in battery(args.quick):
-        cfg = replace(cfg, jobs=jobs)
-        rep = run_verification(cfg)
-        print_report(label, rep)
-        clean = clean and rep.ok
+    try:
+        jobs = default_jobs(args.jobs)
+        for label, cfg in battery(args.quick):
+            rep = run_verification(replace(cfg, jobs=jobs))
+            print_report(label, rep)
+            clean = clean and rep.ok
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print("battery clean" if clean else "battery has findings")
     return 0 if clean else 1
 

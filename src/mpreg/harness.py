@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -62,6 +63,14 @@ class EnumerationConfig:
                 raise ConfigError(f"unknown check id {t!r}")
         if not self.theorems or len(set(self.theorems)) < len(self.theorems):
             raise ConfigError(f"list each check id once, got {', '.join(self.theorems) or 'none'}")
+        canonical = set()
+        for text in self.spaces:
+            try:
+                canonical.add(format_space(parse_space(text)))
+            except ParseError as exc:
+                raise ConfigError(f"bad space {text!r}: {exc}") from exc
+        if len(canonical) < len(self.spaces):
+            raise ConfigError(f"list each space once, got {', '.join(self.spaces)}")
 
 
 def parse_range(value: str) -> tuple[int, int]:
@@ -97,13 +106,6 @@ def parse_config_text(text: str) -> EnumerationConfig:
             parts = [p.strip() for p in val.split(",") if p.strip()]
             if not parts:
                 raise ConfigError(f"line {lineno}: no spaces listed")
-            for p in parts:
-                try:
-                    parse_space(p)
-                except ParseError as exc:
-                    raise ConfigError(
-                        f"line {lineno}: bad space {p!r}: {exc}"
-                    ) from exc
             values["spaces"] = tuple(parts)
         elif key == "degrees":
             values["degree_min"], values["degree_max"] = parse_range(val)
@@ -236,39 +238,34 @@ def _check_bundle(space_text: str, bundle: Bundle, ids: tuple[TheoremId, ...]):
     return name, rows
 
 
-def _run_chunk(args):
-    space_text, bundles, theorems = args
-    ids = tuple(map(TheoremId, theorems))
-    return [_check_bundle(space_text, b, ids) for b in bundles]
+_CHUNK = 256  # bundles per pool task; see "Enumeration harness" in the README
 
 
-def pool_size(jobs: int, cpus: Optional[int], bundles: int) -> int:
-    """Worker processes for a run: no more than asked for, than there are
-    cores (``os.cpu_count()``, None when unknown) or than there are bundles."""
-    return max(1, min(jobs, cpus or 1, bundles))
+def pool_size(jobs: int, cpus: Optional[int]) -> int:
+    """Worker processes for a run of more than one job: no more than asked
+    for or than there are cores (``os.cpu_count()``, None when unknown)."""
+    return max(1, min(jobs, cpus or 1))
 
 
 def run_verification(cfg: EnumerationConfig) -> RunReport:
+    """Check every bundle of every configured space for ``cfg.theorems``.
+    Bundles stream from ``enumerate_bundles``: a serial run holds one at a
+    time, and a pool of ``pool_size`` workers takes them ``_CHUNK`` at a
+    time and returns them in order, so both give the same report."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
     total = 0
 
-    families = []
-    for space_text in cfg.spaces:
-        space = parse_space(space_text)
-        families.append((format_space(space), list(enumerate_bundles(space, cfg))))
-    workers = pool_size(cfg.jobs, os.cpu_count(), sum(len(b) for _, b in families))
-
-    tasks = []
-    for label, bundles in families:
-        chunk = max(1, len(bundles) // (workers * 8))
-        for start_idx in range(0, len(bundles), chunk):
-            tasks.append((label, bundles[start_idx : start_idx + chunk], cfg.theorems))
-
+    ids = tuple(map(TheoremId, cfg.theorems))
+    spaces = [parse_space(text) for text in cfg.spaces]
+    workers = pool_size(cfg.jobs, os.cpu_count()) if cfg.jobs > 1 else 1
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for result in (pool.map if pool else map)(_run_chunk, tasks):
-            for name, rows in result:
+        for space in spaces:
+            check = partial(_check_bundle, format_space(space), ids=ids)
+            bundles = enumerate_bundles(space, cfg)
+            results = pool.map(check, bundles, chunksize=_CHUNK) if pool else map(check, bundles)
+            for name, rows in results:
                 total += 1
                 for tid, applicable, consistent, fnds in rows:
                     st = per_theorem[tid]
@@ -294,13 +291,14 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
 
 
 def default_jobs(explicit: Optional[int] = None, configured: int = 1) -> int:
-    """Worker processes: explicit (--jobs), else MPREG_JOBS, else configured."""
+    """Worker processes: explicit (--jobs), else MPREG_JOBS, else configured.
+    A value below 1 is passed on for EnumerationConfig to refuse."""
     if explicit is not None:
         return explicit
     env = os.environ.get("MPREG_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError as exc:
             raise ConfigError(f"MPREG_JOBS must be an integer, got {env!r}") from exc
     return configured

@@ -95,6 +95,17 @@ def test_parse_bundle_raises_only_parse_error(space_text, bundle_text):
         pass
 
 
+def test_space_listed_twice_is_a_config_error(tmp_path, capsys):
+    from mpreg import cli
+
+    with pytest.raises(ConfigError, match="list each space once"):
+        EnumerationConfig(spaces=("P1xP1", "P2", "p1Xp1"))
+    path = tmp_path / "run.cfg"
+    path.write_text("spaces = P1xP1, p1xp1\n")
+    assert cli.main(["verify-paper", "--config", str(path)]) == 2
+    assert "list each space once, got P1xP1, p1xp1" in capsys.readouterr().err
+
+
 def test_parse_config_overlong_integer_is_a_config_error():
     with pytest.raises(ConfigError, match="bad space"):
         parse_config_text("spaces = P" + "9" * 5000)
@@ -122,6 +133,11 @@ def test_default_jobs_env(monkeypatch):
     assert default_jobs(4) == 4
     monkeypatch.setenv("MPREG_JOBS", "3")
     assert default_jobs(None) == 3
+    # passed on unclamped, for EnumerationConfig to refuse like --jobs 0
+    monkeypatch.setenv("MPREG_JOBS", "0")
+    assert default_jobs(None) == 0
+    monkeypatch.setenv("MPREG_JOBS", "-2")
+    assert default_jobs(None, 4) == -2
     monkeypatch.setenv("MPREG_JOBS", "zero")
     with pytest.raises(ConfigError):
         default_jobs(None)
@@ -276,13 +292,75 @@ def test_run_verification_parallel_matches_serial():
     assert parallel.findings == serial.findings
 
 
+_SMALL_SPACES = ("P1", "P2", "P1xP1", "P1xP2", "P2xP1", "P2xP2")
+
+
+@st.composite
+def _small_configs(draw):
+    degree_min = draw(st.integers(-1, 1))
+    cot_twist_min = draw(st.integers(-1, 1))
+    return EnumerationConfig(
+        spaces=tuple(draw(st.lists(st.sampled_from(_SMALL_SPACES), min_size=1, max_size=2,
+                                   unique=True))),
+        degree_min=degree_min,
+        degree_max=draw(st.integers(degree_min, 1)),
+        cotangent=draw(st.booleans()),
+        cot_twist_min=cot_twist_min,
+        cot_twist_max=draw(st.integers(cot_twist_min, 1)),
+        max_summands=draw(st.integers(1, 2)),
+        theorems=tuple(draw(st.lists(st.sampled_from(ALL_THEOREMS), min_size=1, unique=True))),
+    )
+
+
+# each example starts a pool
+@settings(max_examples=8, deadline=None)
+@given(_small_configs(), st.integers(1, 64))
+def test_parallel_report_equals_serial_on_drawn_configs(cfg, chunk):
+    from unittest import mock
+
+    from mpreg import harness
+
+    serial = run_verification(cfg)
+    # small tasks, so that a family spans several and their order matters
+    with mock.patch.object(harness, "_CHUNK", chunk):
+        parallel = run_verification(replace(cfg, jobs=2))
+    assert replace(parallel, config=cfg, elapsed_seconds=0) == replace(serial, elapsed_seconds=0)
+
+
+def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
+    from mpreg import harness
+
+    real_enumerate, real_verify = harness.enumerate_bundles, harness.verify_bundle
+    events = []
+
+    def logged_enumerate(space, cfg):
+        for bundle in real_enumerate(space, cfg):
+            events.append(("pulled", bundle))
+            yield bundle
+
+    def logged_verify(bundle, ids):
+        events.append(("checked", bundle))
+        return real_verify(bundle, ids)
+
+    def no_cpu_count():
+        raise AssertionError("a serial run asks for no core count")
+
+    monkeypatch.setattr(harness, "enumerate_bundles", logged_enumerate)
+    monkeypatch.setattr(harness, "verify_bundle", logged_verify)
+    monkeypatch.setattr(harness.os, "cpu_count", no_cpu_count)
+    cfg = EnumerationConfig(spaces=("P1xP1", "P2"), degree_min=-1, degree_max=1,
+                            theorems=("T1", "T3"))
+    assert run_verification(cfg).total_bundles == 54 + 9
+    bundles = [b for text in cfg.spaces for b in real_enumerate(parse_space(text), cfg)]
+    # bundle n + 1 is pulled only after bundle n has been checked
+    assert events == [(kind, b) for b in bundles for kind in ("pulled", "checked")]
+
+
 def test_pool_size_bounded_by_jobs_cores_and_bundles():
-    assert pool_size(8, 2, 100) == 2
-    assert pool_size(2, 16, 100) == 2
-    assert pool_size(8, 16, 3) == 3
-    assert pool_size(4, None, 100) == 1
-    assert pool_size(4, 4, 0) == 1
-    assert pool_size(1, 64, 1000) == 1
+    assert pool_size(8, 2) == 2
+    assert pool_size(2, 16) == 2
+    assert pool_size(4, None) == 1
+    assert pool_size(1, 64) == 1
 
 
 def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
@@ -661,6 +739,33 @@ def test_cli_jobs_precedence(tmp_path, monkeypatch, capsys, config, env, argv, e
     path.write_text("spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\n" + config)
     assert cli.main(["verify-paper", "--config", str(path), *argv]) == 0
     assert seen == [expected]
+
+
+@pytest.mark.parametrize(
+    "config, env, argv",
+    [("jobs = 0\n", None, []), ("", "0", []), ("jobs = 2\n", None, ["--jobs", "0"])],
+    ids=["config", "env", "flag"],
+)
+def test_cli_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, config, env, argv):
+    from mpreg import cli
+
+    if env is None:
+        monkeypatch.delenv("MPREG_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("MPREG_JOBS", env)
+    path = tmp_path / "run.cfg"
+    path.write_text("spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\n" + config)
+    assert cli.main(["verify-paper", "--config", str(path), *argv]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env", [(["--jobs", "0"], {}), ([], {"MPREG_JOBS": "0"})],
+                         ids=["flag", "env"])
+def test_battery_script_jobs_below_one_exits_2(argv, env):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_verification.py")
+    res = subprocess.run([sys.executable, script, "--quick", *argv], capture_output=True,
+                         text=True, env={**os.environ, **env}, timeout=300)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: jobs must be at least 1\n")
 
 
 def test_cli_classify_computes_reg_once(monkeypatch, capsys):
