@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Union
 
@@ -48,6 +49,10 @@ class Space:
         for n in self.dims:
             if not isinstance(n, int) or n < 1:
                 raise ModelError(f"factor dimensions must be positive integers, got {n!r}")
+        object.__setattr__(self, "_hash", hash(self.dims))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def num_factors(self) -> int:
@@ -111,6 +116,15 @@ def atom_sort_key(atom: Atom) -> tuple[int, int, int]:
 class BoxSummand:
     atoms: tuple[Atom, ...]
 
+    def __post_init__(self):
+        # Memo keys: hashed once, from doubled integers, since hash(-1) ==
+        # hash(-2) and the generated hash would give O(-1), O(-2) one value.
+        object.__setattr__(self, "_hash", hash(tuple(
+            2 * a.degree if isinstance(a, Line) else (2 * a.p, 2 * a.twist) for a in self.atoms)))
+
+    def __hash__(self):
+        return self._hash
+
 
 @dataclass(frozen=True)
 class Bundle:
@@ -135,8 +149,15 @@ def _summand_key(s: BoxSummand):
     return tuple(atom_sort_key(a) for a in s.atoms)
 
 
+def _is_normal(space: Space, s: BoxSummand) -> bool:
+    """Would make_summand return a summand equal to s?"""
+    return len(s.atoms) == len(space.dims) and all(
+        isinstance(a, Line) or 0 < a.p < n for n, a in zip(space.dims, s.atoms))
+
+
 def make_bundle(space: Space, summands: Iterable[BoxSummand]) -> Bundle:
-    summands = [make_summand(space, s.atoms) for s in summands]
+    # a summand already normal is kept as made, so memos keyed on it hit by identity
+    summands = [s if _is_normal(space, s) else make_summand(space, s.atoms) for s in summands]
     if not summands:
         raise ModelError("a bundle needs at least one summand")
     return Bundle(space, tuple(sorted(summands, key=_summand_key)))
@@ -276,7 +297,9 @@ class _Parser:
 MAX_SPACE_SIZE = 4096  # dim X * prod(n_j + 1); a larger space is refused
 
 
+@lru_cache(maxsize=256)
 def parse_space(text: str) -> Space:
+    """One Space object per text; a ParseError is raised again on each call."""
     p = _Parser(text)
     dims = []
     while True:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -239,6 +240,24 @@ def _check_bundle(space_text: str, bundle: Bundle, ids: tuple[TheoremId, ...]):
 
 
 _CHUNK = 256  # bundles per pool task; see "Enumeration harness" in the README
+_IN_FLIGHT = 2  # pool tasks outstanding per worker, so the family is never held whole
+
+
+def _map_chunk(fn, items: list) -> list:
+    return list(map(fn, items))
+
+
+def _pool_map(pool, fn, items, workers: int):
+    """fn over items, in order, ``_CHUNK`` items per pool task and at most
+    ``_IN_FLIGHT * workers`` tasks submitted and not yet read."""
+    items = iter(items)
+    pending: deque = deque()
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        if len(pending) == _IN_FLIGHT * workers:
+            yield from pending.popleft().result()
+        pending.append(pool.submit(_map_chunk, fn, chunk))
+    while pending:
+        yield from pending.popleft().result()
 
 
 def pool_size(jobs: int, cpus: Optional[int]) -> int:
@@ -251,7 +270,8 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``.
     Bundles stream from ``enumerate_bundles``: a serial run holds one at a
     time, and a pool of ``pool_size`` workers takes them ``_CHUNK`` at a
-    time and returns them in order, so both give the same report."""
+    time, with at most ``_IN_FLIGHT`` tasks per worker outstanding, and
+    returns them in order, so both give the same report."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
@@ -264,7 +284,7 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
         for space in spaces:
             check = partial(_check_bundle, format_space(space), ids=ids)
             bundles = enumerate_bundles(space, cfg)
-            results = pool.map(check, bundles, chunksize=_CHUNK) if pool else map(check, bundles)
+            results = _pool_map(pool, check, bundles, workers) if pool else map(check, bundles)
             for name, rows in results:
                 total += 1
                 for tid, applicable, consistent, fnds in rows:

@@ -1,10 +1,17 @@
 """Structure layer: atoms, summands, bundles, the text format, duality."""
 
+import itertools
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mpreg.bundles import (
     ArityError,
+    BoxSummand,
     Cotangent,
     InvalidAtomError,
     Line,
@@ -14,6 +21,7 @@ from mpreg.bundles import (
     dualize,
     format_bundle,
     format_space,
+    format_summand,
     line_bundle,
     line_summand,
     make_bundle,
@@ -214,3 +222,90 @@ def test_double_dual(b):
 def test_twist_untwist(b, tv):
     tv = tv[: b.space.num_factors]
     assert twist(twist(b, tv), tuple(-t for t in tv)) == b
+
+
+# ---------------------------------------------------------------------------
+# memo keys: one stored hash per object, and no systematic collisions
+
+
+def test_line_summand_hashes_are_distinct():
+    # hash(-1) == hash(-2) in CPython; the generated dataclass hash gave the
+    # 125 summands O(a,b,c), -2 <= a,b,c <= 2, only 64 values
+    sp = parse_space("P1xP1xP1")
+    summands = [line_summand(sp, d) for d in itertools.product(range(-2, 3), repeat=3)]
+    assert len({hash(s) for s in summands}) == len(summands) == 125
+
+
+def test_cotangent_family_hashes_are_distinct():
+    sp = parse_space("P2xP2")
+    atoms = [Line(d) for d in range(-2, 3)] + [Cotangent(1, t) for t in range(-2, 3)]
+    summands = [make_summand(sp, pair) for pair in itertools.product(atoms, repeat=2)]
+    assert len({hash(s) for s in summands}) == len(summands) == 100
+
+
+@st.composite
+def raw_summands(draw):
+    """A space and atoms as a user may write them, W^0 and W^n included."""
+    sp = draw(spaces())
+    atoms = [Cotangent(draw(st.integers(0, n)), draw(degree)) if draw(st.booleans())
+             else Line(draw(degree)) for n in sp.dims]
+    return sp, atoms
+
+
+@given(raw_summands())
+def test_summand_made_twice_is_equal_with_equal_hash(drawn):
+    sp, atoms = drawn
+    first = make_summand(sp, atoms)
+    again = make_summand(sp, atoms)
+    _, parsed = parse_bundle(format_space(sp), format_summand(sp, first))
+    for other in (again, BoxSummand(first.atoms), parsed.summands[0]):
+        assert other == first and hash(other) == hash(first)
+    assert hash(Space(sp.dims)) == hash(sp)
+
+
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def test_pickled_summand_keeps_its_hash_under_another_hash_seed():
+    # the stored hash travels with a pickled summand, e.g. to a pool worker,
+    # so it must not depend on the process's string hash salt
+    text = "W1(-1)*O(-2) + O(-1,2)"
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    code = ("import pickle, sys\n"
+            "from mpreg.bundles import parse_bundle\n"
+            f"_, b = parse_bundle('P2xP2', {text!r})\n"
+            "sys.stdout.buffer.write(pickle.dumps(b.summands))\n")
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         check=True, timeout=60).stdout
+    theirs = pickle.loads(out)
+    _, ours = parse_bundle("P2xP2", text)
+    assert theirs == ours.summands
+    assert [hash(s) for s in theirs] == [hash(s) for s in ours.summands]
+
+
+def test_make_bundle_keeps_normal_summands_as_made():
+    sp = parse_space("P2xP1")
+    given_summands = [make_summand(sp, [Cotangent(1, 0), Line(-1)]), line_summand(sp, (2, -2))]
+    kept = make_bundle(sp, given_summands).summands
+    assert sorted(map(id, kept)) == sorted(map(id, given_summands))
+    # summands not normal for the space are still rewritten: W0(t) is O(t)
+    # and W2(t) is O(t - 3) on P2
+    raw = [BoxSummand((Cotangent(0, 4), Line(0))), BoxSummand((Cotangent(2, 1), Line(1)))]
+    assert make_bundle(sp, raw) == line_bundle(sp, (4, 0), (-2, 1))
+    with pytest.raises(InvalidAtomError):
+        make_bundle(sp, [BoxSummand((Cotangent(3, 0), Line(0)))])
+    with pytest.raises(ArityError):
+        make_bundle(sp, [BoxSummand((Line(0),))])
+
+
+def test_parse_space_gives_one_space_per_text():
+    assert parse_space("P2xP3") is parse_space("P2xP3")
+    maxsize = parse_space.cache_info().maxsize
+    for k in range(maxsize + 10):
+        parse_space(" " * k + "P1xP2")
+    assert parse_space.cache_info().currsize <= maxsize
+    for _ in range(3):
+        with pytest.raises(ParseError):
+            parse_space("P2xQ3")

@@ -356,6 +356,73 @@ def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
     assert events == [(kind, b) for b in bundles for kind in ("pulled", "checked")]
 
 
+def test_parallel_run_bounds_the_tasks_in_flight(monkeypatch):
+    from mpreg import harness
+
+    pools = []
+
+    class RecordingExecutor:
+        """Runs each task when submitted; records the most tasks submitted
+        and not yet read."""
+
+        def __init__(self, max_workers):
+            self.workers, self.submitted, self.outstanding, self.most = max_workers, 0, 0, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            executor, value = self, fn(*args)
+            self.submitted += 1
+            self.outstanding += 1
+            self.most = max(self.most, self.outstanding)
+
+            class Task:
+                def result(self):
+                    executor.outstanding -= 1
+                    return value
+
+            return Task()
+
+    cfg = EnumerationConfig(spaces=("P1xP1", "P2"), theorems=("T1", "T3"))
+    serial = run_verification(cfg)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_CHUNK", 4)
+    parallel = run_verification(replace(cfg, jobs=2))
+    assert replace(parallel, config=cfg, elapsed_seconds=0) == replace(serial, elapsed_seconds=0)
+    (pool,) = pools
+    # 350 bundles on P1xP1 and 20 on P2, four to a task
+    assert (serial.total_bundles, pool.submitted) == (370, 88 + 5)
+    assert pool.most == harness._IN_FLIGHT * pool.workers == 4
+    assert pool.outstanding == 0
+
+
+def test_sweep_hits_memos_by_identity(monkeypatch):
+    # every summand key of a sweep is the enumerator's own object, and model
+    # hashes do not collide, so no memo lookup falls back to __eq__
+    from mpreg import regularity, splitting
+    from mpreg.bundles import BoxSummand, Space
+
+    for memo in (regularity.offsets, regularity.summand_windows, splitting._summand_fails,
+                 regularity._summand_reg):
+        memo.cache_clear()
+    calls = {BoxSummand: 0, Space: 0}
+    for cls in calls:
+        def counted(self, other, _eq=cls.__eq__, _cls=cls):
+            calls[_cls] += 1
+            return _eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    cfg = EnumerationConfig(spaces=("P1xP1xP1", "P1xP1xP2"), theorems=("T3", "T2B"))
+    assert run_verification(cfg).total_bundles == 16000
+    assert calls == {BoxSummand: 0, Space: 0}
+
+
 def test_pool_size_bounded_by_jobs_cores_and_bundles():
     assert pool_size(8, 2) == 2
     assert pool_size(2, 16) == 2

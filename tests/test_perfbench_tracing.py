@@ -24,14 +24,14 @@ _RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 def test_benchmark_reset_clears_every_memo():
     # The benchmark empties the program's caches before each round; a memo it
     # cannot find would stay warm across rounds and change what is measured.
-    from mpreg import regularity, splitting
+    from mpreg import bundles, regularity, splitting
     from mpreg.bundles import parse_bundle
 
     spec = importlib.util.spec_from_file_location("perfbench_run", _RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     memos = (regularity.offsets, regularity.summand_windows, splitting._summand_fails,
-             regularity._summand_reg)
+             regularity._summand_reg, bundles.parse_space)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
     before = [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId]
     assert all(memo.cache_info().currsize for memo in memos)
