@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from operator import attrgetter
 from typing import Iterable, Union
 
 
@@ -106,21 +107,24 @@ def atom_rank(n: int, atom: Atom) -> int:
     return comb(n, atom.p)
 
 
-def atom_sort_key(atom: Atom) -> tuple[int, int, int]:
-    if isinstance(atom, Line):
-        return (0, 0, atom.degree)
-    return (1, atom.p, atom.twist)
-
-
 @dataclass(frozen=True)
 class BoxSummand:
+    """One atom per factor, with facts stored when made: ``key``, three
+    integers per atom, (0, 0, 2d) for O(d) and (1, 2p, 2t) for W^p(t), is
+    both the sort key and the hash (doubled, since hash(-1) == hash(-2)
+    would give O(-1) and O(-2) one hash); ``degrees`` are the line degrees,
+    or None when an atom is a cotangent."""
+
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        # Memo keys: hashed once, from doubled integers, since hash(-1) ==
-        # hash(-2) and the generated hash would give O(-1), O(-2) one value.
-        object.__setattr__(self, "_hash", hash(tuple(
-            2 * a.degree if isinstance(a, Line) else (2 * a.p, 2 * a.twist) for a in self.atoms)))
+        key = []
+        for a in self.atoms:
+            key += (0, 0, 2 * a.degree) if isinstance(a, Line) else (1, 2 * a.p, 2 * a.twist)
+        key = tuple(key)
+        lines = all(isinstance(a, Line) for a in self.atoms)
+        vars(self).update(key=key, _hash=hash(key),
+                          degrees=tuple(a.degree for a in self.atoms) if lines else None)
 
     def __hash__(self):
         return self._hash
@@ -145,14 +149,13 @@ def line_summand(space: Space, degrees: Iterable[int]) -> BoxSummand:
     return make_summand(space, (Line(d) for d in degrees))
 
 
-def _summand_key(s: BoxSummand):
-    return tuple(atom_sort_key(a) for a in s.atoms)
+_summand_key = attrgetter("key")
 
 
 def _is_normal(space: Space, s: BoxSummand) -> bool:
-    """Would make_summand return a summand equal to s?"""
-    return len(s.atoms) == len(space.dims) and all(
-        isinstance(a, Line) or 0 < a.p < n for n, a in zip(space.dims, s.atoms))
+    """Would make_summand return a summand equal to s?  Line atoms always are."""
+    return len(s.atoms) == len(space.dims) and (s.degrees is not None or all(
+        isinstance(a, Line) or 0 < a.p < n for n, a in zip(space.dims, s.atoms)))
 
 
 def make_bundle(space: Space, summands: Iterable[BoxSummand]) -> Bundle:
@@ -168,6 +171,8 @@ def line_bundle(space: Space, *degree_vectors: Iterable[int]) -> Bundle:
 
 
 def summand_rank(space: Space, s: BoxSummand) -> int:
+    if s.degrees is not None:
+        return 1
     r = 1
     for n, a in zip(space.dims, s.atoms):
         r *= atom_rank(n, a)

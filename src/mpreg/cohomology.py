@@ -13,8 +13,9 @@ twist a summand's window for each level is one interval.  A summand's
 supports are read once (summand_supports); an offset k only shifts them, and
 one sweep over the ranges' starts gives the windows of every level at k
 (level_windows), in O(s^2) for s factors.  regularity.summand_windows
-sweeps each distinct offset of a family once and keeps the windows for the
-check bits, the witnesses and Reg.
+keeps the windows for the check bits, the witnesses and Reg; it sweeps each
+untwisted summand once, since a diagonal twist by c shifts every window by
+-c.
 """
 
 from __future__ import annotations
@@ -151,9 +152,14 @@ def _atom_support(n: int, atom: Atom) -> tuple[tuple[int, Endpoint, Endpoint], .
     below."""
     atom = normalize_atom(n, atom)
     if isinstance(atom, Line):
-        a = atom.degree
-        return ((0, -a, None), (n, None, -a - n - 1))
-    p, c = atom.p, atom.twist
+        return _support(n, 0, atom.degree)
+    return _support(n, atom.p, atom.twist)
+
+
+def _support(n: int, p: int, c: int) -> tuple[tuple[int, Endpoint, Endpoint], ...]:
+    """_atom_support of W^p(c) on P^n, 1 <= p <= n-1, or of O(c) for p = 0."""
+    if p == 0:
+        return ((0, -c, None), (n, None, -c - n - 1))
     return ((0, p + 1 - c, None), (p, -c, -c), (n, None, p - n - 1 - c))
 
 

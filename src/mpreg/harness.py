@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
+from math import prod
 from typing import Iterable, Optional
 
 from .bundles import (
@@ -36,6 +36,21 @@ ALL_THEOREMS = tuple(t.value for t in TheoremId)
 
 class ConfigError(ModelError):
     pass
+
+
+MAX_BUNDLES = 10**7  # bundles in one run, over all its spaces; a larger family is refused
+
+
+def _multisets(n: int, k: int, cap: int) -> int:
+    """Multisets of 1 to k items of n kinds: the sum over j of
+    C(n + j - 1, j), which is C(n + k, k) - 1.  The product runs over
+    min(n, k) factors and stops once past cap, returning a value past cap."""
+    c = 1
+    for j in range(1, min(n, k) + 1):
+        c = c * (max(n, k) + j) // j
+        if c > cap + 1:
+            break
+    return c - 1
 
 
 @dataclass(frozen=True)
@@ -64,14 +79,21 @@ class EnumerationConfig:
                 raise ConfigError(f"unknown check id {t!r}")
         if not self.theorems or len(set(self.theorems)) < len(self.theorems):
             raise ConfigError(f"list each check id once, got {', '.join(self.theorems) or 'none'}")
-        canonical = set()
+        canonical, count = set(), 0
+        lines = self.degree_max - self.degree_min + 1
+        twists = self.cot_twist_max - self.cot_twist_min + 1 if self.cotangent else 0
         for text in self.spaces:
             try:
-                canonical.add(format_space(parse_space(text)))
+                space = parse_space(text)
             except ParseError as exc:
                 raise ConfigError(f"bad space {text!r}: {exc}") from exc
+            canonical.add(format_space(space))
+            summands = prod(lines + (n - 1) * twists for n in space.dims)  # as enumerate_atoms
+            count += _multisets(summands, self.max_summands, MAX_BUNDLES)
         if len(canonical) < len(self.spaces):
             raise ConfigError(f"list each space once, got {', '.join(self.spaces)}")
+        if count > MAX_BUNDLES:
+            raise ConfigError(f"the family holds more than MAX_BUNDLES = {MAX_BUNDLES} bundles")
 
 
 def parse_range(value: str) -> tuple[int, int]:
@@ -160,12 +182,11 @@ def enumerate_bundles(space: Space, cfg: EnumerationConfig):
         enumerate_summands(space, cfg),
         key=lambda s: tuple((a.degree, -1) if isinstance(a, Line) else (a.twist, a.p) for a in s.atoms),
     )
-    # the summands are canonical already: sorting a multiset by the canonical
+    # the summands are canonical already: sorting a multiset by the stored
     # key (unique per summand) gives the bundle make_bundle would
-    keyed = [(_summand_key(s), s) for s in summands]
     for size in range(1, cfg.max_summands + 1):
-        for combo in itertools.combinations_with_replacement(keyed, size):
-            yield Bundle(space, tuple(s for _, s in sorted(combo, key=itemgetter(0))))
+        for combo in itertools.combinations_with_replacement(summands, size):
+            yield Bundle(space, tuple(sorted(combo, key=_summand_key)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
 required).  summand_windows is the one memoized (index, lo, hi) record per
-(summand, family): it reads the summand's atom supports once and sweeps each
-distinct offset of the family once, for the windows of all its levels.  reg
-is a max of a memoized Reg per summand read off it.
+(summand, family).  At offset k it reads the windows of all levels from one
+sweep of the untwisted summand S(k - (c, ..., c)), c = t_1 + k_1, shifted
+by -c.  The sweeps are memoized on integers (_untwisted_windows), so
+summands and families that reach the same untwisted summand share one.
+reg is a max of a memoized Reg per summand read off the records.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import itertools
 from functools import lru_cache
 from typing import Callable, Iterator, Union
 
-from .bundles import ArityError, BoxSummand, Bundle, ModelError, Space
-from .cohomology import _twist_vector, h_bundle, level_windows, summand_supports
+from .bundles import ArityError, BoxSummand, Bundle, Line, ModelError, Space, normalize_atom
+from .cohomology import _support, _twist_vector, h_bundle, level_windows
 
 DEFINITIONS = ("paper", "hw")
 
@@ -61,19 +63,35 @@ def offsets(space: Space, family: Callable, r: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _untwisted_windows(factors: tuple) -> dict:
+    """level_windows at offset 0 of the summand with factors (n_j, p_j, t_j):
+    W^p_j(t_j) on P^n_j, or O(t_j) for p_j = 0.  Keyed on integers, with
+    t_1 = 0 (summand_windows), so summands that differ by an offset or a
+    diagonal twist share one sweep."""
+    return level_windows(tuple(_support(*f) for f in factors), (0,) * len(factors))
+
+
+@lru_cache(maxsize=None)
 def summand_windows(space: Space, summand: BoxSummand, family: Callable, r: int) -> tuple:
     """(index, lo, hi) for each index of the family where the summand's
-    window is nonempty, None for an unbounded end.  The atom supports are
-    read once, and each distinct offset of the family is swept once."""
-    supports = summand_supports(space, summand)
+    window is nonempty, None for an unbounded end.  At offset k the summand
+    has the windows of its twist by k - (c, ..., c), c = t_1 + k_1 its first
+    twisted degree, shifted by -c: one _untwisted_windows per offset."""
+    atoms = map(normalize_atom, space.dims, summand.atoms)
+    base = [(n, 0, a.degree) if isinstance(a, Line) else (n, a.p, a.twist)
+            for n, a in zip(space.dims, atoms)]
     levels: dict = {}
     records = []
     for index, (i, k, _) in enumerate(offsets(space, family, r)):
         if k not in levels:
-            levels[k] = level_windows(supports, k)
-        window = levels[k].get(i)
+            c = base[0][2] + k[0]
+            levels[k] = c, _untwisted_windows(tuple(
+                (n, p, t + kj - c) for (n, p, t), kj in zip(base, k)))
+        c, windows = levels[k]
+        window = windows.get(i)
         if window is not None:
-            records.append((index, *window))
+            lo, hi = window
+            records.append((index, None if lo is None else lo - c, None if hi is None else hi - c))
     return tuple(records)
 
 

@@ -240,8 +240,7 @@ def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
 def _degrees(bundle: Bundle) -> tuple:
     """What a form reads besides the bundle: per summand, the degrees of a
     line summand, or None for a summand with a cotangent atom."""
-    return tuple(tuple(a.degree for a in s.atoms) if all(isinstance(a, Line) for a in s.atoms)
-                 else None for s in bundle.summands)
+    return tuple(s.degrees for s in bundle.summands)
 
 
 def _lines_within(bundle: Bundle, degrees: tuple, spread: int) -> bool:
@@ -463,18 +462,26 @@ def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> 
 # verdicts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TheoremVerdict:
     theorem: TheoremId
     applicable: bool
-    reason: Optional[str] = None
-    condition_holds: Optional[bool] = None
-    form_holds: Optional[bool] = None
-    consistent: Optional[bool] = None
-    detected: tuple = ()
-    detector_agrees: Optional[bool] = None
-    bundle: Optional[Bundle] = field(default=None, repr=False)
-    rank: Optional[int] = field(default=None, repr=False)  # the bundle's, for the witnesses
+    reason: Optional[str]
+    condition_holds: Optional[bool]
+    form_holds: Optional[bool]
+    consistent: Optional[bool]
+    detected: tuple
+    detector_agrees: Optional[bool]
+    bundle: Optional[Bundle] = field(repr=False)
+    rank: Optional[int] = field(repr=False)  # the bundle's, for the witnesses
+
+    def __init__(self, theorem, applicable, reason=None, condition_holds=None, form_holds=None,
+                 consistent=None, detected=(), detector_agrees=None, bundle=None, rank=None):
+        # frozen all the same: one dict update, not a frozen setattr per field
+        vars(self).update(theorem=theorem, applicable=applicable, reason=reason,
+                          condition_holds=condition_holds, form_holds=form_holds,
+                          consistent=consistent, detected=detected,
+                          detector_agrees=detector_agrees, bundle=bundle, rank=rank)
 
     @cached_property
     def witnesses(self) -> tuple:

@@ -1,6 +1,8 @@
 """Structure layer: atoms, summands, bundles, the text format, duality."""
 
+import dataclasses
 import itertools
+import math
 import os
 import pickle
 import subprocess
@@ -31,6 +33,7 @@ from mpreg.bundles import (
     parse_space,
     rank,
     restrict_to_hyperplane,
+    summand_rank,
     twist,
 )
 
@@ -243,13 +246,16 @@ def test_cotangent_family_hashes_are_distinct():
     assert len({hash(s) for s in summands}) == len(summands) == 100
 
 
+def _raw_atoms(draw, sp):
+    return [Cotangent(draw(st.integers(0, n)), draw(degree)) if draw(st.booleans())
+            else Line(draw(degree)) for n in sp.dims]
+
+
 @st.composite
 def raw_summands(draw):
     """A space and atoms as a user may write them, W^0 and W^n included."""
     sp = draw(spaces())
-    atoms = [Cotangent(draw(st.integers(0, n)), draw(degree)) if draw(st.booleans())
-             else Line(draw(degree)) for n in sp.dims]
-    return sp, atoms
+    return sp, _raw_atoms(draw, sp)
 
 
 @given(raw_summands())
@@ -298,6 +304,34 @@ def test_make_bundle_keeps_normal_summands_as_made():
         make_bundle(sp, [BoxSummand((Cotangent(3, 0), Line(0)))])
     with pytest.raises(ArityError):
         make_bundle(sp, [BoxSummand((Line(0),))])
+
+
+def _atom_sort_key(atom):
+    """The reference summand order: atoms compared as (0, 0, d) for O(d)
+    and (1, p, t) for W^p(t), factor by factor."""
+    return (0, 0, atom.degree) if isinstance(atom, Line) else (1, atom.p, atom.twist)
+
+
+@given(st.data())
+def test_stored_key_orders_summands_as_their_atoms(data):
+    sp = data.draw(spaces())
+    count = data.draw(st.integers(1, 6))
+    made = [make_summand(sp, data.draw(st.composite(_raw_atoms)(sp))) for _ in range(count)]
+    by_atoms = sorted(made, key=lambda s: tuple(map(_atom_sort_key, s.atoms)))
+    assert sorted(made, key=lambda s: s.key) == by_atoms
+    assert list(make_bundle(sp, made).summands) == by_atoms
+
+
+@given(raw_summands())
+def test_stored_degrees_and_rank_match_the_atoms(drawn):
+    sp, atoms = drawn
+    s = make_summand(sp, atoms)
+    lines = all(isinstance(a, Line) for a in s.atoms)
+    assert s.degrees == (tuple(a.degree for a in s.atoms) if lines else None)
+    assert summand_rank(sp, s) == math.prod(
+        1 if isinstance(a, Line) else math.comb(n, a.p) for n, a in zip(sp.dims, s.atoms))
+    assert repr(s) == f"BoxSummand(atoms={s.atoms!r})"
+    assert dataclasses.asdict(s) == {"atoms": tuple(map(dataclasses.asdict, s.atoms))}
 
 
 def test_parse_space_gives_one_space_per_text():

@@ -14,12 +14,15 @@ from mpreg.bundles import (
     ModelError,
     dualize,
     line_bundle,
+    line_summand,
     make_bundle,
     make_summand,
     parse_bundle,
     parse_space,
     rank,
+    summand_rank,
     twist_atom,
+    twist_summand,
 )
 from mpreg.cohomology import (
     _atom_support,
@@ -407,24 +410,71 @@ def test_summand_windows_match_the_per_group_search(case):
             assert summand_windows(space, s, family, r) == tuple(expected), family
 
 
-@pytest.mark.parametrize("space_text,text,groups,distinct",
-                         [("P1xP1xP2", "O(0,1,2)", 11, 5), ("P2xP2", "O(0)*W1(1)", 13, 6)])
-def test_summand_windows_sweep_each_distinct_offset_once(monkeypatch, space_text, text,
-                                                         groups, distinct):
-    space, bundle = parse_bundle(space_text, text)
-    family, r = CHECKS[TheoremId.T2B].family, rank(bundle)
-    assert len(offsets(space, family, r)) == groups
-    (summand,) = bundle.summands
-    expected = summand_windows.__wrapped__(space, summand, family, r)
+def _untwisted(space, summand, k):
+    """The summand twisted by k and then by -c on every factor, c its first
+    atom's twisted degree: the one summand whose offset-0 sweep gives its
+    windows at k."""
+    first = summand.atoms[0]
+    c = (first.degree if isinstance(first, Line) else first.twist) + k[0]
+    return twist_summand(space, summand, tuple(kj - c for kj in k))
+
+
+def _counting_sweeps(monkeypatch):
+    """The level_windows calls of summand_windows from empty memos."""
     calls = []
 
     def counting(supports, k):
         calls.append(k)
         return level_windows(supports, k)
 
+    summand_windows.cache_clear()
+    regularity._untwisted_windows.cache_clear()
     monkeypatch.setattr(regularity, "level_windows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("space_text,text,groups,distinct",
+                         [("P1xP1xP2", "O(0,1,2)", 11, 5), ("P2xP2", "O(0)*W1(1)", 13, 6)])
+def test_summand_windows_sweep_each_distinct_offset_once(monkeypatch, space_text, text,
+                                                         groups, distinct):
+    # at most once: two offsets that differ by a diagonal twist share a sweep
+    space, bundle = parse_bundle(space_text, text)
+    family, r = CHECKS[TheoremId.T2B].family, rank(bundle)
+    assert len(offsets(space, family, r)) == groups
+    (summand,) = bundle.summands
+    expected = summand_windows.__wrapped__(space, summand, family, r)
+    ks = {k for _, k, _ in offsets(space, family, r)}
+    assert len(ks) == distinct
+    calls = _counting_sweeps(monkeypatch)
     assert summand_windows.__wrapped__(space, summand, family, r) == expected
-    assert len(calls) == len(set(calls)) == distinct
+    assert len(calls) == len({_untwisted(space, summand, k) for k in ks}) <= distinct
+
+
+def test_summand_windows_sweep_each_untwisted_summand_once(monkeypatch):
+    # T3 and T2B over the 125 line summands of degrees -2..2 on P1xP1xP1
+    space = parse_space("P1xP1xP1")
+    summands = [line_summand(space, d) for d in itertools.product(range(-2, 3), repeat=3)]
+    families = [CHECKS[TheoremId.T3].family, CHECKS[TheoremId.T2B].family]
+    untwisted = {_untwisted(space, s, k) for s in summands for family in families
+                 for _, k, _ in offsets(space, family, 1)}
+    calls = _counting_sweeps(monkeypatch)
+    records = {(s, family): summand_windows(space, s, family, 1)
+               for s in summands for family in families}
+    assert len(calls) == len(untwisted) < len(summands)
+    for (s, family), record in records.items():
+        assert record == summand_windows.__wrapped__(space, s, family, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_summands(1), st.integers(-4, 4))
+def test_diagonal_twist_shifts_every_window(case, c):
+    space, (summand,), _ = case
+    twisted = twist_summand(space, summand, (c,) * space.num_factors)
+    r = summand_rank(space, summand)
+    for family in _window_families(space):
+        shifted = tuple((index, None if lo is None else lo - c, None if hi is None else hi - c)
+                        for index, lo, hi in summand_windows(space, summand, family, r))
+        assert summand_windows(space, twisted, family, r) == shifted, family
 
 
 # ---------------------------------------------------------------------------

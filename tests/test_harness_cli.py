@@ -15,6 +15,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from mpreg import harness
 from mpreg.bundles import ParseError, parse_bundle, parse_space
 from mpreg.harness import (
     ALL_THEOREMS,
@@ -310,6 +311,19 @@ def _small_configs(draw):
         max_summands=draw(st.integers(1, 2)),
         theorems=tuple(draw(st.lists(st.sampled_from(ALL_THEOREMS), min_size=1, unique=True))),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_configs(), st.integers(1, 3))
+def test_bundle_budget_is_the_enumerated_count(cfg, max_summands):
+    cfg = replace(cfg, max_summands=max_summands)
+    count = sum(sum(1 for _ in enumerate_bundles(parse_space(text), cfg)) for text in cfg.spaces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "MAX_BUNDLES", count)
+        assert replace(cfg) == cfg
+        mp.setattr(harness, "MAX_BUNDLES", count - 1)
+        with pytest.raises(ConfigError, match="MAX_BUNDLES"):
+            replace(cfg)
 
 
 # each example starts a pool
@@ -749,6 +763,18 @@ def test_cli_verify_paper_bad_config_exits_2(tmp_path):
     cfg.write_text("spaces = P1xP1\ndegrees = 2..-2\n")
     res = run_cli("verify-paper", "--config", str(cfg))
     assert res.returncode == 2
+
+
+def test_cli_verify_paper_over_the_bundle_budget_exits_2_at_once(tmp_path):
+    # about 1.04e13 bundles: 63 atoms per factor, 3969 summands, up to 4 of them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("spaces = P3xP3\ndegrees = -10..10\ncotangent = on\n"
+                   "cotangent_twists = -10..10\nmax_summands = 4\n")
+    start = time.perf_counter()
+    res = run_cli("verify-paper", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "MAX_BUNDLES" in res.stderr
+    assert time.perf_counter() - start < 10
 
 
 def test_cli_jobs_env_override(tmp_path):

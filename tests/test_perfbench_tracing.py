@@ -30,8 +30,8 @@ def test_benchmark_reset_clears_every_memo():
     spec = importlib.util.spec_from_file_location("perfbench_run", _RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    memos = (regularity.offsets, regularity.summand_windows, splitting._summand_fails,
-             regularity._summand_reg, bundles.parse_space)
+    memos = (regularity.offsets, regularity.summand_windows, regularity._untwisted_windows,
+             splitting._summand_fails, regularity._summand_reg, bundles.parse_space)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
     before = [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId]
     assert all(memo.cache_info().currsize for memo in memos)

@@ -1,5 +1,6 @@
 """ACM, the per-result conditions and forms, the detector, verdict assembly."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -23,6 +24,7 @@ from mpreg.splitting import (
     CHECKS,
     PreconditionError,
     TheoremId,
+    TheoremVerdict,
     Witness,
     _acm_family,
     _summand_fails,
@@ -585,3 +587,34 @@ def test_reading_witnesses_calls_reg_no_further(monkeypatch):
                 assert witnesses == tuple(condition_for(b, tid)[1])
                 checked += CHECKS[tid].reg_zero
     assert checked
+
+
+def _field_by_field(**values):
+    """A verdict made as the generated frozen __init__ makes one: a
+    setattr per field, the defaults for the fields not given."""
+    defaults = {"reason": None, "condition_holds": None, "form_holds": None, "consistent": None,
+                "detected": (), "detector_agrees": None, "bundle": None, "rank": None}
+    verdict = object.__new__(TheoremVerdict)
+    for f in dataclasses.fields(TheoremVerdict):
+        object.__setattr__(verdict, f.name, values.get(f.name, defaults.get(f.name)))
+    return verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_LAZY_CASES), st.sampled_from(list(TheoremId)))
+def test_verdict_is_frozen_and_equals_one_built_field_by_field(case, tid):
+    _, b = parse_bundle(*case)
+    verdict = verify_theorem(b, tid)
+    values = {f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)}
+    reference = _field_by_field(**values)
+    assert verdict == reference and hash(verdict) == hash(reference)
+    assert repr(verdict) == repr(reference) and "bundle=" not in repr(verdict)
+    assert TheoremVerdict(**values) == verdict
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(verdict, name, None)
+    assert verdict.witnesses == reference.witnesses
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.witnesses = ()
+    short = TheoremVerdict(tid, False, "a reason")
+    assert short == _field_by_field(theorem=tid, applicable=False, reason="a reason")
