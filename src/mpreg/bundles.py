@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
-from operator import attrgetter
+from math import comb, inf, prod
+from operator import attrgetter, le
 from typing import Iterable, Union
 
 
@@ -113,27 +113,38 @@ class BoxSummand:
     integers per atom, (0, 0, 2d) for O(d) and (1, 2p, 2t) for W^p(t), is
     both the sort key and the hash (doubled, since hash(-1) == hash(-2)
     would give O(-1) and O(-2) one hash); ``degrees`` are the line degrees,
-    or None when an atom is a cotangent."""
+    or None when an atom is a cotangent; ``min_dims`` holds, per atom, the
+    least factor dimension on which it is in normal form (1 for O(d), p + 1
+    for W^p(t), infinite for p <= 0)."""
 
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        key = []
+        key, min_dims, lines = [], [], True
         for a in self.atoms:
-            key += (0, 0, 2 * a.degree) if isinstance(a, Line) else (1, 2 * a.p, 2 * a.twist)
+            if isinstance(a, Line):
+                key += (0, 0, 2 * a.degree)
+                min_dims.append(1)
+            else:
+                key += (1, 2 * a.p, 2 * a.twist)
+                min_dims.append(a.p + 1 if a.p > 0 else inf)
+                lines = False
         key = tuple(key)
-        lines = all(isinstance(a, Line) for a in self.atoms)
-        vars(self).update(key=key, _hash=hash(key),
+        vars(self).update(key=key, _hash=hash(key), min_dims=tuple(min_dims),
                           degrees=tuple(a.degree for a in self.atoms) if lines else None)
 
     def __hash__(self):
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Bundle:
     space: Space
     summands: tuple[BoxSummand, ...]
+
+    def __init__(self, space, summands):
+        # frozen all the same: one dict update, not a frozen setattr per field
+        vars(self).update(space=space, summands=summands)
 
 
 def make_summand(space: Space, atoms: Iterable[Atom]) -> BoxSummand:
@@ -153,9 +164,8 @@ _summand_key = attrgetter("key")
 
 
 def _is_normal(space: Space, s: BoxSummand) -> bool:
-    """Would make_summand return a summand equal to s?  Line atoms always are."""
-    return len(s.atoms) == len(space.dims) and (s.degrees is not None or all(
-        isinstance(a, Line) or 0 < a.p < n for n, a in zip(space.dims, s.atoms)))
+    """Would make_summand return a summand equal to s?"""
+    return len(s.min_dims) == len(space.dims) and all(map(le, s.min_dims, space.dims))
 
 
 def make_bundle(space: Space, summands: Iterable[BoxSummand]) -> Bundle:

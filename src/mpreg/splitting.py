@@ -8,13 +8,15 @@ nonvanishing group.  The checks are rows of one table, CHECKS, read by one
 evaluator from the window records of its offset family
 (regularity.summand_windows): the condition is an AND of one memoized bit
 per summand; witnesses, built when read, take dimensions from h_bundle.
-Rank, Reg and degrees are read once per bundle (_facts).
+The extremal detector is a fold too: the union of one memoized corner set
+per summand.  Rank, the Reg gate, degrees and the detection are read once
+per bundle (_facts).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional
@@ -66,7 +68,8 @@ class Witness:
 
     def to_json(self) -> dict:
         """The witness as JSON; the dimension is a decimal string."""
-        return {**asdict(self), "k": list(self.k), "dim": str(self.dim)}
+        return {"i": self.i, "k": list(self.k), "t": self.t, "dim": str(self.dim),
+                "required": self.required}
 
 
 def _witnesses(bundle: Bundle, family: Callable, r: int, twist: Optional[int]) -> list[Witness]:
@@ -101,8 +104,9 @@ def acm_witnesses(bundle: Bundle) -> list[Witness]:
 
 def is_acm(bundle: Bundle) -> bool:
     """True when every intermediate cohomology group vanishes for all
-    balanced twists."""
-    return not acm_witnesses(bundle)
+    balanced twists: no summand has a window in the family."""
+    space = bundle.space
+    return not any(summand_windows(space, s, _acm_family, 0) for s in bundle.summands)
 
 
 def acm_closed_form_line(space: Space, degrees: Iterable[int]) -> bool:
@@ -347,8 +351,9 @@ CHECKS: dict[TheoremId, CheckSpec] = {
 
 def _facts(bundle: Bundle) -> Callable:
     """fact(f) is f(bundle), computed on first use and kept, for the facts
-    the checks of a bundle share (rank, reg, _degrees).  Most bundles of a
-    Reg-gated sweep fail the gate and never pay for rank or degrees."""
+    the checks of a bundle share (rank, _reg_gate, _degrees, _detection).
+    Most bundles of a Reg-gated sweep fail the gate and never pay for rank
+    or degrees."""
     known: dict = {}
 
     def fact(f: Callable):
@@ -370,7 +375,12 @@ def _failed_precondition(bundle: Bundle, theorem: TheoremId,
     reason = spec.rank_rule(bundle.space, fact(rank)) if spec.rank_rule else None
     if reason is not None:
         return PreconditionError(reason)
-    value = fact(reg) if spec.reg_zero else 0
+    return fact(_reg_gate) if spec.reg_zero else None
+
+
+def _reg_gate(bundle: Bundle) -> Optional[PreconditionError]:
+    """The error of the Reg = 0 precondition, or None when Reg is 0."""
+    value = reg(bundle)
     return PreconditionError(f"Reg must be 0, got {value}") if value != 0 else None
 
 
@@ -442,20 +452,43 @@ def _tag_label(space: Space, h: tuple[int, ...], summand: BoxSummand) -> str:
     return f"GeneralBox[{format_summand(space, summand)}]"
 
 
+@lru_cache(maxsize=None)
+def _corner_tags(space: Space) -> tuple[SummandTag, ...]:
+    """One tag per top corner, in _top_corners order."""
+    tags = []
+    for h in _top_corners(space):
+        s = _corner_summand(space, h)
+        tags.append(SummandTag(_tag_label(space, h, s), h, s))
+    return tuple(tags)
+
+
+@lru_cache(maxsize=None)
+def _summand_corners(space: Space, summand: BoxSummand) -> frozenset:
+    """The top corners h where the summand has H^|h| nonzero at -1-h."""
+    alone = Bundle(space, (summand,))
+    return frozenset(h for h in _top_corners(space)
+                     if h_bundle(alone, tuple(-1 - hj for hj in h), sum(h)))
+
+
 def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> list[SummandTag]:
     """Probe the corner groups of E(-1,...,-1) and name the summand each
     nonzero probe forces.  Requires Reg = 0; a caller that already knows Reg
-    passes it as reg_value instead of having it computed again."""
+    passes it as reg_value instead of having it computed again.  Dimensions
+    are positive, so a corner group of the sum is nonzero exactly when it is
+    for some summand: the probes are the union of the summands' corners."""
     reg_value = reg(bundle) if reg_value is None else reg_value
     if reg_value != 0:
         raise PreconditionError(f"detector needs Reg = 0, got {reg_value}")
     space = bundle.space
-    tags = []
-    for h in _top_corners(space):
-        if h_bundle(bundle, tuple(-1 - hj for hj in h), sum(h)):
-            s = _corner_summand(space, h)
-            tags.append(SummandTag(_tag_label(space, h, s), h, s))
-    return tags
+    hit = frozenset().union(*[_summand_corners(space, s) for s in bundle.summands])
+    return [tag for tag in _corner_tags(space) if tag.corner in hit]
+
+
+def _detection(bundle: Bundle) -> tuple:
+    """The detector's tags of a Reg-0 bundle, and whether the bundle has
+    every tagged summand (None when nothing is tagged)."""
+    detected = tuple(detect_extremal_summand(bundle, reg_value=0))
+    return detected, all(tag.summand in bundle.summands for tag in detected) if detected else None
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +527,9 @@ class TheoremVerdict:
 
 def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
     """The verdicts of the check ids (TheoremId members) on the bundle, in
-    order, from one pass that computes rank, Reg and the summands' degrees
-    at most once each, when a check first needs them."""
+    order, from one pass that computes rank, the Reg gate, the summands'
+    degrees and the detection at most once each, when a check first needs
+    them."""
     fact, verdicts = _facts(bundle), []
     for theorem in ids:
         spec = CHECKS[theorem]
@@ -507,8 +541,7 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
         cond = _condition(bundle, spec, r)
         form = spec.form(bundle, fact(_degrees))
         # the preconditions have just established Reg = 0 for the checks with a detector
-        detected = tuple(detect_extremal_summand(bundle, reg_value=0)) if spec.detector else ()
-        agrees = all(tag.summand in bundle.summands for tag in detected) if detected else None
+        detected, agrees = fact(_detection) if spec.detector else ((), None)
         verdicts.append(TheoremVerdict(
             theorem,
             applicable=True,

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from mpreg.bundles import (
     ArityError,
     BoxSummand,
+    Bundle,
     Cotangent,
     InvalidAtomError,
     Line,
@@ -35,6 +36,7 @@ from mpreg.bundles import (
     restrict_to_hyperplane,
     summand_rank,
     twist,
+    _is_normal,
 )
 
 
@@ -332,6 +334,34 @@ def test_stored_degrees_and_rank_match_the_atoms(drawn):
         1 if isinstance(a, Line) else math.comb(n, a.p) for n, a in zip(sp.dims, s.atoms))
     assert repr(s) == f"BoxSummand(atoms={s.atoms!r})"
     assert dataclasses.asdict(s) == {"atoms": tuple(map(dataclasses.asdict, s.atoms))}
+
+
+@given(st.data())
+def test_stored_min_dims_decide_normal_form(data):
+    # any atoms, on a space of any arity: normal exactly when make_summand
+    # accepts them and returns an equal summand
+    sp = data.draw(spaces())
+    atom = st.one_of(degree.map(Line), st.builds(Cotangent, st.integers(-1, 5), degree))
+    atoms = data.draw(st.lists(atom, min_size=1, max_size=4))
+    s = BoxSummand(tuple(atoms))
+    try:
+        expected = make_summand(sp, atoms) == s
+    except (ArityError, InvalidAtomError):
+        expected = False
+    assert _is_normal(sp, s) == expected
+    if expected:
+        assert make_bundle(sp, [s]).summands[0] is s
+
+
+@given(bundles())
+def test_bundle_is_frozen_and_equals_one_built_field_by_field(b):
+    again = Bundle(space=b.space, summands=b.summands)
+    assert again == b and hash(again) == hash(b) == hash((b.space, b.summands))
+    assert repr(again) == f"Bundle(space={b.space!r}, summands={b.summands!r})"
+    assert dataclasses.asdict(again) == dataclasses.asdict(b)
+    assert pickle.loads(pickle.dumps(b)) == b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.space = Space((1,))
 
 
 def test_parse_space_gives_one_space_per_text():

@@ -506,6 +506,35 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     assert sum(ranks.values()) == applicable + 8000
 
 
+def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch):
+    from collections import Counter
+
+    from mpreg import splitting
+
+    real_detect, real_error = splitting.detect_extremal_summand, splitting.PreconditionError
+    detections, gate_errors = Counter(), [0]
+
+    def counting_detect(bundle, *args, **kwargs):
+        detections[bundle] += 1
+        return real_detect(bundle, *args, **kwargs)
+
+    class CountingError(real_error):
+        def __init__(self, *args):
+            gate_errors[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(splitting, "detect_extremal_summand", counting_detect)
+    monkeypatch.setattr(splitting, "PreconditionError", CountingError)
+    rep = run_verification(EnumerationConfig(spaces=("P2xP2",), cotangent=True,
+                                             theorems=("T0", "T4")))
+    applicable = rep.per_theorem["T4"].applicable
+    assert 0 < applicable == rep.per_theorem["T0"].applicable
+    assert max(detections.values()) == 1
+    assert sum(detections.values()) == applicable
+    # one Reg-gate error per bundle that fails the gate, shared by T0 and T4
+    assert gate_errors[0] == rep.per_theorem["T4"].not_applicable == rep.total_bundles - applicable
+
+
 def test_comparison_requires_two_factors():
     from mpreg.bundles import ArityError, parse_bundle
 

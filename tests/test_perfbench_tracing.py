@@ -31,9 +31,11 @@ def test_benchmark_reset_clears_every_memo():
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     memos = (regularity.offsets, regularity.summand_windows, regularity._untwisted_windows,
-             splitting._summand_fails, regularity._summand_reg, bundles.parse_space)
+             splitting._summand_fails, regularity._summand_reg, bundles.parse_space,
+             splitting._summand_corners, splitting._corner_tags)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
-    before = [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId]
+    _, b0 = parse_bundle("P2xP2", "O(0,0) + O(0,1)")  # Reg 0, so T0 and T4 detect
+    before = [splitting.verify_theorem(x, tid) for x in (b, b0) for tid in splitting.TheoremId]
     assert all(memo.cache_info().currsize for memo in memos)
     caches = list(run.program_caches().values())
     for memo in memos:
@@ -41,4 +43,5 @@ def test_benchmark_reset_clears_every_memo():
     for cache in caches:
         cache.cache_clear()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
-    assert [splitting.verify_theorem(b, tid) for tid in splitting.TheoremId] == before
+    after = [splitting.verify_theorem(x, tid) for x in (b, b0) for tid in splitting.TheoremId]
+    assert after == before

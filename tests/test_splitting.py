@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,17 +18,22 @@ from mpreg.bundles import (
     parse_bundle,
     parse_space,
     rank,
+    twist,
 )
 from mpreg.cohomology import h_bundle, level_windows, nonvanishing_t_window, summand_supports
 from mpreg.regularity import _family, box_offsets, offsets, reg, summand_windows
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
+    SummandTag,
     TheoremId,
     TheoremVerdict,
     Witness,
     _acm_family,
+    _corner_summand,
+    _summand_corners,
     _summand_fails,
+    _tag_label,
     _witnesses,
     applicability,
     acm_closed_form_line,
@@ -398,6 +404,51 @@ def test_verify_theorem_computes_reg_at_most_once(monkeypatch):
             assert len(calls) <= 1, (text, tid)
 
 
+def _pointwise_detector(bundle):
+    """The reference detector: h_bundle of the whole bundle at each top
+    corner h, H^|h| at -1-h, in the order of the corner product."""
+    space, tags = bundle.space, []
+    for h in itertools.product(*(range(n + 1) for n in space.dims)):
+        if any(hj == n for hj, n in zip(h, space.dims)) and h_bundle(
+                bundle, tuple(-1 - hj for hj in h), sum(h)):
+            s = _corner_summand(space, h)
+            tags.append(SummandTag(_tag_label(space, h, s), h, s))
+    return tags
+
+
+@st.composite
+def _reg_zero_bundles(draw):
+    """Two or three factors of dimension 1 to 3, 1 to 3 summands with
+    cotangent atoms where a factor allows them, twisted to Reg = 0."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    space = parse_space("x".join(f"P{n}" for n in dims))
+    degree = st.integers(-3, 3)
+
+    def atom(n):
+        return draw(st.builds(Cotangent, st.integers(1, n - 1), degree)
+                    if n > 1 and draw(st.booleans()) else degree.map(Line))
+
+    bundle = make_bundle(space, [make_summand(space, [atom(n) for n in dims])
+                                 for _ in range(draw(st.integers(1, 3)))])
+    return twist(bundle, (reg(bundle),) * len(dims))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reg_zero_bundles())
+def test_detector_fold_matches_pointwise_probes(bundle):
+    assert reg(bundle) == 0
+    expected = _pointwise_detector(bundle)
+    assert detect_extremal_summand(bundle) == expected
+    assert detect_extremal_summand(bundle, reg_value=0) == expected
+    for s in bundle.summands:
+        assert _summand_corners(bundle.space, s) == _summand_corners.__wrapped__(bundle.space, s)
+    ids = (TheoremId.T4, TheoremId.T0) if bundle.space.num_factors == 2 else (TheoremId.T4,)
+    for verdict in verify_bundle(bundle, ids):
+        assert verdict.detected == tuple(expected)
+        agrees = all(t.summand in bundle.summands for t in expected) if expected else None
+        assert verdict.detector_agrees == agrees
+
+
 # ---------------------------------------------------------------------------
 # verdicts, witnesses and Reg as folds of per-summand records
 
@@ -476,6 +527,20 @@ def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
             starting = [s for s, w in zip(bundle.summands, windows) if w and w[0] == t0]
             expected = sum(h_bundle(make_bundle(space, [s]), tvec, i) for s in starting)
             assert h_bundle(bundle, tvec, i) == expected > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fold_bundles())
+def test_acm_fold_matches_witnesses(bundle):
+    assert is_acm(bundle) == (not acm_witnesses(bundle))
+
+
+@given(st.integers(1, 6), st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+       st.integers(-5, 5), st.integers(0, 10**30), st.booleans())
+def test_witness_json_is_asdict_with_list_and_string(i, k, t, dim, required):
+    w = Witness(i, tuple(k), t, dim, required)
+    expected = {**dataclasses.asdict(w), "k": list(w.k), "dim": str(w.dim)}
+    assert json.dumps(w.to_json()) == json.dumps(expected)
 
 
 def test_splitting_memos_match_unwrapped():
