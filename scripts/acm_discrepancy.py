@@ -11,6 +11,9 @@ formula on that space.  b2 is known to disagree off the diagonal n != m
 (the factor dimensions enter transposed); b3 matches everywhere up to
 three factors and first fails on P1xP1xP1xP1 at degrees (0,0,2,2).
 
+A degree grid of more than cohomology.MAX_TABLE_TWISTS vectors is refused
+with exit code 2, as is a bad space.
+
 Usage:
   python scripts/acm_discrepancy.py                 # default grid
   python scripts/acm_discrepancy.py --bound 5
@@ -25,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mpreg.bundles import parse_space
+from mpreg.bundles import ModelError, parse_space
 from mpreg.splitting import acm_discrepancy
 
 DEFAULT_B2 = ["P1xP1", "P1xP2", "P2xP1", "P2xP3", "P3xP3"]
@@ -50,7 +53,16 @@ def main(argv=None) -> int:
                     help="restrict to one variant")
     ap.add_argument("--bound", type=int, default=4, help="degree box half-width")
     args = ap.parse_args(argv)
+    try:
+        total = _sweeps(args)
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"total disagreements: {total}")
+    return 0
 
+
+def _sweeps(args) -> int:
     total = 0
     if args.space:
         variants = [args.variant] if args.variant else ["b2", "b3"]
@@ -68,8 +80,7 @@ def main(argv=None) -> int:
                 # four factors at bound 4 is slow; the first gap sits at 2
                 bound = min(args.bound, 2) if sp.count("x") >= 3 else args.bound
                 total += sweep(sp, "b3", bound)
-    print(f"total disagreements: {total}")
-    return 0
+    return total
 
 
 if __name__ == "__main__":

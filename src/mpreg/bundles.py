@@ -111,11 +111,11 @@ def atom_rank(n: int, atom: Atom) -> int:
 class BoxSummand:
     """One atom per factor, with facts stored when made: ``key``, three
     integers per atom, (0, 0, 2d) for O(d) and (1, 2p, 2t) for W^p(t), is
-    both the sort key and the hash (doubled, since hash(-1) == hash(-2)
-    would give O(-1) and O(-2) one hash); ``degrees`` are the line degrees,
-    or None when an atom is a cotangent; ``min_dims`` holds, per atom, the
-    least factor dimension on which it is in normal form (1 for O(d), p + 1
-    for W^p(t), infinite for p <= 0)."""
+    both the sort key and the memo key of the summand's facts (doubled,
+    since hash(-1) == hash(-2) would give O(-1) and O(-2) one hash);
+    ``degrees`` are the line degrees, or None when an atom is a cotangent;
+    ``min_dims`` holds, per atom, the least factor dimension on which it is
+    in normal form (1 for O(d), p + 1 for W^p(t), infinite for p <= 0)."""
 
     atoms: tuple[Atom, ...]
 
@@ -130,11 +130,8 @@ class BoxSummand:
                 min_dims.append(a.p + 1 if a.p > 0 else inf)
                 lines = False
         key = tuple(key)
-        vars(self).update(key=key, _hash=hash(key), min_dims=tuple(min_dims),
+        vars(self).update(key=key, min_dims=tuple(min_dims),
                           degrees=tuple(a.degree for a in self.atoms) if lines else None)
-
-    def __hash__(self):
-        return self._hash
 
 
 @dataclass(frozen=True, init=False)
@@ -169,7 +166,7 @@ def _is_normal(space: Space, s: BoxSummand) -> bool:
 
 
 def make_bundle(space: Space, summands: Iterable[BoxSummand]) -> Bundle:
-    # a summand already normal is kept as made, so memos keyed on it hit by identity
+    # a summand already normal is kept as made, not made again
     summands = [s if _is_normal(space, s) else make_summand(space, s.atoms) for s in summands]
     if not summands:
         raise ModelError("a bundle needs at least one summand")

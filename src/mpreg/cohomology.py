@@ -13,9 +13,9 @@ twist a summand's window for each level is one interval.  A summand's
 supports are read once (summand_supports); an offset k only shifts them, and
 one sweep over the ranges' starts gives the windows of every level at k
 (level_windows), in O(s^2) for s factors.  regularity.summand_windows
-keeps the windows for the check bits, the witnesses and Reg; it sweeps each
-untwisted summand once, since a diagonal twist by c shifts every window by
--c.
+keeps the windows for the check bits, the witnesses and Reg in each
+summand's record (regularity.summand_facts); it sweeps each untwisted
+summand once, since a diagonal twist by c shifts every window by -c.
 """
 
 from __future__ import annotations

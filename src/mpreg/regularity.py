@@ -13,12 +13,14 @@ irregular balanced twists are the union of the nonvanishing windows of the
 required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
-required).  summand_windows is the one memoized (index, lo, hi) record per
-(summand, family).  At offset k it reads the windows of all levels from one
-sweep of the untwisted summand S(k - (c, ..., c)), c = t_1 + k_1, shifted
-by -c.  The sweeps are memoized on integers (_untwisted_windows), so
-summands and families that reach the same untwisted summand share one.
-reg is a max of a memoized Reg per summand read off the records.
+required).  A summand's facts depend on its integers only, so one memo,
+summand_facts(space.dims, summand.key), keeps one record per summand: its
+(index, lo, hi) windows per family, the checks' bits, Reg per definition
+and the detector's tags, each filled on first use.  At offset k the windows
+of all levels come from one sweep of the untwisted summand
+S(k - (c, ..., c)), c = t_1 + k_1, shifted by -c.  The sweeps are memoized
+on integers (_untwisted_windows), so summands and families that reach the
+same untwisted summand share one.  reg is a max over the records.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 from functools import lru_cache
 from typing import Callable, Iterator, Union
 
-from .bundles import ArityError, BoxSummand, Bundle, Line, ModelError, Space, normalize_atom
+from .bundles import ArityError, Bundle, Cotangent, Line, ModelError, Space, normalize_atom
 from .cohomology import _support, _twist_vector, h_bundle, level_windows
 
 DEFINITIONS = ("paper", "hw")
@@ -71,28 +73,61 @@ def _untwisted_windows(factors: tuple) -> dict:
     return level_windows(tuple(_support(*f) for f in factors), (0,) * len(factors))
 
 
+class SummandFacts:
+    """One summand's atoms, (n_j, p_j, t_j) as _untwisted_windows takes them,
+    and its facts, filled on first use with the reader's space: windows per
+    (family, r), bits per (family, r, twist), Reg per definition, tags."""
+
+    __slots__ = ("atoms", "windows", "bits", "regs", "tags")
+
+    def __init__(self, atoms: tuple):
+        self.atoms, self.windows, self.bits, self.regs, self.tags = atoms, {}, {}, {}, None
+
+
 @lru_cache(maxsize=None)
-def summand_windows(space: Space, summand: BoxSummand, family: Callable, r: int) -> tuple:
+def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
+    """The record of the summand with this key, (0, 0, 2t) for O(t) and
+    (1, 2p, 2t) for W^p(t) per atom, on the space with these dims."""
+    atoms = []
+    for n, kind, p, t in zip(dims, key[::3], key[1::3], key[2::3]):
+        p, t = p // 2, t // 2
+        if kind:  # normal form may turn W^p(t) into a line
+            a = normalize_atom(n, Cotangent(p, t))
+            p, t = (0, a.degree) if isinstance(a, Line) else (a.p, a.twist)
+        atoms.append((n, p, t))
+    return SummandFacts(tuple(atoms))
+
+
+def summand_records(bundle: Bundle) -> list[SummandFacts]:
+    """The record of each summand of the bundle, in order."""
+    dims, records = bundle.space.dims, []
+    for s in bundle.summands:  # a loop: cheaper than a comprehension before Python 3.12
+        records.append(summand_facts(dims, s.key))
+    return records
+
+
+def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int) -> tuple:
     """(index, lo, hi) for each index of the family where the summand's
     window is nonempty, None for an unbounded end.  At offset k the summand
     has the windows of its twist by k - (c, ..., c), c = t_1 + k_1 its first
     twisted degree, shifted by -c: one _untwisted_windows per offset."""
-    atoms = map(normalize_atom, space.dims, summand.atoms)
-    base = [(n, 0, a.degree) if isinstance(a, Line) else (n, a.p, a.twist)
-            for n, a in zip(space.dims, atoms)]
-    levels: dict = {}
-    records = []
-    for index, (i, k, _) in enumerate(offsets(space, family, r)):
-        if k not in levels:
-            c = base[0][2] + k[0]
-            levels[k] = c, _untwisted_windows(tuple(
-                (n, p, t + kj - c) for (n, p, t), kj in zip(base, k)))
-        c, windows = levels[k]
-        window = windows.get(i)
-        if window is not None:
-            lo, hi = window
-            records.append((index, None if lo is None else lo - c, None if hi is None else hi - c))
-    return tuple(records)
+    records = facts.windows.get((family, r))
+    if records is None:
+        levels: dict = {}
+        records = []
+        for index, (i, k, _) in enumerate(offsets(space, family, r)):
+            if k not in levels:
+                c = facts.atoms[0][2] + k[0]
+                levels[k] = c, _untwisted_windows(tuple(
+                    (n, p, t + kj - c) for (n, p, t), kj in zip(facts.atoms, k)))
+            c, windows = levels[k]
+            window = windows.get(i)
+            if window is not None:
+                lo, hi = window
+                records.append((index, None if lo is None else lo - c,
+                                None if hi is None else hi - c))
+        records = facts.windows[family, r] = tuple(records)
+    return records
 
 
 def _paper_family(space: Space, r: int):
@@ -129,16 +164,17 @@ def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper
     return next(_failures(bundle, p, definition), None) is None
 
 
-@lru_cache(maxsize=None)
-def _summand_reg(space: Space, summand: BoxSummand, definition: str) -> int:
+def _summand_reg(space: Space, facts: SummandFacts, definition: str) -> int:
     """Reg of one summand: one past the largest upper end of its windows."""
-    family = _family(definition)
-    windows = summand_windows(space, summand, family, 0)
-    for index, _, hi in windows:
-        if hi is None:
-            i, k, _ = offsets(space, family, 0)[index]
-            raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
-    return 1 + max(hi for _, _, hi in windows)
+    if definition not in facts.regs:
+        family = _family(definition)
+        windows = summand_windows(space, facts, family, 0)
+        for index, _, hi in windows:
+            if hi is None:
+                i, k, _ = offsets(space, family, 0)[index]
+                raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
+        facts.regs[definition] = 1 + max(hi for _, _, hi in windows)
+    return facts.regs[definition]
 
 
 def reg(bundle: Bundle, definition: str = "paper") -> int:
@@ -148,4 +184,11 @@ def reg(bundle: Bundle, definition: str = "paper") -> int:
     is finite for 0 < i < dim X and a downward ray at i = dim X.  Reg is one
     past the largest upper endpoint, whatever the size of the degrees.
     """
-    return max(_summand_reg(bundle.space, s, definition) for s in bundle.summands)
+    value = None
+    for f in summand_records(bundle):  # Reg read inline, filled where missing
+        v = f.regs.get(definition)
+        if v is None:
+            v = _summand_reg(bundle.space, f, definition)
+        if value is None or v > value:
+            value = v
+    return value

@@ -5,12 +5,12 @@ Each check id pairs a cohomological condition with a structural description
 of the bundles expected to satisfy it; verify_bundle evaluates both sides
 and reports whether they agree, together with explicit witnesses for any
 nonvanishing group.  The checks are rows of one table, CHECKS, read by one
-evaluator from the window records of its offset family
-(regularity.summand_windows): the condition is an AND of one memoized bit
-per summand; witnesses, built when read, take dimensions from h_bundle.
-The extremal detector is a fold too: the union of one memoized corner set
-per summand.  Rank, the Reg gate, degrees and the detection are read once
-per bundle (_facts).
+evaluator from the window records of its offset family, kept in each
+summand's record (regularity.summand_facts): the condition is an AND of one
+bit per summand, stored in the record; witnesses, built when read, take
+dimensions from h_bundle.  The extremal detector is a fold too: the union
+of the summands' tags, stored in their records.  The records, rank, the
+Reg gate, degrees and the detection are read once per bundle (_facts).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bundles import (
@@ -35,8 +35,8 @@ from .bundles import (
     make_summand,
     rank,
 )
-from .cohomology import h_bundle
-from .regularity import box_offsets, offsets, reg, summand_windows
+from .cohomology import MAX_TABLE_TWISTS, h_bundle
+from .regularity import SummandFacts, box_offsets, offsets, reg, summand_records, summand_windows
 
 
 class TheoremId(str, Enum):
@@ -77,8 +77,8 @@ def _witnesses(bundle: Bundle, family: Callable, r: int, twist: Optional[int]) -
     at the twist, or with twist None at the least lo over the summands, with
     dimension h_bundle there.  Preconditions are not checked."""
     starts: dict[int, list] = {}
-    for s in bundle.summands:
-        for index, lo, _ in summand_windows(bundle.space, s, family, r):
+    for f in summand_records(bundle):
+        for index, lo, _ in summand_windows(bundle.space, f, family, r):
             starts.setdefault(index, []).append(lo)
     groups, found = offsets(bundle.space, family, r), []
     for index in sorted(starts):
@@ -105,8 +105,7 @@ def acm_witnesses(bundle: Bundle) -> list[Witness]:
 def is_acm(bundle: Bundle) -> bool:
     """True when every intermediate cohomology group vanishes for all
     balanced twists: no summand has a window in the family."""
-    space = bundle.space
-    return not any(summand_windows(space, s, _acm_family, 0) for s in bundle.summands)
+    return _vanishes(bundle, _acm_family, 0, None, summand_records(bundle))
 
 
 def acm_closed_form_line(space: Space, degrees: Iterable[int]) -> bool:
@@ -155,8 +154,11 @@ def acm_printed_variant_line(space: Space, degrees: Iterable[int], variant: str)
 
 
 def acm_discrepancy(space: Space, degree_range: tuple[int, int], variant: str) -> list[dict]:
-    """Degree vectors where the variant formula disagrees with the engine."""
+    """Degree vectors where the variant formula disagrees with the engine.
+    A grid of more than MAX_TABLE_TWISTS vectors is refused."""
     lo, hi = degree_range
+    if max(0, hi - lo + 1) ** space.num_factors > MAX_TABLE_TWISTS:
+        raise ModelError(f"degree grid has more than {MAX_TABLE_TWISTS} vectors")
     out = []
     for a in itertools.product(range(lo, hi + 1), repeat=space.num_factors):
         truth = is_acm(make_bundle(space, [line_summand(space, a)]))
@@ -351,9 +353,9 @@ CHECKS: dict[TheoremId, CheckSpec] = {
 
 def _facts(bundle: Bundle) -> Callable:
     """fact(f) is f(bundle), computed on first use and kept, for the facts
-    the checks of a bundle share (rank, _reg_gate, _degrees, _detection).
-    Most bundles of a Reg-gated sweep fail the gate and never pay for rank
-    or degrees."""
+    the checks of a bundle share (summand_records, rank, _reg_gate, _degrees,
+    _detection).  Most bundles of a Reg-gated sweep fail the gate and never
+    pay for rank or degrees."""
     known: dict = {}
 
     def fact(f: Callable):
@@ -390,27 +392,36 @@ def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
     return None if error is None else str(error)
 
 
-@lru_cache(maxsize=None)
-def _summand_fails(space: Space, summand: BoxSummand, family: Callable, r: int,
+def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
                    twist: Optional[int]) -> Optional[bool]:
     """Does the summand make a required group of the family nonzero, at the
     twist or, with twist None, at some balanced twist?  None when a window
     is unbounded below."""
-    windows = summand_windows(space, summand, family, r)
-    if twist is None and any(lo is None for _, lo, _ in windows):
-        return None
-    groups = offsets(space, family, r)
-    return any(groups[index][2] and (twist is None or (lo is None or lo <= twist)
-                                     and (hi is None or twist <= hi))
-               for index, lo, hi in windows)
+    key = (family, r, twist)
+    if key not in facts.bits:
+        windows = summand_windows(space, facts, family, r)
+        groups = offsets(space, family, r)
+        unbounded = twist is None and any(lo is None for _, lo, _ in windows)
+        facts.bits[key] = None if unbounded else any(
+            groups[index][2] and (twist is None or (lo is None or lo <= twist)
+                                  and (hi is None or twist <= hi))
+            for index, lo, hi in windows)
+    return facts.bits[key]
 
 
-def _condition(bundle: Bundle, spec: CheckSpec, r: int) -> bool:
-    """The check's condition: no summand makes a required group nonzero."""
-    bits = [_summand_fails(bundle.space, s, spec.family, r, spec.twist) for s in bundle.summands]
-    if None in bits:
-        _witnesses(bundle, spec.family, r, spec.twist)  # raises: a window is unbounded below
-    return not any(bits)
+def _vanishes(bundle: Bundle, family: Callable, r: int, twist: Optional[int],
+              records: list) -> bool:
+    """No summand makes a required group of the family nonzero: the AND of
+    the records' bits, each read inline and filled where missing."""
+    key, holds = (family, r, twist), True
+    for f in records:
+        bit = f.bits.get(key)
+        if bit is None:
+            bit = _summand_fails(bundle.space, f, family, r, twist)
+            if bit is None:
+                _witnesses(bundle, family, r, twist)  # raises: a window is unbounded below
+        holds = holds and not bit
+    return holds
 
 
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
@@ -422,7 +433,8 @@ def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witnes
     if error is not None:
         raise error
     spec, r = CHECKS[theorem], fact(rank)
-    return _condition(bundle, spec, r), _witnesses(bundle, spec.family, r, spec.twist)
+    return (_vanishes(bundle, spec.family, r, spec.twist, fact(summand_records)),
+            _witnesses(bundle, spec.family, r, spec.twist))
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +464,19 @@ def _tag_label(space: Space, h: tuple[int, ...], summand: BoxSummand) -> str:
     return f"GeneralBox[{format_summand(space, summand)}]"
 
 
-@lru_cache(maxsize=None)
-def _corner_tags(space: Space) -> tuple[SummandTag, ...]:
-    """One tag per top corner, in _top_corners order."""
-    tags = []
-    for h in _top_corners(space):
-        s = _corner_summand(space, h)
-        tags.append(SummandTag(_tag_label(space, h, s), h, s))
-    return tuple(tags)
-
-
-@lru_cache(maxsize=None)
-def _summand_corners(space: Space, summand: BoxSummand) -> frozenset:
-    """The top corners h where the summand has H^|h| nonzero at -1-h."""
-    alone = Bundle(space, (summand,))
-    return frozenset(h for h in _top_corners(space)
-                     if h_bundle(alone, tuple(-1 - hj for hj in h), sum(h)))
+def _summand_tags(space: Space, facts: SummandFacts) -> tuple[SummandTag, ...]:
+    """One tag per top corner h where the summand has H^|h| nonzero at
+    -1-h, in _top_corners order."""
+    if facts.tags is None:
+        alone = Bundle(space, (BoxSummand(tuple(
+            Cotangent(p, t) if p else Line(t) for _, p, t in facts.atoms)),))
+        tags = []
+        for h in _top_corners(space):
+            if h_bundle(alone, tuple(-1 - hj for hj in h), sum(h)):
+                s = _corner_summand(space, h)
+                tags.append(SummandTag(_tag_label(space, h, s), h, s))
+        facts.tags = tuple(tags)
+    return facts.tags
 
 
 def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> list[SummandTag]:
@@ -475,20 +484,22 @@ def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> 
     nonzero probe forces.  Requires Reg = 0; a caller that already knows Reg
     passes it as reg_value instead of having it computed again.  Dimensions
     are positive, so a corner group of the sum is nonzero exactly when it is
-    for some summand: the probes are the union of the summands' corners."""
+    for some summand: the tags are the union of the summands' tags, in
+    corner order (_top_corners is lexicographic)."""
     reg_value = reg(bundle) if reg_value is None else reg_value
     if reg_value != 0:
         raise PreconditionError(f"detector needs Reg = 0, got {reg_value}")
     space = bundle.space
-    hit = frozenset().union(*[_summand_corners(space, s) for s in bundle.summands])
-    return [tag for tag in _corner_tags(space) if tag.corner in hit]
+    tags = {tag.corner: tag for f in summand_records(bundle) for tag in _summand_tags(space, f)}
+    return [tags[h] for h in sorted(tags)]
 
 
 def _detection(bundle: Bundle) -> tuple:
     """The detector's tags of a Reg-0 bundle, and whether the bundle has
-    every tagged summand (None when nothing is tagged)."""
+    every tagged summand, compared by key (None when nothing is tagged)."""
     detected = tuple(detect_extremal_summand(bundle, reg_value=0))
-    return detected, all(tag.summand in bundle.summands for tag in detected) if detected else None
+    keys = {s.key for s in bundle.summands}
+    return detected, all(tag.summand.key in keys for tag in detected) if detected else None
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +538,9 @@ class TheoremVerdict:
 
 def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
     """The verdicts of the check ids (TheoremId members) on the bundle, in
-    order, from one pass that computes rank, the Reg gate, the summands'
-    degrees and the detection at most once each, when a check first needs
-    them."""
+    order, from one pass that fetches the summands' records and computes
+    rank, the Reg gate, the summands' degrees and the detection at most once
+    each, when a check first needs them."""
     fact, verdicts = _facts(bundle), []
     for theorem in ids:
         spec = CHECKS[theorem]
@@ -538,7 +549,7 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
             verdicts.append(TheoremVerdict(theorem, applicable=False, reason=str(error)))
             continue
         r = fact(rank)
-        cond = _condition(bundle, spec, r)
+        cond = _vanishes(bundle, spec.family, r, spec.twist, fact(summand_records))
         form = spec.form(bundle, fact(_degrees))
         # the preconditions have just established Reg = 0 for the checks with a detector
         detected, agrees = fact(_detection) if spec.detector else ((), None)

@@ -230,22 +230,25 @@ def test_twist_untwist(b, tv):
 
 
 # ---------------------------------------------------------------------------
-# memo keys: one stored hash per object, and no systematic collisions
+# memo keys: a stored hash per space, the summand's integer key, and no
+# systematic collisions
 
 
 def test_line_summand_hashes_are_distinct():
-    # hash(-1) == hash(-2) in CPython; the generated dataclass hash gave the
-    # 125 summands O(a,b,c), -2 <= a,b,c <= 2, only 64 values
+    # hash(-1) == hash(-2) in CPython; hashing the degrees themselves gives
+    # the 125 summands O(a,b,c), -2 <= a,b,c <= 2, only 64 values, so the
+    # doubled key keeps the facts memo's keys apart
     sp = parse_space("P1xP1xP1")
     summands = [line_summand(sp, d) for d in itertools.product(range(-2, 3), repeat=3)]
-    assert len({hash(s) for s in summands}) == len(summands) == 125
+    assert len({hash(s.degrees) for s in summands}) == 64
+    assert len({hash((sp.dims, s.key)) for s in summands}) == len(summands) == 125
 
 
 def test_cotangent_family_hashes_are_distinct():
     sp = parse_space("P2xP2")
     atoms = [Line(d) for d in range(-2, 3)] + [Cotangent(1, t) for t in range(-2, 3)]
     summands = [make_summand(sp, pair) for pair in itertools.product(atoms, repeat=2)]
-    assert len({hash(s) for s in summands}) == len(summands) == 100
+    assert len({hash((sp.dims, s.key)) for s in summands}) == len(summands) == 100
 
 
 def _raw_atoms(draw, sp):
@@ -275,8 +278,8 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"
 
 
 def test_pickled_summand_keeps_its_hash_under_another_hash_seed():
-    # the stored hash travels with a pickled summand, e.g. to a pool worker,
-    # so it must not depend on the process's string hash salt
+    # a pickled summand, e.g. sent to a pool worker, keeps its key and hash:
+    # neither depends on the process's string hash salt
     text = "W1(-1)*O(-2) + O(-1,2)"
     seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
     code = ("import pickle, sys\n"
@@ -290,6 +293,7 @@ def test_pickled_summand_keeps_its_hash_under_another_hash_seed():
     theirs = pickle.loads(out)
     _, ours = parse_bundle("P2xP2", text)
     assert theirs == ours.summands
+    assert [s.key for s in theirs] == [s.key for s in ours.summands]
     assert [hash(s) for s in theirs] == [hash(s) for s in ours.summands]
 
 

@@ -39,7 +39,7 @@ from mpreg.cohomology import (
     oracle_euler_sequence,
     summand_supports,
 )
-from mpreg.regularity import _family, offsets, summand_windows
+from mpreg.regularity import SummandFacts, _family, offsets, summand_facts, summand_windows
 from mpreg.splitting import CHECKS, TheoremId, _acm_family
 
 
@@ -407,7 +407,17 @@ def test_summand_windows_match_the_per_group_search(case):
                 window = _reference_t_window(space, s, k, i)
                 if window is not None:
                     expected.append((index, *window))
-            assert summand_windows(space, s, family, r) == tuple(expected), family
+            assert summand_windows(space, _record(space, s), family, r) == tuple(expected), family
+
+
+def _record(space, summand):
+    """The summand's memoized fact record."""
+    return summand_facts(space.dims, summand.key)
+
+
+def _empty(space, summand):
+    """A record of the summand with nothing filled in yet."""
+    return SummandFacts(_record(space, summand).atoms)
 
 
 def _untwisted(space, summand, k):
@@ -427,7 +437,7 @@ def _counting_sweeps(monkeypatch):
         calls.append(k)
         return level_windows(supports, k)
 
-    summand_windows.cache_clear()
+    summand_facts.cache_clear()
     regularity._untwisted_windows.cache_clear()
     monkeypatch.setattr(regularity, "level_windows", counting)
     return calls
@@ -442,11 +452,11 @@ def test_summand_windows_sweep_each_distinct_offset_once(monkeypatch, space_text
     family, r = CHECKS[TheoremId.T2B].family, rank(bundle)
     assert len(offsets(space, family, r)) == groups
     (summand,) = bundle.summands
-    expected = summand_windows.__wrapped__(space, summand, family, r)
+    expected = summand_windows(space, _empty(space, summand), family, r)
     ks = {k for _, k, _ in offsets(space, family, r)}
     assert len(ks) == distinct
     calls = _counting_sweeps(monkeypatch)
-    assert summand_windows.__wrapped__(space, summand, family, r) == expected
+    assert summand_windows(space, _empty(space, summand), family, r) == expected
     assert len(calls) == len({_untwisted(space, summand, k) for k in ks}) <= distinct
 
 
@@ -458,11 +468,12 @@ def test_summand_windows_sweep_each_untwisted_summand_once(monkeypatch):
     untwisted = {_untwisted(space, s, k) for s in summands for family in families
                  for _, k, _ in offsets(space, family, 1)}
     calls = _counting_sweeps(monkeypatch)
-    records = {(s, family): summand_windows(space, s, family, 1)
+    records = {(s, family): summand_windows(space, _record(space, s), family, 1)
                for s in summands for family in families}
     assert len(calls) == len(untwisted) < len(summands)
     for (s, family), record in records.items():
-        assert record == summand_windows.__wrapped__(space, s, family, 1)
+        assert _record(space, s).windows[family, 1] is record
+        assert record == summand_windows(space, _empty(space, s), family, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -473,8 +484,9 @@ def test_diagonal_twist_shifts_every_window(case, c):
     r = summand_rank(space, summand)
     for family in _window_families(space):
         shifted = tuple((index, None if lo is None else lo - c, None if hi is None else hi - c)
-                        for index, lo, hi in summand_windows(space, summand, family, r))
-        assert summand_windows(space, twisted, family, r) == shifted, family
+                        for index, lo, hi in summand_windows(space, _record(space, summand),
+                                                             family, r))
+        assert summand_windows(space, _record(space, twisted), family, r) == shifted, family
 
 
 # ---------------------------------------------------------------------------

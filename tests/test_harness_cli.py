@@ -416,15 +416,10 @@ def test_parallel_run_bounds_the_tasks_in_flight(monkeypatch):
     assert pool.outstanding == 0
 
 
-def test_sweep_hits_memos_by_identity(monkeypatch):
-    # every summand key of a sweep is the enumerator's own object, and model
-    # hashes do not collide, so no memo lookup falls back to __eq__
-    from mpreg import regularity, splitting
+def _count_eq(monkeypatch) -> dict:
+    """Count the __eq__ calls on BoxSummand and Space from now on."""
     from mpreg.bundles import BoxSummand, Space
 
-    for memo in (regularity.offsets, regularity.summand_windows, splitting._summand_fails,
-                 regularity._summand_reg):
-        memo.cache_clear()
     calls = {BoxSummand: 0, Space: 0}
     for cls in calls:
         def counted(self, other, _eq=cls.__eq__, _cls=cls):
@@ -432,9 +427,55 @@ def test_sweep_hits_memos_by_identity(monkeypatch):
             return _eq(self, other)
 
         monkeypatch.setattr(cls, "__eq__", counted)
+    return calls
+
+
+def test_second_run_makes_no_summand_eq_and_no_new_fact_misses(monkeypatch):
+    # the records are keyed on integers, so a warm run in the same
+    # interpreter finds every one without comparing summands
+    from mpreg.bundles import BoxSummand
+    from mpreg.regularity import summand_facts
+
     cfg = EnumerationConfig(spaces=("P1xP1xP1", "P1xP1xP2"), theorems=("T3", "T2B"))
-    assert run_verification(cfg).total_bundles == 16000
-    assert calls == {BoxSummand: 0, Space: 0}
+    first = run_verification(cfg)
+    misses = summand_facts.cache_info().misses
+    calls = _count_eq(monkeypatch)
+    second = run_verification(cfg)
+    assert second.total_bundles == 16000
+    assert replace(second, elapsed_seconds=0) == replace(first, elapsed_seconds=0)
+    assert calls[BoxSummand] == 0
+    assert summand_facts.cache_info().misses == misses
+
+
+def test_unpickled_bundles_match_originals_with_no_new_fact_misses(monkeypatch):
+    # what a pool worker gets: equal bundles made anew, which find the
+    # originals' records by key
+    import itertools
+    import pickle
+
+    from mpreg.bundles import BoxSummand
+    from mpreg.regularity import summand_facts
+    from mpreg.splitting import TheoremId, verify_bundle
+
+    cfg = EnumerationConfig(spaces=("P2xP2",), degree_min=-1, degree_max=1, cotangent=True,
+                            cot_twist_min=-1, cot_twist_max=1, max_summands=3)
+    originals = list(itertools.islice(enumerate_bundles(parse_space("P2xP2"), cfg), 0, 3000, 7))
+    ids = tuple(TheoremId)
+
+    def verdicts(bundles):
+        return [[(v, v.witnesses) for v in verify_bundle(b, ids)] for b in bundles]
+
+    expected = verdicts(originals)
+    copies = pickle.loads(pickle.dumps(originals))
+    assert all(c is not o and c.summands[0] is not o.summands[0]
+               for c, o in zip(copies, originals))
+    misses = summand_facts.cache_info().misses
+    calls = _count_eq(monkeypatch)
+    got = verdicts(copies)
+    assert calls[BoxSummand] == 0
+    assert summand_facts.cache_info().misses == misses
+    monkeypatch.undo()
+    assert got == expected
 
 
 def test_pool_size_bounded_by_jobs_cores_and_bundles():

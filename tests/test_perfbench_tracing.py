@@ -30,9 +30,8 @@ def test_benchmark_reset_clears_every_memo():
     spec = importlib.util.spec_from_file_location("perfbench_run", _RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    memos = (regularity.offsets, regularity.summand_windows, regularity._untwisted_windows,
-             splitting._summand_fails, regularity._summand_reg, bundles.parse_space,
-             splitting._summand_corners, splitting._corner_tags)
+    memos = (regularity.offsets, regularity._untwisted_windows, regularity.summand_facts,
+             bundles.parse_space)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
     _, b0 = parse_bundle("P2xP2", "O(0,0) + O(0,1)")  # Reg 0, so T0 and T4 detect
     before = [splitting.verify_theorem(x, tid) for x in (b, b0) for tid in splitting.TheoremId]
@@ -40,6 +39,13 @@ def test_benchmark_reset_clears_every_memo():
     caches = list(run.program_caches().values())
     for memo in memos:
         assert any(cache is memo for cache in caches), memo.__qualname__
+    engine = {name for name in run.program_caches()
+              if name.startswith(("mpreg.regularity.", "mpreg.splitting."))}
+    assert engine == {"mpreg.regularity.offsets", "mpreg.regularity._untwisted_windows",
+                      "mpreg.regularity.summand_facts"}
+    # nothing is cached on a model object: a summand holds what it was made with
+    assert all(set(vars(s)) == {"atoms", "key", "min_dims", "degrees"}
+               for x in (b, b0) for s in x.summands)
     for cache in caches:
         cache.cache_clear()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)

@@ -23,12 +23,14 @@ from mpreg.cohomology import (
     h_vector,
 )
 from mpreg.regularity import (
+    SummandFacts,
     _summand_reg,
     box_offsets,
     hw_offsets,
     is_regular_at,
     reg,
     regularity_failures,
+    summand_records,
 )
 
 
@@ -239,11 +241,12 @@ def test_summand_reg_memo_matches_unwrapped():
     ]:
         space, b = parse_bundle(space_text, text)
         definitions = ("paper", "hw") if space.num_factors == 2 else ("paper",)
-        for s in b.summands:
+        for f in summand_records(b):
             for definition in definitions:
-                memo = _summand_reg(space, s, definition)
-                assert memo == _summand_reg.__wrapped__(space, s, definition)
-                assert _summand_reg(space, s, definition) is memo
+                memo = _summand_reg(space, f, definition)
+                assert f.regs[definition] == memo
+                assert memo == _summand_reg(space, SummandFacts(f.atoms), definition)
+                assert _summand_reg(space, f, definition) is memo
 
 
 @pytest.mark.parametrize(

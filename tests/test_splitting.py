@@ -21,7 +21,16 @@ from mpreg.bundles import (
     twist,
 )
 from mpreg.cohomology import h_bundle, level_windows, nonvanishing_t_window, summand_supports
-from mpreg.regularity import _family, box_offsets, offsets, reg, summand_windows
+from mpreg.regularity import (
+    SummandFacts,
+    _family,
+    box_offsets,
+    offsets,
+    reg,
+    summand_facts,
+    summand_records,
+    summand_windows,
+)
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
@@ -31,9 +40,10 @@ from mpreg.splitting import (
     Witness,
     _acm_family,
     _corner_summand,
-    _summand_corners,
     _summand_fails,
+    _summand_tags,
     _tag_label,
+    _top_corners,
     _witnesses,
     applicability,
     acm_closed_form_line,
@@ -109,6 +119,22 @@ def test_general_variant_matches_at_low_arity():
             assert acm_printed_variant_line(sp, degs, "b3") == acm_closed_form_line(
                 sp, degs
             ), (name, degs)
+
+
+def test_discrepancy_grid_is_bounded_by_the_table_limit(monkeypatch):
+    from mpreg.cohomology import MAX_TABLE_TWISTS
+
+    calls = []
+    monkeypatch.setattr("mpreg.splitting.is_acm", lambda b: calls.append(b) or True)
+    # 317^2 = 100489 vectors, one row past the limit; 316^2 = 99856 within it
+    with pytest.raises(ModelError, match=f"more than {MAX_TABLE_TWISTS} vectors"):
+        acm_discrepancy(parse_space("P1xP1"), (0, 316), "b3")
+    with pytest.raises(ModelError, match="more than"):
+        acm_discrepancy(parse_space("P1xP1"), (-1000000, 1000000), "b3")
+    assert calls == []
+    acm_discrepancy(parse_space("P1xP1"), (0, 315), "b2")
+    assert len(calls) == 316 ** 2
+    assert acm_discrepancy(parse_space("P1xP1"), (1, 0), "b3") == []
 
 
 def test_general_variant_first_gap_at_four_factors():
@@ -346,8 +372,10 @@ def test_witness_refuses_a_window_unbounded_below():
     [w] = _witnesses(b, bottom, rank(b), None)
     assert (w.t, w.dim) == (0, 1)
     # the per-summand bit defers such a window to the witnesses, which raise
-    assert _summand_fails(b.space, b.summands[0], top, rank(b), None) is None
-    assert _summand_fails(b.space, b.summands[0], bottom, rank(b), None) is True
+    (f,) = summand_records(b)
+    assert _summand_fails(b.space, f, top, rank(b), None) is None
+    assert _summand_fails(b.space, f, bottom, rank(b), None) is True
+    assert (f.bits[top, rank(b), None], f.bits[bottom, rank(b), None]) == (None, True)
 
 
 def test_fixed_twist_bit_reads_only_windows_holding_the_twist():
@@ -355,7 +383,7 @@ def test_fixed_twist_bit_reads_only_windows_holding_the_twist():
     # at some balanced twist, but not at T0's fixed twist -1
     _, b = parse_bundle("P1xP1", "O(0,0) + O(0,2)")
     spec, r = CHECKS[TheoremId.T0], rank(b)
-    assert any(_summand_fails(b.space, s, spec.family, r, None) for s in b.summands)
+    assert any(_summand_fails(b.space, f, spec.family, r, None) for f in summand_records(b))
     assert verify_theorem(b, TheoremId.T0).condition_holds is True
     assert condition_for(b, TheoremId.T0) == (True, [])
 
@@ -440,13 +468,39 @@ def test_detector_fold_matches_pointwise_probes(bundle):
     expected = _pointwise_detector(bundle)
     assert detect_extremal_summand(bundle) == expected
     assert detect_extremal_summand(bundle, reg_value=0) == expected
-    for s in bundle.summands:
-        assert _summand_corners(bundle.space, s) == _summand_corners.__wrapped__(bundle.space, s)
+    for f in summand_records(bundle):
+        assert _summand_tags(bundle.space, f) == _summand_tags(bundle.space, SummandFacts(f.atoms))
     ids = (TheoremId.T4, TheoremId.T0) if bundle.space.num_factors == 2 else (TheoremId.T4,)
     for verdict in verify_bundle(bundle, ids):
         assert verdict.detected == tuple(expected)
         agrees = all(t.summand in bundle.summands for t in expected) if expected else None
         assert verdict.detector_agrees == agrees
+
+
+@st.composite
+def _reg_zero_bundles_on_detector_spaces(draw):
+    """1 to 4 summands on P1xP1, P2xP2, P1xP1xP1 or P1xP2xP2, cotangent
+    atoms included, twisted to Reg = 0."""
+    space = parse_space(draw(st.sampled_from(["P1xP1", "P2xP2", "P1xP1xP1", "P1xP2xP2"])))
+    degree = st.integers(-3, 3)
+    atoms = [st.one_of(degree.map(Line), st.builds(Cotangent, st.integers(1, n - 1), degree))
+             if n > 1 else degree.map(Line) for n in space.dims]
+    bundle = make_bundle(space, [make_summand(space, [draw(a) for a in atoms])
+                                 for _ in range(draw(st.integers(1, 4)))])
+    return twist(bundle, (reg(bundle),) * space.num_factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reg_zero_bundles_on_detector_spaces())
+def test_detector_tags_match_a_probe_over_the_top_corners(bundle):
+    # sorted corners of the summands' tags replace the walk over the corners
+    space = bundle.space
+    assert reg(bundle) == 0
+    expected = [(_tag_label(space, h, s), h, s) for h in _top_corners(space)
+                if h_bundle(bundle, tuple(-1 - hj for hj in h), sum(h))
+                for s in [_corner_summand(space, h)]]
+    got = [(t.label, t.corner, t.summand) for t in detect_extremal_summand(bundle)]
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +612,13 @@ def test_splitting_memos_match_unwrapped():
             assert family == offsets.__wrapped__(space, spec.family, r)
             assert offsets(space, spec.family, r) is family
             for s in b.summands:
-                record = summand_windows(space, s, spec.family, r)
-                assert record == summand_windows.__wrapped__(space, s, spec.family, r)
-                assert summand_windows(space, s, spec.family, r) is record
-                bit = _summand_fails(space, s, spec.family, r, spec.twist)
-                assert bit == _summand_fails.__wrapped__(space, s, spec.family, r, spec.twist)
+                f = summand_facts(space.dims, s.key)
+                record = summand_windows(space, f, spec.family, r)
+                assert record == summand_windows(space, SummandFacts(f.atoms), spec.family, r)
+                assert summand_windows(space, f, spec.family, r) is record
+                bit = _summand_fails(space, f, spec.family, r, spec.twist)
+                assert bit == _summand_fails(space, SummandFacts(f.atoms), spec.family, r,
+                                             spec.twist)
 
 
 # ---------------------------------------------------------------------------
