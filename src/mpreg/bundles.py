@@ -161,8 +161,10 @@ _summand_key = attrgetter("key")
 
 
 def _is_normal(space: Space, s: BoxSummand) -> bool:
-    """Would make_summand return a summand equal to s?"""
-    return len(s.min_dims) == len(space.dims) and all(map(le, s.min_dims, space.dims))
+    """Would make_summand return a summand equal to s?  Line atoms are in
+    normal form on every factor, so a line summand needs only the length."""
+    return len(s.min_dims) == len(space.dims) and (
+        s.degrees is not None or all(map(le, s.min_dims, space.dims)))
 
 
 def make_bundle(space: Space, summands: Iterable[BoxSummand]) -> Bundle:
@@ -187,7 +189,10 @@ def summand_rank(space: Space, s: BoxSummand) -> int:
 
 
 def rank(bundle: Bundle) -> int:
-    return sum(summand_rank(bundle.space, s) for s in bundle.summands)
+    r = 0
+    for s in bundle.summands:  # a loop: a line summand costs no call
+        r += 1 if s.degrees is not None else summand_rank(bundle.space, s)
+    return r
 
 
 def twist_atom(atom: Atom, t: int) -> Atom:

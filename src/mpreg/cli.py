@@ -66,8 +66,7 @@ def _load_bundle(args) -> Bundle:
 
 def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         out.write("\n".join(lines) + "\n")
 

@@ -219,44 +219,45 @@ _WITNESS_CAP = 4
 _SAMPLE_CAP = 3
 
 
+def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
+    """One finding on the verdict, with the fields its kind adds."""
+    found = {"type": kind, "space": space_text, "bundle": name, "theorem": verdict.theorem.value}
+    if kind == "inconsistent":
+        found.update(condition=verdict.condition_holds, form=verdict.form_holds,
+                     witnesses=[w.to_json() for w in verdict.witnesses[:_WITNESS_CAP]])
+    elif kind == "detector_mismatch":
+        found["detected"] = [t.label for t in verdict.detected]
+    return found
+
+
 def _check_bundle(space_text: str, bundle: Bundle, ids: tuple[TheoremId, ...]):
-    """Worker: returns, per check id, applicability, consistency and findings,
-    and the bundle's name, formatted only when there is a finding (else None)."""
-    name = None
-    rows = []
+    """Worker: returns, per check id in order, (applicable, consistent,
+    findings), and the bundle's name, formatted only when there is a finding
+    (else None).  Finding dicts are built only for a bundle that has one."""
+    name, rows = None, []
     acm = None  # is_acm(bundle), computed at most once
-
-    def finding(kind: str, **extra) -> dict:
-        nonlocal name
-        name = name or format_bundle(bundle)
-        return {"type": kind, "space": space_text, "bundle": name, "theorem": tid, **extra}
-
     for verdict in verify_bundle(bundle, ids):
-        tid = verdict.theorem.value
-        spec = CHECKS[verdict.theorem]
-        fnds = []
-        if verdict.applicable:
-            if not verdict.consistent:
-                fnds.append(
-                    finding(
-                        "inconsistent",
-                        condition=verdict.condition_holds,
-                        form=verdict.form_holds,
-                        witnesses=[w.to_json() for w in verdict.witnesses[:_WITNESS_CAP]],
-                    )
-                )
-            if verdict.detected and verdict.detector_agrees is False:
-                fnds.append(
-                    finding("detector_mismatch", detected=[t.label for t in verdict.detected])
-                )
-            if spec.detector and verdict.condition_holds and not verdict.detected:
-                fnds.append(finding("detector_empty"))
-            if spec.acm_crosscheck and verdict.condition_holds:
-                if acm is None:
-                    acm = is_acm(bundle)
-                if not acm:
-                    fnds.append(finding("t1_without_acm"))
-        rows.append((tid, verdict.applicable, bool(verdict.consistent), fnds))
+        if not verdict.applicable:
+            rows.append((False, False, ()))
+            continue
+        spec, cond, kinds = CHECKS[verdict.theorem], verdict.condition_holds, []
+        if not verdict.consistent:
+            kinds.append("inconsistent")
+        if verdict.detected and verdict.detector_agrees is False:
+            kinds.append("detector_mismatch")
+        if spec.detector and cond and not verdict.detected:
+            kinds.append("detector_empty")
+        if spec.acm_crosscheck and cond:
+            if acm is None:
+                acm = is_acm(bundle)
+            if not acm:
+                kinds.append("t1_without_acm")
+        if kinds:
+            name = name or format_bundle(bundle)
+            rows.append((True, verdict.consistent,
+                         [_finding(kind, space_text, name, verdict) for kind in kinds]))
+        else:
+            rows.append((True, True, ()))
     return name, rows
 
 
@@ -299,6 +300,7 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     total = 0
 
     ids = tuple(map(TheoremId, cfg.theorems))
+    stats = [per_theorem[tid] for tid in cfg.theorems]  # in the order of ids and of the rows
     spaces = [parse_space(text) for text in cfg.spaces]
     workers = pool_size(cfg.jobs, os.cpu_count()) if cfg.jobs > 1 else 1
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -308,8 +310,7 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
             results = _pool_map(pool, check, bundles, workers) if pool else map(check, bundles)
             for name, rows in results:
                 total += 1
-                for tid, applicable, consistent, fnds in rows:
-                    st = per_theorem[tid]
+                for st, (applicable, consistent, fnds) in zip(stats, rows):
                     if not applicable:
                         st.not_applicable += 1
                         continue

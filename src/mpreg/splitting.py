@@ -9,8 +9,10 @@ evaluator from the window records of its offset family, kept in each
 summand's record (regularity.summand_facts): the condition is an AND of one
 bit per summand, stored in the record; witnesses, built when read, take
 dimensions from h_bundle.  The extremal detector is a fold too: the union
-of the summands' tags, stored in their records.  The records, rank, the
-Reg gate, degrees and the detection are read once per bundle (_facts).
+of the summands' tags, stored in their records.  verify_bundle is one
+straight-line pass per bundle: the records, rank, the Reg gate, degrees and
+the detection are its local variables, each computed at most once, and
+applicability and condition_for read the verdict of verify_theorem.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bundles import (
@@ -50,6 +53,9 @@ class TheoremId(str, Enum):
     T2B = "T2B"
     T4 = "T4"
     P4B = "P4B"
+
+    # each name is its value, so this is Enum's hash (of the name) without a Python call
+    __hash__ = str.__hash__
 
 
 class PreconditionError(ModelError):
@@ -243,16 +249,22 @@ def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
 # structural forms
 
 
+_line_degrees = attrgetter("degrees")
+
+
 def _degrees(bundle: Bundle) -> tuple:
     """What a form reads besides the bundle: per summand, the degrees of a
     line summand, or None for a summand with a cotangent atom."""
-    return tuple(s.degrees for s in bundle.summands)
+    return tuple(map(_line_degrees, bundle.summands))
 
 
 def _lines_within(bundle: Bundle, degrees: tuple, spread: int) -> bool:
     """Every summand a line whose degrees differ by at most spread: balanced
     lines for spread 0, step lines for spread 1."""
-    return all(d is not None and max(d) - min(d) <= spread for d in degrees)
+    for d in degrees:  # a loop: cheaper than all() over a generator
+        if d is None or max(d) - min(d) > spread:
+            return False
+    return True
 
 
 def _top_corners(space: Space) -> Iterator[tuple[int, ...]]:
@@ -323,6 +335,12 @@ class CheckSpec:
     reg_zero: bool = False
     detector: bool = False  # cross-check the verdict with the extremal detector
     acm_crosscheck: bool = False  # the condition should force ACM
+    # whether the family reads the rank; the others are read, and their
+    # windows, bits and witnesses kept, at rank 0 for every bundle
+    reads_rank: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reads_rank", self.family in (_interior_family, _boundary_family))
 
 
 _T3 = CheckSpec(_exact_family, partial(_lines_within, spread=0), acm_crosscheck=True)
@@ -351,45 +369,9 @@ CHECKS: dict[TheoremId, CheckSpec] = {
 }
 
 
-def _facts(bundle: Bundle) -> Callable:
-    """fact(f) is f(bundle), computed on first use and kept, for the facts
-    the checks of a bundle share (summand_records, rank, _reg_gate, _degrees,
-    _detection).  Most bundles of a Reg-gated sweep fail the gate and never
-    pay for rank or degrees."""
-    known: dict = {}
-
-    def fact(f: Callable):
-        if f not in known:
-            known[f] = f(bundle)
-        return known[f]
-
-    return fact
-
-
-def _failed_precondition(bundle: Bundle, theorem: TheoremId,
-                         fact: Callable) -> Optional[ModelError]:
-    """The first precondition of the check that the bundle fails, as the
-    error condition_for raises; None when the check applies."""
-    spec = CHECKS[theorem]
-    s = bundle.space.num_factors
-    if spec.two_factor and s != 2:
-        return ArityError(f"{theorem.value} is a two-factor check, space has {s} factors")
-    reason = spec.rank_rule(bundle.space, fact(rank)) if spec.rank_rule else None
-    if reason is not None:
-        return PreconditionError(reason)
-    return fact(_reg_gate) if spec.reg_zero else None
-
-
-def _reg_gate(bundle: Bundle) -> Optional[PreconditionError]:
-    """The error of the Reg = 0 precondition, or None when Reg is 0."""
-    value = reg(bundle)
-    return PreconditionError(f"Reg must be 0, got {value}") if value != 0 else None
-
-
 def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
     """None when the check applies; otherwise a human-readable reason."""
-    error = _failed_precondition(bundle, TheoremId(theorem), _facts(bundle))
-    return None if error is None else str(error)
+    return verify_theorem(bundle, theorem).reason
 
 
 def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
@@ -428,13 +410,11 @@ def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witnes
     """Evaluate the check's vanishing condition.  A failed precondition
     raises ArityError (two-factor checks) or PreconditionError, with the
     reason applicability gives."""
-    theorem, fact = TheoremId(theorem), _facts(bundle)
-    error = _failed_precondition(bundle, theorem, fact)
-    if error is not None:
-        raise error
-    spec, r = CHECKS[theorem], fact(rank)
-    return (_vanishes(bundle, spec.family, r, spec.twist, fact(summand_records)),
-            _witnesses(bundle, spec.family, r, spec.twist))
+    verdict = verify_theorem(bundle, theorem)
+    if not verdict.applicable:
+        two_factor = CHECKS[verdict.theorem].two_factor and bundle.space.num_factors != 2
+        raise (ArityError if two_factor else PreconditionError)(verdict.reason)
+    return verdict.condition_holds, list(verdict.witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +474,10 @@ def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> 
     return [tags[h] for h in sorted(tags)]
 
 
-def _detection(bundle: Bundle) -> tuple:
-    """The detector's tags of a Reg-0 bundle, and whether the bundle has
-    every tagged summand, compared by key (None when nothing is tagged)."""
-    detected = tuple(detect_extremal_summand(bundle, reg_value=0))
-    keys = {s.key for s in bundle.summands}
-    return detected, all(tag.summand.key in keys for tag in detected) if detected else None
-
-
 # ---------------------------------------------------------------------------
 # verdicts
+
+_UNREAD = object()
 
 
 @dataclass(frozen=True, init=False)
@@ -517,7 +491,7 @@ class TheoremVerdict:
     detected: tuple
     detector_agrees: Optional[bool]
     bundle: Optional[Bundle] = field(repr=False)
-    rank: Optional[int] = field(repr=False)  # the bundle's, for the witnesses
+    rank: Optional[int] = field(repr=False)  # the bundle's
 
     def __init__(self, theorem, applicable, reason=None, condition_holds=None, form_holds=None,
                  consistent=None, detected=(), detector_agrees=None, bundle=None, rank=None):
@@ -533,37 +507,55 @@ class TheoremVerdict:
         if not self.applicable:
             return ()
         spec = CHECKS[self.theorem]
-        return tuple(_witnesses(self.bundle, spec.family, self.rank, spec.twist))
+        r = self.rank if spec.reads_rank else 0
+        return tuple(_witnesses(self.bundle, spec.family, r, spec.twist))
 
 
 def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
     """The verdicts of the check ids (TheoremId members) on the bundle, in
-    order, from one pass that fetches the summands' records and computes
-    rank, the Reg gate, the summands' degrees and the detection at most once
-    each, when a check first needs them."""
-    fact, verdicts = _facts(bundle), []
+    order, from one pass.  The preconditions are checked in order: two
+    factors, the rank rule, Reg = 0.  Rank, the Reg gate, the summands'
+    records and degrees and the detection are computed at most once each,
+    when a check first needs them: a bundle that fails the Reg gate never
+    pays for its rank or degrees."""
+    space, verdicts = bundle.space, []
+    r = records = degrees = detection = None
+    gate = _UNREAD  # the Reg gate's reason, None when Reg is 0
     for theorem in ids:
-        spec = CHECKS[theorem]
-        error = _failed_precondition(bundle, theorem, fact)
-        if error is not None:
-            verdicts.append(TheoremVerdict(theorem, applicable=False, reason=str(error)))
+        spec, reason = CHECKS[theorem], None
+        if spec.two_factor and space.num_factors != 2:
+            reason = f"{theorem.value} is a two-factor check, space has {space.num_factors} factors"
+        else:
+            if spec.rank_rule is not None:
+                if r is None:
+                    r = rank(bundle)
+                reason = spec.rank_rule(space, r)
+            if reason is None and spec.reg_zero:
+                if gate is _UNREAD:  # one error per bundle: its message is every gated reason
+                    value = reg(bundle)
+                    gate = str(PreconditionError(f"Reg must be 0, got {value}")) if value else None
+                reason = gate
+        if reason is not None:
+            verdicts.append(TheoremVerdict(theorem, False, reason))
             continue
-        r = fact(rank)
-        cond = _vanishes(bundle, spec.family, r, spec.twist, fact(summand_records))
-        form = spec.form(bundle, fact(_degrees))
-        # the preconditions have just established Reg = 0 for the checks with a detector
-        detected, agrees = fact(_detection) if spec.detector else ((), None)
-        verdicts.append(TheoremVerdict(
-            theorem,
-            applicable=True,
-            condition_holds=cond,
-            form_holds=form,
-            consistent=(cond == form),
-            detected=detected,
-            detector_agrees=agrees,
-            bundle=bundle,
-            rank=r,
-        ))
+        if r is None:
+            r = rank(bundle)
+        if records is None:
+            records = summand_records(bundle)
+        cond = _vanishes(bundle, spec.family, r if spec.reads_rank else 0, spec.twist, records)
+        if degrees is None:
+            degrees = _degrees(bundle)
+        form = spec.form(bundle, degrees)
+        detected, agrees = (), None
+        if spec.detector:  # Reg = 0: the gate has just passed
+            if detection is None:  # the tags; has the bundle every tagged summand (by key)?
+                detected = tuple(detect_extremal_summand(bundle, reg_value=0))
+                keys = {s.key for s in bundle.summands}
+                agrees = all(t.summand.key in keys for t in detected) if detected else None
+                detection = detected, agrees
+            detected, agrees = detection
+        verdicts.append(TheoremVerdict(theorem, True, None, cond, form, cond == form,
+                                       detected, agrees, bundle, r))
     return verdicts
 
 

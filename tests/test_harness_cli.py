@@ -576,6 +576,32 @@ def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch
     assert gate_errors[0] == rep.per_theorem["T4"].not_applicable == rep.total_bundles - applicable
 
 
+def test_rank_free_families_keep_one_window_entry_per_summand():
+    # T3's, T2B's and the ACM family ignore the rank, so a summand of a
+    # rank-1 and of a rank-2 bundle fills each of their windows once
+    from collections import Counter
+
+    from mpreg.bundles import parse_bundle
+    from mpreg.regularity import summand_facts
+    from mpreg.splitting import _acm_family, _exact_family, _step_family, verify_theorem
+
+    summand_facts.cache_clear()
+    space = parse_space("P1xP1xP1")
+    cfg = EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3", "T2B"))
+    rep = run_verification(cfg)
+    assert rep.total_bundles == 125 + 125 * 126 // 2
+    records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
+    windows = Counter(family for f in records for family, _ in f.windows)
+    assert windows[_exact_family] == windows[_step_family] == 125
+    assert 0 < windows[_acm_family] <= 125
+    assert sum(windows.values()) == sum(len(f.windows) for f in records)
+    assert all(r == 0 for f in records for _, r in f.windows)
+    assert all(r == 0 for f in records for _, r, _ in f.bits)
+    # the verdict keeps the bundle's own rank
+    _, b = parse_bundle("P1xP1xP1", "O(0,0,0) + O(1,1,1)")
+    assert verify_theorem(b, "T3").rank == 2
+
+
 def test_comparison_requires_two_factors():
     from mpreg.bundles import ArityError, parse_bundle
 

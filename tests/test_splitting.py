@@ -604,10 +604,10 @@ def test_splitting_memos_match_unwrapped():
         ("P1xP1xP2", "O(0,1,2) + O(-1)*O(0)*W1(-2)"),
     ]:
         space, b = parse_bundle(space_text, text)
-        r = rank(b)
         for spec in CHECKS.values():
             if spec.two_factor and space.num_factors != 2:
                 continue
+            r = rank(b) if spec.reads_rank else 0  # the rank the verdict path keys on
             family = offsets(space, spec.family, r)
             assert family == offsets.__wrapped__(space, spec.family, r)
             assert offsets(space, spec.family, r) is family
@@ -644,6 +644,39 @@ def test_verify_bundle_matches_one_verdict_per_id(bundle):
     expected = [verify_theorem(bundle, tid) for tid in TheoremId]
     assert verdicts == expected
     assert [v.witnesses for v in verdicts] == [v.witnesses for v in expected]
+
+
+@st.composite
+def _some_reg_zero_bundles(draw):
+    """_fold_bundles, about half of them twisted to Reg = 0."""
+    bundle = draw(_fold_bundles())
+    if draw(st.booleans()):
+        bundle = twist(bundle, (-reg(bundle),) * bundle.space.num_factors)
+    return bundle
+
+
+@settings(max_examples=200, deadline=None)
+@given(_some_reg_zero_bundles())
+def test_applicability_and_condition_for_read_the_verdict(bundle):
+    space = bundle.space
+    for tid in TheoremId:
+        spec, verdict = CHECKS[tid], verify_theorem(bundle, tid)
+        # the preconditions, in order: two factors, the rank rule, Reg = 0
+        two_factor = spec.two_factor and space.num_factors != 2
+        reason = (f"{tid.value} is a two-factor check, space has {space.num_factors} factors"
+                  if two_factor else spec.rank_rule and spec.rank_rule(space, rank(bundle)))
+        if reason is None and spec.reg_zero and reg(bundle) != 0:
+            reason = f"Reg must be 0, got {reg(bundle)}"
+        assert verdict.reason == reason and verdict.applicable == (reason is None), tid
+        assert applicability(bundle, tid) == verdict.reason, tid
+        if verdict.applicable:
+            assert condition_for(bundle, tid) == (verdict.condition_holds,
+                                                  list(verdict.witnesses)), tid
+        else:
+            with pytest.raises(ModelError) as raised:
+                condition_for(bundle, tid)
+            assert type(raised.value) is (ArityError if two_factor else PreconditionError), tid
+            assert str(raised.value) == verdict.reason, tid
 
 
 _LAZY_CASES = (("P2xP3", "O(0,0) + O(0,1)"), ("P1xP2", "O(1,1)"), ("P1xP2", "O(0,2)"),
