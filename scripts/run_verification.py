@@ -9,7 +9,7 @@ The default battery covers the ranges the test suite uses:
 
 Each batch prints per-check counts (applicable, consistent, inconsistent)
 followed by a capped listing of findings.  Exit status is 0 when every batch
-is clean, 1 otherwise, and 2 on a configuration error such as ``--jobs 0``.
+is clean, 1 otherwise, and 2 on a configuration error.
 The full battery exits 1 by design: beyond the catalogued T2B and P4 gaps,
 the C1/T0/T4 conditions quantify over ranges bounded by the rank, so
 low-rank bundles satisfy them vacuously while falling outside the predicted
@@ -18,20 +18,18 @@ form, and those show up here as findings too.
 Usage:
   python scripts/run_verification.py              # full battery
   python scripts/run_verification.py --quick      # two-factor batch only
-  python scripts/run_verification.py --jobs 4
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mpreg.bundles import ModelError
-from mpreg.harness import EnumerationConfig, RunReport, default_jobs, run_verification
+from mpreg.harness import EnumerationConfig, RunReport, run_verification
 
 FINDINGS_CAP = 12
 
@@ -114,14 +112,12 @@ def print_report(label: str, rep: RunReport) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="two-factor batch only")
-    ap.add_argument("--jobs", type=int, default=None, help="worker processes")
     args = ap.parse_args(argv)
 
     clean = True
     try:
-        jobs = default_jobs(args.jobs)
         for label, cfg in battery(args.quick):
-            rep = run_verification(replace(cfg, jobs=jobs))
+            rep = run_verification(cfg)
             print_report(label, rep)
             clean = clean and rep.ok
     except ModelError as exc:

@@ -27,7 +27,6 @@ from .cohomology import build_table
 from .harness import (
     ConfigError,
     EnumerationConfig,
-    default_jobs,
     load_config,
     parse_range,
     run_verification,
@@ -219,7 +218,6 @@ def cmd_verify_paper(args, out) -> int:
         cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2"))
     if args.theorem:
         cfg = replace(cfg, theorems=tuple(args.theorem))
-    cfg = replace(cfg, jobs=default_jobs(args.jobs, cfg.jobs))
     report = run_verification(cfg)
     payload = {
         "spaces": list(cfg.spaces),
@@ -321,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[t.value for t in TheoremId],
         help="restrict to one or more check ids (repeatable)",
     )
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_paper)
 

@@ -4,15 +4,10 @@ checks over them, and aggregate agreement statistics."""
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from math import prod
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .bundles import (
     ArityError,
@@ -63,7 +58,7 @@ class EnumerationConfig:
     cot_twist_max: int = 2
     max_summands: int = 2
     theorems: tuple[str, ...] = ALL_THEOREMS
-    jobs: int = 1
+    jobs: int = 1  # only 1; kept so that configs written with jobs = 1 still load
 
     def __post_init__(self):
         if self.degree_min > self.degree_max:
@@ -72,8 +67,8 @@ class EnumerationConfig:
             raise ConfigError("empty cotangent twist range")
         if self.max_summands < 1:
             raise ConfigError("max_summands must be at least 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
+        if self.jobs != 1:
+            raise ConfigError(f"jobs must be 1, got {self.jobs}: parallel runs were removed")
         for t in self.theorems:
             if t not in ALL_THEOREMS:
                 raise ConfigError(f"unknown check id {t!r}")
@@ -230,98 +225,48 @@ def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
     return found
 
 
-def _check_bundle(space_text: str, bundle: Bundle, ids: tuple[TheoremId, ...]):
-    """Worker: returns, per check id in order, (applicable, consistent,
-    findings), and the bundle's name, formatted only when there is a finding
-    (else None).  Finding dicts are built only for a bundle that has one."""
-    name, rows = None, []
-    acm = None  # is_acm(bundle), computed at most once
-    for verdict in verify_bundle(bundle, ids):
-        if not verdict.applicable:
-            rows.append((False, False, ()))
-            continue
-        spec, cond, kinds = CHECKS[verdict.theorem], verdict.condition_holds, []
-        if not verdict.consistent:
-            kinds.append("inconsistent")
-        if verdict.detected and verdict.detector_agrees is False:
-            kinds.append("detector_mismatch")
-        if spec.detector and cond and not verdict.detected:
-            kinds.append("detector_empty")
-        if spec.acm_crosscheck and cond:
-            if acm is None:
-                acm = is_acm(bundle)
-            if not acm:
-                kinds.append("t1_without_acm")
-        if kinds:
-            name = name or format_bundle(bundle)
-            rows.append((True, verdict.consistent,
-                         [_finding(kind, space_text, name, verdict) for kind in kinds]))
-        else:
-            rows.append((True, True, ()))
-    return name, rows
-
-
-_CHUNK = 256  # bundles per pool task; see "Enumeration harness" in the README
-_IN_FLIGHT = 2  # pool tasks outstanding per worker, so the family is never held whole
-
-
-def _map_chunk(fn, items: list) -> list:
-    return list(map(fn, items))
-
-
-def _pool_map(pool, fn, items, workers: int):
-    """fn over items, in order, ``_CHUNK`` items per pool task and at most
-    ``_IN_FLIGHT * workers`` tasks submitted and not yet read."""
-    items = iter(items)
-    pending: deque = deque()
-    while chunk := list(itertools.islice(items, _CHUNK)):
-        if len(pending) == _IN_FLIGHT * workers:
-            yield from pending.popleft().result()
-        pending.append(pool.submit(_map_chunk, fn, chunk))
-    while pending:
-        yield from pending.popleft().result()
-
-
-def pool_size(jobs: int, cpus: Optional[int]) -> int:
-    """Worker processes for a run of more than one job: no more than asked
-    for or than there are cores (``os.cpu_count()``, None when unknown)."""
-    return max(1, min(jobs, cpus or 1))
-
-
 def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``.
-    Bundles stream from ``enumerate_bundles``: a serial run holds one at a
-    time, and a pool of ``pool_size`` workers takes them ``_CHUNK`` at a
-    time, with at most ``_IN_FLIGHT`` tasks per worker outstanding, and
-    returns them in order, so both give the same report."""
+    Bundles stream from ``enumerate_bundles``, so a run holds one at a
+    time.  A bundle's name and finding dicts are made only when it has a
+    finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
     total = 0
 
     ids = tuple(map(TheoremId, cfg.theorems))
-    stats = [per_theorem[tid] for tid in cfg.theorems]  # in the order of ids and of the rows
-    spaces = [parse_space(text) for text in cfg.spaces]
-    workers = pool_size(cfg.jobs, os.cpu_count()) if cfg.jobs > 1 else 1
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for space in spaces:
-            check = partial(_check_bundle, format_space(space), ids=ids)
-            bundles = enumerate_bundles(space, cfg)
-            results = _pool_map(pool, check, bundles, workers) if pool else map(check, bundles)
-            for name, rows in results:
-                total += 1
-                for st, (applicable, consistent, fnds) in zip(stats, rows):
-                    if not applicable:
-                        st.not_applicable += 1
-                        continue
-                    st.applicable += 1
-                    if consistent:
-                        st.consistent += 1
-                    else:
-                        st.inconsistent += 1
-                        if len(st.samples) < _SAMPLE_CAP:
-                            st.samples.append(name)
-                    findings.extend(fnds)
+    stats = [per_theorem[tid] for tid in cfg.theorems]  # in the order of ids and of the verdicts
+    for space in map(parse_space, cfg.spaces):
+        space_text = format_space(space)
+        for bundle in enumerate_bundles(space, cfg):
+            total += 1
+            name = acm = None  # format_bundle(bundle) and is_acm(bundle), each made at most once
+            for st, verdict in zip(stats, verify_bundle(bundle, ids)):
+                if not verdict.applicable:
+                    st.not_applicable += 1
+                    continue
+                st.applicable += 1
+                spec, cond, kinds = CHECKS[verdict.theorem], verdict.condition_holds, []
+                if verdict.consistent:
+                    st.consistent += 1
+                else:
+                    st.inconsistent += 1
+                    kinds.append("inconsistent")
+                if verdict.detected and verdict.detector_agrees is False:
+                    kinds.append("detector_mismatch")
+                if spec.detector and cond and not verdict.detected:
+                    kinds.append("detector_empty")
+                if spec.acm_crosscheck and cond:
+                    if acm is None:
+                        acm = is_acm(bundle)
+                    if not acm:
+                        kinds.append("t1_without_acm")
+                if kinds:
+                    name = name or format_bundle(bundle)
+                    if not verdict.consistent and len(st.samples) < _SAMPLE_CAP:
+                        st.samples.append(name)
+                    findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
 
     return RunReport(
         config=cfg,
@@ -330,20 +275,6 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
         findings=findings,
         elapsed_seconds=time.monotonic() - start,
     )
-
-
-def default_jobs(explicit: Optional[int] = None, configured: int = 1) -> int:
-    """Worker processes: explicit (--jobs), else MPREG_JOBS, else configured.
-    A value below 1 is passed on for EnumerationConfig to refuse."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("MPREG_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"MPREG_JOBS must be an integer, got {env!r}") from exc
-    return configured
 
 
 # ---------------------------------------------------------------------------

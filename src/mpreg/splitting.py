@@ -531,9 +531,9 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
                     r = rank(bundle)
                 reason = spec.rank_rule(space, r)
             if reason is None and spec.reg_zero:
-                if gate is _UNREAD:  # one error per bundle: its message is every gated reason
+                if gate is _UNREAD:  # one read per bundle: its reason is every gated reason
                     value = reg(bundle)
-                    gate = str(PreconditionError(f"Reg must be 0, got {value}")) if value else None
+                    gate = f"Reg must be 0, got {value}" if value else None
                 reason = gate
         if reason is not None:
             verdicts.append(TheoremVerdict(theorem, False, reason))

@@ -278,7 +278,7 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"
 
 
 def test_pickled_summand_keeps_its_hash_under_another_hash_seed():
-    # a pickled summand, e.g. sent to a pool worker, keeps its key and hash:
+    # a pickled summand, read back in another process, keeps its key and hash:
     # neither depends on the process's string hash salt
     text = "W1(-1)*O(-2) + O(-1,2)"
     seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"

@@ -216,8 +216,7 @@ def test_golden_queries_replay_byte_identical(golden):
         replay_bundle(record)
 
 
-def test_golden_verify_paper_replays(golden, monkeypatch, tmp_path):
-    monkeypatch.delenv("MPREG_JOBS", raising=False)
+def test_golden_verify_paper_replays(golden, tmp_path):
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(golden["verify_paper"]["config"])
     code, payload = _verify_paper(cfg)
@@ -228,7 +227,6 @@ def test_golden_verify_paper_replays(golden, monkeypatch, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("MPREG_JOBS", None)
     records = [capture_bundle(space, text) for space, text in _bundles()]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "golden.cfg")

@@ -22,11 +22,9 @@ from mpreg.harness import (
     ConfigError,
     EnumerationConfig,
     compare_regularity_definitions,
-    default_jobs,
     enumerate_bundles,
     enumerate_summands,
     parse_config_text,
-    pool_size,
     run_verification,
 )
 
@@ -45,7 +43,7 @@ def test_parse_config_full():
         cotangent_twists = 0..1
         max_summands = 3
         theorems = T1, T2
-        jobs = 2
+        jobs = 1
         """
     )
     assert cfg.spaces == ("P1xP1", "P2xP3")
@@ -53,7 +51,7 @@ def test_parse_config_full():
     assert cfg.cotangent and (cfg.cot_twist_min, cfg.cot_twist_max) == (0, 1)
     assert cfg.max_summands == 3
     assert cfg.theorems == ("T1", "T2")
-    assert cfg.jobs == 2
+    assert cfg.jobs == 1
 
 
 @pytest.mark.parametrize(
@@ -126,22 +124,6 @@ def test_parse_config_raises_only_config_error(text):
         parse_config_text(text)
     except ConfigError:
         pass
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("MPREG_JOBS", raising=False)
-    assert default_jobs(None) == 1
-    assert default_jobs(4) == 4
-    monkeypatch.setenv("MPREG_JOBS", "3")
-    assert default_jobs(None) == 3
-    # passed on unclamped, for EnumerationConfig to refuse like --jobs 0
-    monkeypatch.setenv("MPREG_JOBS", "0")
-    assert default_jobs(None) == 0
-    monkeypatch.setenv("MPREG_JOBS", "-2")
-    assert default_jobs(None, 4) == -2
-    monkeypatch.setenv("MPREG_JOBS", "zero")
-    with pytest.raises(ConfigError):
-        default_jobs(None)
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +263,6 @@ def test_run_verification_small_all_consistent():
     assert rep.elapsed_seconds >= 0
 
 
-def test_run_verification_parallel_matches_serial():
-    cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2"), degree_min=-1, degree_max=1,
-                            cotangent=True, theorems=ALL_THEOREMS)
-    serial = run_verification(cfg)
-    parallel = run_verification(replace(cfg, jobs=2))
-    assert (serial.total_bundles, len(serial.findings)) == (378, 28)
-    assert parallel.total_bundles == serial.total_bundles
-    # every TheoremStats field, samples included, and the findings in order
-    assert parallel.per_theorem == serial.per_theorem
-    assert parallel.findings == serial.findings
-
-
 _SMALL_SPACES = ("P1", "P2", "P1xP1", "P1xP2", "P2xP1", "P2xP2")
 
 
@@ -326,21 +296,6 @@ def test_bundle_budget_is_the_enumerated_count(cfg, max_summands):
             replace(cfg)
 
 
-# each example starts a pool
-@settings(max_examples=8, deadline=None)
-@given(_small_configs(), st.integers(1, 64))
-def test_parallel_report_equals_serial_on_drawn_configs(cfg, chunk):
-    from unittest import mock
-
-    from mpreg import harness
-
-    serial = run_verification(cfg)
-    # small tasks, so that a family spans several and their order matters
-    with mock.patch.object(harness, "_CHUNK", chunk):
-        parallel = run_verification(replace(cfg, jobs=2))
-    assert replace(parallel, config=cfg, elapsed_seconds=0) == replace(serial, elapsed_seconds=0)
-
-
 def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
     from mpreg import harness
 
@@ -356,64 +311,14 @@ def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
         events.append(("checked", bundle))
         return real_verify(bundle, ids)
 
-    def no_cpu_count():
-        raise AssertionError("a serial run asks for no core count")
-
     monkeypatch.setattr(harness, "enumerate_bundles", logged_enumerate)
     monkeypatch.setattr(harness, "verify_bundle", logged_verify)
-    monkeypatch.setattr(harness.os, "cpu_count", no_cpu_count)
     cfg = EnumerationConfig(spaces=("P1xP1", "P2"), degree_min=-1, degree_max=1,
                             theorems=("T1", "T3"))
     assert run_verification(cfg).total_bundles == 54 + 9
     bundles = [b for text in cfg.spaces for b in real_enumerate(parse_space(text), cfg)]
     # bundle n + 1 is pulled only after bundle n has been checked
     assert events == [(kind, b) for b in bundles for kind in ("pulled", "checked")]
-
-
-def test_parallel_run_bounds_the_tasks_in_flight(monkeypatch):
-    from mpreg import harness
-
-    pools = []
-
-    class RecordingExecutor:
-        """Runs each task when submitted; records the most tasks submitted
-        and not yet read."""
-
-        def __init__(self, max_workers):
-            self.workers, self.submitted, self.outstanding, self.most = max_workers, 0, 0, 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            executor, value = self, fn(*args)
-            self.submitted += 1
-            self.outstanding += 1
-            self.most = max(self.most, self.outstanding)
-
-            class Task:
-                def result(self):
-                    executor.outstanding -= 1
-                    return value
-
-            return Task()
-
-    cfg = EnumerationConfig(spaces=("P1xP1", "P2"), theorems=("T1", "T3"))
-    serial = run_verification(cfg)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "_CHUNK", 4)
-    parallel = run_verification(replace(cfg, jobs=2))
-    assert replace(parallel, config=cfg, elapsed_seconds=0) == replace(serial, elapsed_seconds=0)
-    (pool,) = pools
-    # 350 bundles on P1xP1 and 20 on P2, four to a task
-    assert (serial.total_bundles, pool.submitted) == (370, 88 + 5)
-    assert pool.most == harness._IN_FLIGHT * pool.workers == 4
-    assert pool.outstanding == 0
 
 
 def _count_eq(monkeypatch) -> dict:
@@ -448,8 +353,7 @@ def test_second_run_makes_no_summand_eq_and_no_new_fact_misses(monkeypatch):
 
 
 def test_unpickled_bundles_match_originals_with_no_new_fact_misses(monkeypatch):
-    # what a pool worker gets: equal bundles made anew, which find the
-    # originals' records by key
+    # equal bundles made anew, which find the originals' records by key
     import itertools
     import pickle
 
@@ -476,13 +380,6 @@ def test_unpickled_bundles_match_originals_with_no_new_fact_misses(monkeypatch):
     assert summand_facts.cache_info().misses == misses
     monkeypatch.undo()
     assert got == expected
-
-
-def test_pool_size_bounded_by_jobs_cores_and_bundles():
-    assert pool_size(8, 2) == 2
-    assert pool_size(2, 16) == 2
-    assert pool_size(4, None) == 1
-    assert pool_size(1, 64) == 1
 
 
 def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
@@ -551,29 +448,33 @@ def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch
     from collections import Counter
 
     from mpreg import splitting
+    from mpreg.regularity import reg
 
-    real_detect, real_error = splitting.detect_extremal_summand, splitting.PreconditionError
-    detections, gate_errors = Counter(), [0]
+    real_detect, real_verify = splitting.detect_extremal_summand, harness.verify_bundle
+    detections, gated = Counter(), []
 
     def counting_detect(bundle, *args, **kwargs):
         detections[bundle] += 1
         return real_detect(bundle, *args, **kwargs)
 
-    class CountingError(real_error):
-        def __init__(self, *args):
-            gate_errors[0] += 1
-            super().__init__(*args)
+    def recording_verify(bundle, ids):
+        verdicts = real_verify(bundle, ids)
+        gated.extend((bundle, v.reason) for v in verdicts if not v.applicable)
+        return verdicts
 
     monkeypatch.setattr(splitting, "detect_extremal_summand", counting_detect)
-    monkeypatch.setattr(splitting, "PreconditionError", CountingError)
+    monkeypatch.setattr(harness, "verify_bundle", recording_verify)
     rep = run_verification(EnumerationConfig(spaces=("P2xP2",), cotangent=True,
                                              theorems=("T0", "T4")))
     applicable = rep.per_theorem["T4"].applicable
     assert 0 < applicable == rep.per_theorem["T0"].applicable
     assert max(detections.values()) == 1
     assert sum(detections.values()) == applicable
-    # one Reg-gate error per bundle that fails the gate, shared by T0 and T4
-    assert gate_errors[0] == rep.per_theorem["T4"].not_applicable == rep.total_bundles - applicable
+    # T0 and T4 fail only the Reg gate, with its value in the reason
+    not_applicable = rep.total_bundles - applicable
+    assert len(gated) == 2 * not_applicable == 2 * rep.per_theorem["T4"].not_applicable
+    assert all(reason == f"Reg must be 0, got {reg(bundle)}" and reg(bundle) != 0
+               for bundle, reason in gated)
 
 
 def test_rank_free_families_keep_one_window_entry_per_summand():
@@ -873,15 +774,6 @@ def test_cli_verify_paper_over_the_bundle_budget_exits_2_at_once(tmp_path):
     assert time.perf_counter() - start < 10
 
 
-def test_cli_jobs_env_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\n")
-    res = run_cli("verify-paper", "--config", str(cfg), "--format", "json",
-                  env={"MPREG_JOBS": "2"})
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["ok"] is True
-
-
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -900,61 +792,37 @@ def test_cli_verify_paper_empty_or_repeated_ids_exit_2(tmp_path, capsys, argv, c
     assert "check id" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "config, env, argv, expected",
-    [
-        ("jobs = 2\n", None, [], 2),
-        ("jobs = 2\n", "3", [], 3),
-        ("jobs = 2\n", "3", ["--jobs", "1"], 1),
-        ("", None, [], 1),
-    ],
-    ids=["config", "env-over-config", "flag-over-env", "default"],
-)
-def test_cli_jobs_precedence(tmp_path, monkeypatch, capsys, config, env, argv, expected):
+@pytest.mark.parametrize("jobs, code", [(1, 0), (0, 2), (2, 2)], ids=["jobs-1", "jobs-0", "jobs-2"])
+def test_cli_config_jobs_must_be_1(tmp_path, capsys, jobs, code):
+    # configs written with jobs = 1 still load; runs are serial
     from mpreg import cli
 
-    seen = []
-
-    def spy(cfg):
-        seen.append(cfg.jobs)
-        return run_verification(replace(cfg, jobs=1))
-
-    monkeypatch.setattr(cli, "run_verification", spy)
-    if env is None:
-        monkeypatch.delenv("MPREG_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("MPREG_JOBS", env)
     path = tmp_path / "run.cfg"
-    path.write_text("spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\n" + config)
-    assert cli.main(["verify-paper", "--config", str(path), *argv]) == 0
-    assert seen == [expected]
+    path.write_text(f"spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\njobs = {jobs}\n")
+    assert cli.main(["verify-paper", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   f"error: jobs must be 1, got {jobs}: parallel runs were removed\n")
 
 
-@pytest.mark.parametrize(
-    "config, env, argv",
-    [("jobs = 0\n", None, []), ("", "0", []), ("jobs = 2\n", None, ["--jobs", "0"])],
-    ids=["config", "env", "flag"],
-)
-def test_cli_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, config, env, argv):
-    from mpreg import cli
-
-    if env is None:
-        monkeypatch.delenv("MPREG_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("MPREG_JOBS", env)
-    path = tmp_path / "run.cfg"
-    path.write_text("spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\n" + config)
-    assert cli.main(["verify-paper", "--config", str(path), *argv]) == 2
-    assert "jobs must be at least 1" in capsys.readouterr().err
+_BATTERY = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_verification.py")
 
 
-@pytest.mark.parametrize("argv, env", [(["--jobs", "0"], {}), ([], {"MPREG_JOBS": "0"})],
-                         ids=["flag", "env"])
-def test_battery_script_jobs_below_one_exits_2(argv, env):
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_verification.py")
-    res = subprocess.run([sys.executable, script, "--quick", *argv], capture_output=True,
-                         text=True, env={**os.environ, **env}, timeout=300)
-    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: jobs must be at least 1\n")
+@pytest.mark.parametrize("cmd", [["-m", "mpreg.cli", "verify-paper"], [_BATTERY, "--quick"]],
+                         ids=["cli", "battery-script"])
+def test_jobs_flag_is_a_usage_error(cmd):
+    res = subprocess.run([sys.executable, *cmd, "--jobs", "2"], capture_output=True, text=True,
+                         timeout=300)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith("usage: ")
+    assert res.stderr.endswith("error: unrecognized arguments: --jobs 2\n")
+
+
+def test_cli_import_loads_no_process_pool():
+    code = ("import sys, mpreg.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert (res.returncode, res.stdout) == (0, "[]\n")
 
 
 def test_cli_classify_computes_reg_once(monkeypatch, capsys):
