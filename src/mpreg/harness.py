@@ -24,7 +24,7 @@ from .bundles import (
     parse_space,
 )
 from .regularity import is_regular_at
-from .splitting import CHECKS, TheoremId, is_acm, verify_bundle
+from .splitting import CHECKS, TheoremId, is_acm, row_verdict, verdict_rows
 
 ALL_THEOREMS = tuple(t.value for t in TheoremId)
 
@@ -228,34 +228,36 @@ def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
 def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``.
     Bundles stream from ``enumerate_bundles``, so a run holds one at a
-    time.  A bundle's name and finding dicts are made only when it has a
-    finding."""
+    time.  The stats are tallied from the rows of ``verdict_rows``; a
+    bundle's name, its verdict for a check and the finding dicts are made
+    only when that check has a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
     total = 0
 
     ids = tuple(map(TheoremId, cfg.theorems))
-    stats = [per_theorem[tid] for tid in cfg.theorems]  # in the order of ids and of the verdicts
+    checks = [(per_theorem[theorem.value], theorem, CHECKS[theorem]) for theorem in ids]
     for space in map(parse_space, cfg.spaces):
         space_text = format_space(space)
         for bundle in enumerate_bundles(space, cfg):
             total += 1
             name = acm = None  # format_bundle(bundle) and is_acm(bundle), each made at most once
-            for st, verdict in zip(stats, verify_bundle(bundle, ids)):
-                if not verdict.applicable:
+            for (st, theorem, spec), row in zip(checks, verdict_rows(bundle, ids)):
+                reason, cond, form, detected, agrees, _ = row
+                if reason is not None:
                     st.not_applicable += 1
                     continue
                 st.applicable += 1
-                spec, cond, kinds = CHECKS[verdict.theorem], verdict.condition_holds, []
-                if verdict.consistent:
+                kinds = []
+                if cond == form:
                     st.consistent += 1
                 else:
                     st.inconsistent += 1
                     kinds.append("inconsistent")
-                if verdict.detected and verdict.detector_agrees is False:
+                if detected and agrees is False:
                     kinds.append("detector_mismatch")
-                if spec.detector and cond and not verdict.detected:
+                if spec.detector and cond and not detected:
                     kinds.append("detector_empty")
                 if spec.acm_crosscheck and cond:
                     if acm is None:
@@ -264,8 +266,9 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                         kinds.append("t1_without_acm")
                 if kinds:
                     name = name or format_bundle(bundle)
-                    if not verdict.consistent and len(st.samples) < _SAMPLE_CAP:
+                    if cond != form and len(st.samples) < _SAMPLE_CAP:
                         st.samples.append(name)
+                    verdict = row_verdict(bundle, theorem, row)
                     findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
 
     return RunReport(

@@ -14,20 +14,21 @@ required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
 required).  A summand's facts depend on its integers only, so one memo,
-summand_facts(space.dims, summand.key), keeps one record per summand: its
-(index, lo, hi) windows per family, the checks' bits, Reg per definition
-and the detector's tags, each filled on first use.  At offset k the windows
-of all levels come from one sweep of the untwisted summand
-S(k - (c, ..., c)), c = t_1 + k_1, shifted by -c.  The sweeps are memoized
-on integers (_untwisted_windows), so summands and families that reach the
-same untwisted summand share one.  reg is a max over the records.
+summand_facts(space.dims, summand.key), keeps one record per summand: the
+spread of its line degrees, set when made, and its (index, lo, hi) windows
+per family, the checks' bits, Reg per definition and the detector's tags,
+each filled on first use.  At offset k the windows of all levels come from
+one sweep of the untwisted summand S(k - (c, ..., c)), c = t_1 + k_1,
+shifted by -c.  The sweeps are memoized on integers (_untwisted_windows),
+so summands and families that reach the same untwisted summand share one.
+reg is a max over the records.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .bundles import ArityError, Bundle, Cotangent, Line, ModelError, Space, normalize_atom
 from .cohomology import _support, _twist_vector, h_bundle, level_windows
@@ -75,19 +76,24 @@ def _untwisted_windows(factors: tuple) -> dict:
 
 class SummandFacts:
     """One summand's atoms, (n_j, p_j, t_j) as _untwisted_windows takes them,
-    and its facts, filled on first use with the reader's space: windows per
-    (family, r), bits per (family, r, twist), Reg per definition, tags."""
+    the spread of its line degrees (max - min, None when an atom is a
+    cotangent, as for BoxSummand.degrees), and its facts, filled on first
+    use with the reader's space: windows per (family, r), bits per
+    (family, r, twist), Reg per definition, tags."""
 
-    __slots__ = ("atoms", "windows", "bits", "regs", "tags")
+    __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags")
 
-    def __init__(self, atoms: tuple):
-        self.atoms, self.windows, self.bits, self.regs, self.tags = atoms, {}, {}, {}, None
+    def __init__(self, atoms: tuple, spread: Optional[int] = None):
+        self.atoms, self.spread = atoms, spread
+        self.windows, self.bits, self.regs, self.tags = {}, {}, {}, None
 
 
 @lru_cache(maxsize=None)
 def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
     """The record of the summand with this key, (0, 0, 2t) for O(t) and
-    (1, 2p, 2t) for W^p(t) per atom, on the space with these dims."""
+    (1, 2p, 2t) for W^p(t) per atom, on the space with these dims.  The
+    spread reads the key, not the normal form: a cotangent atom that
+    normalizes to a line still leaves it None."""
     atoms = []
     for n, kind, p, t in zip(dims, key[::3], key[1::3], key[2::3]):
         p, t = p // 2, t // 2
@@ -95,7 +101,8 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
             a = normalize_atom(n, Cotangent(p, t))
             p, t = (0, a.degree) if isinstance(a, Line) else (a.p, a.twist)
         atoms.append((n, p, t))
-    return SummandFacts(tuple(atoms))
+    twice = key[2::3]
+    return SummandFacts(tuple(atoms), None if any(key[::3]) else (max(twice) - min(twice)) // 2)
 
 
 def summand_records(bundle: Bundle) -> list[SummandFacts]:

@@ -8,11 +8,15 @@ nonvanishing group.  The checks are rows of one table, CHECKS, read by one
 evaluator from the window records of its offset family, kept in each
 summand's record (regularity.summand_facts): the condition is an AND of one
 bit per summand, stored in the record; witnesses, built when read, take
-dimensions from h_bundle.  The extremal detector is a fold too: the union
-of the summands' tags, stored in their records.  verify_bundle is one
-straight-line pass per bundle: the records, rank, the Reg gate, degrees and
-the detection are its local variables, each computed at most once, and
-applicability and condition_for read the verdict of verify_theorem.
+dimensions from h_bundle.  The line forms are ANDs over the records too,
+of their degree spreads.  The extremal detector is a fold as well: the
+union of the summands' tags, stored in their records.  verdict_rows is one
+straight-line pass per bundle: the records, rank, the Reg gate and the
+detection are its local variables, each computed at most once, and it
+returns one plain row per check id.  verify_bundle wraps the rows into
+TheoremVerdicts; the enumeration harness tallies the rows and builds a
+verdict only for a check with a finding.  applicability and condition_for
+read the verdict of verify_theorem.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bundles import (
@@ -111,7 +114,10 @@ def acm_witnesses(bundle: Bundle) -> list[Witness]:
 def is_acm(bundle: Bundle) -> bool:
     """True when every intermediate cohomology group vanishes for all
     balanced twists: no summand has a window in the family."""
-    return _vanishes(bundle, _acm_family, 0, None, summand_records(bundle))
+    bits = [_summand_fails(bundle.space, f, _acm_family, 0, None) for f in summand_records(bundle)]
+    if None in bits:
+        _witnesses(bundle, _acm_family, 0, None)  # raises: a window is unbounded below
+    return not any(bits)
 
 
 def acm_closed_form_line(space: Space, degrees: Iterable[int]) -> bool:
@@ -249,20 +255,11 @@ def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
 # structural forms
 
 
-_line_degrees = attrgetter("degrees")
-
-
-def _degrees(bundle: Bundle) -> tuple:
-    """What a form reads besides the bundle: per summand, the degrees of a
-    line summand, or None for a summand with a cotangent atom."""
-    return tuple(map(_line_degrees, bundle.summands))
-
-
-def _lines_within(bundle: Bundle, degrees: tuple, spread: int) -> bool:
+def _lines_within(bundle: Bundle, records: list, spread: int) -> bool:
     """Every summand a line whose degrees differ by at most spread: balanced
-    lines for spread 0, step lines for spread 1."""
-    for d in degrees:  # a loop: cheaper than all() over a generator
-        if d is None or max(d) - min(d) > spread:
+    lines for spread 0, step lines for spread 1.  Read off the records."""
+    for f in records:  # a loop: cheaper than all() over a generator
+        if f.spread is None or f.spread > spread:
             return False
     return True
 
@@ -285,7 +282,7 @@ def _corner_summand(space: Space, h: tuple[int, ...]) -> BoxSummand:
     return make_summand(space, atoms)
 
 
-def _has_extremal_summand(bundle: Bundle, degrees: tuple) -> bool:
+def _has_extremal_summand(bundle: Bundle, records: list) -> bool:
     """Some summand is on the extremal menu: every atom O, O(1) or
     W^a(a+1), with O on at least one factor.  Those are the corner summands
     (h_j = n_j, 0 or a on factor j), so the menu itself is not built."""
@@ -295,9 +292,10 @@ def _has_extremal_summand(bundle: Bundle, degrees: tuple) -> bool:
         for s in bundle.summands)
 
 
-def _line_pair(bundle: Bundle, degrees: tuple, menu: Callable[[tuple], bool]) -> bool:
+def _line_pair(bundle: Bundle, records: list, menu: Callable[[tuple], bool]) -> bool:
     """Two line summands, one with degrees on the menu and the other with
     nonnegative degrees."""
+    degrees = [s.degrees for s in bundle.summands]
     if len(degrees) != 2 or None in degrees:
         return False
     return any(menu(first) and min(second) >= 0 for first, second in (degrees, degrees[::-1]))
@@ -314,7 +312,7 @@ def _p4b_menu(d: tuple) -> bool:
 
 def classify_form(bundle: Bundle, theorem: TheoremId) -> bool:
     """Does the canonical form match the structure the check id predicts?"""
-    return CHECKS[TheoremId(theorem)].form(bundle, _degrees(bundle))
+    return CHECKS[TheoremId(theorem)].form(bundle, summand_records(bundle))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +326,7 @@ class CheckSpec:
     when twist is None.  Preconditions: two factors, rank rule, Reg = 0."""
 
     family: Callable[[Space, int], Iterator[tuple[int, tuple[int, ...], bool]]]
-    form: Callable[[Bundle, tuple], bool]
+    form: Callable[[Bundle, list], bool]  # reads the bundle and its summands' records
     twist: Optional[int] = None
     two_factor: bool = False
     rank_rule: Optional[Callable[[Space, int], Optional[str]]] = None
@@ -389,21 +387,6 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
                                   and (hi is None or twist <= hi))
             for index, lo, hi in windows)
     return facts.bits[key]
-
-
-def _vanishes(bundle: Bundle, family: Callable, r: int, twist: Optional[int],
-              records: list) -> bool:
-    """No summand makes a required group of the family nonzero: the AND of
-    the records' bits, each read inline and filled where missing."""
-    key, holds = (family, r, twist), True
-    for f in records:
-        bit = f.bits.get(key)
-        if bit is None:
-            bit = _summand_fails(bundle.space, f, family, r, twist)
-            if bit is None:
-                _witnesses(bundle, family, r, twist)  # raises: a window is unbounded below
-        holds = holds and not bit
-    return holds
 
 
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
@@ -511,15 +494,18 @@ class TheoremVerdict:
         return tuple(_witnesses(self.bundle, spec.family, r, spec.twist))
 
 
-def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
-    """The verdicts of the check ids (TheoremId members) on the bundle, in
-    order, from one pass.  The preconditions are checked in order: two
-    factors, the rank rule, Reg = 0.  Rank, the Reg gate, the summands'
-    records and degrees and the detection are computed at most once each,
-    when a check first needs them: a bundle that fails the Reg gate never
-    pays for its rank or degrees."""
-    space, verdicts = bundle.space, []
-    r = records = degrees = detection = None
+def verdict_rows(bundle: Bundle, ids: Iterable[TheoremId]) -> list[tuple]:
+    """One row (reason, condition, form, detected, agrees, rank) per check id
+    (TheoremId members), in order, from one pass: a verdict's fields as plain
+    values, all None but reason and detected () when the check does not
+    apply.  The preconditions are checked in order: two factors, the rank
+    rule, Reg = 0.  Rank, the Reg gate, the summands' records and the
+    detection are computed at most once each, when a check first needs
+    them: a bundle that fails the Reg gate never pays for its rank or
+    records.  The condition is the AND of the records' bits, read inline and
+    filled where missing; the form reads the records too."""
+    space, rows = bundle.space, []
+    r = records = detection = None
     gate = _UNREAD  # the Reg gate's reason, None when Reg is 0
     for theorem in ids:
         spec, reason = CHECKS[theorem], None
@@ -536,17 +522,22 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
                     gate = f"Reg must be 0, got {value}" if value else None
                 reason = gate
         if reason is not None:
-            verdicts.append(TheoremVerdict(theorem, False, reason))
+            rows.append((reason, None, None, (), None, None))
             continue
         if r is None:
             r = rank(bundle)
         if records is None:
             records = summand_records(bundle)
-        cond = _vanishes(bundle, spec.family, r if spec.reads_rank else 0, spec.twist, records)
-        if degrees is None:
-            degrees = _degrees(bundle)
-        form = spec.form(bundle, degrees)
-        detected, agrees = (), None
+        key, cond = (spec.family, r if spec.reads_rank else 0, spec.twist), True
+        for f in records:  # every bit is read: a window unbounded below raises
+            bit = f.bits.get(key)
+            if bit is None:
+                bit = _summand_fails(space, f, *key)
+                if bit is None:
+                    _witnesses(bundle, *key)  # raises: a window is unbounded below
+            if bit:
+                cond = False
+        form, detected, agrees = spec.form(bundle, records), (), None
         if spec.detector:  # Reg = 0: the gate has just passed
             if detection is None:  # the tags; has the bundle every tagged summand (by key)?
                 detected = tuple(detect_extremal_summand(bundle, reg_value=0))
@@ -554,9 +545,24 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
                 agrees = all(t.summand.key in keys for t in detected) if detected else None
                 detection = detected, agrees
             detected, agrees = detection
-        verdicts.append(TheoremVerdict(theorem, True, None, cond, form, cond == form,
-                                       detected, agrees, bundle, r))
-    return verdicts
+        rows.append((None, cond, form, detected, agrees, r))
+    return rows
+
+
+def row_verdict(bundle: Bundle, theorem: TheoremId, row: tuple) -> TheoremVerdict:
+    """The verdict of one verdict_rows row."""
+    reason, cond, form, detected, agrees, r = row
+    if reason is not None:
+        return TheoremVerdict(theorem, False, reason)
+    return TheoremVerdict(theorem, True, None, cond, form, cond == form, detected, agrees,
+                          bundle, r)
+
+
+def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
+    """The verdicts of the check ids (TheoremId members) on the bundle, in
+    order: the rows of verdict_rows as TheoremVerdicts."""
+    ids = tuple(ids)
+    return [row_verdict(bundle, t, row) for t, row in zip(ids, verdict_rows(bundle, ids))]
 
 
 def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:

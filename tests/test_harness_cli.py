@@ -231,20 +231,18 @@ def test_run_verification_matches_eager_reference():
 
 
 def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
-    from types import SimpleNamespace
-
-    from mpreg import harness
+    from mpreg import harness, splitting
     from mpreg.splitting import Witness
 
     # no real inconsistent verdict is known with more than four witnesses
     witnesses = tuple(Witness(1, (-j, 0), j, j + 1) for j in range(6))
 
-    def stub_verdicts(bundle, ids):
-        return [SimpleNamespace(theorem=theorem, applicable=True, consistent=False,
-                                condition_holds=False, form_holds=True, witnesses=witnesses,
-                                detected=(), detector_agrees=None) for theorem in ids]
+    def stub_rows(bundle, ids):
+        # (reason, condition, form, detected, agrees, rank): applicable, inconsistent
+        return [(None, False, True, (), None, 1) for _ in ids]
 
-    monkeypatch.setattr(harness, "verify_bundle", stub_verdicts)
+    monkeypatch.setattr(harness, "verdict_rows", stub_rows)
+    monkeypatch.setattr(splitting, "_witnesses", lambda *args: list(witnesses))
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
                             theorems=("T2B",))
     [finding] = run_verification(cfg).findings
@@ -299,7 +297,7 @@ def test_bundle_budget_is_the_enumerated_count(cfg, max_summands):
 def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
     from mpreg import harness
 
-    real_enumerate, real_verify = harness.enumerate_bundles, harness.verify_bundle
+    real_enumerate, real_rows = harness.enumerate_bundles, harness.verdict_rows
     events = []
 
     def logged_enumerate(space, cfg):
@@ -307,12 +305,12 @@ def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
             events.append(("pulled", bundle))
             yield bundle
 
-    def logged_verify(bundle, ids):
+    def logged_rows(bundle, ids):
         events.append(("checked", bundle))
-        return real_verify(bundle, ids)
+        return real_rows(bundle, ids)
 
     monkeypatch.setattr(harness, "enumerate_bundles", logged_enumerate)
-    monkeypatch.setattr(harness, "verify_bundle", logged_verify)
+    monkeypatch.setattr(harness, "verdict_rows", logged_rows)
     cfg = EnumerationConfig(spaces=("P1xP1", "P2"), degree_min=-1, degree_max=1,
                             theorems=("T1", "T3"))
     assert run_verification(cfg).total_bundles == 54 + 9
@@ -450,20 +448,20 @@ def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch
     from mpreg import splitting
     from mpreg.regularity import reg
 
-    real_detect, real_verify = splitting.detect_extremal_summand, harness.verify_bundle
+    real_detect, real_rows = splitting.detect_extremal_summand, harness.verdict_rows
     detections, gated = Counter(), []
 
     def counting_detect(bundle, *args, **kwargs):
         detections[bundle] += 1
         return real_detect(bundle, *args, **kwargs)
 
-    def recording_verify(bundle, ids):
-        verdicts = real_verify(bundle, ids)
-        gated.extend((bundle, v.reason) for v in verdicts if not v.applicable)
-        return verdicts
+    def recording_rows(bundle, ids):
+        rows = real_rows(bundle, ids)
+        gated.extend((bundle, reason) for reason, *_ in rows if reason is not None)
+        return rows
 
     monkeypatch.setattr(splitting, "detect_extremal_summand", counting_detect)
-    monkeypatch.setattr(harness, "verify_bundle", recording_verify)
+    monkeypatch.setattr(harness, "verdict_rows", recording_rows)
     rep = run_verification(EnumerationConfig(spaces=("P2xP2",), cotangent=True,
                                              theorems=("T0", "T4")))
     applicable = rep.per_theorem["T4"].applicable
@@ -475,6 +473,25 @@ def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch
     assert len(gated) == 2 * not_applicable == 2 * rep.per_theorem["T4"].not_applicable
     assert all(reason == f"Reg must be 0, got {reg(bundle)}" and reg(bundle) != 0
                for bundle, reason in gated)
+
+
+def test_run_verification_builds_verdicts_only_for_findings(monkeypatch):
+    from mpreg.splitting import TheoremVerdict
+
+    real_init, built = TheoremVerdict.__init__, []
+
+    def counting_init(self, theorem, *args, **kwargs):
+        built.append(theorem)
+        real_init(self, theorem, *args, **kwargs)
+
+    monkeypatch.setattr(TheoremVerdict, "__init__", counting_init)
+    t3 = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3",)))
+    assert t3.total_bundles == 8000 and t3.findings == []
+    assert built == []
+    t2b = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T2B",)))
+    found = {(f["bundle"], f["theorem"]) for f in t2b.findings}
+    assert found and t2b.per_theorem["T2B"].inconsistent == len(found)
+    assert len(built) == len(found)
 
 
 def test_rank_free_families_keep_one_window_entry_per_summand():

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mpreg.bundles import (
     ArityError,
+    BoxSummand,
+    Bundle,
     Cotangent,
     Line,
     ModelError,
@@ -40,6 +42,7 @@ from mpreg.splitting import (
     Witness,
     _acm_family,
     _corner_summand,
+    _has_extremal_summand,
     _summand_fails,
     _summand_tags,
     _tag_label,
@@ -55,6 +58,7 @@ from mpreg.splitting import (
     detect_extremal_summand,
     extremal_menu,
     is_acm,
+    verdict_rows,
     verify_bundle,
     verify_theorem,
 )
@@ -653,6 +657,82 @@ def _some_reg_zero_bundles(draw):
     if draw(st.booleans()):
         bundle = twist(bundle, (-reg(bundle),) * bundle.space.num_factors)
     return bundle
+
+
+@st.composite
+def _row_bundles(draw):
+    """_some_reg_zero_bundles, or the same sheaves made with Bundle(space,
+    ...) from atoms not in normal form: O(t) written W^0(t) or
+    W^n(t + n + 1), whose summands keep degrees None."""
+    bundle = draw(_some_reg_zero_bundles())
+    if draw(st.booleans()):
+        space = bundle.space
+        bundle = Bundle(space, tuple(BoxSummand(tuple(
+            draw(st.sampled_from([a, Cotangent(0, a.degree), Cotangent(n, a.degree + n + 1)]))
+            if isinstance(a, Line) else a for n, a in zip(space.dims, s.atoms)))
+            for s in bundle.summands))
+    return bundle
+
+
+_SPREADS = {TheoremId.T1: 0, TheoremId.T3: 0, TheoremId.T2: 1, TheoremId.T2B: 1,
+            TheoremId.C1: 1, TheoremId.C2: 1}
+
+
+def _reference_form(bundle, tid):
+    """The form from the bundle's degree tuples, one per summand (None for a
+    summand with a cotangent atom), as the forms read them before they read
+    the summands' records."""
+    degrees = tuple(s.degrees for s in bundle.summands)
+    if tid in _SPREADS:
+        return all(d is not None and max(d) - min(d) <= _SPREADS[tid] for d in degrees)
+    if tid in (TheoremId.P4, TheoremId.P4B):
+        if len(degrees) != 2 or None in degrees:
+            return False
+        menu = ((lambda d: not any(d) or d in ((0, 1), (1, 0))) if tid is TheoremId.P4
+                else (lambda d: set(d) <= {0, 1} and 0 in d))
+        return any(menu(a) and min(b) >= 0 for a, b in (degrees, degrees[::-1]))
+    return _has_extremal_summand(bundle, degrees)
+
+
+def _reference_row(bundle, tid):
+    """(reason, condition, form, detected, agrees, rank) from the
+    preconditions, the bundle's merged windows, _reference_form and the
+    pointwise detector."""
+    space, spec, r = bundle.space, CHECKS[tid], rank(bundle)
+    if spec.two_factor and space.num_factors != 2:
+        reason = f"{tid.value} is a two-factor check, space has {space.num_factors} factors"
+    else:
+        reason = spec.rank_rule and spec.rank_rule(space, r)
+    if reason is None and spec.reg_zero and reg(bundle) != 0:
+        reason = f"Reg must be 0, got {reg(bundle)}"
+    if reason is not None:
+        return reason, None, None, (), None, None
+    witnesses = _reference_witnesses(bundle, spec.family(space, r), spec.twist)
+    detected, agrees = (), None
+    if spec.detector:
+        detected = tuple(_pointwise_detector(bundle))
+        agrees = all(t.summand in bundle.summands for t in detected) if detected else None
+    return (None, not any(w.required for w in witnesses), _reference_form(bundle, tid),
+            detected, agrees, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_bundles(), st.lists(st.sampled_from(list(TheoremId)), min_size=1, unique=True))
+def test_rows_match_verdicts_and_the_bundle_level_reference(bundle, ids):
+    rows = verdict_rows(bundle, ids)
+    verdicts = verify_bundle(bundle, ids)
+    assert len(rows) == len(verdicts) == len(ids)
+    for tid, row, v in zip(ids, rows, verdicts):
+        fields = (v.reason, v.condition_holds, v.form_holds, v.detected, v.detector_agrees, v.rank)
+        assert row == fields, tid
+        assert (v.theorem, v.applicable) == (tid, v.reason is None), tid
+        if v.applicable:
+            assert v.consistent == (v.condition_holds == v.form_holds) and v.bundle is bundle, tid
+        else:
+            assert (v.consistent, v.bundle) == (None, None), tid
+        assert fields == _reference_row(bundle, tid), tid
+    for tid in TheoremId:
+        assert classify_form(bundle, tid) == _reference_form(bundle, tid), tid
 
 
 @settings(max_examples=200, deadline=None)
