@@ -50,10 +50,6 @@ class Space:
         for n in self.dims:
             if not isinstance(n, int) or n < 1:
                 raise ModelError(f"factor dimensions must be positive integers, got {n!r}")
-        object.__setattr__(self, "_hash", hash(self.dims))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def num_factors(self) -> int:

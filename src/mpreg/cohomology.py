@@ -7,14 +7,15 @@ other; the engine itself only uses the closed formulas.
 
 By Bott's formula an atom has at most one nonzero group at any twist, so by
 Kunneth a box summand has at most one too.  Each atom's support is stated
-once, as ranges of the twist (_atom_support); point values and nonvanishing
-windows are both folds of those ranges over the summands.  In a balanced
-twist a summand's window for each level is one interval.  A summand's
-supports are read once (summand_supports); an offset k only shifts them, and
-one sweep over the ranges' starts gives the windows of every level at k
-(level_windows), in O(s^2) for s factors.  regularity.summand_windows
-keeps the windows for the check bits, the witnesses and Reg in each
-summand's record (regularity.summand_facts); it sweeps each untwisted
+once, as ranges of the twist (_support); point values and nonvanishing
+windows are both folds of those ranges over the summands.  Every summand is
+read through one record per sheaf (summand_facts), whose atoms are in
+normal form, so a summand written W^0(t) or W^n(t) is read as its line.  In
+a balanced twist a summand's window for each level is one interval; an
+offset k only shifts the supports, and one sweep over the ranges' starts
+gives the windows of every level at k (level_windows), in O(s^2) for s
+factors.  regularity.summand_windows keeps the windows for the check bits,
+the witnesses and Reg in the summand's record; it sweeps each untwisted
 summand once, since a diagonal twist by c shifts every window by -c.
 """
 
@@ -29,7 +30,6 @@ from typing import Iterable, Optional
 from .bundles import (
     ArityError,
     Atom,
-    BoxSummand,
     Bundle,
     Cotangent,
     Line,
@@ -144,43 +144,75 @@ def oracle_euler_sequence(n: int, p: int, t: int, i: int) -> int:
     return 0
 
 
-def _atom_support(n: int, atom: Atom) -> tuple[tuple[int, Endpoint, Endpoint], ...]:
-    """Bott's formula as ranges: each (level, lo, hi) such that
-    H^level(atom(t)) on P^n is nonzero exactly for lo <= t <= hi, None
-    unbounded.  The ranges are disjoint, so at most one group is nonzero at
-    any twist; they are listed from the top down, the last one unbounded
-    below."""
-    atom = normalize_atom(n, atom)
-    if isinstance(atom, Line):
-        return _support(n, 0, atom.degree)
-    return _support(n, atom.p, atom.twist)
-
-
 def _support(n: int, p: int, c: int) -> tuple[tuple[int, Endpoint, Endpoint], ...]:
-    """_atom_support of W^p(c) on P^n, 1 <= p <= n-1, or of O(c) for p = 0."""
+    """Bott's formula as ranges for W^p(c) on P^n, 1 <= p <= n-1, or for
+    O(c) when p = 0: each (level, lo, hi) such that H^level(atom(t)) is
+    nonzero exactly for lo <= t <= hi, None unbounded.  The ranges are
+    disjoint, so at most one group is nonzero at any twist; they are listed
+    from the top down, the last one unbounded below."""
     if p == 0:
         return ((0, -c, None), (n, None, -c - n - 1))
     return ((0, p + 1 - c, None), (p, -c, -c), (n, None, p - n - 1 - c))
 
 
-def _summand_group(space: Space, summand: BoxSummand, tvec: tuple[int, ...]):
-    """The one nonzero group (i, dim) of the summand twisted by tvec, or None.
+class SummandFacts:
+    """One summand's atoms in normal form, (n_j, p_j, t_j) with p_j = 0 for
+    O(t_j), the spread of its line degrees (max - min, None when an atom is
+    a cotangent), and its facts, filled on first use with the reader's
+    space: windows per (family, r), bits per (family, r, twist), Reg per
+    definition, tags."""
+
+    __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags")
+
+    def __init__(self, atoms: tuple, spread: Optional[int] = None):
+        self.atoms, self.spread = atoms, spread
+        self.windows, self.bits, self.regs, self.tags = {}, {}, {}, None
+
+
+@lru_cache(maxsize=None)
+def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
+    """The record of the summand with this key, (0, 0, 2t) for O(t) and
+    (1, 2p, 2t) for W^p(t) per atom, on the space with these dims.  One
+    record per sheaf: a key written out of normal form (W^0(t), W^n(t))
+    gets the record of its normal key."""
+    atoms, normal = [], True
+    for n, kind, p, t in zip(dims, key[::3], key[1::3], key[2::3]):
+        p, t = p // 2, t // 2
+        if kind:  # normal form may turn W^p(t) into a line
+            a = normalize_atom(n, Cotangent(p, t))
+            if isinstance(a, Line):
+                p, t, normal = 0, a.degree, False
+        atoms.append((n, p, t))
+    if not normal:
+        normal_key = tuple(x for _, p, t in atoms for x in (int(p > 0), 2 * p, 2 * t))
+        return summand_facts(dims, normal_key)
+    twice = key[2::3]
+    return SummandFacts(tuple(atoms), None if any(key[::3]) else (max(twice) - min(twice)) // 2)
+
+
+def summand_records(bundle: Bundle) -> list[SummandFacts]:
+    """The record of each summand of the bundle, in order."""
+    dims, records = bundle.space.dims, []
+    for s in bundle.summands:  # a loop: cheaper than a comprehension before Python 3.12
+        records.append(summand_facts(dims, s.key))
+    return records
+
+
+def _summand_group(atoms: tuple, tvec: tuple[int, ...]):
+    """The one nonzero group (i, dim), or None, of the summand twisted by
+    tvec, from its record's atoms (n, p, t).
 
     By Kunneth it is the product of one group per atom: the levels add up
     and the dimensions multiply."""
     i, dim = 0, 1
-    for n, atom, t in zip(space.dims, summand.atoms, tvec):
-        atom = normalize_atom(n, atom)
-        for level, lo, hi in _atom_support(n, atom):
+    for (n, p, c), t in zip(atoms, tvec):
+        for level, lo, hi in _support(n, p, c):
             if (lo is None or lo <= t) and (hi is None or t <= hi):
                 break
         else:
             return None
         i += level
-        if isinstance(atom, Line):
-            dim *= h_line(n, atom.degree + t, level)
-        else:
-            dim *= h_bott(n, atom.p, atom.twist + t, level)
+        dim *= h_bott(n, p, c + t, level) if p else h_line(n, c + t, level)
     return i, dim
 
 
@@ -194,8 +226,8 @@ def _twist_vector(space: Space, tvec: Iterable[int]) -> tuple[int, ...]:
 def _groups(bundle: Bundle, tvec: Iterable[int]):
     """The nonzero group (i, dim) of each summand twisted by tvec."""
     tvec = _twist_vector(bundle.space, tvec)
-    for s in bundle.summands:
-        group = _summand_group(bundle.space, s, tvec)
+    for f in summand_records(bundle):
+        group = _summand_group(f.atoms, tvec)
         if group is not None:
             yield group
 
@@ -252,12 +284,6 @@ def euler_characteristic(bundle: Bundle, tvec: Iterable[int] = None) -> int:
 # nonvanishing windows in a balanced twist parameter
 
 
-def summand_supports(space: Space, summand: BoxSummand) -> tuple:
-    """The support ranges of each atom of the summand, untwisted.  Twisting
-    the atom by k_j only moves its ranges by -k_j."""
-    return tuple(_atom_support(n, atom) for n, atom in zip(space.dims, summand.atoms))
-
-
 def level_windows(supports: tuple, k: tuple[int, ...]) -> dict[int, tuple[Endpoint, Endpoint]]:
     """{i: (lo, hi)} for every level i where some t makes h^i(summand
     twisted by (t+k_1, ..., t+k_s)) nonzero, from the summand's supports;
@@ -309,7 +335,8 @@ def nonvanishing_t_window(
     k = _twist_vector(space, k)
     if not 0 <= i <= space.total_dim:
         return ()
-    windows = (level_windows(summand_supports(space, s), k).get(i) for s in bundle.summands)
+    windows = (level_windows(tuple(_support(*a) for a in f.atoms), k).get(i)
+               for f in summand_records(bundle))
     merged: list[tuple[Endpoint, Endpoint]] = []
     for lo, hi in sorted(filter(None, windows), key=lambda w: (w[0] is not None, w[0])):
         if merged:

@@ -13,14 +13,13 @@ irregular balanced twists are the union of the nonvanishing windows of the
 required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
-required).  A summand's facts depend on its integers only, so one memo,
-summand_facts(space.dims, summand.key), keeps one record per summand: the
-spread of its line degrees, set when made, and its (index, lo, hi) windows
-per family, the checks' bits, Reg per definition and the detector's tags,
-each filled on first use.  At offset k the windows of all levels come from
-one sweep of the untwisted summand S(k - (c, ..., c)), c = t_1 + k_1,
-shifted by -c.  The sweeps are memoized on integers (_untwisted_windows),
-so summands and families that reach the same untwisted summand share one.
+required).  A summand's facts are kept in its record
+(cohomology.summand_facts, one per sheaf): its (index, lo, hi) windows per
+family, the checks' bits, Reg per definition and the detector's tags, each
+filled on first use.  At offset k the windows of all levels come from one
+sweep of the untwisted summand S(k - (c, ..., c)), c = t_1 + k_1, shifted
+by -c.  The sweeps are memoized on integers (_untwisted_windows), so
+summands and families that reach the same untwisted summand share one.
 reg is a max over the records.
 """
 
@@ -28,10 +27,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
-from .bundles import ArityError, Bundle, Cotangent, Line, ModelError, Space, normalize_atom
-from .cohomology import _support, _twist_vector, h_bundle, level_windows
+from .bundles import ArityError, Bundle, ModelError, Space
+from .cohomology import (SummandFacts, _support, _twist_vector, h_bundle, level_windows,
+                         summand_records)
 
 DEFINITIONS = ("paper", "hw")
 
@@ -72,45 +72,6 @@ def _untwisted_windows(factors: tuple) -> dict:
     t_1 = 0 (summand_windows), so summands that differ by an offset or a
     diagonal twist share one sweep."""
     return level_windows(tuple(_support(*f) for f in factors), (0,) * len(factors))
-
-
-class SummandFacts:
-    """One summand's atoms, (n_j, p_j, t_j) as _untwisted_windows takes them,
-    the spread of its line degrees (max - min, None when an atom is a
-    cotangent, as for BoxSummand.degrees), and its facts, filled on first
-    use with the reader's space: windows per (family, r), bits per
-    (family, r, twist), Reg per definition, tags."""
-
-    __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags")
-
-    def __init__(self, atoms: tuple, spread: Optional[int] = None):
-        self.atoms, self.spread = atoms, spread
-        self.windows, self.bits, self.regs, self.tags = {}, {}, {}, None
-
-
-@lru_cache(maxsize=None)
-def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
-    """The record of the summand with this key, (0, 0, 2t) for O(t) and
-    (1, 2p, 2t) for W^p(t) per atom, on the space with these dims.  The
-    spread reads the key, not the normal form: a cotangent atom that
-    normalizes to a line still leaves it None."""
-    atoms = []
-    for n, kind, p, t in zip(dims, key[::3], key[1::3], key[2::3]):
-        p, t = p // 2, t // 2
-        if kind:  # normal form may turn W^p(t) into a line
-            a = normalize_atom(n, Cotangent(p, t))
-            p, t = (0, a.degree) if isinstance(a, Line) else (a.p, a.twist)
-        atoms.append((n, p, t))
-    twice = key[2::3]
-    return SummandFacts(tuple(atoms), None if any(key[::3]) else (max(twice) - min(twice)) // 2)
-
-
-def summand_records(bundle: Bundle) -> list[SummandFacts]:
-    """The record of each summand of the bundle, in order."""
-    dims, records = bundle.space.dims, []
-    for s in bundle.summands:  # a loop: cheaper than a comprehension before Python 3.12
-        records.append(summand_facts(dims, s.key))
-    return records
 
 
 def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int) -> tuple:

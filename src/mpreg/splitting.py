@@ -5,18 +5,21 @@ Each check id pairs a cohomological condition with a structural description
 of the bundles expected to satisfy it; verify_bundle evaluates both sides
 and reports whether they agree, together with explicit witnesses for any
 nonvanishing group.  The checks are rows of one table, CHECKS, read by one
-evaluator from the window records of its offset family, kept in each
-summand's record (regularity.summand_facts): the condition is an AND of one
-bit per summand, stored in the record; witnesses, built when read, take
-dimensions from h_bundle.  The line forms are ANDs over the records too,
-of their degree spreads.  The extremal detector is a fold as well: the
-union of the summands' tags, stored in their records.  verdict_rows is one
-straight-line pass per bundle: the records, rank, the Reg gate and the
-detection are its local variables, each computed at most once, and it
-returns one plain row per check id.  verify_bundle wraps the rows into
-TheoremVerdicts; the enumeration harness tallies the rows and builds a
-verdict only for a check with a finding.  applicability and condition_for
-read the verdict of verify_theorem.
+evaluator.  A summand is read only through its record
+(cohomology.summand_facts, one per sheaf, atoms in normal form), so a
+bundle gets the verdict of its sheaf however its atoms are written.  The
+condition is an AND of one bit per summand, stored in the record from the
+window records of the check's offset family; witnesses, built when read,
+take dimensions from h_bundle.  Every form reads only the records: the line
+forms their degree spreads and degrees, the extremal form their atoms.  The
+extremal detector is a fold as well: the union of the summands' tags,
+stored in their records, and it agrees when the bundle holds the record of
+every tagged summand.  verdict_rows is one straight-line pass per bundle:
+the records, rank, the Reg gate and the detection are its local variables,
+each computed at most once, and it returns one plain row per check id.
+verify_bundle wraps the rows into TheoremVerdicts; the enumeration harness
+tallies the rows and builds a verdict only for a check with a finding.
+applicability and condition_for read the verdict of verify_theorem.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from .bundles import (
     make_summand,
     rank,
 )
-from .cohomology import MAX_TABLE_TWISTS, h_bundle
-from .regularity import SummandFacts, box_offsets, offsets, reg, summand_records, summand_windows
+from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, h_bundle,
+                         summand_facts, summand_records)
+from .regularity import box_offsets, offsets, reg, summand_windows
 
 
 class TheoremId(str, Enum):
@@ -255,7 +259,7 @@ def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
 # structural forms
 
 
-def _lines_within(bundle: Bundle, records: list, spread: int) -> bool:
+def _lines_within(records: list, spread: int) -> bool:
     """Every summand a line whose degrees differ by at most spread: balanced
     lines for spread 0, step lines for spread 1.  Read off the records."""
     for f in records:  # a loop: cheaper than all() over a generator
@@ -282,22 +286,23 @@ def _corner_summand(space: Space, h: tuple[int, ...]) -> BoxSummand:
     return make_summand(space, atoms)
 
 
-def _has_extremal_summand(bundle: Bundle, records: list) -> bool:
+def _has_extremal_summand(records: list) -> bool:
     """Some summand is on the extremal menu: every atom O, O(1) or
     W^a(a+1), with O on at least one factor.  Those are the corner summands
     (h_j = n_j, 0 or a on factor j), so the menu itself is not built."""
-    corner = (Line(0), Line(1))
-    return any(Line(0) in s.atoms and all(
-        a in corner or isinstance(a, Cotangent) and a.twist == a.p + 1 for a in s.atoms)
-        for s in bundle.summands)
+    for f in records:
+        pairs = [(p, t) for _, p, t in f.atoms]
+        if (0, 0) in pairs and all(t == p + 1 if p else t in (0, 1) for p, t in pairs):
+            return True
+    return False
 
 
-def _line_pair(bundle: Bundle, records: list, menu: Callable[[tuple], bool]) -> bool:
+def _line_pair(records: list, menu: Callable[[tuple], bool]) -> bool:
     """Two line summands, one with degrees on the menu and the other with
     nonnegative degrees."""
-    degrees = [s.degrees for s in bundle.summands]
-    if len(degrees) != 2 or None in degrees:
+    if len(records) != 2 or any(f.spread is None for f in records):
         return False
+    degrees = [tuple(t for _, _, t in f.atoms) for f in records]
     return any(menu(first) and min(second) >= 0 for first, second in (degrees, degrees[::-1]))
 
 
@@ -312,7 +317,7 @@ def _p4b_menu(d: tuple) -> bool:
 
 def classify_form(bundle: Bundle, theorem: TheoremId) -> bool:
     """Does the canonical form match the structure the check id predicts?"""
-    return CHECKS[TheoremId(theorem)].form(bundle, summand_records(bundle))
+    return CHECKS[TheoremId(theorem)].form(summand_records(bundle))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +331,7 @@ class CheckSpec:
     when twist is None.  Preconditions: two factors, rank rule, Reg = 0."""
 
     family: Callable[[Space, int], Iterator[tuple[int, tuple[int, ...], bool]]]
-    form: Callable[[Bundle, list], bool]  # reads the bundle and its summands' records
+    form: Callable[[list], bool]  # reads the summands' records
     twist: Optional[int] = None
     two_factor: bool = False
     rank_rule: Optional[Callable[[Space, int], Optional[str]]] = None
@@ -431,11 +436,10 @@ def _summand_tags(space: Space, facts: SummandFacts) -> tuple[SummandTag, ...]:
     """One tag per top corner h where the summand has H^|h| nonzero at
     -1-h, in _top_corners order."""
     if facts.tags is None:
-        alone = Bundle(space, (BoxSummand(tuple(
-            Cotangent(p, t) if p else Line(t) for _, p, t in facts.atoms)),))
         tags = []
         for h in _top_corners(space):
-            if h_bundle(alone, tuple(-1 - hj for hj in h), sum(h)):
+            group = _summand_group(facts.atoms, tuple(-1 - hj for hj in h))
+            if group is not None and group[0] == sum(h):
                 s = _corner_summand(space, h)
                 tags.append(SummandTag(_tag_label(space, h, s), h, s))
         facts.tags = tuple(tags)
@@ -463,26 +467,18 @@ def detect_extremal_summand(bundle: Bundle, reg_value: Optional[int] = None) -> 
 _UNREAD = object()
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TheoremVerdict:
     theorem: TheoremId
     applicable: bool
-    reason: Optional[str]
-    condition_holds: Optional[bool]
-    form_holds: Optional[bool]
-    consistent: Optional[bool]
-    detected: tuple
-    detector_agrees: Optional[bool]
-    bundle: Optional[Bundle] = field(repr=False)
-    rank: Optional[int] = field(repr=False)  # the bundle's
-
-    def __init__(self, theorem, applicable, reason=None, condition_holds=None, form_holds=None,
-                 consistent=None, detected=(), detector_agrees=None, bundle=None, rank=None):
-        # frozen all the same: one dict update, not a frozen setattr per field
-        vars(self).update(theorem=theorem, applicable=applicable, reason=reason,
-                          condition_holds=condition_holds, form_holds=form_holds,
-                          consistent=consistent, detected=detected,
-                          detector_agrees=detector_agrees, bundle=bundle, rank=rank)
+    reason: Optional[str] = None
+    condition_holds: Optional[bool] = None
+    form_holds: Optional[bool] = None
+    consistent: Optional[bool] = None
+    detected: tuple = ()
+    detector_agrees: Optional[bool] = None
+    bundle: Optional[Bundle] = field(default=None, repr=False)
+    rank: Optional[int] = field(default=None, repr=False)  # the bundle's
 
     @cached_property
     def witnesses(self) -> tuple:
@@ -537,12 +533,13 @@ def verdict_rows(bundle: Bundle, ids: Iterable[TheoremId]) -> list[tuple]:
                     _witnesses(bundle, *key)  # raises: a window is unbounded below
             if bit:
                 cond = False
-        form, detected, agrees = spec.form(bundle, records), (), None
+        form, detected, agrees = spec.form(records), (), None
         if spec.detector:  # Reg = 0: the gate has just passed
-            if detection is None:  # the tags; has the bundle every tagged summand (by key)?
+            if detection is None:  # the tags; has the bundle every tagged summand (by record)?
                 detected = tuple(detect_extremal_summand(bundle, reg_value=0))
-                keys = {s.key for s in bundle.summands}
-                agrees = all(t.summand.key in keys for t in detected) if detected else None
+                held = set(records)
+                agrees = all(summand_facts(space.dims, t.summand.key) in held
+                             for t in detected) if detected else None
                 detection = detected, agrees
             detected, agrees = detection
         rows.append((None, cond, form, detected, agrees, r))

@@ -17,6 +17,7 @@ from mpreg.bundles import (
     line_summand,
     make_bundle,
     make_summand,
+    normalize_atom,
     parse_bundle,
     parse_space,
     rank,
@@ -25,7 +26,8 @@ from mpreg.bundles import (
     twist_summand,
 )
 from mpreg.cohomology import (
-    _atom_support,
+    SummandFacts,
+    _support,
     build_table,
     euler_characteristic,
     extended_binomial,
@@ -37,9 +39,9 @@ from mpreg.cohomology import (
     level_windows,
     nonvanishing_t_window,
     oracle_euler_sequence,
-    summand_supports,
+    summand_facts,
 )
-from mpreg.regularity import SummandFacts, _family, offsets, summand_facts, summand_windows
+from mpreg.regularity import _family, offsets, summand_windows
 from mpreg.splitting import CHECKS, TheoremId, _acm_family
 
 
@@ -115,6 +117,14 @@ def test_h_bott_rejects_out_of_range_power():
         h_bott(2, 2, 0, 0)
     with pytest.raises(ModelError):
         h_bott(3, 0, 1, 0)
+
+
+def _atom_support(n, atom):
+    """The support ranges of the atom: _support of its normal form."""
+    atom = normalize_atom(n, atom)
+    if isinstance(atom, Line):
+        return _support(n, 0, atom.degree)
+    return _support(n, atom.p, atom.twist)
 
 
 def test_atom_support_is_the_oracles_one_nonzero_level():
@@ -345,7 +355,8 @@ def test_summand_window_is_one_interval_matching_brute_force(case):
     space, (summand,), k = case
     bundle = make_bundle(space, [summand])
     for i in range(space.total_dim + 1):
-        window = level_windows(summand_supports(space, summand), k).get(i)
+        supports = tuple(_atom_support(n, a) for n, a in zip(space.dims, summand.atoms))
+        window = level_windows(supports, k).get(i)
         assert window is None or len(window) == 2
         if window is not None and None not in window:
             assert window[0] <= window[1]

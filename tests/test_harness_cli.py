@@ -337,7 +337,7 @@ def test_second_run_makes_no_summand_eq_and_no_new_fact_misses(monkeypatch):
     # the records are keyed on integers, so a warm run in the same
     # interpreter finds every one without comparing summands
     from mpreg.bundles import BoxSummand
-    from mpreg.regularity import summand_facts
+    from mpreg.cohomology import summand_facts
 
     cfg = EnumerationConfig(spaces=("P1xP1xP1", "P1xP1xP2"), theorems=("T3", "T2B"))
     first = run_verification(cfg)
@@ -356,7 +356,7 @@ def test_unpickled_bundles_match_originals_with_no_new_fact_misses(monkeypatch):
     import pickle
 
     from mpreg.bundles import BoxSummand
-    from mpreg.regularity import summand_facts
+    from mpreg.cohomology import summand_facts
     from mpreg.splitting import TheoremId, verify_bundle
 
     cfg = EnumerationConfig(spaces=("P2xP2",), degree_min=-1, degree_max=1, cotangent=True,
@@ -500,7 +500,7 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
     from collections import Counter
 
     from mpreg.bundles import parse_bundle
-    from mpreg.regularity import summand_facts
+    from mpreg.cohomology import summand_facts
     from mpreg.splitting import _acm_family, _exact_family, _step_family, verify_theorem
 
     summand_facts.cache_clear()
@@ -537,6 +537,51 @@ def test_comparison_report_shape():
     assert rep["hw_implies_box_violations"] == []
     assert isinstance(rep["shift_literal_violations"], list)
     assert isinstance(rep["shift_swapped_violations"], list)
+
+
+def test_comparison_probes_summands_and_reports_as_a_per_bundle_loop(monkeypatch):
+    # every real family tried reports no violations, so a synthetic
+    # summand-wise predicate stands in for is_regular_at: a bundle is
+    # "regular" where every summand's integers, point and definition mix to
+    # a nonzero residue
+    from mpreg.bundles import format_bundle, format_space
+
+    probed = []
+
+    def synthetic(bundle, point, definition):
+        probed.append((bundle.space, bundle.summands, point, definition))
+        return all((sum(s.key) + 7 * point[0] + 11 * point[1] + 13 * (definition == "hw")) % 4
+                   for s in bundle.summands)
+
+    def per_bundle(bundles, lo, hi):
+        report = {"checked_bundles": 0, "hw_implies_box_violations": [],
+                  "shift_literal_violations": [], "shift_swapped_violations": []}
+        for b in bundles:
+            (n, m), name, space = b.space.dims, format_bundle(b), format_space(b.space)
+            report["checked_bundles"] += 1
+            for p in range(lo, hi + 1):
+                for q in range(lo, hi + 1):
+                    if synthetic(b, (p, q), "hw") and not synthetic(b, (p, q), "paper"):
+                        report["hw_implies_box_violations"].append(
+                            {"bundle": name, "space": space, "p": (p, q)})
+            for p in range(lo, hi + 1):
+                for key, shifted in (("shift_literal_violations", (p - m + 1, p - n + 1)),
+                                     ("shift_swapped_violations", (p - n + 1, p - m + 1))):
+                    if synthetic(b, shifted, "paper") and not synthetic(b, (p, p), "hw"):
+                        report[key].append({"bundle": name, "space": space, "p": p})
+        return report
+
+    cfg = EnumerationConfig(spaces=("P1xP2", "P2xP2"), degree_min=-1, degree_max=1,
+                            cotangent=True, cot_twist_min=-1, cot_twist_max=0)
+    bundles = [b for text in cfg.spaces for b in enumerate_bundles(parse_space(text), cfg)]
+    expected = per_bundle(bundles, -2, 2)
+    assert all(expected[key] for key in expected if key != "checked_bundles")
+    probed.clear()
+    monkeypatch.setattr(harness, "is_regular_at", synthetic)
+    assert compare_regularity_definitions(bundles, p_range=(-2, 2)) == expected
+    # one probe per distinct (space, summand, point, definition), each of one summand
+    assert all(len(summands) == 1 for _, summands, _, _ in probed)
+    assert len(set(probed)) == len(probed)
 
 
 # ---------------------------------------------------------------------------

@@ -282,3 +282,16 @@ def test_extreme_degrees_exact_and_fast():
     _, lines = parse_bundle("P2xP3", f"O(-{big},{big}) + O({big},{big})")
     assert reg(lines) == big
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bundles(["P1xP1", "P1xP2", "P2xP2", "P2xP3"]), st.integers(-4, 4),
+       st.integers(-4, 4), st.sampled_from(["paper", "hw"]))
+def test_sum_is_regular_at_a_point_exactly_when_every_summand_is(bundle, p, q, definition):
+    # H^i of a direct sum is the sum of the summands' H^i, at balanced and
+    # unbalanced points alike
+    space = bundle.space
+    for point in ((p, q), (p, p)):
+        alone = [is_regular_at(make_bundle(space, [s]), point, definition)
+                 for s in bundle.summands]
+        assert is_regular_at(bundle, point, definition) == all(alone), point

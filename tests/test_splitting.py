@@ -5,7 +5,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mpreg.bundles import (
     ArityError,
@@ -17,22 +17,22 @@ from mpreg.bundles import (
     line_bundle,
     make_bundle,
     make_summand,
+    normalize_atom,
     parse_bundle,
     parse_space,
     rank,
     twist,
 )
-from mpreg.cohomology import h_bundle, level_windows, nonvanishing_t_window, summand_supports
-from mpreg.regularity import (
+from mpreg.cohomology import (
     SummandFacts,
-    _family,
-    box_offsets,
-    offsets,
-    reg,
+    _support,
+    h_bundle,
+    level_windows,
+    nonvanishing_t_window,
     summand_facts,
     summand_records,
-    summand_windows,
 )
+from mpreg.regularity import _family, box_offsets, offsets, reg, summand_windows
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
@@ -42,7 +42,6 @@ from mpreg.splitting import (
     Witness,
     _acm_family,
     _corner_summand,
-    _has_extremal_summand,
     _summand_fails,
     _summand_tags,
     _tag_label,
@@ -570,13 +569,25 @@ def test_fold_matches_bundle_windows_and_h_bundle(bundle):
         assert reg(bundle, "hw") == _reference_reg(bundle, "hw")
 
 
+def _summand_supports(space, summand):
+    """The support ranges of each atom of the summand: _support of its
+    normal form."""
+    supports = []
+    for n, a in zip(space.dims, summand.atoms):
+        a = normalize_atom(n, a)
+        supports.append(_support(n, 0, a.degree) if isinstance(a, Line)
+                        else _support(n, a.p, a.twist))
+    return tuple(supports)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_fold_bundles())
 def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
     space = bundle.space
     for i in range(1, space.total_dim):
         for k in box_offsets(space, i, at_least=True):
-            windows = [level_windows(summand_supports(space, s), k).get(i) for s in bundle.summands]
+            windows = [level_windows(_summand_supports(space, s), k).get(i)
+                       for s in bundle.summands]
             los = [w[0] for w in windows if w is not None]
             if not los:
                 continue
@@ -659,19 +670,22 @@ def _some_reg_zero_bundles(draw):
     return bundle
 
 
+def _respell(draw, bundle):
+    """The same sheaf made with Bundle(space, ...), each line atom O(t)
+    written O(t), W^0(t) or W^n(t + n + 1): atoms not in normal form, whose
+    summands keep degrees None."""
+    space = bundle.space
+    return Bundle(space, tuple(BoxSummand(tuple(
+        draw(st.sampled_from([a, Cotangent(0, a.degree), Cotangent(n, a.degree + n + 1)]))
+        if isinstance(a, Line) else a for n, a in zip(space.dims, s.atoms)))
+        for s in bundle.summands))
+
+
 @st.composite
 def _row_bundles(draw):
-    """_some_reg_zero_bundles, or the same sheaves made with Bundle(space,
-    ...) from atoms not in normal form: O(t) written W^0(t) or
-    W^n(t + n + 1), whose summands keep degrees None."""
+    """_some_reg_zero_bundles, or the same sheaves respelled (_respell)."""
     bundle = draw(_some_reg_zero_bundles())
-    if draw(st.booleans()):
-        space = bundle.space
-        bundle = Bundle(space, tuple(BoxSummand(tuple(
-            draw(st.sampled_from([a, Cotangent(0, a.degree), Cotangent(n, a.degree + n + 1)]))
-            if isinstance(a, Line) else a for n, a in zip(space.dims, s.atoms)))
-            for s in bundle.summands))
-    return bundle
+    return _respell(draw, bundle) if draw(st.booleans()) else bundle
 
 
 _SPREADS = {TheoremId.T1: 0, TheoremId.T3: 0, TheoremId.T2: 1, TheoremId.T2B: 1,
@@ -679,10 +693,11 @@ _SPREADS = {TheoremId.T1: 0, TheoremId.T3: 0, TheoremId.T2: 1, TheoremId.T2B: 1,
 
 
 def _reference_form(bundle, tid):
-    """The form from the bundle's degree tuples, one per summand (None for a
-    summand with a cotangent atom), as the forms read them before they read
-    the summands' records."""
-    degrees = tuple(s.degrees for s in bundle.summands)
+    """The form of the sheaf, read off the bundle's make_bundle twin: its
+    degree tuples, one per summand (None for a summand with a cotangent
+    atom), and for T4 and T0 whether a summand is on extremal_menu."""
+    twin = make_bundle(bundle.space, bundle.summands)
+    degrees = tuple(s.degrees for s in twin.summands)
     if tid in _SPREADS:
         return all(d is not None and max(d) - min(d) <= _SPREADS[tid] for d in degrees)
     if tid in (TheoremId.P4, TheoremId.P4B):
@@ -691,13 +706,15 @@ def _reference_form(bundle, tid):
         menu = ((lambda d: not any(d) or d in ((0, 1), (1, 0))) if tid is TheoremId.P4
                 else (lambda d: set(d) <= {0, 1} and 0 in d))
         return any(menu(a) and min(b) >= 0 for a, b in (degrees, degrees[::-1]))
-    return _has_extremal_summand(bundle, degrees)
+    menu = extremal_menu(bundle.space)
+    return any(s in menu for s in twin.summands)
 
 
 def _reference_row(bundle, tid):
     """(reason, condition, form, detected, agrees, rank) from the
     preconditions, the bundle's merged windows, _reference_form and the
-    pointwise detector."""
+    pointwise detector, agreeing when the make_bundle twin holds every
+    tagged summand."""
     space, spec, r = bundle.space, CHECKS[tid], rank(bundle)
     if spec.two_factor and space.num_factors != 2:
         reason = f"{tid.value} is a two-factor check, space has {space.num_factors} factors"
@@ -711,7 +728,8 @@ def _reference_row(bundle, tid):
     detected, agrees = (), None
     if spec.detector:
         detected = tuple(_pointwise_detector(bundle))
-        agrees = all(t.summand in bundle.summands for t in detected) if detected else None
+        twin = make_bundle(space, bundle.summands)
+        agrees = all(t.summand in twin.summands for t in detected) if detected else None
     return (None, not any(w.required for w in witnesses), _reference_form(bundle, tid),
             detected, agrees, r)
 
@@ -733,6 +751,44 @@ def test_rows_match_verdicts_and_the_bundle_level_reference(bundle, ids):
         assert fields == _reference_row(bundle, tid), tid
     for tid in TheoremId:
         assert classify_form(bundle, tid) == _reference_form(bundle, tid), tid
+
+
+@st.composite
+def _respelled_bundles(draw):
+    """(twin, respelled): a _some_reg_zero_bundles bundle and the same sheaf
+    with some atom out of normal form (_respell)."""
+    twin = draw(_some_reg_zero_bundles())
+    respelled = _respell(draw, twin)
+    assume(respelled != twin)
+    return twin, respelled
+
+
+@settings(max_examples=200, deadline=None)
+@given(_respelled_bundles())
+def test_a_sheaf_written_out_of_normal_form_gets_the_verdict_of_its_twin(pair):
+    twin, respelled = pair
+    ids = list(TheoremId)
+    # one record per sheaf, whatever the spelling
+    assert all(a is b for a, b in zip(summand_records(respelled), summand_records(twin)))
+    assert verdict_rows(respelled, ids) == verdict_rows(twin, ids)
+    for tid in ids:
+        assert classify_form(respelled, tid) == classify_form(twin, tid), tid
+    if reg(twin) == 0:
+        assert detect_extremal_summand(respelled) == detect_extremal_summand(twin)
+
+
+def test_cotangent_written_as_a_line_is_read_as_that_line():
+    # W^2(3) on P2 is O(0), so this is the sheaf O(0,1) on P2xP1: its forms
+    # hold and its T4 verdict is consistent and agrees with the detector
+    space = parse_space("P2xP1")
+    written = Bundle(space, (BoxSummand((Cotangent(2, 3), Line(1))),))
+    _, twin = parse_bundle("P2xP1", "O(0,1)")
+    for tid in (TheoremId.T0, TheoremId.T4, TheoremId.T2):
+        assert classify_form(written, tid) is True, tid
+    verdict = verify_theorem(written, TheoremId.T4)
+    assert verdict.applicable and verdict.consistent and verdict.detector_agrees is True
+    assert [t.label for t in verdict.detected] == ["E01"]
+    assert verdict_rows(written, list(TheoremId)) == verdict_rows(twin, list(TheoremId))
 
 
 @settings(max_examples=200, deadline=None)
