@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .bundles import (
@@ -63,11 +64,55 @@ def _load_bundle(args) -> Bundle:
     return bundle
 
 
-def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write("\n".join(lines) + "\n")
+def _json(value, indent: str, parts: list) -> None:
+    """Append value to parts as json.dumps(value, indent=2, sort_keys=True)
+    writes it, in one recursive pass: the stdlib's indenting encoder is its
+    pure-Python one, which makes a generator per container."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            parts += (sep, encode_basestring_ascii(key), ": ")
+            _json(value[key], inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            parts.append(sep)
+            _json(item, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + "]")
+    else:  # floats, and the stdlib's TypeError for anything it cannot write
+        parts.append(json.dumps(value))
+
+
+def _write_json(payload: dict, out) -> None:
+    parts = []
+    _json(payload, "", parts)
+    parts.append("\n")
+    out.write("".join(parts))
+
+
+def _write_text(lines: list[str], out) -> None:
+    out.write("\n".join(lines) + "\n")
 
 
 def cmd_cohomology(args, out) -> int:
@@ -83,24 +128,18 @@ def cmd_cohomology(args, out) -> int:
         for (i, tvec), dim in entries:
             writer.writerow([i, *tvec, dim])
         out.write(buf.getvalue())
-        return EXIT_OK
-    payload = {
-        "space": list(bundle.space.dims),
-        "bundle": format_bundle(bundle),
-        "entries": [
-            {"i": i, "t": list(tvec), "dim": str(dim)} for (i, tvec), dim in entries
-        ],
-    }
-    lines = [
-        f"space: {format_space(bundle.space)}",
-        f"bundle: {format_bundle(bundle)}",
-    ]
-    if entries:
-        for (i, tvec), dim in entries:
-            lines.append(f"h^{i}{tuple(tvec)} = {dim}")
+    elif args.format == "json":
+        _write_json({
+            "space": bundle.space.dims,
+            "bundle": format_bundle(bundle),
+            "entries": [{"i": i, "t": tvec, "dim": str(dim)} for (i, tvec), dim in entries],
+        }, out)
     else:
-        lines.append("all groups in the requested box vanish")
-    _emit(payload, lines, args.format, out)
+        lines = [f"space: {format_space(bundle.space)}", f"bundle: {format_bundle(bundle)}"]
+        lines += [f"h^{i}{tvec} = {dim}" for (i, tvec), dim in entries]
+        if not entries:
+            lines.append("all groups in the requested box vanish")
+        _write_text(lines, out)
     return EXIT_OK
 
 
@@ -108,21 +147,22 @@ def cmd_reg(args, out) -> int:
     bundle = _load_bundle(args)
     p = reg(bundle, args.definition)
     monotone_checked = is_regular_at(bundle, p + 1, args.definition)
-    failures = regularity_failures(bundle, p - 1, args.definition)
-    payload = {
-        "space": list(bundle.space.dims),
-        "bundle": format_bundle(bundle),
-        "definition": args.definition,
-        "value": p,
-        "monotone_checked": monotone_checked,
-        "failures": [{"i": i, "k": list(k), "dim": str(dim)} for i, k, dim in failures],
-    }
-    lines = [
-        f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}",
-        f"Reg ({args.definition}) = {p}",
-        f"monotone step checked: {monotone_checked}",
-    ]
-    _emit(payload, lines, args.format, out)
+    if args.format == "json":
+        failures = regularity_failures(bundle, p - 1, args.definition)
+        _write_json({
+            "space": bundle.space.dims,
+            "bundle": format_bundle(bundle),
+            "definition": args.definition,
+            "value": p,
+            "monotone_checked": monotone_checked,
+            "failures": [{"i": i, "k": k, "dim": str(dim)} for i, k, dim in failures],
+        }, out)
+    else:
+        _write_text([
+            f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}",
+            f"Reg ({args.definition}) = {p}",
+            f"monotone step checked: {monotone_checked}",
+        ], out)
     return EXIT_OK
 
 
@@ -130,57 +170,56 @@ def cmd_acm(args, out) -> int:
     bundle = _load_bundle(args)
     witnesses = acm_witnesses(bundle)
     verdict = not witnesses
-    payload = {
-        "space": list(bundle.space.dims),
-        "bundle": format_bundle(bundle),
-        "acm": verdict,
-        "witnesses": [w.to_json() for w in witnesses],
-    }
-    lines = [f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}"]
-    lines.append("ACM: yes" if verdict else "ACM: no")
-    for w in witnesses:
-        lines.append(f"  witness: h^{w.i} at t={w.t} offset {w.k} has dim {w.dim}")
-    _emit(payload, lines, args.format, out)
+    if args.format == "json":
+        _write_json({
+            "space": bundle.space.dims,
+            "bundle": format_bundle(bundle),
+            "acm": verdict,
+            "witnesses": [w.to_json() for w in witnesses],
+        }, out)
+    else:
+        lines = [f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}",
+                 "ACM: yes" if verdict else "ACM: no"]
+        for w in witnesses:
+            lines.append(f"  witness: h^{w.i} at t={w.t} offset {w.k} has dim {w.dim}")
+        _write_text(lines, out)
     return EXIT_OK
-
-
-def _verdict_payload(bundle: Bundle, verdict) -> dict:
-    return {
-        "theorem": verdict.theorem.value,
-        "space": list(bundle.space.dims),
-        "bundle": format_bundle(bundle),
-        "applicable": verdict.applicable,
-        "reason": verdict.reason,
-        "condition": verdict.condition_holds,
-        "form": verdict.form_holds,
-        "consistent": verdict.consistent,
-        "witnesses": [w.to_json() for w in verdict.witnesses],
-        "detected": [t.label for t in verdict.detected],
-        "detector_agrees": verdict.detector_agrees,
-    }
 
 
 def cmd_check(args, out) -> int:
     bundle = _load_bundle(args)
     verdict = verify_theorem(bundle, TheoremId(args.theorem))
-    payload = _verdict_payload(bundle, verdict)
-    lines = [
-        f"check {verdict.theorem.value} for {format_bundle(bundle)} on "
-        f"{format_space(bundle.space)}"
-    ]
+    if args.format == "json":
+        _write_json({
+            "theorem": verdict.theorem.value,
+            "space": bundle.space.dims,
+            "bundle": format_bundle(bundle),
+            "applicable": verdict.applicable,
+            "reason": verdict.reason,
+            "condition": verdict.condition_holds,
+            "form": verdict.form_holds,
+            "consistent": verdict.consistent,
+            "witnesses": [w.to_json() for w in verdict.witnesses],
+            "detected": [t.label for t in verdict.detected],
+            "detector_agrees": verdict.detector_agrees,
+        }, out)
+    else:
+        lines = [f"check {verdict.theorem.value} for {format_bundle(bundle)} on "
+                 f"{format_space(bundle.space)}"]
+        if not verdict.applicable:
+            lines.append(f"not applicable: {verdict.reason}")
+        else:
+            lines.append(f"condition: {verdict.condition_holds}")
+            lines.append(f"form: {verdict.form_holds}")
+            lines.append(f"consistent: {verdict.consistent}")
+            for w in verdict.witnesses:
+                flag = "" if w.required else " (informational)"
+                lines.append(f"  witness: i={w.i} k={w.k} t={w.t} dim={w.dim}{flag}")
+            if verdict.detected:
+                lines.append("detected: " + ", ".join(t.label for t in verdict.detected))
+        _write_text(lines, out)
     if not verdict.applicable:
-        lines.append(f"not applicable: {verdict.reason}")
-        _emit(payload, lines, args.format, out)
         return EXIT_PRECONDITION
-    lines.append(f"condition: {verdict.condition_holds}")
-    lines.append(f"form: {verdict.form_holds}")
-    lines.append(f"consistent: {verdict.consistent}")
-    for w in verdict.witnesses:
-        flag = "" if w.required else " (informational)"
-        lines.append(f"  witness: i={w.i} k={w.k} t={w.t} dim={w.dim}{flag}")
-    if verdict.detected:
-        lines.append("detected: " + ", ".join(t.label for t in verdict.detected))
-    _emit(payload, lines, args.format, out)
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 
@@ -191,23 +230,25 @@ def cmd_classify(args, out) -> int:
     detected = []
     if reg_value == 0:
         detected = [t.label for t in detect_extremal_summand(bundle, reg_value)]
-    payload = {
-        "space": list(bundle.space.dims),
-        "bundle": format_bundle(bundle),
-        "rank": rank(bundle),
-        "reg": reg_value,
-        "forms": forms,
-        "detected": detected,
-    }
-    lines = [
-        f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}",
-        f"rank: {payload['rank']}",
-        f"Reg: {reg_value}",
-        "forms: " + ", ".join(f"{k}={v}" for k, v in sorted(forms.items())),
-    ]
-    if detected:
-        lines.append("detected: " + ", ".join(detected))
-    _emit(payload, lines, args.format, out)
+    if args.format == "json":
+        _write_json({
+            "space": bundle.space.dims,
+            "bundle": format_bundle(bundle),
+            "rank": rank(bundle),
+            "reg": reg_value,
+            "forms": forms,
+            "detected": detected,
+        }, out)
+    else:
+        lines = [
+            f"bundle: {format_bundle(bundle)} on {format_space(bundle.space)}",
+            f"rank: {rank(bundle)}",
+            f"Reg: {reg_value}",
+            "forms: " + ", ".join(f"{k}={v}" for k, v in sorted(forms.items())),
+        ]
+        if detected:
+            lines.append("detected: " + ", ".join(detected))
+        _write_text(lines, out)
     return EXIT_OK
 
 
@@ -219,36 +260,38 @@ def cmd_verify_paper(args, out) -> int:
     if args.theorem:
         cfg = replace(cfg, theorems=tuple(args.theorem))
     report = run_verification(cfg)
-    payload = {
-        "spaces": list(cfg.spaces),
-        "theorems": list(cfg.theorems),
-        "total_bundles": report.total_bundles,
-        "elapsed_seconds": round(report.elapsed_seconds, 3),
-        "ok": report.ok,
-        "per_theorem": {
-            tid: {
-                "applicable": st.applicable,
-                "not_applicable": st.not_applicable,
-                "consistent": st.consistent,
-                "inconsistent": st.inconsistent,
-                "samples": st.samples,
-            }
-            for tid, st in report.per_theorem.items()
-        },
-        "findings": report.findings,
-    }
-    lines = [
-        f"spaces: {', '.join(cfg.spaces)}",
-        f"bundles checked: {report.total_bundles}",
-    ]
-    for tid, st in report.per_theorem.items():
-        lines.append(
-            f"{tid}: applicable={st.applicable} consistent={st.consistent} "
-            f"inconsistent={st.inconsistent}"
-        )
-    lines.append(f"findings: {len(report.findings)}")
-    lines.append("ok" if report.ok else "INCONSISTENCIES FOUND")
-    _emit(payload, lines, args.format, out)
+    if args.format == "json":
+        _write_json({
+            "spaces": cfg.spaces,
+            "theorems": cfg.theorems,
+            "total_bundles": report.total_bundles,
+            "elapsed_seconds": round(report.elapsed_seconds, 3),
+            "ok": report.ok,
+            "per_theorem": {
+                tid: {
+                    "applicable": st.applicable,
+                    "not_applicable": st.not_applicable,
+                    "consistent": st.consistent,
+                    "inconsistent": st.inconsistent,
+                    "samples": st.samples,
+                }
+                for tid, st in report.per_theorem.items()
+            },
+            "findings": report.findings,
+        }, out)
+    else:
+        lines = [
+            f"spaces: {', '.join(cfg.spaces)}",
+            f"bundles checked: {report.total_bundles}",
+        ]
+        for tid, st in report.per_theorem.items():
+            lines.append(
+                f"{tid}: applicable={st.applicable} consistent={st.consistent} "
+                f"inconsistent={st.inconsistent}"
+            )
+        lines.append(f"findings: {len(report.findings)}")
+        lines.append("ok" if report.ok else "INCONSISTENCIES FOUND")
+        _write_text(lines, out)
     return EXIT_OK if report.ok else EXIT_INCONSISTENT
 
 

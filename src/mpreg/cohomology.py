@@ -17,11 +17,13 @@ gives the windows of every level at k (level_windows), in O(s^2) for s
 factors.  regularity.summand_windows keeps the windows for the check bits,
 the witnesses and Reg in the summand's record; it sweeps each untwisted
 summand once, since a diagonal twist by c shifts every window by -c.
+A table over a box of twists (build_table) is, per summand, the product of
+one column per factor, the atom's group at each twist of that factor's
+range: the levels add and the dims multiply.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -174,7 +176,11 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
     """The record of the summand with this key, (0, 0, 2t) for O(t) and
     (1, 2p, 2t) for W^p(t) per atom, on the space with these dims.  One
     record per sheaf: a key written out of normal form (W^0(t), W^n(t))
-    gets the record of its normal key."""
+    gets the record of its normal key.  A key whose atom count is not the
+    space's factor count is refused (ArityError) on a miss."""
+    if len(key) != 3 * len(dims):
+        raise ArityError(f"summand has {len(key) // 3} atoms but the space has "
+                         f"{len(dims)} factors")
     atoms, normal = [], True
     for n, kind, p, t in zip(dims, key[::3], key[1::3], key[2::3]):
         p, t = p // 2, t // 2
@@ -366,7 +372,13 @@ class CohomologyTable:
 
 
 def build_table(bundle: Bundle, twist_box: Iterable[tuple[int, int]]) -> CohomologyTable:
-    """Tabulate all nonzero h^i over a rectangular box of twists."""
+    """Tabulate all nonzero h^i over a rectangular box of twists.
+
+    By Kunneth a summand's table is the product of one column per factor:
+    the (t, level, dim) of its atom at each t of that factor's range where
+    the atom has a group.  The levels add and the dims multiply, so a box
+    costs one atom value per factor and range entry, then one product per
+    nonzero twist vector of each summand."""
     twist_box = tuple((int(lo), int(hi)) for lo, hi in twist_box)
     if len(twist_box) != bundle.space.num_factors:
         raise ModelError("twist box arity does not match the space")
@@ -377,7 +389,17 @@ def build_table(bundle: Bundle, twist_box: Iterable[tuple[int, int]]) -> Cohomol
     if prod(map(len, ranges)) > MAX_TABLE_TWISTS:
         raise ModelError(f"twist box has more than {MAX_TABLE_TWISTS} twist vectors")
     entries = {}
-    for tvec in itertools.product(*ranges):
-        for i, dim in _groups(bundle, tvec):
-            entries[(i, tvec)] = entries.get((i, tvec), 0) + dim
+    for f in summand_records(bundle):
+        cells = [((), 0, 1)]  # (twist vector so far, level, dim)
+        for atom, r in zip(f.atoms, ranges):
+            column = []
+            for t in r:
+                group = _summand_group((atom,), (t,))
+                if group is not None:
+                    column.append(((t,), *group))
+            cells = [(tvec + tail, i + level, dim * d)
+                     for tvec, i, dim in cells for tail, level, d in column]
+        for tvec, i, dim in cells:
+            key = (i, tvec)
+            entries[key] = entries.get(key, 0) + dim
     return CohomologyTable(bundle, twist_box, entries)

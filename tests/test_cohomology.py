@@ -1,6 +1,10 @@
 """Dimension engine: closed forms, the independent recursion, box products."""
 
+import csv
+import io
 import itertools
+import re
+from contextlib import redirect_stdout
 from math import prod
 
 import pytest
@@ -9,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 from mpreg import regularity
 from mpreg.bundles import (
     MAX_SPACE_SIZE,
+    BoxSummand,
+    Bundle,
     Cotangent,
     Line,
     ModelError,
     dualize,
+    format_atom,
     line_bundle,
     line_summand,
     make_bundle,
@@ -27,6 +34,7 @@ from mpreg.bundles import (
 )
 from mpreg.cohomology import (
     SummandFacts,
+    _groups,
     _support,
     build_table,
     euler_characteristic,
@@ -523,3 +531,79 @@ def test_build_table_validates_box():
         build_table(b, ((0, 1),))
     with pytest.raises(ModelError):
         build_table(b, ((-3000, 3000), (-3000, 3000)))
+
+
+def _table_by_twist(bundle, box):
+    """The per-twist fold build_table made before it took column products:
+    every summand's group at every twist vector of the box."""
+    entries = {}
+    for tvec in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        for i, dim in _groups(bundle, tvec):
+            entries[(i, tvec)] = entries.get((i, tvec), 0) + dim
+    return entries
+
+
+@st.composite
+def _table_cases(draw):
+    """A bundle on 1 to 4 factors of dimension 1 to 3, made with Bundle(...)
+    so that atoms may be out of normal form (W^0(t), W^n(t)) and summands
+    unsorted, and a box of 1 to 4 twists per factor."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    degree = st.integers(-4, 4)
+    summands = tuple(
+        BoxSummand(tuple(draw(st.one_of(degree.map(Line),
+                                        st.builds(Cotangent, st.integers(0, n), degree)))
+                         for n in dims))
+        for _ in range(draw(st.integers(1, 3))))
+    box = tuple((lo, lo + draw(st.integers(0, 3))) for lo in draw(
+        st.lists(st.integers(-6, 3), min_size=len(dims), max_size=len(dims))))
+    return Bundle(parse_space("x".join(f"P{n}" for n in dims)), summands), box
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_cases())
+def test_table_is_h_vector_at_every_twist_of_the_box(case):
+    bundle, box = case
+    table = build_table(bundle, box)
+    assert table.entries == _table_by_twist(bundle, box)
+    for tvec in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        assert tuple(table.dimension(i, tvec) for i in range(bundle.space.total_dim + 1)) \
+            == h_vector(bundle, tvec)
+
+
+def _cli_cohomology(bundle, box, fmt):
+    from mpreg import cli
+
+    space = "x".join(f"P{n}" for n in bundle.space.dims)
+    text = " + ".join("*".join(map(format_atom, s.atoms)) for s in bundle.summands)
+    ranges = ",".join(f"{lo}..{hi}" for lo, hi in box)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["cohomology", "--space", space, "--bundle", text,
+                         "--twist-range=" + ranges, "--format", fmt])
+    assert code == 0
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_table_cases())
+def test_cli_text_and_csv_list_exactly_the_nonzero_groups(case):
+    bundle, box = case
+    nonzero = {}
+    for tvec in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+        for i, dim in enumerate(h_vector(bundle, tvec)):
+            if dim:
+                nonzero[(i, tvec)] = dim
+    lines = _cli_cohomology(bundle, box, "text").splitlines()[2:]
+    if not nonzero:
+        assert lines == ["all groups in the requested box vanish"]
+    else:
+        listed = [re.fullmatch(r"h\^(\d+)\(([-\d, ]+)\) = (\d+)", line).groups() for line in lines]
+        assert len(listed) == len(nonzero)
+        assert {(int(i), tuple(int(t) for t in ts.split(",") if t)): int(dim)
+                for i, ts, dim in listed} == nonzero
+    rows = list(csv.reader(io.StringIO(_cli_cohomology(bundle, box, "csv"))))
+    s = bundle.space.num_factors
+    assert rows[0] == ["i", *(f"t_{j + 1}" for j in range(s)), "dim"]
+    assert len(rows) - 1 == len(nonzero)
+    assert {(int(r[0]), tuple(map(int, r[1:-1]))): int(r[-1]) for r in rows[1:]} == nonzero

@@ -903,3 +903,114 @@ def test_cli_classify_computes_reg_once(monkeypatch, capsys):
     assert code == 0
     assert "detected: E01, Triv" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# JSON output and the CLI contract
+
+_JSON_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "é \U0001F600", "\ud800", '"\\/\b\f\n\r\t']),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_STRINGS,
+    st.integers(), st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_the_stdlib_indent_2_sort_keys(value):
+    from mpreg import cli
+
+    parts = []
+    cli._json(value, "", parts)
+    assert "".join(parts) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _cli_contract(argv):
+    """cli.main(argv) returns 0, 2, 3 or 4 (argparse's SystemExit(2) counts as
+    2) and raises nothing else; JSON output is the stdlib's indent=2,
+    sort_keys=True rendering of itself.  Returns (code, stdout)."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from mpreg import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    text = out.getvalue()
+    if argv[argv.index("--format") + 1] == "json" and code != 2:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", argv
+    return code, text
+
+
+_CLI_SPACES = ("P1", "P2", "P1xP1", "P1xP2", "P2xP3", "P1xP1xP1", "P2xP1xP1xP1")
+_CLI_BAD_SPACES = st.one_of(st.sampled_from(["P3000", "P0", "P1x", ""]),
+                            st.text("P0123x ", max_size=8))
+_CLI_BAD_BUNDLES = st.one_of(
+    st.sampled_from(["O(1", "O(0,1,2)", "W9(1)*O(0)", "O(10**30)", "O(99999999999999999999,0)"]),
+    st.text("OW()0123-,*+@ ", max_size=16),
+)
+_CLI_BAD_RANGES = st.sampled_from(["5..1", "-3000..3000", "1..", "a..b", "0..1,0..1,0..1",
+                                   "-1..1,"])
+
+
+@st.composite
+def _cli_calls(draw):
+    """Calls of every subcommand with every required option: about a third of
+    them have a malformed space, bundle or twist range, and some an option
+    value argparse refuses."""
+    command = draw(st.sampled_from(["cohomology", "reg", "acm", "check", "classify",
+                                    "verify-paper"]))
+    argv, bad = [command], draw(st.sampled_from(["", "", "", "space", "bundle", "range"]))
+    if command == "verify-paper":  # a run on a good config is the next test
+        argv += ["--config", draw(st.sampled_from(["no-such-file.cfg", ".", ""]))]
+        if draw(st.booleans()):
+            argv += ["--theorem", draw(st.sampled_from(["T1", "t3", "T9"]))]
+    else:
+        space = draw(st.sampled_from(_CLI_SPACES))
+        dims = [int(n) for n in space[1:].split("xP")]
+        degree = st.integers(-4, 4)
+        atom = st.one_of(degree.map("O({})".format),
+                         st.builds("W{}({})".format, st.integers(0, max(dims)), degree))
+        bundle = " + ".join("*".join(draw(atom) for _ in dims)
+                            for _ in range(draw(st.integers(1, 3))))
+        argv += ["--space", draw(_CLI_BAD_SPACES) if bad == "space" else space,
+                 "--bundle", draw(_CLI_BAD_BUNDLES) if bad == "bundle" else bundle]
+    if command == "cohomology":
+        box = ",".join(f"{lo}..{lo + w}" for lo, w in draw(
+            st.lists(st.tuples(st.integers(-5, 3), st.integers(0, 4)), min_size=1, max_size=3)))
+        argv.append("--twist-range=" + (draw(_CLI_BAD_RANGES) if bad == "range" else box))
+    if command == "check":
+        argv += ["--theorem", draw(st.sampled_from(["T1", "t2b", "P4B", "C2", "T0", "T9"]))]
+    if command == "reg" and draw(st.booleans()):
+        argv += ["--definition", draw(st.sampled_from(["paper", "hw", "HW"]))]
+    return argv + ["--format", draw(st.sampled_from(["json", "json", "text", "csv"]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_calls())
+def test_cli_returns_a_documented_exit_code_and_stdlib_json(argv):
+    _cli_contract(argv)
+
+
+def test_cli_contract_holds_for_verify_paper_on_a_tiny_config(tmp_path):
+    # the one payload with a float, elapsed_seconds
+    path = tmp_path / "run.cfg"
+    path.write_text("spaces = P1xP1, P1xP1xP1\ndegrees = -2..0\nmax_summands = 2\n")
+    code, text = _cli_contract(["verify-paper", "--config", str(path), "--format", "json"])
+    assert code == 3 and isinstance(json.loads(text)["elapsed_seconds"], float)
+    assert _cli_contract(["verify-paper", "--config", str(path), "--format", "text"])[0] == 3

@@ -26,7 +26,9 @@ from mpreg.bundles import (
 from mpreg.cohomology import (
     SummandFacts,
     _support,
+    build_table,
     h_bundle,
+    h_vector,
     level_windows,
     nonvanishing_t_window,
     summand_facts,
@@ -397,6 +399,26 @@ def test_condition_checker_arity_guard():
         condition_for(b, TheoremId.C1)
     v = verify_theorem(b, TheoremId.T2)
     assert not v.applicable
+
+
+_WRONG_ARITY = {  # every engine door reads the summands' records first
+    "h_vector": lambda b: h_vector(b, (0, 0)),
+    "reg": reg,
+    "verdict_rows": lambda b: verdict_rows(b, list(TheoremId)),
+    "classify_form": lambda b: classify_form(b, TheoremId.T1),
+    "is_acm": is_acm,
+    "build_table": lambda b: build_table(b, ((0, 1), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("door", _WRONG_ARITY)
+@pytest.mark.parametrize("atoms", [(Line(0),), (Line(0), Line(1), Line(2))],
+                         ids=["one_atom", "three_atoms"])
+def test_a_summand_of_the_wrong_arity_is_refused(door, atoms):
+    # Bundle(...) checks nothing; summand_facts refuses the key on a miss
+    bundle = Bundle(parse_space("P1xP1"), (BoxSummand(atoms),))
+    with pytest.raises(ArityError, match="the space has 2 factors"):
+        _WRONG_ARITY[door](bundle)
 
 
 def test_condition_for_enforces_rank_preconditions():
