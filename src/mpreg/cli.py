@@ -253,7 +253,7 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_verify_paper(args, out) -> int:
-    if args.config:
+    if args.config is not None:
         cfg = load_config(args.config)
     else:
         cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2"))

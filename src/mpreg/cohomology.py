@@ -161,8 +161,8 @@ class SummandFacts:
     """One summand's atoms in normal form, (n_j, p_j, t_j) with p_j = 0 for
     O(t_j), the spread of its line degrees (max - min, None when an atom is
     a cotangent), and its facts, filled on first use with the reader's
-    space: windows per (family, r), bits per (family, r, twist), Reg per
-    definition, tags."""
+    space: windows per (family, r), bits per (family, r, twist) and a mask
+    per tuple of folding check ids, Reg per definition, tags."""
 
     __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags")
 

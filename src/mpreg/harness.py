@@ -1,5 +1,7 @@
 """Enumeration harness: generate families of bundles, run the splitting
-checks over them, and aggregate agreement statistics."""
+checks over them, and aggregate agreement statistics.  The checks that
+fold are decided per bundle from the OR of its summands' masks; rows come
+from verdict_rows for the other checks and for bundles with a finding."""
 
 from __future__ import annotations
 
@@ -23,8 +25,10 @@ from .bundles import (
     make_summand,
     parse_space,
 )
+from .cohomology import summand_facts
 from .regularity import is_regular_at
-from .splitting import CHECKS, TheoremId, is_acm, row_verdict, verdict_rows
+from .splitting import (CHECKS, TheoremId, is_acm, mask_consistent, row_verdict, summand_mask,
+                        verdict_rows)
 
 ALL_THEOREMS = tuple(t.value for t in TheoremId)
 
@@ -228,22 +232,49 @@ def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
 def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``.
     Bundles stream from ``enumerate_bundles``, so a run holds one at a
-    time.  The stats are tallied from the rows of ``verdict_rows``; a
-    bundle's name, its verdict for a check and the finding dicts are made
-    only when that check has a finding."""
+    time.  The checks that fold (CheckSpec.spread) are decided by the OR
+    of the bundle's summand masks: a bundle whose mask agrees is counted
+    applicable and consistent for each of them, and calls ``verdict_rows``
+    only for the other checks; a bundle whose mask holds a finding calls
+    it for every check.  The stats are tallied from the rows; a bundle's
+    name, its verdict for a check and the finding dicts are made only when
+    that check has a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
     total = 0
 
     ids = tuple(map(TheoremId, cfg.theorems))
-    checks = [(per_theorem[theorem.value], theorem, CHECKS[theorem]) for theorem in ids]
+    every = [(per_theorem[t.value], t, CHECKS[t]) for t in ids]
+    folded = [check for check in every if check[2].spread is not None]
+    others, rest, key = every, ids, ()  # the checks that do not fold; the mask's, per space
+    if folded:
+        others = [check for check in every if check[2].spread is None]
+        rest = tuple(t for _, t, _ in others)
     for space in map(parse_space, cfg.spaces):
-        space_text = format_space(space)
+        space_text, dims = format_space(space), space.dims
+        if folded:  # those that apply on the space
+            key = tuple(t for _, t, spec in folded if space.num_factors == 2 or not spec.two_factor)
+        agree, before, found = {}, total, 0  # mask -> mask_consistent; bundles with a finding
         for bundle in enumerate_bundles(space, cfg):
             total += 1
+            row_ids, checks = rest, others
+            if key:
+                m = 0  # the OR of the summands' masks
+                for s in bundle.summands:
+                    f = summand_facts(dims, s.key)
+                    mask = f.bits.get(key)
+                    m |= summand_mask(space, f, key) if mask is None else mask
+                ok = agree.get(m)
+                if ok is None:
+                    ok = agree[m] = mask_consistent(key, m)
+                if not ok:
+                    row_ids, checks = ids, every
+                    found += 1
+            if not row_ids:
+                continue
             name = acm = None  # format_bundle(bundle) and is_acm(bundle), each made at most once
-            for (st, theorem, spec), row in zip(checks, verdict_rows(bundle, ids)):
+            for (st, theorem, spec), row in zip(checks, verdict_rows(bundle, row_ids)):
                 reason, cond, form, detected, agrees, _ = row
                 if reason is not None:
                     st.not_applicable += 1
@@ -270,6 +301,13 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                         st.samples.append(name)
                     verdict = row_verdict(bundle, theorem, row)
                     findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
+        free = total - before - found  # the bundles whose mask agrees
+        for st, t, _ in folded:  # consistent on each of them, or not applicable
+            if t in key:
+                st.applicable += free
+                st.consistent += free
+            else:
+                st.not_applicable += free
 
     return RunReport(
         config=cfg,

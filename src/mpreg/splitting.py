@@ -19,6 +19,10 @@ the records, rank, the Reg gate and the detection are its local variables,
 each computed at most once, and it returns one plain row per check id.
 verify_bundle wraps the rows into TheoremVerdicts; the enumeration harness
 tallies the rows and builds a verdict only for a check with a finding.
+For the checks that fold (CheckSpec.spread), summand_mask packs a
+summand's condition, form and ACM bits into one int in its record, so the
+harness decides a bundle from the OR of its summands' masks and reads rows
+only for the other checks and for bundles with a finding.
 applicability and condition_for read the verdict of verify_theorem.
 """
 
@@ -259,11 +263,16 @@ def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
 # structural forms
 
 
+def _beyond(facts: SummandFacts, spread: int) -> bool:
+    """The summand is not a line whose degrees differ by at most spread."""
+    return facts.spread is None or facts.spread > spread
+
+
 def _lines_within(records: list, spread: int) -> bool:
     """Every summand a line whose degrees differ by at most spread: balanced
     lines for spread 0, step lines for spread 1.  Read off the records."""
     for f in records:  # a loop: cheaper than all() over a generator
-        if f.spread is None or f.spread > spread:
+        if _beyond(f, spread):
             return False
     return True
 
@@ -341,9 +350,18 @@ class CheckSpec:
     # whether the family reads the rank; the others are read, and their
     # windows, bits and witnesses kept, at rank 0 for every bundle
     reads_rank: bool = field(init=False)
+    # the bound of a line-spread form when the check folds: with no rank
+    # rule, Reg gate or detector and a rank-free family, the condition, the
+    # form and the ACM cross-check each fail by an OR of summand bits
+    # (summand_mask); None for the other checks
+    spread: Optional[int] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "reads_rank", self.family in (_interior_family, _boundary_family))
+        reads_rank = self.family in (_interior_family, _boundary_family)
+        folds = (getattr(self.form, "func", None) is _lines_within and self.rank_rule is None
+                 and not (self.reg_zero or self.detector or reads_rank))
+        object.__setattr__(self, "reads_rank", reads_rank)
+        object.__setattr__(self, "spread", self.form.keywords["spread"] if folds else None)
 
 
 _T3 = CheckSpec(_exact_family, partial(_lines_within, spread=0), acm_crosscheck=True)
@@ -392,6 +410,44 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
                                   and (hi is None or twist <= hi))
             for index, lo, hi in windows)
     return facts.bits[key]
+
+
+def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
+    """The summand's bits for key, a tuple of check ids that fold and apply
+    on the space.  Each check has three, in key order, set when its
+    condition fails (_summand_fails), when its form fails (_beyond) and,
+    for a check whose condition should force ACM, when the summand has a
+    window of the ACM family, read only when the condition bit is clear.
+    -1 (every bit) when a window is unbounded below.  Stored in the record
+    under key on a miss."""
+    mask = facts.bits.get(key)
+    if mask is None:
+        mask = 0
+        for j, theorem in enumerate(key):
+            spec = CHECKS[theorem]
+            fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
+            window = spec.acm_crosscheck and fails is False and _summand_fails(
+                space, facts, _acm_family, 0, None)
+            if fails is None or window is None:
+                mask = -1
+                break
+            mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << 3 * j
+        facts.bits[key] = mask
+    return mask
+
+
+def mask_consistent(key: tuple, mask: int) -> bool:
+    """Does every check of key agree on a bundle whose summands' masks OR to
+    mask: condition and form hold together, and a condition that holds and
+    should force ACM meets no ACM window?  Never for -1."""
+    if mask < 0:
+        return False
+    for _ in key:
+        fails, beyond, window = mask & 1, mask >> 1 & 1, mask >> 2 & 1
+        if fails != beyond or window and not fails:
+            return False
+        mask >>= 3
+    return True
 
 
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:

@@ -1,5 +1,6 @@
 """Enumeration harness, configuration parsing, and the command line surface."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 try:
     import jsonschema
@@ -155,8 +156,6 @@ def test_enumeration_includes_cotangent_atoms():
 def test_enumeration_matches_make_bundle():
     # enumerate_bundles builds each Bundle from canonical summands directly;
     # the reference re-normalises every combination through make_bundle
-    import itertools
-
     from mpreg.bundles import Line, make_bundle
 
     sp = parse_space("P2xP2")
@@ -230,6 +229,161 @@ def test_run_verification_matches_eager_reference():
     assert [json.dumps(f) for f in rep.findings] == [json.dumps(f) for f in findings]
 
 
+_FOLDING = ("T1", "T2", "T3", "T2B")  # checks whose verdicts the summand masks decide
+
+
+@st.composite
+def _differential_configs(draw):
+    """Small configs on 1-3 factors whose checks fold, do not, or mix."""
+    spaces = tuple(draw(st.lists(st.sampled_from(("P1", "P2", "P1xP1", "P1xP2", "P2xP1",
+                                                  "P2xP2", "P1xP1xP1", "P1xP1xP2")),
+                                 min_size=1, max_size=2, unique=True)))
+    folding = draw(st.lists(st.sampled_from(_FOLDING), unique=True))
+    other = draw(st.lists(st.sampled_from([t for t in ALL_THEOREMS if t not in _FOLDING]),
+                          unique=True, min_size=0 if folding else 1))
+    degree_min, cot_twist_min = draw(st.integers(-2, 1)), draw(st.integers(-1, 1))
+    cfg = EnumerationConfig(
+        spaces=spaces,
+        degree_min=degree_min,
+        degree_max=degree_min + draw(st.sampled_from((2, 1, 0))),
+        cotangent=draw(st.booleans()),
+        cot_twist_min=cot_twist_min,
+        cot_twist_max=cot_twist_min + draw(st.sampled_from((0, 1))),
+        max_summands=draw(st.sampled_from((3, 2, 1))),
+        theorems=tuple(draw(st.permutations(folding + other))),
+    )
+    bundles = (b for text in spaces for b in enumerate_bundles(parse_space(text), cfg))
+    assume(next(itertools.islice(bundles, 800, None), None) is None)  # at most 800 bundles
+    return cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(_differential_configs())
+@example(EnumerationConfig(spaces=("P1xP1xP1", "P1xP2"), degree_min=-1, degree_max=1,
+                           theorems=("C2", "T2B", "T3", "T1")))  # mask findings, mixed
+def test_run_verification_matches_eager_reference_on_drawn_configs(cfg):
+    rep = run_verification(cfg)
+    total, per_theorem, findings = _reference_report(cfg)
+    assert rep.total_bundles == total
+    assert rep.per_theorem == per_theorem  # the counts and the samples
+    assert [json.dumps(f) for f in rep.findings] == [json.dumps(f) for f in findings]
+
+
+def _counting_rows(monkeypatch) -> list:
+    """The bundles passed to harness.verdict_rows from now on, in order."""
+    calls, real_rows = [], harness.verdict_rows
+
+    def counting(bundle, ids):
+        calls.append(bundle)
+        return real_rows(bundle, ids)
+
+    monkeypatch.setattr(harness, "verdict_rows", counting)
+    return calls
+
+
+def test_folded_checks_call_verdict_rows_only_for_finding_bundles(monkeypatch):
+    from mpreg.bundles import format_bundle
+
+    calls = _counting_rows(monkeypatch)
+    t3 = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3",)))
+    assert t3.total_bundles == 8000 and t3.findings == []
+    assert calls == []
+    t2b = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T2B",)))
+    found = [f["bundle"] for f in t2b.findings]
+    assert len(found) == len(set(found)) == 711
+    assert [format_bundle(b) for b in calls] == found
+    calls.clear()  # one mask for both checks
+    both = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3", "T2B")))
+    assert both.findings == t2b.findings
+    assert [format_bundle(b) for b in calls] == found
+
+
+def test_mask_consistent_reads_three_bits_per_check():
+    from mpreg.splitting import mask_consistent
+
+    key = ("T3", "T2B")  # per check, low bits first: condition fails, form fails, ACM window
+    assert mask_consistent(key, 0b000_000) and mask_consistent(key, 0b011_011)
+    assert mask_consistent(key, 0b000_111)  # a window does not count once the condition fails
+    assert not mask_consistent(key, 0b000_100)  # the condition holds and a summand is not ACM
+    assert not mask_consistent(key, 0b001_000) and not mask_consistent(key, 0b010_000)
+    assert not mask_consistent(key, -1)  # a window unbounded below
+
+
+def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
+    from collections import Counter
+
+    from mpreg.cohomology import summand_facts
+
+    real_mask, fills = harness.summand_mask, Counter()
+
+    def counting_mask(space, facts, key):
+        if key not in facts.bits:
+            fills[id(facts), key] += 1
+        return real_mask(space, facts, key)
+
+    summand_facts.cache_clear()
+    monkeypatch.setattr(harness, "summand_mask", counting_mask)
+    # on P1xP1 the mask covers T1, T2B and T3, on P1xP1xP1 T2B and T3; C2 does not fold
+    cfg = EnumerationConfig(spaces=("P1xP1", "P1xP1xP1"), degree_min=-1, degree_max=1,
+                            max_summands=3, theorems=("T1", "T2B", "C2", "T3"))
+    first = run_verification(cfg)
+    assert max(fills.values()) == 1
+    assert sorted(Counter(key for _, key in fills).values()) == [9, 27]  # one per summand
+    second = run_verification(cfg)
+    assert sum(fills.values()) == 9 + 27
+    assert replace(second, elapsed_seconds=0) == replace(first, elapsed_seconds=0)
+
+
+def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypatch):
+    from mpreg import splitting
+    from mpreg.cohomology import summand_facts
+    from mpreg.splitting import _acm_family, _exact_family
+
+    real_fails, read = splitting._summand_fails, []
+
+    def recording_fails(space, facts, family, r, twist):
+        if family is _acm_family:
+            read.append((facts, facts.bits.get((_exact_family, 0, None))))
+        return real_fails(space, facts, family, r, twist)
+
+    summand_facts.cache_clear()
+    monkeypatch.setattr(splitting, "_summand_fails", recording_fails)
+    cfg = EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3",))
+    assert run_verification(cfg).findings == []
+    space = parse_space("P1xP1xP1")
+    records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
+    clear = [f for f in records if f.bits[_exact_family, 0, None] is False]
+    assert 0 < len(clear) < len(records)
+    assert all(bit is False for _, bit in read)
+    assert sorted(map(id, (f for f, _ in read))) == sorted(map(id, clear))
+
+
+def test_a_window_unbounded_below_falls_back_to_verdict_rows(monkeypatch):
+    # H^1 of O(t) on P1 is nonzero for every t <= -2: a T2B read through this
+    # family has no condition bit, so the mask is -1 and verdict_rows raises
+    from mpreg import splitting
+    from mpreg.bundles import ModelError
+    from mpreg.cohomology import summand_facts
+    from mpreg.splitting import TheoremId
+
+    def top(space, r):
+        return [(1, (0,), True)]
+
+    t2b = TheoremId.T2B
+    monkeypatch.setitem(splitting.CHECKS, t2b, replace(splitting.CHECKS[t2b], family=top))
+    calls = _counting_rows(monkeypatch)
+    cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
+                            theorems=("T2B",))
+    summand_facts.cache_clear()  # no mask of the real T2B
+    try:
+        with pytest.raises(ModelError, match="unbounded below"):
+            run_verification(cfg)
+        [bundle] = calls
+        assert summand_facts(bundle.space.dims, bundle.summands[0].key).bits[(t2b,)] == -1
+    finally:
+        summand_facts.cache_clear()  # nor of this one
+
+
 def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
     from mpreg import harness, splitting
     from mpreg.splitting import Witness
@@ -241,6 +395,8 @@ def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
         # (reason, condition, form, detected, agrees, rank): applicable, inconsistent
         return [(None, False, True, (), None, 1) for _ in ids]
 
+    # T2B folds: its summand masks must report a finding for the rows to be read
+    monkeypatch.setattr(harness, "mask_consistent", lambda key, mask: False)
     monkeypatch.setattr(harness, "verdict_rows", stub_rows)
     monkeypatch.setattr(splitting, "_witnesses", lambda *args: list(witnesses))
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
@@ -298,25 +454,34 @@ def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
     from mpreg import harness
 
     real_enumerate, real_rows = harness.enumerate_bundles, harness.verdict_rows
-    events = []
+    real_facts, events = harness.summand_facts, []
 
     def logged_enumerate(space, cfg):
         for bundle in real_enumerate(space, cfg):
             events.append(("pulled", bundle))
             yield bundle
 
+    def logged_facts(dims, key):
+        events.append(("read", key))
+        return real_facts(dims, key)
+
     def logged_rows(bundle, ids):
         events.append(("checked", bundle))
         return real_rows(bundle, ids)
 
     monkeypatch.setattr(harness, "enumerate_bundles", logged_enumerate)
+    monkeypatch.setattr(harness, "summand_facts", logged_facts)
     monkeypatch.setattr(harness, "verdict_rows", logged_rows)
+    # T1 and T3 fold, read off the summands' masks; C2 does not, so every
+    # bundle also calls verdict_rows
     cfg = EnumerationConfig(spaces=("P1xP1", "P2"), degree_min=-1, degree_max=1,
-                            theorems=("T1", "T3"))
+                            theorems=("T1", "T3", "C2"))
     assert run_verification(cfg).total_bundles == 54 + 9
     bundles = [b for text in cfg.spaces for b in real_enumerate(parse_space(text), cfg)]
-    # bundle n + 1 is pulled only after bundle n has been checked
-    assert events == [(kind, b) for b in bundles for kind in ("pulled", "checked")]
+    # bundle n + 1 is pulled only after bundle n has been read and checked
+    assert events == [event for b in bundles
+                      for event in [("pulled", b), *(("read", s.key) for s in b.summands),
+                                    ("checked", b)]]
 
 
 def _count_eq(monkeypatch) -> dict:
@@ -352,7 +517,6 @@ def test_second_run_makes_no_summand_eq_and_no_new_fact_misses(monkeypatch):
 
 def test_unpickled_bundles_match_originals_with_no_new_fact_misses(monkeypatch):
     # equal bundles made anew, which find the originals' records by key
-    import itertools
     import pickle
 
     from mpreg.bundles import BoxSummand
@@ -395,9 +559,6 @@ def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
         calls[bundle] += 1
         return is_acm(bundle)
 
-    monkeypatch.setattr(harness, "is_acm", counting_is_acm)
-    rep = run_verification(cfg)
-
     expected_calls, expected = set(), []
     for bundle in enumerate_bundles(parse_space("P1xP1"), cfg):
         for tid in cfg.theorems:
@@ -407,6 +568,15 @@ def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
                     expected.append({"type": "t1_without_acm", "space": "P1xP1",
                                      "bundle": format_bundle(bundle), "theorem": tid})
     assert expected_calls
+    monkeypatch.setattr(harness, "is_acm", counting_is_acm)
+    # T1 and T3 fold: a bundle whose mask agrees reads ACM off its summands' bits
+    rep = run_verification(cfg)
+    assert max(calls.values(), default=0) <= 1
+    assert [f for f in rep.findings if f["type"] == "t1_without_acm"] == expected
+    # every bundle through verdict_rows: one is_acm call per bundle whose condition holds
+    calls.clear()
+    monkeypatch.setattr(harness, "mask_consistent", lambda key, mask: False)
+    rep = run_verification(cfg)
     assert set(calls) == expected_calls
     assert max(calls.values()) == 1
     assert [f for f in rep.findings if f["type"] == "t1_without_acm"] == expected
@@ -439,7 +609,10 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     assert sum(regs.values()) == 5150
     applicable = regular.per_theorem["T4"].applicable
     assert 0 < applicable == regular.per_theorem["T0"].applicable < 5150
-    assert sum(ranks.values()) == applicable + 8000
+    # T3 and T2B fold: only a bundle with a finding reads its rank, in verdict_rows
+    found = {f["bundle"] for f in windows.findings}
+    assert 0 < len(found) < 8000
+    assert sum(ranks.values()) == applicable + len(found)
 
 
 def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch):
@@ -514,7 +687,9 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
     assert 0 < windows[_acm_family] <= 125
     assert sum(windows.values()) == sum(len(f.windows) for f in records)
     assert all(r == 0 for f in records for _, r in f.windows)
-    assert all(r == 0 for f in records for _, r, _ in f.bits)
+    mask_key = ("T3", "T2B")  # the run's summand masks, beside the bits (family, r, twist)
+    assert all(f.bits[mask_key] >= 0 for f in records)
+    assert all(key[1] == 0 for f in records for key in f.bits if key != mask_key)
     # the verdict keeps the bundle's own rank
     _, b = parse_bundle("P1xP1xP1", "O(0,0,0) + O(1,1,1)")
     assert verify_theorem(b, "T3").rank == 2
@@ -865,6 +1040,16 @@ def test_cli_config_jobs_must_be_1(tmp_path, capsys, jobs, code):
     err = capsys.readouterr().err
     assert err == ("" if code == 0 else
                    f"error: jobs must be 1, got {jobs}: parallel runs were removed\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--theorem", "T1"]], ids=["all-ids", "one-id"])
+def test_cli_verify_paper_empty_config_path_exits_2(capsys, argv):
+    # an empty path names no file; only a missing --config runs the default battery
+    from mpreg import cli
+
+    assert cli.main(["verify-paper", "--config", "", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 _BATTERY = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_verification.py")
