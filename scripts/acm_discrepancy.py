@@ -11,8 +11,10 @@ formula on that space.  b2 is known to disagree off the diagonal n != m
 (the factor dimensions enter transposed); b3 matches everywhere up to
 three factors and first fails on P1xP1xP1xP1 at degrees (0,0,2,2).
 
-A degree grid of more than cohomology.MAX_TABLE_TWISTS vectors is refused
-with exit code 2, as is a bad space.
+An empty degree grid (--bound below 0), a grid of more than
+cohomology.MAX_TABLE_TWISTS vectors, a bad space and variant b2 asked for
+on a space without two factors are refused with exit code 2.  Without
+--variant, b2 is skipped on such a space.
 
 Usage:
   python scripts/acm_discrepancy.py                 # default grid
@@ -68,7 +70,8 @@ def _sweeps(args) -> int:
         variants = [args.variant] if args.variant else ["b2", "b3"]
         for sp in args.space:
             for v in variants:
-                if v == "b2" and parse_space(sp).num_factors != 2:
+                # b2 is skipped off two factors only when not asked for
+                if v == "b2" and not args.variant and parse_space(sp).num_factors != 2:
                     continue
                 total += sweep(sp, v, args.bound)
     else:

@@ -28,10 +28,6 @@ class ArityError(ModelError):
     pass
 
 
-class RestrictionError(ModelError):
-    pass
-
-
 class ParseError(ModelError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -58,11 +54,6 @@ class Space:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    @property
-    def canonical_twist(self) -> tuple[int, ...]:
-        # dualizing sheaf is O(-n_1-1, ..., -n_s-1)
-        return tuple(-n - 1 for n in self.dims)
 
 
 @dataclass(frozen=True)
@@ -209,47 +200,6 @@ def twist(bundle: Bundle, tvec: Iterable[int]) -> Bundle:
     return make_bundle(
         bundle.space, [twist_summand(bundle.space, s, tvec) for s in bundle.summands]
     )
-
-
-def dual_atom(n: int, atom: Atom) -> Atom:
-    if isinstance(atom, Line):
-        return Line(-atom.degree)
-    # (W^p)^dual is W^(n-p)(n+1), so W^p(t)^dual = W^(n-p)(n+1-t)
-    return normalize_atom(n, Cotangent(n - atom.p, n + 1 - atom.twist))
-
-
-def dualize(bundle: Bundle) -> Bundle:
-    space = bundle.space
-    return make_bundle(
-        space,
-        [
-            BoxSummand(tuple(dual_atom(n, a) for n, a in zip(space.dims, s.atoms)))
-            for s in bundle.summands
-        ],
-    )
-
-
-def restrict_to_hyperplane(bundle: Bundle, factor: int) -> Bundle:
-    """Restrict along a hyperplane in one factor (0-based index).
-
-    Only line atoms are supported on the chosen factor, and its dimension
-    must be at least 2 so that the hyperplane is again a projective space.
-    Line degrees are unchanged by the restriction.
-    """
-    space = bundle.space
-    if not 0 <= factor < space.num_factors:
-        raise ModelError(f"factor index {factor} out of range")
-    if space.dims[factor] < 2:
-        raise RestrictionError("cannot restrict a one-dimensional factor")
-    for s in bundle.summands:
-        if not isinstance(s.atoms[factor], Line):
-            raise RestrictionError(
-                "restriction is only defined when the chosen factor carries line atoms"
-            )
-    new_dims = list(space.dims)
-    new_dims[factor] -= 1
-    new_space = Space(tuple(new_dims))
-    return make_bundle(new_space, [BoxSummand(s.atoms) for s in bundle.summands])
 
 
 # ---------------------------------------------------------------------------

@@ -26,34 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterable, Optional
 
 from .bundles import (
     ArityError,
-    Atom,
     Bundle,
     Cotangent,
     Line,
     ModelError,
     Space,
     normalize_atom,
-    twist_atom,
 )
 
 Endpoint = Optional[int]  # None encodes an unbounded endpoint
-
-
-def extended_binomial(x: int, k: int) -> int:
-    """Binomial coefficient with integer (possibly negative) upper argument."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= x - i
-    value, rem = divmod(num, factorial(k))
-    assert rem == 0
-    return value
 
 
 def h_line(n: int, d: int, i: int) -> int:
@@ -229,60 +215,15 @@ def _twist_vector(space: Space, tvec: Iterable[int]) -> tuple[int, ...]:
     return tvec
 
 
-def _groups(bundle: Bundle, tvec: Iterable[int]):
-    """The nonzero group (i, dim) of each summand twisted by tvec."""
+def h_bundle(bundle: Bundle, tvec: Iterable[int], i: int) -> int:
+    """dim H^i of the bundle twisted by O(tvec): the sum of the summands'
+    groups at level i."""
     tvec = _twist_vector(bundle.space, tvec)
+    total = 0
     for f in summand_records(bundle):
         group = _summand_group(f.atoms, tvec)
-        if group is not None:
-            yield group
-
-
-def h_bundle(bundle: Bundle, tvec: Iterable[int], i: int) -> int:
-    """dim H^i of the bundle twisted by O(tvec)."""
-    return sum(dim for j, dim in _groups(bundle, tvec) if j == i)
-
-
-def h_vector(bundle: Bundle, tvec: Iterable[int]) -> tuple[int, ...]:
-    out = [0] * (bundle.space.total_dim + 1)
-    for i, dim in _groups(bundle, tvec):
-        out[i] += dim
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Euler characteristic, by an independent recursion
-
-
-def _chi_line(n: int, d: int) -> int:
-    return extended_binomial(d + n, n)
-
-
-@lru_cache(maxsize=None)
-def _chi_cot(n: int, p: int, t: int) -> int:
-    if p < 0:
-        return 0
-    if p == 0:
-        return _chi_line(n, t)
-    # additivity over the twisted Euler sequence
-    return comb(n + 1, p) * _chi_line(n, t - p) - _chi_cot(n, p - 1, t)
-
-
-def euler_characteristic_atom(n: int, atom: Atom) -> int:
-    if isinstance(atom, Line):
-        return _chi_line(n, atom.degree)
-    return _chi_cot(n, atom.p, atom.twist)
-
-
-def euler_characteristic(bundle: Bundle, tvec: Iterable[int] = None) -> int:
-    space = bundle.space
-    tvec = _twist_vector(space, (0,) * space.num_factors if tvec is None else tvec)
-    total = 0
-    for s in bundle.summands:
-        term = 1
-        for n, atom, t in zip(space.dims, s.atoms, tvec):
-            term *= euler_characteristic_atom(n, twist_atom(atom, t))
-        total += term
+        if group is not None and group[0] == i:
+            total += group[1]
     return total
 
 

@@ -62,7 +62,7 @@ class EnumerationConfig:
     cot_twist_max: int = 2
     max_summands: int = 2
     theorems: tuple[str, ...] = ALL_THEOREMS
-    jobs: int = 1  # only 1; kept so that configs written with jobs = 1 still load
+    jobs: int = 1  # only 1; kept because the benchmark (perfbench/workloads.py) passes jobs=1
 
     def __post_init__(self):
         if self.degree_min > self.degree_max:

@@ -128,30 +128,6 @@ def is_acm(bundle: Bundle) -> bool:
     return not any(bits)
 
 
-def acm_closed_form_line(space: Space, degrees: Iterable[int]) -> bool:
-    """Closed-form ACM test for a line bundle O(a_1, ..., a_s).
-
-    Derived from the brute-force window computation: the bundle fails to be
-    ACM exactly when some nonempty proper subset S of the factors satisfies
-    a_k - a_j > n_j for every j in S and k outside S.
-    """
-    a = tuple(degrees)
-    if len(a) != space.num_factors:
-        raise ArityError("degree vector length does not match the space")
-    idx = range(space.num_factors)
-    for size in range(1, space.num_factors):
-        for S in itertools.combinations(idx, size):
-            inside = set(S)
-            if all(
-                a[k] - a[j] > space.dims[j]
-                for j in S
-                for k in idx
-                if k not in inside
-            ):
-                return False
-    return True
-
-
 def acm_printed_variant_line(space: Space, degrees: Iterable[int], variant: str) -> bool:
     """Published closed-form variants, kept verbatim for comparison runs."""
     a = tuple(degrees)
@@ -175,9 +151,12 @@ def acm_printed_variant_line(space: Space, degrees: Iterable[int], variant: str)
 
 def acm_discrepancy(space: Space, degree_range: tuple[int, int], variant: str) -> list[dict]:
     """Degree vectors where the variant formula disagrees with the engine.
-    A grid of more than MAX_TABLE_TWISTS vectors is refused."""
+    An empty degree range, or a grid of more than MAX_TABLE_TWISTS vectors,
+    is refused."""
     lo, hi = degree_range
-    if max(0, hi - lo + 1) ** space.num_factors > MAX_TABLE_TWISTS:
+    if lo > hi:
+        raise ModelError(f"empty degree range {lo}..{hi}")
+    if (hi - lo + 1) ** space.num_factors > MAX_TABLE_TWISTS:
         raise ModelError(f"degree grid has more than {MAX_TABLE_TWISTS} vectors")
     out = []
     for a in itertools.product(range(lo, hi + 1), repeat=space.num_factors):
@@ -281,11 +260,6 @@ def _top_corners(space: Space) -> Iterator[tuple[int, ...]]:
     """Corner vectors 0 <= h_j <= n_j with h_j = n_j on at least one factor."""
     corners = itertools.product(*[range(0, n + 1) for n in space.dims])
     return (h for h in corners if any(hj == n for hj, n in zip(h, space.dims)))
-
-
-def extremal_menu(space: Space) -> list[BoxSummand]:
-    """All box summands realizable from a top-touching corner vector."""
-    return [_corner_summand(space, h) for h in _top_corners(space)]
 
 
 def _corner_summand(space: Space, h: tuple[int, ...]) -> BoxSummand:

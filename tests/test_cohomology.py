@@ -18,7 +18,6 @@ from mpreg.bundles import (
     Cotangent,
     Line,
     ModelError,
-    dualize,
     format_atom,
     line_bundle,
     line_summand,
@@ -34,15 +33,11 @@ from mpreg.bundles import (
 )
 from mpreg.cohomology import (
     SummandFacts,
-    _groups,
     _support,
     build_table,
-    euler_characteristic,
-    extended_binomial,
     h_bott,
     h_bundle,
     h_line,
-    h_vector,
     koszul_section_rank,
     level_windows,
     nonvanishing_t_window,
@@ -51,6 +46,15 @@ from mpreg.cohomology import (
 )
 from mpreg.regularity import _family, offsets, summand_windows
 from mpreg.splitting import CHECKS, TheoremId, _acm_family
+from reference import (
+    atom_support,
+    canonical_twist,
+    dualize,
+    euler_characteristic,
+    extended_binomial,
+    h_vector,
+    summand_supports,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +131,17 @@ def test_h_bott_rejects_out_of_range_power():
         h_bott(3, 0, 1, 0)
 
 
-def _atom_support(n, atom):
-    """The support ranges of the atom: _support of its normal form."""
-    atom = normalize_atom(n, atom)
-    if isinstance(atom, Line):
-        return _support(n, 0, atom.degree)
-    return _support(n, atom.p, atom.twist)
-
-
 def test_atom_support_is_the_oracles_one_nonzero_level():
     # every atom on P^n, boundary powers included, has at most one nonzero
-    # level at each twist, and it is the level whose support range holds t
+    # level at each twist, and it is the level whose support range holds t;
+    # the engine's _support of the normal form states the same ranges
     for n in (1, 2, 3, 4):
         atoms = [Line(0)] + [Cotangent(p, c) for p in range(n + 1) for c in (-1, 0, 2)]
         for atom in atoms:
-            support = _atom_support(n, atom)
+            support = atom_support(n, atom)
+            normal = normalize_atom(n, atom)
+            assert support == (_support(n, 0, normal.degree) if isinstance(normal, Line)
+                               else _support(n, normal.p, normal.twist)), (n, atom)
             # listed from the top down, the last range unbounded below
             assert support[0][2] is None and support[-1][1] is None
             for (_, lo, _), (_, _, hi) in zip(support, support[1:]):
@@ -243,7 +243,7 @@ def small_bundles(draw):
 @given(small_bundles(), st.tuples(deg, deg))
 def test_serre_duality_dimension_identity(b, tv):
     d = b.space.total_dim
-    K = b.space.canonical_twist
+    K = canonical_twist(b.space)
     bd = dualize(b)
     dual_tv = tuple(kj - t for kj, t in zip(K, tv))
     for i in range(d + 1):
@@ -363,8 +363,7 @@ def test_summand_window_is_one_interval_matching_brute_force(case):
     space, (summand,), k = case
     bundle = make_bundle(space, [summand])
     for i in range(space.total_dim + 1):
-        supports = tuple(_atom_support(n, a) for n, a in zip(space.dims, summand.atoms))
-        window = level_windows(supports, k).get(i)
+        window = level_windows(summand_supports(space, summand), k).get(i)
         assert window is None or len(window) == 2
         if window is not None and None not in window:
             assert window[0] <= window[1]
@@ -390,7 +389,7 @@ def _reference_t_window(space, summand, k, i):
     """The window by a search over every choice of one support range per
     factor: the one choice whose levels add up to i and whose ranges meet."""
     supports = [
-        _atom_support(n, twist_atom(atom, kj))
+        atom_support(n, twist_atom(atom, kj))
         for n, atom, kj in zip(space.dims, summand.atoms, k)
     ]
     for ranges in itertools.product(*supports):
@@ -534,13 +533,11 @@ def test_build_table_validates_box():
 
 
 def _table_by_twist(bundle, box):
-    """The per-twist fold build_table made before it took column products:
-    every summand's group at every twist vector of the box."""
-    entries = {}
-    for tvec in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-        for i, dim in _groups(bundle, tvec):
-            entries[(i, tvec)] = entries.get((i, tvec), 0) + dim
-    return entries
+    """The table by probes, not by column products: every nonzero h^i at
+    every twist vector of the box."""
+    return {(i, tvec): dim
+            for tvec in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+            for i, dim in enumerate(h_vector(bundle, tvec)) if dim}
 
 
 @st.composite

@@ -1065,6 +1065,29 @@ def test_jobs_flag_is_a_usage_error(cmd):
     assert res.stderr.endswith("error: unrecognized arguments: --jobs 2\n")
 
 
+_ACM_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                           "acm_discrepancy.py")
+
+
+@pytest.mark.parametrize("argv,out,err", [
+    (["--space", "P1xP1xP1", "--variant", "b2"], "",
+     "error: variant 'b2' is a two-factor statement\n"),
+    (["--bound", "-1"], "", "error: empty degree range 1..-1\n"),
+    (["--space", "P1xP1xP1", "--bound", "1"],
+     "P1xP1xP1 variant=b3 degrees [-1, 1]: 0 disagreement(s)\ntotal disagreements: 0\n", ""),
+], ids=["b2-asked-off-two-factors", "empty-grid", "b2-skipped-by-default"])
+def test_acm_discrepancy_script_refuses_what_it_cannot_sweep(capsys, argv, out, err):
+    # an explicit b2 on a space without two factors exits 2, as does an empty
+    # grid; only the default pass over both variants skips b2 there
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("acm_discrepancy_script", _ACM_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(argv) == (2 if err else 0)
+    assert capsys.readouterr() == (out, err)
+
+
 def test_cli_import_loads_no_process_pool():
     code = ("import sys, mpreg.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")

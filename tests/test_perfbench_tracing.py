@@ -39,9 +39,9 @@ def test_benchmark_reset_clears_every_memo():
     caches = list(run.program_caches().values())
     for memo in memos:
         assert any(cache is memo for cache in caches), memo.__qualname__
-    # the closed-form references (the Euler-sequence oracle, the Euler
-    # characteristic) keep their own caches, outside the verdict path
-    references = {"mpreg.cohomology.oracle_euler_sequence", "mpreg.cohomology._chi_cot"}
+    # the closed-form reference (the Euler-sequence oracle) keeps its own
+    # cache, outside the verdict path
+    references = {"mpreg.cohomology.oracle_euler_sequence"}
     engine = {name for name in run.program_caches()
               if name.startswith(("mpreg.cohomology.", "mpreg.regularity.", "mpreg.splitting."))}
     assert engine - references == {"mpreg.regularity.offsets",

@@ -15,13 +15,8 @@ from mpreg.bundles import (
     make_summand,
     parse_bundle,
     parse_space,
-    restrict_to_hyperplane,
 )
-from mpreg.cohomology import (
-    euler_characteristic,
-    h_bundle,
-    h_vector,
-)
+from mpreg.cohomology import h_bundle
 from mpreg.regularity import (
     SummandFacts,
     _summand_reg,
@@ -32,6 +27,7 @@ from mpreg.regularity import (
     regularity_failures,
     summand_records,
 )
+from reference import euler_characteristic, h_vector, restrict_to_hyperplane
 
 
 def test_box_offsets_enumeration():

@@ -17,7 +17,6 @@ from mpreg.bundles import (
     line_bundle,
     make_bundle,
     make_summand,
-    normalize_atom,
     parse_bundle,
     parse_space,
     rank,
@@ -25,10 +24,8 @@ from mpreg.bundles import (
 )
 from mpreg.cohomology import (
     SummandFacts,
-    _support,
     build_table,
     h_bundle,
-    h_vector,
     level_windows,
     nonvanishing_t_window,
     summand_facts,
@@ -50,19 +47,18 @@ from mpreg.splitting import (
     _top_corners,
     _witnesses,
     applicability,
-    acm_closed_form_line,
     acm_discrepancy,
     acm_printed_variant_line,
     acm_witnesses,
     classify_form,
     condition_for,
     detect_extremal_summand,
-    extremal_menu,
     is_acm,
     verdict_rows,
     verify_bundle,
     verify_theorem,
 )
+from reference import acm_closed_form_line, extremal_menu, h_vector, summand_supports
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,13 @@ def test_discrepancy_grid_is_bounded_by_the_table_limit(monkeypatch):
     assert calls == []
     acm_discrepancy(parse_space("P1xP1"), (0, 315), "b2")
     assert len(calls) == 316 ** 2
-    assert acm_discrepancy(parse_space("P1xP1"), (1, 0), "b3") == []
+
+
+def test_discrepancy_refuses_an_empty_degree_range():
+    # as build_table refuses an empty twist range
+    for degree_range in ((1, 0), (5, -5)):
+        with pytest.raises(ModelError, match="empty degree range"):
+            acm_discrepancy(parse_space("P1xP1"), degree_range, "b3")
 
 
 def test_general_variant_first_gap_at_four_factors():
@@ -402,7 +404,7 @@ def test_condition_checker_arity_guard():
 
 
 _WRONG_ARITY = {  # every engine door reads the summands' records first
-    "h_vector": lambda b: h_vector(b, (0, 0)),
+    "h_vector": lambda b: h_vector(b, (0, 0)),  # h_bundle, once per degree
     "reg": reg,
     "verdict_rows": lambda b: verdict_rows(b, list(TheoremId)),
     "classify_form": lambda b: classify_form(b, TheoremId.T1),
@@ -591,24 +593,13 @@ def test_fold_matches_bundle_windows_and_h_bundle(bundle):
         assert reg(bundle, "hw") == _reference_reg(bundle, "hw")
 
 
-def _summand_supports(space, summand):
-    """The support ranges of each atom of the summand: _support of its
-    normal form."""
-    supports = []
-    for n, a in zip(space.dims, summand.atoms):
-        a = normalize_atom(n, a)
-        supports.append(_support(n, 0, a.degree) if isinstance(a, Line)
-                        else _support(n, a.p, a.twist))
-    return tuple(supports)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_fold_bundles())
 def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
     space = bundle.space
     for i in range(1, space.total_dim):
         for k in box_offsets(space, i, at_least=True):
-            windows = [level_windows(_summand_supports(space, s), k).get(i)
+            windows = [level_windows(summand_supports(space, s), k).get(i)
                        for s in bundle.summands]
             los = [w[0] for w in windows if w is not None]
             if not los:
