@@ -1,7 +1,7 @@
 """Enumeration harness: generate families of bundles, run the splitting
 checks over them, and aggregate agreement statistics.  The checks that
-fold are decided per bundle from the OR of its summands' masks; rows come
-from verdict_rows for the other checks and for bundles with a finding."""
+fold are decided per bundle from the OR of its summands' masks alone; rows
+come from verdict_rows for the other checks."""
 
 from __future__ import annotations
 
@@ -24,11 +24,11 @@ from .bundles import (
     format_space,
     make_summand,
     parse_space,
+    rank,
 )
 from .cohomology import summand_facts
 from .regularity import is_regular_at
-from .splitting import (CHECKS, TheoremId, is_acm, mask_consistent, row_verdict, summand_mask,
-                        verdict_rows)
+from .splitting import CHECKS, TheoremId, mask_checks, row_verdict, summand_mask, verdict_rows
 
 ALL_THEOREMS = tuple(t.value for t in TheoremId)
 
@@ -142,8 +142,8 @@ def parse_config_text(text: str) -> EnumerationConfig:
                 values[key] = int(val)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad integer {val!r}") from exc
-        elif key == "theorems":
-            values["theorems"] = tuple(p.strip() for p in val.split(",") if p.strip())
+        elif key == "theorems":  # case-insensitive, as --theorem
+            values["theorems"] = tuple(p.strip().upper() for p in val.split(",") if p.strip())
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     if "spaces" not in values:
@@ -233,12 +233,12 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``.
     Bundles stream from ``enumerate_bundles``, so a run holds one at a
     time.  The checks that fold (CheckSpec.spread) are decided by the OR
-    of the bundle's summand masks: a bundle whose mask agrees is counted
-    applicable and consistent for each of them, and calls ``verdict_rows``
-    only for the other checks; a bundle whose mask holds a finding calls
-    it for every check.  The stats are tallied from the rows; a bundle's
-    name, its verdict for a check and the finding dicts are made only when
-    that check has a finding."""
+    of the bundle's summand masks alone: a bundle whose mask agrees counts
+    as applicable and consistent for each, one whose mask holds a finding
+    gets for each the row of ``verdict_rows``, decoded by ``mask_checks``.
+    ``verdict_rows`` runs only for the other checks.  The stats are tallied
+    from the rows; a bundle's name, its verdict for a check and the finding
+    dicts are made only when that check has a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
@@ -247,34 +247,37 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     ids = tuple(map(TheoremId, cfg.theorems))
     every = [(per_theorem[t.value], t, CHECKS[t]) for t in ids]
     folded = [check for check in every if check[2].spread is not None]
-    others, rest, key = every, ids, ()  # the checks that do not fold; the mask's, per space
-    if folded:
-        others = [check for check in every if check[2].spread is None]
-        rest = tuple(t for _, t, _ in others)
+    others = [check for check in every if check[2].spread is None]
+    rest = tuple(t for _, t, _ in others)  # the checks that do not fold
     for space in map(parse_space, cfg.spaces):
         space_text, dims = format_space(space), space.dims
-        if folded:  # those that apply on the space
-            key = tuple(t for _, t, spec in folded if space.num_factors == 2 or not spec.two_factor)
-        agree, before, found = {}, total, 0  # mask -> mask_consistent; bundles with a finding
+        # the mask's key: the folded checks that apply on the space
+        key = tuple(t for _, t, spec in folded if space.num_factors == 2 or not spec.two_factor)
+        applying = [check for check in every if check[2].spread is None or check[1] in key]
+        decoded, before, found = {}, total, 0  # mask -> mask_checks; bundles with a finding
         for bundle in enumerate_bundles(space, cfg):
             total += 1
-            row_ids, checks = rest, others
+            checks, rows = others, None
             if key:
                 m = 0  # the OR of the summands' masks
                 for s in bundle.summands:
                     f = summand_facts(dims, s.key)
                     mask = f.bits.get(key)
                     m |= summand_mask(space, f, key) if mask is None else mask
-                ok = agree.get(m)
-                if ok is None:
-                    ok = agree[m] = mask_consistent(key, m)
-                if not ok:
-                    row_ids, checks = ids, every
+                if m not in decoded:
+                    decoded[m] = mask_checks(key, m)
+                bits = decoded[m]
+                if bits is not None:  # a finding: the folded checks' rows off the mask
                     found += 1
-            if not row_ids:
-                continue
-            name = acm = None  # format_bundle(bundle) and is_acm(bundle), each made at most once
-            for (st, theorem, spec), row in zip(checks, verdict_rows(bundle, row_ids)):
+                    r, other_rows = rank(bundle), iter(verdict_rows(bundle, rest) if rest else ())
+                    checks, rows = applying, [(None, *bits[t][:2], (), None, r) if t in bits
+                                              else next(other_rows) for _, t, _ in applying]
+            if rows is None:
+                if not rest:
+                    continue
+                rows = verdict_rows(bundle, rest)
+            name = None  # format_bundle(bundle), made at most once
+            for (st, theorem, spec), row in zip(checks, rows):
                 reason, cond, form, detected, agrees, _ = row
                 if reason is not None:
                     st.not_applicable += 1
@@ -290,11 +293,8 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                     kinds.append("detector_mismatch")
                 if spec.detector and cond and not detected:
                     kinds.append("detector_empty")
-                if spec.acm_crosscheck and cond:
-                    if acm is None:
-                        acm = is_acm(bundle)
-                    if not acm:
-                        kinds.append("t1_without_acm")
+                if spec.acm_crosscheck and cond and bits[theorem][2]:  # a folded check's ACM bit
+                    kinds.append("t1_without_acm")
                 if kinds:
                     name = name or format_bundle(bundle)
                     if cond != form and len(st.samples) < _SAMPLE_CAP:
@@ -302,12 +302,12 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                     verdict = row_verdict(bundle, theorem, row)
                     findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
         free = total - before - found  # the bundles whose mask agrees
-        for st, t, _ in folded:  # consistent on each of them, or not applicable
-            if t in key:
+        for st, t, _ in folded:
+            if t in key:  # consistent on each of them
                 st.applicable += free
                 st.consistent += free
-            else:
-                st.not_applicable += free
+            else:  # a two-factor check applies to no bundle of the space
+                st.not_applicable += total - before
 
     return RunReport(
         config=cfg,

@@ -21,8 +21,8 @@ verify_bundle wraps the rows into TheoremVerdicts; the enumeration harness
 tallies the rows and builds a verdict only for a check with a finding.
 For the checks that fold (CheckSpec.spread), summand_mask packs a
 summand's condition, form and ACM bits into one int in its record, so the
-harness decides a bundle from the OR of its summands' masks and reads rows
-only for the other checks and for bundles with a finding.
+harness decides those checks from the OR of a bundle's summands' masks
+alone (mask_checks decodes it) and reads rows only for the other checks.
 applicability and condition_for read the verdict of verify_theorem.
 """
 
@@ -122,10 +122,8 @@ def acm_witnesses(bundle: Bundle) -> list[Witness]:
 def is_acm(bundle: Bundle) -> bool:
     """True when every intermediate cohomology group vanishes for all
     balanced twists: no summand has a window in the family."""
-    bits = [_summand_fails(bundle.space, f, _acm_family, 0, None) for f in summand_records(bundle)]
-    if None in bits:
-        _witnesses(bundle, _acm_family, 0, None)  # raises: a window is unbounded below
-    return not any(bits)
+    return not any([_summand_fails(bundle.space, f, _acm_family, 0, None)  # every bit is read
+                    for f in summand_records(bundle)])
 
 
 def acm_printed_variant_line(space: Space, degrees: Iterable[int], variant: str) -> bool:
@@ -320,7 +318,7 @@ class CheckSpec:
     rank_rule: Optional[Callable[[Space, int], Optional[str]]] = None
     reg_zero: bool = False
     detector: bool = False  # cross-check the verdict with the extremal detector
-    acm_crosscheck: bool = False  # the condition should force ACM
+    acm_crosscheck: bool = False  # the condition should force ACM; only on a check that folds
     # whether the family reads the rank; the others are read, and their
     # windows, bits and witnesses kept, at rank 0 for every bundle
     reads_rank: bool = field(init=False)
@@ -370,16 +368,19 @@ def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
 
 
 def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
-                   twist: Optional[int]) -> Optional[bool]:
+                   twist: Optional[int]) -> bool:
     """Does the summand make a required group of the family nonzero, at the
-    twist or, with twist None, at some balanced twist?  None when a window
-    is unbounded below."""
+    twist or, with twist None, at some balanced twist?  With twist None, a
+    window unbounded below raises ModelError."""
     key = (family, r, twist)
     if key not in facts.bits:
         windows = summand_windows(space, facts, family, r)
         groups = offsets(space, family, r)
-        unbounded = twist is None and any(lo is None for _, lo, _ in windows)
-        facts.bits[key] = None if unbounded else any(
+        for index, lo, _ in windows:
+            if twist is None and lo is None:
+                i, k, _ = groups[index]
+                raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
+        facts.bits[key] = any(
             groups[index][2] and (twist is None or (lo is None or lo <= twist)
                                   and (hi is None or twist <= hi))
             for index, lo, hi in windows)
@@ -392,36 +393,34 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
     condition fails (_summand_fails), when its form fails (_beyond) and,
     for a check whose condition should force ACM, when the summand has a
     window of the ACM family, read only when the condition bit is clear.
-    -1 (every bit) when a window is unbounded below.  Stored in the record
-    under key on a miss."""
+    Stored in the record under key on a miss."""
     mask = facts.bits.get(key)
     if mask is None:
         mask = 0
         for j, theorem in enumerate(key):
             spec = CHECKS[theorem]
             fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
-            window = spec.acm_crosscheck and fails is False and _summand_fails(
+            window = spec.acm_crosscheck and not fails and _summand_fails(
                 space, facts, _acm_family, 0, None)
-            if fails is None or window is None:
-                mask = -1
-                break
             mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << 3 * j
         facts.bits[key] = mask
     return mask
 
 
-def mask_consistent(key: tuple, mask: int) -> bool:
-    """Does every check of key agree on a bundle whose summands' masks OR to
-    mask: condition and form hold together, and a condition that holds and
-    should force ACM meets no ACM window?  Never for -1."""
-    if mask < 0:
-        return False
-    for _ in key:
-        fails, beyond, window = mask & 1, mask >> 1 & 1, mask >> 2 & 1
-        if fails != beyond or window and not fails:
-            return False
+def mask_checks(key: tuple, mask: int) -> Optional[dict]:
+    """Decode mask, the OR of a bundle's summand masks for key: per check
+    id of key, (condition, form, window), whether the condition holds,
+    whether the form holds and whether some summand has an ACM window,
+    which is not is_acm(bundle) when the condition holds.  None when every
+    check agrees: condition and form hold together, and a condition that
+    holds meets no ACM window."""
+    checks, agree = {}, True
+    for theorem in key:
+        condition, form, window = not mask & 1, not mask & 2, bool(mask & 4)
+        agree = agree and condition == form and not (condition and window)
+        checks[theorem] = condition, form, window
         mask >>= 3
-    return True
+    return None if agree else checks
 
 
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
@@ -559,8 +558,6 @@ def verdict_rows(bundle: Bundle, ids: Iterable[TheoremId]) -> list[tuple]:
             bit = f.bits.get(key)
             if bit is None:
                 bit = _summand_fails(space, f, *key)
-                if bit is None:
-                    _witnesses(bundle, *key)  # raises: a window is unbounded below
             if bit:
                 cond = False
         form, detected, agrees = spec.form(records), (), None

@@ -72,6 +72,20 @@ def test_parse_config_rejects(text, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+def test_parse_config_check_ids_are_case_insensitive(tmp_path, capsys):
+    from mpreg import cli
+
+    # as with --theorem and the spaces: t1 and T1 are one id, listed twice
+    cfg = parse_config_text("spaces = p1xp1\ntheorems = t1, c2, T2b")
+    assert cfg.theorems == ("T1", "C2", "T2B")
+    with pytest.raises(ConfigError, match="list each check id once, got T1, T1"):
+        parse_config_text("spaces = P1xP1\ntheorems = t1, T1")
+    path = tmp_path / "lower.cfg"
+    path.write_text("spaces = P1xP1\ndegrees = 0..1\nmax_summands = 1\ntheorems = t1\n")
+    assert cli.main(["verify-paper", "--config", str(path)]) == 0
+    assert "T1" in capsys.readouterr().out
+
+
 # only ParseError or ConfigError may escape the parsers
 _DSL_PIECES = st.one_of(
     st.sampled_from(["P", "p", "x", "O(", "W", "(", ")", ",", "*", "+", "@", "-", "..", " ",
@@ -261,6 +275,12 @@ def _differential_configs(draw):
 @given(_differential_configs())
 @example(EnumerationConfig(spaces=("P1xP1xP1", "P1xP2"), degree_min=-1, degree_max=1,
                            theorems=("C2", "T2B", "T3", "T1")))  # mask findings, mixed
+# 27 bundles, 30 findings; on O(0,1,2) a T4 inconsistency and detector
+# mismatch meet a T2B inconsistency, in the order of the check ids
+@example(EnumerationConfig(spaces=("P1xP1xP1",), degree_min=0, degree_max=2, max_summands=1,
+                           theorems=("T4", "T2B")))
+@example(EnumerationConfig(spaces=("P1xP1xP1",), degree_min=0, degree_max=2, max_summands=1,
+                           theorems=("T2B", "T4")))
 def test_run_verification_matches_eager_reference_on_drawn_configs(cfg):
     rep = run_verification(cfg)
     total, per_theorem, findings = _reference_report(cfg)
@@ -281,32 +301,30 @@ def _counting_rows(monkeypatch) -> list:
     return calls
 
 
-def test_folded_checks_call_verdict_rows_only_for_finding_bundles(monkeypatch):
-    from mpreg.bundles import format_bundle
-
+def test_folded_checks_never_call_verdict_rows(monkeypatch):
+    # the masks decide the bundles with a finding too
     calls = _counting_rows(monkeypatch)
     t3 = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3",)))
     assert t3.total_bundles == 8000 and t3.findings == []
-    assert calls == []
     t2b = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T2B",)))
     found = [f["bundle"] for f in t2b.findings]
     assert len(found) == len(set(found)) == 711
-    assert [format_bundle(b) for b in calls] == found
-    calls.clear()  # one mask for both checks
+    # one mask for both checks
     both = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3", "T2B")))
     assert both.findings == t2b.findings
-    assert [format_bundle(b) for b in calls] == found
+    assert calls == []
 
 
-def test_mask_consistent_reads_three_bits_per_check():
-    from mpreg.splitting import mask_consistent
+def test_mask_checks_reads_three_bits_per_check():
+    from mpreg.splitting import mask_checks
 
     key = ("T3", "T2B")  # per check, low bits first: condition fails, form fails, ACM window
-    assert mask_consistent(key, 0b000_000) and mask_consistent(key, 0b011_011)
-    assert mask_consistent(key, 0b000_111)  # a window does not count once the condition fails
-    assert not mask_consistent(key, 0b000_100)  # the condition holds and a summand is not ACM
-    assert not mask_consistent(key, 0b001_000) and not mask_consistent(key, 0b010_000)
-    assert not mask_consistent(key, -1)  # a window unbounded below
+    assert mask_checks(key, 0b000_000) is None and mask_checks(key, 0b011_011) is None
+    assert mask_checks(key, 0b000_111) is None  # a window does not count once the condition fails
+    # per check (condition holds, form holds, ACM window)
+    assert mask_checks(key, 0b000_100) == {"T3": (True, True, True), "T2B": (True, True, False)}
+    assert mask_checks(key, 0b001_000) == {"T3": (True, True, False), "T2B": (False, True, False)}
+    assert mask_checks(key, 0b010_011) == {"T3": (False, False, False), "T2B": (True, False, False)}
 
 
 def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
@@ -358,13 +376,13 @@ def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypa
     assert sorted(map(id, (f for f, _ in read))) == sorted(map(id, clear))
 
 
-def test_a_window_unbounded_below_falls_back_to_verdict_rows(monkeypatch):
+def test_a_window_unbounded_below_raises_from_the_mask(monkeypatch):
     # H^1 of O(t) on P1 is nonzero for every t <= -2: a T2B read through this
-    # family has no condition bit, so the mask is -1 and verdict_rows raises
+    # family has no condition bit, so the summand's mask raises
     from mpreg import splitting
     from mpreg.bundles import ModelError
     from mpreg.cohomology import summand_facts
-    from mpreg.splitting import TheoremId
+    from mpreg.splitting import TheoremId, is_acm, verify_theorem
 
     def top(space, r):
         return [(1, (0,), True)]
@@ -378,8 +396,14 @@ def test_a_window_unbounded_below_falls_back_to_verdict_rows(monkeypatch):
     try:
         with pytest.raises(ModelError, match="unbounded below"):
             run_verification(cfg)
-        [bundle] = calls
-        assert summand_facts(bundle.space.dims, bundle.summands[0].key).bits[(t2b,)] == -1
+        assert calls == []
+        [bundle] = enumerate_bundles(parse_space("P1"), cfg)
+        assert summand_facts((1,), bundle.summands[0].key).bits == {}  # nothing stored
+        with pytest.raises(ModelError, match="unbounded below"):
+            verify_theorem(bundle, t2b)
+        monkeypatch.setattr(splitting, "_acm_family", top)
+        with pytest.raises(ModelError, match="unbounded below"):
+            is_acm(bundle)
     finally:
         summand_facts.cache_clear()  # nor of this one
 
@@ -391,13 +415,10 @@ def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
     # no real inconsistent verdict is known with more than four witnesses
     witnesses = tuple(Witness(1, (-j, 0), j, j + 1) for j in range(6))
 
-    def stub_rows(bundle, ids):
-        # (reason, condition, form, detected, agrees, rank): applicable, inconsistent
-        return [(None, False, True, (), None, 1) for _ in ids]
-
-    # T2B folds: its summand masks must report a finding for the rows to be read
-    monkeypatch.setattr(harness, "mask_consistent", lambda key, mask: False)
-    monkeypatch.setattr(harness, "verdict_rows", stub_rows)
+    # T2B folds: its decoded mask, per check (condition, form, ACM window),
+    # is read as an applicable, inconsistent row
+    monkeypatch.setattr(harness, "mask_checks",
+                        lambda key, mask: {t: (False, True, False) for t in key})
     monkeypatch.setattr(splitting, "_witnesses", lambda *args: list(witnesses))
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
                             theorems=("T2B",))
@@ -547,7 +568,7 @@ def test_unpickled_bundles_match_originals_with_no_new_fact_misses(monkeypatch):
 def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
     from collections import Counter
 
-    from mpreg import harness
+    from mpreg import harness, splitting
     from mpreg.bundles import format_bundle
     from mpreg.splitting import TheoremId, is_acm, verify_theorem
 
@@ -559,26 +580,20 @@ def test_is_acm_called_at_most_once_per_bundle(monkeypatch):
         calls[bundle] += 1
         return is_acm(bundle)
 
-    expected_calls, expected = set(), []
+    held, expected = set(), []  # the bundles whose condition holds: the cross-check reads ACM
     for bundle in enumerate_bundles(parse_space("P1xP1"), cfg):
         for tid in cfg.theorems:
             if verify_theorem(bundle, TheoremId(tid)).condition_holds:
-                expected_calls.add(bundle)
+                held.add(bundle)
                 if not is_acm(bundle):
                     expected.append({"type": "t1_without_acm", "space": "P1xP1",
                                      "bundle": format_bundle(bundle), "theorem": tid})
-    assert expected_calls
-    monkeypatch.setattr(harness, "is_acm", counting_is_acm)
-    # T1 and T3 fold: a bundle whose mask agrees reads ACM off its summands' bits
+    assert held
+    monkeypatch.setattr(splitting, "is_acm", counting_is_acm)
+    # T1 and T3 fold: every bundle reads ACM off its summands' bits, the
+    # bundles with a finding too
     rep = run_verification(cfg)
-    assert max(calls.values(), default=0) <= 1
-    assert [f for f in rep.findings if f["type"] == "t1_without_acm"] == expected
-    # every bundle through verdict_rows: one is_acm call per bundle whose condition holds
-    calls.clear()
-    monkeypatch.setattr(harness, "mask_consistent", lambda key, mask: False)
-    rep = run_verification(cfg)
-    assert set(calls) == expected_calls
-    assert max(calls.values()) == 1
+    assert not hasattr(harness, "is_acm") and calls == Counter()
     assert [f for f in rep.findings if f["type"] == "t1_without_acm"] == expected
 
 
@@ -600,6 +615,7 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
 
     monkeypatch.setattr(splitting, "reg", counting_reg)
     monkeypatch.setattr(splitting, "rank", counting_rank)
+    monkeypatch.setattr(harness, "rank", counting_rank)
     regular = run_verification(EnumerationConfig(spaces=("P2xP2",), cotangent=True,
                                                  theorems=("T0", "T4")))
     windows = run_verification(EnumerationConfig(spaces=("P1xP1xP2",), theorems=("T3", "T2B")))
@@ -609,7 +625,7 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     assert sum(regs.values()) == 5150
     applicable = regular.per_theorem["T4"].applicable
     assert 0 < applicable == regular.per_theorem["T0"].applicable < 5150
-    # T3 and T2B fold: only a bundle with a finding reads its rank, in verdict_rows
+    # T3 and T2B fold: only a bundle with a finding reads its rank, for its rows
     found = {f["bundle"] for f in windows.findings}
     assert 0 < len(found) < 8000
     assert sum(ranks.values()) == applicable + len(found)

@@ -5,7 +5,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mpreg.bundles import (
     ArityError,
@@ -54,6 +54,8 @@ from mpreg.splitting import (
     condition_for,
     detect_extremal_summand,
     is_acm,
+    mask_checks,
+    summand_mask,
     verdict_rows,
     verify_bundle,
     verify_theorem,
@@ -378,11 +380,12 @@ def test_witness_refuses_a_window_unbounded_below():
         _witnesses(b, top, rank(b), None)
     [w] = _witnesses(b, bottom, rank(b), None)
     assert (w.t, w.dim) == (0, 1)
-    # the per-summand bit defers such a window to the witnesses, which raise
+    # the per-summand bit raises as well, and stores nothing
     (f,) = summand_records(b)
-    assert _summand_fails(b.space, f, top, rank(b), None) is None
+    with pytest.raises(ModelError, match="unbounded below"):
+        _summand_fails(b.space, f, top, rank(b), None)
     assert _summand_fails(b.space, f, bottom, rank(b), None) is True
-    assert (f.bits[top, rank(b), None], f.bits[bottom, rank(b), None]) == (None, True)
+    assert (top, rank(b), None) not in f.bits and f.bits[bottom, rank(b), None] is True
 
 
 def test_fixed_twist_bit_reads_only_windows_holding_the_twist():
@@ -615,6 +618,36 @@ def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
 @given(_fold_bundles())
 def test_acm_fold_matches_witnesses(bundle):
     assert is_acm(bundle) == (not acm_witnesses(bundle))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fold_bundles())
+# T2B findings: the condition holds, the form fails
+@example(parse_bundle("P1xP1xP1", "O(0,1,2)")[1])
+@example(parse_bundle("P1xP1xP2", "O(-1,0,1) + O(0,0,0)")[1])
+def test_decoded_masks_match_the_verdict_rows(bundle):
+    # every tuple of the folding checks that apply on the space, as a sweep's key
+    space, records = bundle.space, summand_records(bundle)
+    folding = [t for t, spec in CHECKS.items()
+               if spec.spread is not None and (space.num_factors == 2 or not spec.two_factor)]
+    acm = is_acm(bundle)
+    for size in range(1, len(folding) + 1):
+        for key in itertools.permutations(folding, size):
+            mask = 0
+            for f in records:
+                mask |= summand_mask(space, f, key)
+            rows = verdict_rows(bundle, key)
+            decoded = mask_checks(key, mask)
+            if decoded is None:  # every check agrees
+                assert all(cond == form for _, cond, form, *_ in rows), key
+                assert acm or not any(row[1] for t, row in zip(key, rows)
+                                      if CHECKS[t].acm_crosscheck), key
+                continue
+            for t, (reason, cond, form, *_) in zip(key, rows):
+                condition, form_holds, window = decoded[t]
+                assert reason is None and (condition, form_holds) == (cond, form), (key, t)
+                if condition and CHECKS[t].acm_crosscheck:
+                    assert window == (not acm), (key, t)
 
 
 @given(st.integers(1, 6), st.lists(st.integers(-3, 3), min_size=1, max_size=3),
