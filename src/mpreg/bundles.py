@@ -147,19 +147,17 @@ def line_summand(space: Space, degrees: Iterable[int]) -> BoxSummand:
 _summand_key = attrgetter("key")
 
 
-def _is_normal(space: Space, s: BoxSummand) -> bool:
-    """Would make_summand return a summand equal to s?  Line atoms are in
-    normal form on every factor, so a line summand needs only the length."""
-    return len(s.min_dims) == len(space.dims) and (
-        s.degrees is not None or all(map(le, s.min_dims, space.dims)))
-
-
 def make_bundle(space: Space, summands: Iterable[BoxSummand]) -> Bundle:
-    # a summand already normal is kept as made, not made again
-    summands = [s if _is_normal(space, s) else make_summand(space, s.atoms) for s in summands]
-    if not summands:
+    dims, made = space.dims, []
+    for s in summands:  # one in normal form is kept as made; a line needs only the length
+        if len(s.min_dims) != len(dims) or (
+                s.degrees is None and not all(map(le, s.min_dims, dims))):
+            s = make_summand(space, s.atoms)
+        made.append(s)
+    if not made:
         raise ModelError("a bundle needs at least one summand")
-    return Bundle(space, tuple(sorted(summands, key=_summand_key)))
+    made.sort(key=_summand_key)
+    return Bundle(space, tuple(made))
 
 
 def line_bundle(space: Space, *degree_vectors: Iterable[int]) -> Bundle:

@@ -2,24 +2,19 @@
 
 Two independent routes are provided for a single projective factor: closed
 formulas (h_line, h_bott) and a long-exact-sequence chase through the Euler
-sequence (oracle_euler_sequence).  The test suite plays them against each
-other; the engine itself only uses the closed formulas.
+sequence (oracle_euler_sequence); the engine only uses the closed formulas.
 
 By Bott's formula an atom has at most one nonzero group at any twist, so by
 Kunneth a box summand has at most one too.  Each atom's support is stated
-once, as ranges of the twist (_support); point values and nonvanishing
-windows are both folds of those ranges over the summands.  Every summand is
-read through one record per sheaf (summand_facts), whose atoms are in
-normal form, so a summand written W^0(t) or W^n(t) is read as its line.  In
-a balanced twist a summand's window for each level is one interval; an
-offset k only shifts the supports, and one sweep over the ranges' starts
-gives the windows of every level at k (level_windows), in O(s^2) for s
-factors.  regularity.summand_windows keeps the windows for the check bits,
-the witnesses and Reg in the summand's record; it sweeps each untwisted
-summand once, since a diagonal twist by c shifts every window by -c.
-A table over a box of twists (build_table) is, per summand, the product of
-one column per factor, the atom's group at each twist of that factor's
-range: the levels add and the dims multiply.
+once, as ranges of the twist (_support); point values and windows fold
+those ranges over the summands, each read through one record per sheaf
+(summand_facts, atoms in normal form).  In a balanced twist a summand's
+window for each level is one interval, and one sweep over the ranges'
+starts gives the windows of every level at an offset (level_windows), in
+O(s^2) for s factors.  A diagonal twist by c shifts every window by -c, so
+regularity.summand_windows sweeps one record per diagonal twist class
+(diagonal_class).  A table over a box of twists (build_table) is, per
+summand, the product of one column per factor: levels add, dims multiply.
 """
 
 from __future__ import annotations
@@ -146,9 +141,10 @@ def _support(n: int, p: int, c: int) -> tuple[tuple[int, Endpoint, Endpoint], ..
 class SummandFacts:
     """One summand's atoms in normal form, (n_j, p_j, t_j) with p_j = 0 for
     O(t_j), the spread of its line degrees (max - min, None when an atom is
-    a cotangent), and its facts, filled on first use with the reader's
-    space: windows per (family, r), bits per (family, r, twist) and a mask
-    per tuple of folding check ids, Reg per definition, tags."""
+    a cotangent), and facts filled on first use with the reader's space:
+    windows per (family, r), bits per (family, r, twist), a mask per tuple
+    of check ids, Reg per definition, tags.  With first twist c != 0, the
+    windows, Reg and mask come from diagonal_class, moved by -c if they move."""
 
     __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags")
 
@@ -180,6 +176,14 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
         return summand_facts(dims, normal_key)
     twice = key[2::3]
     return SummandFacts(tuple(atoms), None if any(key[::3]) else (max(twice) - min(twice)) // 2)
+
+
+def diagonal_class(facts: SummandFacts) -> SummandFacts:
+    """The record of the summand twisted by (-c, ..., -c), c its first
+    twist: the one of its diagonal twist class whose first twist is 0."""
+    c = facts.atoms[0][2]
+    key = tuple(x for _, p, t in facts.atoms for x in (int(p > 0), 2 * p, 2 * (t - c)))
+    return summand_facts(tuple(n for n, _, _ in facts.atoms), key)
 
 
 def summand_records(bundle: Bundle) -> list[SummandFacts]:

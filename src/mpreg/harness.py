@@ -1,7 +1,8 @@
 """Enumeration harness: generate families of bundles, run the splitting
-checks over them, and aggregate agreement statistics.  The checks that
-fold are decided per bundle from the OR of its summands' masks alone; rows
-come from verdict_rows for the other checks."""
+checks over them, and aggregate agreement statistics.  The OR of a
+bundle's summand masks alone decides the checks that fold and the Reg = 0
+gate; rows come from verdict_rows for the other checks, the gated ones
+only on a bundle whose Reg is 0."""
 
 from __future__ import annotations
 
@@ -230,15 +231,15 @@ def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
 
 
 def run_verification(cfg: EnumerationConfig) -> RunReport:
-    """Check every bundle of every configured space for ``cfg.theorems``.
-    Bundles stream from ``enumerate_bundles``, so a run holds one at a
-    time.  The checks that fold (CheckSpec.spread) are decided by the OR
-    of the bundle's summand masks alone: a bundle whose mask agrees counts
-    as applicable and consistent for each, one whose mask holds a finding
-    gets for each the row of ``verdict_rows``, decoded by ``mask_checks``.
-    ``verdict_rows`` runs only for the other checks.  The stats are tallied
-    from the rows; a bundle's name, its verdict for a check and the finding
-    dicts are made only when that check has a finding."""
+    """Check every bundle of every configured space for ``cfg.theorems``,
+    streamed from ``enumerate_bundles``.  The OR of a bundle's summand
+    masks (summand_mask) decides the checks that fold (CheckSpec.spread),
+    each applicable and consistent or, on a finding, given its row off the
+    mask (mask_checks).  It decides the Reg gate too, as Reg(E + F) =
+    max(Reg E, Reg F): unless no summand has Reg above 0 and some has Reg
+    0, no gated check (CheckSpec.reg_zero) applies.  ``verdict_rows`` gives
+    the other checks' rows in id order, the gated ones only at Reg 0.  A
+    bundle's name, verdict and finding dicts are made only for a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
@@ -246,36 +247,43 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
 
     ids = tuple(map(TheoremId, cfg.theorems))
     every = [(per_theorem[t.value], t, CHECKS[t]) for t in ids]
-    folded = [check for check in every if check[2].spread is not None]
     others = [check for check in every if check[2].spread is None]
-    rest = tuple(t for _, t, _ in others)  # the checks that do not fold
+    plain = [check for check in others if not check[2].reg_zero]  # neither fold nor gate
+    rest, loose = (tuple(t for _, t, _ in checks) for checks in (others, plain))
     for space in map(parse_space, cfg.spaces):
         space_text, dims = format_space(space), space.dims
-        # the mask's key: the folded checks that apply on the space
-        key = tuple(t for _, t, spec in folded if space.num_factors == 2 or not spec.two_factor)
-        applying = [check for check in every if check[2].spread is None or check[1] in key]
-        decoded, before, found = {}, total, 0  # mask -> mask_checks; bundles with a finding
+        on = [(t, spec) for _, t, spec in every if space.num_factors == 2 or not spec.two_factor]
+        # the mask's key: the folded checks that apply on the space, then the gated ones
+        folds = tuple(t for t, spec in on if spec.spread is not None)
+        key = folds + tuple(t for t, spec in on if spec.reg_zero)
+        gate = 3 * len(folds) if len(key) > len(folds) else None  # the Reg bits in the mask
+        applying = [check for check in every if check[2].spread is None or check[1] in folds]
+        ungated = [check for check in applying if not check[2].reg_zero]
+        decoded, before, found, irregular = {}, total, 0, 0  # mask -> what it decides; bundles
         for bundle in enumerate_bundles(space, cfg):
             total += 1
-            checks, rows = others, None
-            if key:
-                m = 0  # the OR of the summands' masks
-                for s in bundle.summands:
-                    f = summand_facts(dims, s.key)
-                    mask = f.bits.get(key)
-                    m |= summand_mask(space, f, key) if mask is None else mask
-                if m not in decoded:
-                    decoded[m] = mask_checks(key, m)
-                bits = decoded[m]
-                if bits is not None:  # a finding: the folded checks' rows off the mask
-                    found += 1
-                    r, other_rows = rank(bundle), iter(verdict_rows(bundle, rest) if rest else ())
-                    checks, rows = applying, [(None, *bits[t][:2], (), None, r) if t in bits
-                                              else next(other_rows) for _, t, _ in applying]
-            if rows is None:
-                if not rest:
-                    continue
-                rows = verdict_rows(bundle, rest)
+            m = 0  # the OR of the summands' masks
+            for s in bundle.summands if key else ():
+                f = summand_facts(dims, s.key)
+                mask = f.bits.get(key)
+                m |= summand_mask(space, f, key) if mask is None else mask
+            if m not in decoded:  # what the mask decides, and the checks that get rows
+                bits = mask_checks(folds, m) if folds else None
+                regular = gate is None or m >> gate & 3 == 2  # Reg = 0, or no gated check applies
+                checks = (applying if bits else others) if regular else (ungated if bits else plain)
+                decoded[m] = bits, regular, rest if regular else loose, checks
+            bits, regular, rest_ids, checks = decoded[m]
+            irregular += not regular
+            if bits is not None:  # a finding: the folded checks' rows off the mask
+                found += 1
+                r = rank(bundle)
+                other_rows = iter(verdict_rows(bundle, rest_ids) if rest_ids else ())
+                rows = [(None, *bits[t][:2], (), None, r) if t in bits else next(other_rows)
+                        for _, t, _ in checks]
+            elif rest_ids:
+                rows = verdict_rows(bundle, rest_ids)
+            else:
+                continue
             name = None  # format_bundle(bundle), made at most once
             for (st, theorem, spec), row in zip(checks, rows):
                 reason, cond, form, detected, agrees, _ = row
@@ -302,20 +310,16 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                     verdict = row_verdict(bundle, theorem, row)
                     findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
         free = total - before - found  # the bundles whose mask agrees
-        for st, t, _ in folded:
-            if t in key:  # consistent on each of them
+        for st, t, spec in every:
+            if spec.reg_zero:  # not applicable on a bundle whose Reg is not 0
+                st.not_applicable += irregular
+            elif t in folds:  # consistent on each bundle whose mask agrees
                 st.applicable += free
                 st.consistent += free
-            else:  # a two-factor check applies to no bundle of the space
+            elif spec.spread is not None:  # a two-factor check applies to no bundle of the space
                 st.not_applicable += total - before
 
-    return RunReport(
-        config=cfg,
-        total_bundles=total,
-        per_theorem=per_theorem,
-        findings=findings,
-        elapsed_seconds=time.monotonic() - start,
-    )
+    return RunReport(cfg, total, per_theorem, findings, time.monotonic() - start)
 
 
 # ---------------------------------------------------------------------------

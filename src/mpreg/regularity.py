@@ -13,14 +13,13 @@ irregular balanced twists are the union of the nonvanishing windows of the
 required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
-required).  A summand's facts are kept in its record
-(cohomology.summand_facts, one per sheaf): its (index, lo, hi) windows per
-family, the checks' bits, Reg per definition and the detector's tags, each
-filled on first use.  At offset k the windows of all levels come from one
-sweep of the untwisted summand S(k - (c, ..., c)), c = t_1 + k_1, shifted
-by -c.  The sweeps are memoized on integers (_untwisted_windows), so
-summands and families that reach the same untwisted summand share one.
-reg is a max over the records.
+required).  A summand's record (cohomology.summand_facts) keeps its
+(index, lo, hi) windows per family and its Reg per definition, filled on
+first use.  A diagonal twist by c shifts both by -c, so a record with first
+twist c != 0 reads those of its diagonal class, whose first twist is 0.  At
+offset k its windows come from one sweep of S(k - (k_1, ..., k_1)), shifted
+by -k_1, memoized on integers (_untwisted_windows) and shared by every
+summand and family that reaches it.  reg is a max over the records.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from .bundles import ArityError, Bundle, ModelError, Space
-from .cohomology import (SummandFacts, _support, _twist_vector, h_bundle, level_windows,
-                         summand_records)
+from .cohomology import (SummandFacts, _support, _twist_vector, diagonal_class, h_bundle,
+                         level_windows, summand_records)
 
 DEFINITIONS = ("paper", "hw")
 
@@ -76,25 +75,27 @@ def _untwisted_windows(factors: tuple) -> dict:
 
 def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int) -> tuple:
     """(index, lo, hi) for each index of the family where the summand's
-    window is nonempty, None for an unbounded end.  At offset k the summand
-    has the windows of its twist by k - (c, ..., c), c = t_1 + k_1 its first
-    twisted degree, shifted by -c: one _untwisted_windows per offset."""
+    window is nonempty, None for an unbounded end.  Only a record with first
+    twist 0 sweeps: at offset k, one _untwisted_windows of its twist by
+    k - (k_1, ..., k_1), shifted by -k_1.  A record with first twist c != 0
+    shifts the records of its diagonal class (diagonal_class) by -c."""
     records = facts.windows.get((family, r))
     if records is None:
-        levels: dict = {}
-        records = []
-        for index, (i, k, _) in enumerate(offsets(space, family, r)):
-            if k not in levels:
-                c = facts.atoms[0][2] + k[0]
-                levels[k] = c, _untwisted_windows(tuple(
-                    (n, p, t + kj - c) for (n, p, t), kj in zip(facts.atoms, k)))
-            c, windows = levels[k]
-            window = windows.get(i)
-            if window is not None:
-                lo, hi = window
-                records.append((index, None if lo is None else lo - c,
-                                None if hi is None else hi - c))
-        records = facts.windows[family, r] = tuple(records)
+        c, raw = facts.atoms[0][2], []  # (index, lo, hi, shift)
+        if c:
+            raw = [(*window, c) for window in summand_windows(space, diagonal_class(facts),
+                                                              family, r)]
+        else:
+            levels = {}
+            for index, (i, k, _) in enumerate(offsets(space, family, r)):
+                if k not in levels:
+                    levels[k] = _untwisted_windows(tuple(
+                        (n, p, t + kj - k[0]) for (n, p, t), kj in zip(facts.atoms, k)))
+                if i in levels[k]:
+                    raw.append((index, *levels[k][i], k[0]))
+        records = facts.windows[family, r] = tuple(
+            (index, None if lo is None else lo - d, None if hi is None else hi - d)
+            for index, lo, hi, d in raw)
     return records
 
 
@@ -133,15 +134,20 @@ def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper
 
 
 def _summand_reg(space: Space, facts: SummandFacts, definition: str) -> int:
-    """Reg of one summand: one past the largest upper end of its windows."""
+    """Reg of one summand: one past the largest upper end of its windows,
+    or for first twist c not 0, the Reg of its diagonal class minus c."""
     if definition not in facts.regs:
-        family = _family(definition)
-        windows = summand_windows(space, facts, family, 0)
-        for index, _, hi in windows:
-            if hi is None:
-                i, k, _ = offsets(space, family, 0)[index]
-                raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
-        facts.regs[definition] = 1 + max(hi for _, _, hi in windows)
+        c = facts.atoms[0][2]
+        if c:
+            facts.regs[definition] = _summand_reg(space, diagonal_class(facts), definition) - c
+        else:
+            family = _family(definition)
+            windows = summand_windows(space, facts, family, 0)
+            for index, _, hi in windows:
+                if hi is None:
+                    i, k, _ = offsets(space, family, 0)[index]
+                    raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
+            facts.regs[definition] = 1 + max(hi for _, _, hi in windows)
     return facts.regs[definition]
 
 

@@ -1,29 +1,21 @@
-"""Splitting criteria: vanishing condition checkers, structural form
-classifiers, and the extremal-summand detector.
+"""Splitting criteria: vanishing conditions, structural forms, and the
+extremal-summand detector.
 
-Each check id pairs a cohomological condition with a structural description
-of the bundles expected to satisfy it; verify_bundle evaluates both sides
-and reports whether they agree, together with explicit witnesses for any
-nonvanishing group.  The checks are rows of one table, CHECKS, read by one
-evaluator.  A summand is read only through its record
-(cohomology.summand_facts, one per sheaf, atoms in normal form), so a
-bundle gets the verdict of its sheaf however its atoms are written.  The
-condition is an AND of one bit per summand, stored in the record from the
-window records of the check's offset family; witnesses, built when read,
-take dimensions from h_bundle.  Every form reads only the records: the line
-forms their degree spreads and degrees, the extremal form their atoms.  The
-extremal detector is a fold as well: the union of the summands' tags,
-stored in their records, and it agrees when the bundle holds the record of
-every tagged summand.  verdict_rows is one straight-line pass per bundle:
-the records, rank, the Reg gate and the detection are its local variables,
-each computed at most once, and it returns one plain row per check id.
-verify_bundle wraps the rows into TheoremVerdicts; the enumeration harness
-tallies the rows and builds a verdict only for a check with a finding.
-For the checks that fold (CheckSpec.spread), summand_mask packs a
-summand's condition, form and ACM bits into one int in its record, so the
-harness decides those checks from the OR of a bundle's summands' masks
-alone (mask_checks decodes it) and reads rows only for the other checks.
-applicability and condition_for read the verdict of verify_theorem.
+Each check id pairs a cohomological condition with a structural form; the
+checks are rows of one table, CHECKS, read by one evaluator.  A summand is
+read only through its record (cohomology.summand_facts, one per sheaf), so
+a bundle gets the verdict of its sheaf however its atoms are written.  The
+condition is an AND of one bit per summand, kept in its record; witnesses,
+built when read, take dimensions from h_bundle.  The forms and the
+detector (the union of the summands' tags) read only the records.
+verdict_rows is one straight-line pass per bundle that computes rank, the
+Reg gate, the records and the detection at most once each and returns one
+plain row per check id; verify_bundle wraps the rows into TheoremVerdicts.
+summand_mask packs a summand's bits for the checks that fold
+(CheckSpec.spread) and for the Reg gate into one int in its record, so the
+enumeration harness decides those from the OR of a bundle's masks alone
+(mask_checks decodes the folded checks).  applicability and condition_for
+read the verdict of verify_theorem.
 """
 
 from __future__ import annotations
@@ -48,9 +40,9 @@ from .bundles import (
     make_summand,
     rank,
 )
-from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, h_bundle,
-                         summand_facts, summand_records)
-from .regularity import box_offsets, offsets, reg, summand_windows
+from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, diagonal_class,
+                         h_bundle, summand_facts, summand_records)
+from .regularity import _summand_reg, box_offsets, offsets, reg, summand_windows
 
 
 class TheoremId(str, Enum):
@@ -388,32 +380,42 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
 
 
 def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
-    """The summand's bits for key, a tuple of check ids that fold and apply
-    on the space.  Each check has three, in key order, set when its
-    condition fails (_summand_fails), when its form fails (_beyond) and,
-    for a check whose condition should force ACM, when the summand has a
-    window of the ACM family, read only when the condition bit is clear.
-    Stored in the record under key on a miss."""
+    """The summand's bits for key, check ids that apply on the space (those
+    that fold, then those with the Reg gate), three per id in key order,
+    stored in the record on a miss.  A folded check's are set when its
+    condition fails (_summand_fails), when its form fails (_beyond) and, if
+    the condition should force ACM and holds, on an ACM window.  A gated
+    check's first two are set when the summand's Reg is above 0 and when it
+    is 0.  A diagonal twist moves no window's emptiness, so a record whose
+    first twist is not 0 takes the folded bits from its diagonal class."""
     mask = facts.bits.get(key)
     if mask is None:
+        base = summand_mask(space, diagonal_class(facts), key) if facts.atoms[0][2] else None
         mask = 0
         for j, theorem in enumerate(key):
             spec = CHECKS[theorem]
-            fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
-            window = spec.acm_crosscheck and not fails and _summand_fails(
-                space, facts, _acm_family, 0, None)
-            mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << 3 * j
+            if spec.reg_zero:
+                value = _summand_reg(space, facts, "paper")
+                bits = (value > 0) | (value == 0) << 1
+            elif base is not None:
+                bits = base >> 3 * j & 7
+            else:
+                fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
+                window = spec.acm_crosscheck and not fails and _summand_fails(
+                    space, facts, _acm_family, 0, None)
+                bits = fails | _beyond(facts, spec.spread) << 1 | window << 2
+            mask |= bits << 3 * j
         facts.bits[key] = mask
     return mask
 
 
 def mask_checks(key: tuple, mask: int) -> Optional[dict]:
-    """Decode mask, the OR of a bundle's summand masks for key: per check
-    id of key, (condition, form, window), whether the condition holds,
-    whether the form holds and whether some summand has an ACM window,
-    which is not is_acm(bundle) when the condition holds.  None when every
-    check agrees: condition and form hold together, and a condition that
-    holds meets no ACM window."""
+    """Decode mask, the OR of a bundle's summand masks for a key that
+    starts with the folded check ids of key: per id of key, (condition,
+    form, window), whether the condition holds, whether the form holds and
+    whether some summand has an ACM window, which is not is_acm(bundle)
+    when the condition holds.  None when every check agrees: condition and
+    form hold together, and a condition that holds meets no ACM window."""
     checks, agree = {}, True
     for theorem in key:
         condition, form, window = not mask & 1, not mask & 2, bool(mask & 4)

@@ -43,6 +43,25 @@ def summand_supports(space, summand):
     return tuple(atom_support(n, a) for n, a in zip(space.dims, summand.atoms))
 
 
+def summand_window(space, summand, k, i):
+    """(lo, hi) of the balanced twists t where H^i of the summand twisted by
+    (t + k_1, ..., t + k_s) is nonzero, None for an unbounded end, or None
+    when there is no such t.  By Kunneth, over every choice of one Bott
+    range per atom whose levels add up to i: the ranges shifted by -k_j and
+    intersected.  At most one choice is nonempty."""
+    found = []
+    for ranges in product(*summand_supports(space, summand)):
+        if sum(level for level, _, _ in ranges) != i:
+            continue
+        los = [lo - kj for (_, lo, _), kj in zip(ranges, k) if lo is not None]
+        his = [hi - kj for (_, _, hi), kj in zip(ranges, k) if hi is not None]
+        lo, hi = max(los, default=None), min(his, default=None)
+        if lo is None or hi is None or lo <= hi:
+            found.append((lo, hi))
+    assert len(found) <= 1, found
+    return found[0] if found else None
+
+
 # ---------------------------------------------------------------------------
 # Euler characteristic, by the Euler-sequence recursion
 

@@ -281,6 +281,14 @@ def _differential_configs(draw):
                            theorems=("T4", "T2B")))
 @example(EnumerationConfig(spaces=("P1xP1xP1",), degree_min=0, degree_max=2, max_summands=1,
                            theorems=("T2B", "T4")))
+# gated, folded and other ids mixed.  On P3xP3, P4B's rank rule comes before
+# the Reg gate (9 bundles fail it), and Reg-0 bundles such as O(0,2) have
+# C2, T4 and P4B findings; on P1xP1xP1 the Reg-0 O(0,1,2) has T2B and T4
+# findings, and on P1xP2 T0 applies too
+@example(EnumerationConfig(spaces=("P3xP3",), degree_min=0, degree_max=2,
+                           theorems=("P4B", "T2B", "C2", "T4")))
+@example(EnumerationConfig(spaces=("P1xP1xP1", "P1xP2"), degree_min=0, degree_max=2,
+                           max_summands=1, theorems=("T2B", "C1", "T0", "T4", "T3")))
 def test_run_verification_matches_eager_reference_on_drawn_configs(cfg):
     rep = run_verification(cfg)
     total, per_theorem, findings = _reference_report(cfg)
@@ -330,9 +338,10 @@ def test_mask_checks_reads_three_bits_per_check():
 def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
     from collections import Counter
 
-    from mpreg.cohomology import summand_facts
+    from mpreg import splitting
+    from mpreg.cohomology import diagonal_class, summand_facts
 
-    real_mask, fills = harness.summand_mask, Counter()
+    real_mask, fills = splitting.summand_mask, Counter()
 
     def counting_mask(space, facts, key):
         if key not in facts.bits:
@@ -341,20 +350,28 @@ def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
 
     summand_facts.cache_clear()
     monkeypatch.setattr(harness, "summand_mask", counting_mask)
+    monkeypatch.setattr(splitting, "summand_mask", counting_mask)  # a diagonal class's fill too
     # on P1xP1 the mask covers T1, T2B and T3, on P1xP1xP1 T2B and T3; C2 does not fold
     cfg = EnumerationConfig(spaces=("P1xP1", "P1xP1xP1"), degree_min=-1, degree_max=1,
                             max_summands=3, theorems=("T1", "T2B", "C2", "T3"))
     first = run_verification(cfg)
     assert max(fills.values()) == 1
-    assert sorted(Counter(key for _, key in fills).values()) == [9, 27]  # one per summand
+    # one per summand and one per diagonal class outside the family: the
+    # classes of P1xP1 are O(0, d) for -2 <= d <= 2, two of them outside
+    assert sorted(Counter(key for _, key in fills).values()) == [9 + 2, 27 + 10]
+    for text in cfg.spaces:
+        space = parse_space(text)
+        records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
+        filled = {i for i, key in fills if len(key) == 5 - space.num_factors}
+        assert filled == set(map(id, records)) | {id(diagonal_class(f)) for f in records}
     second = run_verification(cfg)
-    assert sum(fills.values()) == 9 + 27
+    assert sum(fills.values()) == 11 + 37
     assert replace(second, elapsed_seconds=0) == replace(first, elapsed_seconds=0)
 
 
 def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypatch):
     from mpreg import splitting
-    from mpreg.cohomology import summand_facts
+    from mpreg.cohomology import diagonal_class, summand_facts
     from mpreg.splitting import _acm_family, _exact_family
 
     real_fails, read = splitting._summand_fails, []
@@ -370,8 +387,12 @@ def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypa
     assert run_verification(cfg).findings == []
     space = parse_space("P1xP1xP1")
     records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
-    clear = [f for f in records if f.bits[_exact_family, 0, None] is False]
-    assert 0 < len(clear) < len(records)
+    # a record whose first twist is not 0 takes its mask from its diagonal
+    # class, and reads no bit of its own
+    assert all(set(f.bits) == {("T3",)} for f in records if f.atoms[0][2])
+    classes = list({id(g): g for g in map(diagonal_class, records)}.values())
+    clear = [f for f in classes if f.bits[_exact_family, 0, None] is False]
+    assert 0 < len(clear) < len(classes)
     assert all(bit is False for _, bit in read)
     assert sorted(map(id, (f for f, _ in read))) == sorted(map(id, clear))
 
@@ -616,15 +637,18 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     monkeypatch.setattr(splitting, "reg", counting_reg)
     monkeypatch.setattr(splitting, "rank", counting_rank)
     monkeypatch.setattr(harness, "rank", counting_rank)
-    regular = run_verification(EnumerationConfig(spaces=("P2xP2",), cotangent=True,
-                                                 theorems=("T0", "T4")))
+    cfg = EnumerationConfig(spaces=("P2xP2",), cotangent=True, theorems=("T0", "T4"))
+    regular = run_verification(cfg)
     windows = run_verification(EnumerationConfig(spaces=("P1xP1xP2",), theorems=("T3", "T2B")))
     assert (regular.total_bundles, windows.total_bundles) == (5150, 8000)
     assert max(regs.values()) == max(ranks.values()) == 1
-    # every P2xP2 bundle needs Reg; only the Reg = 0 ones go on to need the rank
-    assert sum(regs.values()) == 5150
+    # the summand masks decide the Reg gate: reg runs, in verdict_rows, only
+    # on the Reg = 0 bundles, and only they go on to need the rank
     applicable = regular.per_theorem["T4"].applicable
     assert 0 < applicable == regular.per_theorem["T0"].applicable < 5150
+    assert set(regs) == {b for b in enumerate_bundles(parse_space("P2xP2"), cfg)
+                         if real_reg(b) == 0}
+    assert sum(regs.values()) == applicable
     # T3 and T2B fold: only a bundle with a finding reads its rank, for its rows
     found = {f["bundle"] for f in windows.findings}
     assert 0 < len(found) < 8000
@@ -636,32 +660,37 @@ def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch
 
     from mpreg import splitting
     from mpreg.regularity import reg
+    from mpreg.splitting import verify_theorem
 
     real_detect, real_rows = splitting.detect_extremal_summand, harness.verdict_rows
-    detections, gated = Counter(), []
+    detections, rowed = Counter(), []
 
     def counting_detect(bundle, *args, **kwargs):
         detections[bundle] += 1
         return real_detect(bundle, *args, **kwargs)
 
     def recording_rows(bundle, ids):
-        rows = real_rows(bundle, ids)
-        gated.extend((bundle, reason) for reason, *_ in rows if reason is not None)
-        return rows
+        rowed.append(bundle)
+        return real_rows(bundle, ids)
 
     monkeypatch.setattr(splitting, "detect_extremal_summand", counting_detect)
     monkeypatch.setattr(harness, "verdict_rows", recording_rows)
-    rep = run_verification(EnumerationConfig(spaces=("P2xP2",), cotangent=True,
-                                             theorems=("T0", "T4")))
+    cfg = EnumerationConfig(spaces=("P2xP2",), cotangent=True, theorems=("T0", "T4"))
+    rep = run_verification(cfg)
+    monkeypatch.undo()
     applicable = rep.per_theorem["T4"].applicable
     assert 0 < applicable == rep.per_theorem["T0"].applicable
     assert max(detections.values()) == 1
     assert sum(detections.values()) == applicable
-    # T0 and T4 fail only the Reg gate, with its value in the reason
-    not_applicable = rep.total_bundles - applicable
-    assert len(gated) == 2 * not_applicable == 2 * rep.per_theorem["T4"].not_applicable
-    assert all(reason == f"Reg must be 0, got {reg(bundle)}" and reg(bundle) != 0
-               for bundle, reason in gated)
+    # T0 and T4 fail only the Reg gate, decided from the summand masks with no row
+    irregular = [b for b in enumerate_bundles(parse_space("P2xP2"), cfg) if reg(b) != 0]
+    assert rep.per_theorem["T0"].not_applicable == rep.per_theorem["T4"].not_applicable
+    assert rep.per_theorem["T4"].not_applicable == len(irregular) == 5150 - applicable
+    assert len(rowed) == applicable and not set(rowed) & set(irregular)
+    # the reason, with Reg's value in it, is the verdict's
+    for bundle in irregular[::97]:
+        for tid in ("T0", "T4"):
+            assert verify_theorem(bundle, tid).reason == f"Reg must be 0, got {reg(bundle)}"
 
 
 def test_run_verification_builds_verdicts_only_for_findings(monkeypatch):
@@ -689,7 +718,7 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
     from collections import Counter
 
     from mpreg.bundles import parse_bundle
-    from mpreg.cohomology import summand_facts
+    from mpreg.cohomology import diagonal_class, summand_facts
     from mpreg.splitting import _acm_family, _exact_family, _step_family, verify_theorem
 
     summand_facts.cache_clear()
@@ -698,14 +727,29 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
     rep = run_verification(cfg)
     assert rep.total_bundles == 125 + 125 * 126 // 2
     records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
-    windows = Counter(family for f in records for family, _ in f.windows)
-    assert windows[_exact_family] == windows[_step_family] == 125
-    assert 0 < windows[_acm_family] <= 125
-    assert sum(windows.values()) == sum(len(f.windows) for f in records)
-    assert all(r == 0 for f in records for _, r in f.windows)
+    # windows are swept only for records whose first twist is 0: the 61
+    # diagonal classes O(0, b, c) of the 125 summands
+    classes = list({id(g): g for g in map(diagonal_class, records)}.values())
+    assert len(classes) == 61 and all(f.atoms[0][2] == 0 for f in classes)
+    assert summand_facts.cache_info().currsize == len(set(records) | set(classes))
+    # a record with first twist c != 0 gets windows only when the witnesses
+    # of a finding read them, as its class's shifted by -c
+    witnessed = {summand_facts(space.dims, s.key)
+                 for f in rep.findings for s in parse_bundle("P1xP1xP1", f["bundle"])[1].summands}
+    for f in records:
+        c, g = f.atoms[0][2], diagonal_class(f)
+        assert not c or not f.windows or f in witnessed
+        for family_rank, held in f.windows.items():
+            assert held == tuple((j, lo - c, hi - c) for j, lo, hi in g.windows[family_rank])
+    windows = Counter(family for f in classes for family, _ in f.windows)
+    assert windows[_exact_family] == windows[_step_family] == 61
+    assert 0 < windows[_acm_family] <= 61
+    assert sum(windows.values()) == sum(len(f.windows) for f in classes)
+    assert all(r == 0 for f in classes for _, r in f.windows)
     mask_key = ("T3", "T2B")  # the run's summand masks, beside the bits (family, r, twist)
-    assert all(f.bits[mask_key] >= 0 for f in records)
-    assert all(key[1] == 0 for f in records for key in f.bits if key != mask_key)
+    assert all(f.bits[mask_key] >= 0 for f in records + classes)
+    assert all(key[1] == 0 for f in classes for key in f.bits if key != mask_key)
+    assert all(set(f.bits) == {mask_key} for f in records if f.atoms[0][2])
     # the verdict keeps the bundle's own rank
     _, b = parse_bundle("P1xP1xP1", "O(0,0,0) + O(1,1,1)")
     assert verify_theorem(b, "T3").rank == 2

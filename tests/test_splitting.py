@@ -21,6 +21,7 @@ from mpreg.bundles import (
     parse_space,
     rank,
     twist,
+    twist_summand,
 )
 from mpreg.cohomology import (
     SummandFacts,
@@ -60,7 +61,8 @@ from mpreg.splitting import (
     verify_bundle,
     verify_theorem,
 )
-from reference import acm_closed_form_line, extremal_menu, h_vector, summand_supports
+from reference import (acm_closed_form_line, extremal_menu, h_vector, summand_supports,
+                       summand_window)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +682,86 @@ def test_splitting_memos_match_unwrapped():
                 bit = _summand_fails(space, f, spec.family, r, spec.twist)
                 assert bit == _summand_fails(space, SummandFacts(f.atoms), spec.family, r,
                                              spec.twist)
+
+
+@st.composite
+def _summands_and_diagonal_twists(draw):
+    """A summand on 1 to 3 factors of dimension 1 to 3, with cotangent atoms
+    where a factor allows them, and a diagonal twist c with |c| <= 10^6."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    space = parse_space("x".join(f"P{n}" for n in dims))
+    degree = st.integers(-4, 4)
+    atoms = [draw(st.one_of(degree.map(Line), st.builds(Cotangent, st.integers(1, n - 1), degree))
+                  if n > 1 else degree.map(Line)) for n in dims]
+    return space, make_summand(space, atoms), draw(st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_summands_and_diagonal_twists())
+@example((parse_space("P1xP1xP1"), make_summand(parse_space("P1xP1xP1"),
+                                                 [Line(0), Line(1), Line(2)]), 3))
+@example((parse_space("P2xP3"), make_summand(parse_space("P2xP3"),
+                                             [Cotangent(1, 2), Cotangent(2, -1)]), -10**6))
+def test_a_diagonal_twist_shifts_windows_and_reg_and_keeps_bits_and_masks(drawn):
+    # S(c) has the windows of S shifted by -c, Reg minus c, the bits of S at
+    # the twist plus c and the masks of S, its Reg bits read at Reg minus c;
+    # both sides match the brute-force windows of the reference
+    space, s, c = drawn
+    shifted = twist_summand(space, s, (c,) * space.num_factors)
+    f, g = (summand_facts(space.dims, x.key) for x in (s, shifted))
+    two = space.num_factors == 2
+    specs = [spec for spec in CHECKS.values() if two or not spec.two_factor]
+    definitions = ("paper", "hw") if two else ("paper",)
+    families = {spec.family for spec in specs} | {_acm_family} | set(map(_family, definitions))
+
+    def reference(family, r):
+        return tuple((index, *window) for index, (i, k, _) in enumerate(offsets(space, family, r))
+                     for window in [summand_window(space, s, k, i)] if window is not None)
+
+    def moved(windows, by):
+        return tuple((index, None if lo is None else lo - by, None if hi is None else hi - by)
+                     for index, lo, hi in windows)
+
+    for family in families:
+        for r in range(4):
+            expected = reference(family, r)
+            assert summand_windows(space, g, family, r) == moved(expected, c)
+            assert summand_windows(space, f, family, r) == expected
+    regs = {d: 1 + max(hi for _, _, hi in reference(_family(d), 0)) for d in definitions}
+    for d in definitions:
+        assert reg(make_bundle(space, [shifted]), d) == regs[d] - c
+        assert reg(make_bundle(space, [s]), d) == regs[d]
+
+    def fails(family, r, t):  # some required window of S holds t, or any t for None
+        required = offsets(space, family, r)
+        return any(required[index][2] and (t is None or (lo is None or lo <= t)
+                                            and (hi is None or t <= hi))
+                   for index, lo, hi in reference(family, r))
+
+    for spec in specs:
+        for r in range(4):
+            for t in [spec.twist] if spec.twist is None else [spec.twist, spec.twist - 1]:
+                bit = fails(spec.family, r, t if t is None else t + c)
+                assert _summand_fails(space, g, spec.family, r, t) == bit
+                assert _summand_fails(space, f, spec.family, r,
+                                      t if t is None else t + c) == bit
+    spread = None if s.degrees is None else max(s.degrees) - min(s.degrees)
+    assert f.spread == g.spread == spread
+    key = tuple(t for t, spec in CHECKS.items()
+                if (two or not spec.two_factor) and spec.spread is not None)
+    key += tuple(t for t, spec in CHECKS.items() if (two or not spec.two_factor) and spec.reg_zero)
+    for facts, value in ((g, regs["paper"] - c), (f, regs["paper"])):
+        expected = 0
+        for j, theorem in enumerate(key):
+            spec = CHECKS[theorem]
+            if spec.reg_zero:
+                bits = (value > 0) | (value == 0) << 1
+            else:
+                failed = fails(spec.family, 0, None)
+                window = spec.acm_crosscheck and not failed and fails(_acm_family, 0, None)
+                bits = failed | (spread is None or spread > spec.spread) << 1 | window << 2
+            expected |= bits << 3 * j
+        assert summand_mask(space, facts, key) == expected
 
 
 # ---------------------------------------------------------------------------
