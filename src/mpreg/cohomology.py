@@ -143,14 +143,14 @@ class SummandFacts:
     O(t_j), the spread of its line degrees (max - min, None when an atom is
     a cotangent), and facts filled on first use with the reader's space:
     windows per (family, r), bits per (family, r, twist), a mask per tuple
-    of check ids, Reg per definition, tags.  With first twist c != 0, the
-    windows, Reg and mask come from diagonal_class, moved by -c if they move."""
+    of check ids, Reg per definition, tags, and with first twist c != 0 the
+    origin (diagonal_class), whose windows, Reg and mask it reads, moved by -c."""
 
-    __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags")
+    __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags", "origin")
 
     def __init__(self, atoms: tuple, spread: Optional[int] = None):
         self.atoms, self.spread = atoms, spread
-        self.windows, self.bits, self.regs, self.tags = {}, {}, {}, None
+        self.windows, self.bits, self.regs, self.tags, self.origin = {}, {}, {}, None, None
 
 
 @lru_cache(maxsize=None)
@@ -179,11 +179,13 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
 
 
 def diagonal_class(facts: SummandFacts) -> SummandFacts:
-    """The record of the summand twisted by (-c, ..., -c), c its first
-    twist: the one of its diagonal twist class whose first twist is 0."""
-    c = facts.atoms[0][2]
-    key = tuple(x for _, p, t in facts.atoms for x in (int(p > 0), 2 * p, 2 * (t - c)))
-    return summand_facts(tuple(n for n, _, _ in facts.atoms), key)
+    """The record of the summand twisted by (-c, ..., -c), c != 0 its first
+    twist (the one of its diagonal class with first twist 0), kept as origin."""
+    if facts.origin is None:
+        c = facts.atoms[0][2]
+        key = tuple(x for _, p, t in facts.atoms for x in (int(p > 0), 2 * p, 2 * (t - c)))
+        facts.origin = summand_facts(tuple(n for n, _, _ in facts.atoms), key)
+    return facts.origin
 
 
 def summand_records(bundle: Bundle) -> list[SummandFacts]:

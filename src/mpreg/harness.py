@@ -87,7 +87,7 @@ class EnumerationConfig:
                 space = parse_space(text)
             except ParseError as exc:
                 raise ConfigError(f"bad space {text!r}: {exc}") from exc
-            canonical.add(format_space(space))
+            canonical.add(space)  # one Space per dims, whatever the text
             summands = prod(lines + (n - 1) * twists for n in space.dims)  # as enumerate_atoms
             count += _multisets(summands, self.max_summands, MAX_BUNDLES)
         if len(canonical) < len(self.spaces):
@@ -245,20 +245,15 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     findings: list = []
     total = 0
 
-    ids = tuple(map(TheoremId, cfg.theorems))
-    every = [(per_theorem[t.value], t, CHECKS[t]) for t in ids]
-    others = [check for check in every if check[2].spread is None]
-    plain = [check for check in others if not check[2].reg_zero]  # neither fold nor gate
-    rest, loose = (tuple(t for _, t, _ in checks) for checks in (others, plain))
+    ids = map(TheoremId.__members__.__getitem__, cfg.theorems)  # each name is its value
+    every = [(per_theorem[t], t, CHECKS[t]) for t in ids]
     for space in map(parse_space, cfg.spaces):
-        space_text, dims = format_space(space), space.dims
+        dims = space.dims
         on = [(t, spec) for _, t, spec in every if space.num_factors == 2 or not spec.two_factor]
         # the mask's key: the folded checks that apply on the space, then the gated ones
         folds = tuple(t for t, spec in on if spec.spread is not None)
         key = folds + tuple(t for t, spec in on if spec.reg_zero)
         gate = 3 * len(folds) if len(key) > len(folds) else None  # the Reg bits in the mask
-        applying = [check for check in every if check[2].spread is None or check[1] in folds]
-        ungated = [check for check in applying if not check[2].reg_zero]
         decoded, before, found, irregular = {}, total, 0, 0  # mask -> what it decides; bundles
         for bundle in enumerate_bundles(space, cfg):
             total += 1
@@ -270,8 +265,10 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
             if m not in decoded:  # what the mask decides, and the checks that get rows
                 bits = mask_checks(folds, m) if folds else None
                 regular = gate is None or m >> gate & 3 == 2  # Reg = 0, or no gated check applies
-                checks = (applying if bits else others) if regular else (ungated if bits else plain)
-                decoded[m] = bits, regular, rest if regular else loose, checks
+                checks = [check for check in every if bits and check[1] in bits or
+                          check[2].spread is None and (regular or not check[2].reg_zero)]
+                decoded[m] = bits, regular, tuple(t for _, t, spec in checks
+                                                  if spec.spread is None), checks
             bits, regular, rest_ids, checks = decoded[m]
             irregular += not regular
             if bits is not None:  # a finding: the folded checks' rows off the mask
@@ -308,7 +305,8 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                     if cond != form and len(st.samples) < _SAMPLE_CAP:
                         st.samples.append(name)
                     verdict = row_verdict(bundle, theorem, row)
-                    findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
+                    findings.extend(_finding(kind, format_space(space), name, verdict)
+                                    for kind in kinds)
         free = total - before - found  # the bundles whose mask agrees
         for st, t, spec in every:
             if spec.reg_zero:  # not applicable on a bundle whose Reg is not 0
