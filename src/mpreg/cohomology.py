@@ -166,7 +166,7 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
     atoms, normal = [], True
     for n, kind, p, t in zip(dims, key[::3], key[1::3], key[2::3]):
         p, t = p // 2, t // 2
-        if kind:  # normal form may turn W^p(t) into a line
+        if kind and not 0 < p < n:  # W^0(t) and W^n(t) are lines; any other p is refused
             a = normalize_atom(n, Cotangent(p, t))
             if isinstance(a, Line):
                 p, t, normal = 0, a.degree, False
