@@ -140,11 +140,10 @@ def _support(n: int, p: int, c: int) -> tuple[tuple[int, Endpoint, Endpoint], ..
 
 class SummandFacts:
     """One summand's atoms in normal form, (n_j, p_j, t_j) with p_j = 0 for
-    O(t_j), the spread of its line degrees (max - min, None when an atom is
-    a cotangent), and facts filled on first use with the reader's space:
-    windows per (family, r), bits per (family, r, twist), a mask per tuple
-    of check ids, Reg per definition, tags, and with first twist c != 0 the
-    origin (diagonal_class), whose windows, Reg and mask it reads, moved by -c."""
+    O(t_j), the spread of its line degrees (max - min, None for a cotangent),
+    and facts filled on first use with the reader's space: windows per
+    (family, r), bits per (family, r, twist), a mask per tuple of check ids,
+    Reg per definition, tags, and the origin whose windows and Reg it shifts."""
 
     __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags", "origin")
 
@@ -179,13 +178,14 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
 
 
 def diagonal_class(facts: SummandFacts) -> SummandFacts:
-    """The record of the summand twisted by (-c, ..., -c), c != 0 its first
-    twist (the one of its diagonal class with first twist 0), kept as origin."""
-    if facts.origin is None:
-        c = facts.atoms[0][2]
-        key = tuple(x for _, p, t in facts.atoms for x in (int(p > 0), 2 * p, 2 * (t - c)))
-        facts.origin = summand_facts(tuple(n for n, _, _ in facts.atoms), key)
-    return facts.origin
+    """The record of the summand twisted by minus its first twist, kept as origin."""
+    if facts.origin is None and facts.atoms[0][2]:
+        c, dims, key = facts.atoms[0][2], [], []
+        for n, p, t in facts.atoms:  # a loop: cheaper than nested generators
+            dims.append(n)
+            key += (int(p > 0), 2 * p, 2 * (t - c))
+        facts.origin = summand_facts(tuple(dims), tuple(key))
+    return facts.origin or facts
 
 
 def summand_records(bundle: Bundle) -> list[SummandFacts]:

@@ -75,16 +75,16 @@ def _untwisted_windows(factors: tuple) -> dict:
 
 def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int) -> tuple:
     """(index, lo, hi) for each index of the family where the summand's
-    window is nonempty, None for an unbounded end.  Only a record with first
-    twist 0 sweeps: at offset k, one _untwisted_windows of its twist by
-    k - (k_1, ..., k_1), shifted by -k_1.  A record with first twist c != 0
-    shifts the records of its diagonal class (diagonal_class) by -c."""
+    window is nonempty, None for an unbounded end.  A record with first twist
+    c != 0 shifts those of its diagonal class by -c; only one with first twist
+    0 sweeps, at offset k one _untwisted_windows of its twist by k - k_1."""
     records = facts.windows.get((family, r))
     if records is None:
-        c, raw = facts.atoms[0][2], []  # (index, lo, hi, shift)
+        c, records = facts.atoms[0][2], []
         if c:
-            raw = [(*window, c) for window in summand_windows(space, diagonal_class(facts),
-                                                              family, r)]
+            for index, lo, hi in summand_windows(space, diagonal_class(facts), family, r):
+                records.append((index, None if lo is None else lo - c,
+                                None if hi is None else hi - c))
         else:
             levels = {}
             for index, (i, k, _) in enumerate(offsets(space, family, r)):
@@ -92,10 +92,10 @@ def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int)
                     levels[k] = _untwisted_windows(tuple(
                         (n, p, t + kj - k[0]) for (n, p, t), kj in zip(facts.atoms, k)))
                 if i in levels[k]:
-                    raw.append((index, *levels[k][i], k[0]))
-        records = facts.windows[family, r] = tuple(
-            (index, None if lo is None else lo - d, None if hi is None else hi - d)
-            for index, lo, hi, d in raw)
+                    lo, hi = levels[k][i]
+                    records.append((index, None if lo is None else lo - k[0],
+                                    None if hi is None else hi - k[0]))
+        records = facts.windows[family, r] = tuple(records)
     return records
 
 
