@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from gettext import gettext
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -296,7 +297,8 @@ def cmd_verify_paper(args, out) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="mpreg",
         description=(
@@ -306,17 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def bundle_args(p):
-        p.add_argument("--space", required=True, help="space, e.g. P2xP3")
-        p.add_argument(
-            "--bundle",
-            required=True,
-            help="bundle, e.g. 'O(1,0) + O(0)*W1(2)' with optional '@(t1,t2)' twist",
-        )
+    def command(name, func, help, bundle=True):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if bundle:
+            p.add_argument("--space", required=True, help="space, e.g. P2xP3")
+            p.add_argument(
+                "--bundle",
+                required=True,
+                help="bundle, e.g. 'O(1,0) + O(0)*W1(2)' with optional '@(t1,t2)' twist",
+            )
+        return p
 
-    p = sub.add_parser("cohomology", help="tabulate h^i over a box of twists")
-    bundle_args(p)
+    p = command("cohomology", cmd_cohomology, "tabulate h^i over a box of twists")
     p.add_argument(
         "--twist-range",
         required=True,
@@ -324,21 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
         "bound is negative",
     )
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("reg", help="compute the regularity value")
-    bundle_args(p)
+    p = command("reg", cmd_reg, "compute the regularity value")
     p.add_argument("--definition", choices=DEFINITIONS, default="paper")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_reg)
 
-    p = sub.add_parser("acm", help="decide the ACM property")
-    bundle_args(p)
+    p = command("acm", cmd_acm, "decide the ACM property")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_acm)
 
-    p = sub.add_parser("check", help="run one splitting check")
-    bundle_args(p)
+    p = command("check", cmd_check, "run one splitting check")
     p.add_argument(
         "--theorem",
         required=True,
@@ -346,14 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[t.value for t in TheoremId],
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("classify", help="canonical structure and form membership")
-    bundle_args(p)
+    p = command("classify", cmd_classify, "canonical structure and form membership")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("verify-paper", help="run the enumeration harness")
+    p = command("verify-paper", cmd_verify_paper, "run the enumeration harness", bundle=False)
     p.add_argument("--config", help="path to a key = value configuration file")
     p.add_argument(
         "--theorem",
@@ -363,14 +360,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one or more check ids (repeatable)",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify_paper)
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # --help, or a missing or unknown subcommand
+        args = parser.parse_args(argv)
+    else:
+        # the subcommand's parse that parser.parse_args would nest, and its
+        # error for what the subcommand leaves over, without the outer pass
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+        args.command = argv[0]
     try:
         return args.func(args, sys.stdout)
     except PreconditionError as exc:

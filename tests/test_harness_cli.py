@@ -1282,3 +1282,51 @@ def test_cli_contract_holds_for_verify_paper_on_a_tiny_config(tmp_path):
     code, text = _cli_contract(["verify-paper", "--config", str(path), "--format", "json"])
     assert code == 3 and isinstance(json.loads(text)["elapsed_seconds"], float)
     assert _cli_contract(["verify-paper", "--config", str(path), "--format", "text"])[0] == 3
+
+
+_QUERY = ["--space", "P1xP1", "--bundle", "O(1,1)"]
+_ARGPARSE_EDGES = [
+    ["--help"], [], ["nosuch", *_QUERY], ["--jobs", "2"], ["--", "reg", *_QUERY],
+    *([command, "-h"] for command in ("cohomology", "reg", "acm", "check", "classify",
+                                      "verify-paper")),
+    ["reg", *_QUERY, "--jobs", "2"], ["verify-paper", "--jobs", "2"],
+    ["reg", "--spa", "P1xP1", "--bundle", "O(1,1)", "--form", "json"],
+    ["check", *_QUERY, "--theorem", "T9"], ["check", *_QUERY, "--theorem", "t2b"],
+    ["reg", *_QUERY, "--definition", "xx"],
+    ["acm", "--space", "P1xP1"], ["classify", *_QUERY, "--format", "json", "--format", "text"],
+    ["reg", *_QUERY, "stray"], ["reg", *_QUERY, "--", "stray"], ["reg", "--", *_QUERY],
+    ["reg", *_QUERY, "--bogus"], ["reg", *_QUERY, "--help", "--bogus"],
+    ["cohomology", *_QUERY, "--twist-range", "-1..1"],
+    ["cohomology", *_QUERY, "--twist-range=-1..1", "--format", "csv"],
+    ["check", "--space", "P1xP1xP1", "--bundle", "O(0,1,2)", "--theorem", "T2B"],
+]
+
+
+def _answer(run, argv):
+    """(exit code, stdout, stderr) of run(argv), argparse's exits included."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _nested_parse(argv):
+    # one parse of the whole argv by the top parser, which nests the
+    # subcommand's parse and refuses what it leaves over
+    from mpreg import cli
+
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args, sys.stdout)
+
+
+@pytest.mark.parametrize("argv", _ARGPARSE_EDGES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_cli_main_answers_like_the_nested_argparse_parse(argv):
+    from mpreg import cli
+
+    assert _answer(cli.main, argv) == _answer(_nested_parse, argv)
