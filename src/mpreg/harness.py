@@ -1,12 +1,13 @@
 """Enumeration harness: generate families of bundles, run the splitting
 checks over them, and aggregate agreement statistics.  The OR of a
 bundle's summand masks alone decides the checks that fold and the Reg = 0
-gate; rows come from verdict_rows for the other checks, the gated ones
-only on a bundle whose Reg is 0."""
+gate (splitting.mask_checks); verify_bundle gives the verdicts of the
+other checks, the gated ones only on a bundle whose Reg is 0."""
 
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from dataclasses import dataclass, field
 from math import prod
@@ -29,7 +30,8 @@ from .bundles import (
 )
 from .cohomology import summand_facts
 from .regularity import is_regular_at
-from .splitting import CHECKS, TheoremId, mask_checks, row_verdict, summand_mask, verdict_rows
+from .splitting import (CHECKS, TheoremId, TheoremVerdict, mask_checks, summand_mask,
+                        verify_bundle)
 
 ALL_THEOREMS = tuple(t.value for t in TheoremId)
 
@@ -98,13 +100,14 @@ class EnumerationConfig:
 
 def parse_range(value: str) -> tuple[int, int]:
     """An inclusive integer range written lo..hi, as in config files and
-    on the command line."""
+    on the command line.  Each bound, stripped of whitespace, is an integer
+    as bundle text writes it (bundles._TOKEN_RE): no sign +, no underscore."""
     parts = value.split("..")
     if len(parts) != 2:
         raise ConfigError(f"expected a range like -2..2, got {value!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
+    try:  # a bound that does not match drops out, and the unpacking fails
+        lo, hi = [int(part) for part in parts if re.fullmatch(r"-?\d+", part.strip())]
+    except ValueError as exc:  # that, or a bound longer than int() reads
         raise ConfigError(f"non-integer range bound in {value!r}") from exc
     if lo > hi:
         raise ConfigError(f"empty range {value!r}")
@@ -233,13 +236,13 @@ def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
 def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``,
     streamed from ``enumerate_bundles``.  The OR of a bundle's summand
-    masks (summand_mask) decides the checks that fold (CheckSpec.spread),
-    each applicable and consistent or, on a finding, given its row off the
-    mask (mask_checks).  It decides the Reg gate too, as Reg(E + F) =
-    max(Reg E, Reg F): unless no summand has Reg above 0 and some has Reg
-    0, no gated check (CheckSpec.reg_zero) applies.  ``verdict_rows`` gives
-    the other checks' rows in id order, the gated ones only at Reg 0.  A
-    bundle's name, verdict and finding dicts are made only for a finding."""
+    masks (summand_mask), decoded by mask_checks, decides the checks that
+    fold (CheckSpec.spread), each applicable and consistent or, on a
+    finding, given its verdict off the mask.  It decides the Reg gate too:
+    unless the bundle's Reg is 0, no gated check (CheckSpec.reg_zero)
+    applies.  ``verify_bundle`` gives the other checks' verdicts in id
+    order, the gated ones only at Reg 0.  A bundle's name and finding dicts
+    are made only for a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
@@ -253,7 +256,6 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
         # the mask's key: the folded checks that apply on the space, then the gated ones
         folds = tuple(t for t, spec in on if spec.spread is not None)
         key = folds + tuple(t for t, spec in on if spec.reg_zero)
-        gate = 3 * len(folds) if len(key) > len(folds) else None  # the Reg bits in the mask
         decoded, before, found, irregular = {}, total, 0, 0  # mask -> what it decides; bundles
         for bundle in enumerate_bundles(space, cfg):
             total += 1
@@ -262,49 +264,49 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                 f = summand_facts(dims, s.key)
                 mask = f.bits.get(key)
                 m |= summand_mask(space, f, key) if mask is None else mask
-            if m not in decoded:  # what the mask decides, and the checks that get rows
-                bits = mask_checks(folds, m) if folds else None
-                regular = gate is None or m >> gate & 3 == 2  # Reg = 0, or no gated check applies
+            if m not in decoded:  # what the mask decides, and the checks that get verdicts
+                bits, regular = mask_checks(key, m)  # Reg = 0, or no gated check applies
                 checks = [check for check in every if bits and check[1] in bits or
                           check[2].spread is None and (regular or not check[2].reg_zero)]
                 decoded[m] = bits, regular, tuple(t for _, t, spec in checks
                                                   if spec.spread is None), checks
             bits, regular, rest_ids, checks = decoded[m]
             irregular += not regular
-            if bits is not None:  # a finding: the folded checks' rows off the mask
+            if bits is not None:  # a finding: the folded checks' verdicts off the mask
                 found += 1
                 r = rank(bundle)
-                other_rows = iter(verdict_rows(bundle, rest_ids) if rest_ids else ())
-                rows = [(None, *bits[t][:2], (), None, r) if t in bits else next(other_rows)
-                        for _, t, _ in checks]
+                others = iter(verify_bundle(bundle, rest_ids) if rest_ids else ())
+                verdicts = [TheoremVerdict(t, True, condition_holds=bits[t][0],
+                                           form_holds=bits[t][1],
+                                           consistent=bits[t][0] == bits[t][1],
+                                           bundle=bundle, rank=r) if t in bits else next(others)
+                            for _, t, _ in checks]
             elif rest_ids:
-                rows = verdict_rows(bundle, rest_ids)
+                verdicts = verify_bundle(bundle, rest_ids)
             else:
                 continue
             name = None  # format_bundle(bundle), made at most once
-            for (st, theorem, spec), row in zip(checks, rows):
-                reason, cond, form, detected, agrees, _ = row
-                if reason is not None:
+            for (st, theorem, spec), verdict in zip(checks, verdicts):
+                if not verdict.applicable:
                     st.not_applicable += 1
                     continue
                 st.applicable += 1
-                kinds = []
-                if cond == form:
+                cond, kinds = verdict.condition_holds, []
+                if verdict.consistent:
                     st.consistent += 1
                 else:
                     st.inconsistent += 1
                     kinds.append("inconsistent")
-                if detected and agrees is False:
+                if verdict.detected and verdict.detector_agrees is False:
                     kinds.append("detector_mismatch")
-                if spec.detector and cond and not detected:
+                if spec.detector and cond and not verdict.detected:
                     kinds.append("detector_empty")
                 if spec.acm_crosscheck and cond and bits[theorem][2]:  # a folded check's ACM bit
                     kinds.append("t1_without_acm")
                 if kinds:
                     name = name or format_bundle(bundle)
-                    if cond != form and len(st.samples) < _SAMPLE_CAP:
+                    if not verdict.consistent and len(st.samples) < _SAMPLE_CAP:
                         st.samples.append(name)
-                    verdict = row_verdict(bundle, theorem, row)
                     findings.extend(_finding(kind, format_space(space), name, verdict)
                                     for kind in kinds)
         free = total - before - found  # the bundles whose mask agrees

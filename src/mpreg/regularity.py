@@ -35,20 +35,10 @@ from .cohomology import (SummandFacts, _support, _twist_vector, diagonal_class, 
 DEFINITIONS = ("paper", "hw")
 
 
-def box_offsets(
-    space: Space, i: int, at_least: bool = False, interior: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """Box vectors k with -n_j <= k_j <= 0 and sum -i, in lexicographic order.
-
-    With at_least the sum may be anything from -i up to 0; with interior the
-    box is open at the bottom, -n_j < k_j.  The "paper" definition uses the
-    plain family; the splitting checks also use the other two.
-    """
-    ranges = [range(-n + 1 if interior else -n, 1) for n in space.dims]
-    for k in itertools.product(*ranges):
-        total = sum(k)
-        if total == -i or (at_least and total > -i):
-            yield k
+def box_offsets(space: Space) -> tuple:
+    """The box vectors k with -n_j <= k_j <= 0, in lexicographic order.  The
+    "paper" definition and the splitting checks' families filter them."""
+    return tuple(itertools.product(*[range(-n, 1) for n in space.dims]))
 
 
 def hw_offsets(space: Space, i: int) -> Iterator[tuple[int, int]]:
@@ -100,7 +90,9 @@ def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int)
 
 
 def _paper_family(space: Space, r: int):
-    return ((i, k, True) for i in range(1, space.total_dim + 1) for k in box_offsets(space, i))
+    """Box offsets with sum exactly -i, for 1 <= i <= dim X."""
+    box = box_offsets(space)
+    return ((i, k, True) for i in range(1, space.total_dim + 1) for k in box if sum(k) == -i)
 
 
 def _hw_family(space: Space, r: int):

@@ -8,14 +8,14 @@ a bundle gets the verdict of its sheaf however its atoms are written.  The
 condition is an AND of one bit per summand, kept in its record; witnesses,
 built when read, take dimensions from h_bundle.  The forms and the
 detector (the union of the summands' tags) read only the records.
-verdict_rows is one straight-line pass per bundle that computes rank, the
-Reg gate, the records and the detection at most once each and returns one
-plain row per check id; verify_bundle wraps the rows into TheoremVerdicts.
-summand_mask packs a summand's bits for the checks that fold
-(CheckSpec.spread) and for the Reg gate into one int in its record, so the
-enumeration harness decides those from the OR of a bundle's masks alone
-(mask_checks decodes the folded checks).  applicability and condition_for
-read the verdict of verify_theorem.
+verify_bundle is one straight-line pass per bundle that computes rank, the
+Reg gate, the records and the detection at most once each and builds one
+TheoremVerdict per check id.  summand_mask packs a summand's bits for the
+checks that fold (CheckSpec.spread) and one pair for the Reg gate into one
+int in its record, so the enumeration harness decides those from the OR of
+a bundle's masks alone; mask_checks decodes it, and only these two know
+the layout.  applicability and condition_for read the verdict of
+verify_theorem.
 """
 
 from __future__ import annotations
@@ -168,24 +168,23 @@ def _acm_family(space: Space, r: int):
 
 def _exact_family(space: Space, r: int):
     """Box offsets with sum exactly -i, for 0 < i < dim X."""
-    return ((i, k, True) for i in range(1, space.total_dim) for k in box_offsets(space, i))
+    box = box_offsets(space)
+    return ((i, k, True) for i in range(1, space.total_dim) for k in box if sum(k) == -i)
 
 
 def _step_family(space: Space, r: int):
     """Box offsets with sum in [-i, 0], for 0 < i < dim X, except the corner
     offsets whose coordinates all lie in {0, -n_j}; the zero offset stays in."""
-    for i in range(1, space.total_dim):
-        for k in box_offsets(space, i, at_least=True):
-            if not any(k) or not all(kj in (0, -n) for kj, n in zip(k, space.dims)):
-                yield i, k, True
+    box = [k for k in box_offsets(space)
+           if not any(k) or not all(kj in (0, -n) for kj, n in zip(k, space.dims))]
+    return ((i, k, True) for i in range(1, space.total_dim) for k in box if sum(k) >= -i)
 
 
 def _interior_family(space: Space, r: int):
     """Strict-interior offsets -n_j < k_j <= 0 with sum at least -i, for
     i below min(rank, dim X)."""
-    for i in range(1, min(r, space.total_dim)):
-        for k in box_offsets(space, i, at_least=True, interior=True):
-            yield i, k, True
+    box = [k for k in box_offsets(space) if all(kj > -n for kj, n in zip(k, space.dims))]
+    return ((i, k, True) for i in range(1, min(r, space.total_dim)) for k in box if sum(k) >= -i)
 
 
 def _boundary_family(space: Space, r: int):
@@ -381,48 +380,53 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
 
 def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
     """The summand's bits for key, check ids that apply on the space (those
-    that fold, then those with the Reg gate), three per id in key order,
-    stored in the record on a miss.  A folded check's are set when its
-    condition fails (_summand_fails), when its form fails (_beyond) and, if
-    the condition should force ACM and holds, on an ACM window.  A gated
-    check's first two are set when the summand's Reg is above 0 and when it
-    is 0.  A diagonal twist moves no window's emptiness, so a record whose
-    first twist is not 0 takes the folded bits from its diagonal class."""
+    that fold, then those with the Reg gate), stored in the record on a
+    miss: three per folded id in key order, then one Reg pair if key has a
+    gated id.  A folded check's are set when its condition fails
+    (_summand_fails), when its form fails (_beyond) and, if the condition
+    should force ACM and holds, on an ACM window.  The Reg pair is set when
+    the summand's Reg is above 0 and when it is 0.  A diagonal twist moves
+    no window's emptiness, so a record whose first twist is not 0 takes the
+    folded bits from its diagonal class."""
     mask = facts.bits.get(key)
     if mask is None:
-        base = summand_mask(space, diagonal_class(facts), key) if facts.atoms[0][2] else None
-        mask = 0
-        for j, theorem in enumerate(key):
-            spec = CHECKS[theorem]
-            if spec.reg_zero:
-                value = _summand_reg(space, facts, "paper")
-                bits = (value > 0) | (value == 0) << 1
-            elif base is not None:
-                bits = base >> 3 * j & 7
-            else:
+        folds = [CHECKS[theorem] for theorem in key if CHECKS[theorem].spread is not None]
+        if facts.atoms[0][2]:
+            mask = summand_mask(space, diagonal_class(facts), key) & (1 << 3 * len(folds)) - 1
+        else:
+            mask = 0
+            for j, spec in enumerate(folds):
                 fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
                 window = spec.acm_crosscheck and not fails and _summand_fails(
                     space, facts, _acm_family, 0, None)
-                bits = fails | _beyond(facts, spec.spread) << 1 | window << 2
-            mask |= bits << 3 * j
+                mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << 3 * j
+        if len(folds) < len(key):
+            value = _summand_reg(space, facts, "paper")
+            mask |= ((value > 0) | (value == 0) << 1) << 3 * len(folds)
         facts.bits[key] = mask
     return mask
 
 
-def mask_checks(key: tuple, mask: int) -> Optional[dict]:
-    """Decode mask, the OR of a bundle's summand masks for a key that
-    starts with the folded check ids of key: per id of key, (condition,
-    form, window), whether the condition holds, whether the form holds and
-    whether some summand has an ACM window, which is not is_acm(bundle)
-    when the condition holds.  None when every check agrees: condition and
-    form hold together, and a condition that holds meets no ACM window."""
-    checks, agree = {}, True
+def mask_checks(key: tuple, mask: int) -> tuple[Optional[dict], bool]:
+    """Decode mask, the OR of a bundle's summand masks for key
+    (summand_mask), as (checks, Reg is 0).  checks holds per folded id of
+    key (condition, form, window): whether the condition holds, whether the
+    form holds and whether some summand has an ACM window, which is not
+    is_acm(bundle) when the condition holds; it is None when every folded
+    check agrees: condition and form hold together, and a condition that
+    holds meets no ACM window.  Reg(E + F) = max(Reg E, Reg F), so Reg is 0
+    when no summand has Reg above 0 and some has Reg 0; with no gated id in
+    key, it reads True."""
+    checks, agree, regular = {}, True, True
     for theorem in key:
+        if CHECKS[theorem].spread is None:  # the Reg pair, after the folded ids
+            regular = mask == 2
+            break
         condition, form, window = not mask & 1, not mask & 2, bool(mask & 4)
         agree = agree and condition == form and not (condition and window)
         checks[theorem] = condition, form, window
         mask >>= 3
-    return None if agree else checks
+    return None if agree else checks, regular
 
 
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:
@@ -521,17 +525,16 @@ class TheoremVerdict:
         return tuple(_witnesses(self.bundle, spec.family, r, spec.twist))
 
 
-def verdict_rows(bundle: Bundle, ids: Iterable[TheoremId]) -> list[tuple]:
-    """One row (reason, condition, form, detected, agrees, rank) per check id
-    (TheoremId members), in order, from one pass: a verdict's fields as plain
-    values, all None but reason and detected () when the check does not
-    apply.  The preconditions are checked in order: two factors, the rank
-    rule, Reg = 0.  Rank, the Reg gate, the summands' records and the
-    detection are computed at most once each, when a check first needs
-    them: a bundle that fails the Reg gate never pays for its rank or
-    records.  The condition is the AND of the records' bits, read inline and
-    filled where missing; the form reads the records too."""
-    space, rows = bundle.space, []
+def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
+    """The verdicts of the check ids (TheoremId members) on the bundle, in
+    order, from one pass.  The preconditions are checked in order: two
+    factors, the rank rule, Reg = 0; the first that fails is the reason of
+    a verdict that does not apply.  Rank, the Reg gate, the summands'
+    records and the detection are computed at most once each, when a check
+    first needs them: a bundle that fails the Reg gate never pays for its
+    rank or records.  The condition is the AND of the records' bits, read
+    inline and filled where missing; the form reads the records too."""
+    space, verdicts = bundle.space, []
     r = records = detection = None
     gate = _UNREAD  # the Reg gate's reason, None when Reg is 0
     for theorem in ids:
@@ -549,7 +552,7 @@ def verdict_rows(bundle: Bundle, ids: Iterable[TheoremId]) -> list[tuple]:
                     gate = f"Reg must be 0, got {value}" if value else None
                 reason = gate
         if reason is not None:
-            rows.append((reason, None, None, (), None, None))
+            verdicts.append(TheoremVerdict(theorem, False, reason))
             continue
         if r is None:
             r = rank(bundle)
@@ -571,24 +574,9 @@ def verdict_rows(bundle: Bundle, ids: Iterable[TheoremId]) -> list[tuple]:
                              for t in detected) if detected else None
                 detection = detected, agrees
             detected, agrees = detection
-        rows.append((None, cond, form, detected, agrees, r))
-    return rows
-
-
-def row_verdict(bundle: Bundle, theorem: TheoremId, row: tuple) -> TheoremVerdict:
-    """The verdict of one verdict_rows row."""
-    reason, cond, form, detected, agrees, r = row
-    if reason is not None:
-        return TheoremVerdict(theorem, False, reason)
-    return TheoremVerdict(theorem, True, None, cond, form, cond == form, detected, agrees,
-                          bundle, r)
-
-
-def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
-    """The verdicts of the check ids (TheoremId members) on the bundle, in
-    order: the rows of verdict_rows as TheoremVerdicts."""
-    ids = tuple(ids)
-    return [row_verdict(bundle, t, row) for t, row in zip(ids, verdict_rows(bundle, ids))]
+        verdicts.append(TheoremVerdict(theorem, True, None, cond, form, cond == form, detected,
+                                       agrees, bundle, r))
+    return verdicts
 
 
 def verify_theorem(bundle: Bundle, theorem: TheoremId) -> TheoremVerdict:

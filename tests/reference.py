@@ -143,6 +143,40 @@ def acm_closed_form_line(space, degrees):
     return True
 
 
+def _box(dims):
+    """The vectors k with -n_j <= k_j <= 0, in lexicographic order."""
+    if not dims:
+        return [()]
+    return [(a,) + rest for a in range(-dims[0], 1) for rest in _box(dims[1:])]
+
+
+def offset_family(space, name, r):
+    """The offset family (i, k, required) named name, at rank r, with i
+    ascending and then k lexicographic in the box -n_j <= k_j <= 0:
+    * paper: sum(k) = -i for 1 <= i <= dim X;
+    * exact: sum(k) = -i for 0 < i < dim X;
+    * step: sum(k) >= -i for 0 < i < dim X, leaving out each nonzero k
+      with every k_j in {0, -n_j};
+    * interior: sum(k) >= -i and every k_j > -n_j, for 0 < i < min(r, dim X);
+    * boundary (two factors): interior, then each exact (i, k) with
+      k_1 = -n_1 or k_2 = -n_2, required unless i is n_1 or n_2."""
+    dims, d = space.dims, space.total_dim
+    if name == "boundary":
+        n, m = dims
+        return offset_family(space, "interior", r) + [
+            (i, k, i not in (n, m)) for i, k, _ in offset_family(space, "exact", r)
+            if k[0] == -n or k[1] == -m]
+    keep = {
+        "paper": lambda i, k: sum(k) == -i,
+        "exact": lambda i, k: sum(k) == -i,
+        "step": lambda i, k: sum(k) >= -i and (
+            not any(k) or any(kj not in (0, -n) for kj, n in zip(k, dims))),
+        "interior": lambda i, k: sum(k) >= -i and all(kj > -n for kj, n in zip(k, dims)),
+    }[name]
+    top = {"paper": d + 1, "interior": min(r, d)}.get(name, d)
+    return [(i, k, True) for i in range(1, top) for k in _box(dims) if keep(i, k)]
+
+
 def extremal_menu(space):
     """The summand of each top corner, a vector 0 <= h_j <= n_j with
     h_j = n_j on some factor: O where h_j = n_j, O(1) where h_j = 0 and

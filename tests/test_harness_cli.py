@@ -64,6 +64,9 @@ def test_parse_config_full():
         ("spaces = P1xP1\nbogus = 1", "bogus"),
         ("spaces = Px1", "space"),
         ("spaces = P1xP1\ntheorems = T9", "T9"),
+        # range bounds are written as bundle text writes integers
+        ("spaces = P1xP1\ndegrees = +1..2", "non-integer"),
+        ("spaces = P1xP1\ncotangent_twists = 1_0..1_1", "non-integer"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -123,6 +126,8 @@ def test_space_listed_twice_is_a_config_error(tmp_path, capsys):
 def test_parse_config_overlong_integer_is_a_config_error():
     with pytest.raises(ConfigError, match="bad space"):
         parse_config_text("spaces = P" + "9" * 5000)
+    with pytest.raises(ConfigError, match="non-integer range bound"):  # past int()'s limit
+        parse_config_text("spaces = P1xP1\ndegrees = 0.." + "9" * 5000)
 
 
 _CONFIG_LINE = st.tuples(
@@ -297,21 +302,21 @@ def test_run_verification_matches_eager_reference_on_drawn_configs(cfg):
     assert [json.dumps(f) for f in rep.findings] == [json.dumps(f) for f in findings]
 
 
-def _counting_rows(monkeypatch) -> list:
-    """The bundles passed to harness.verdict_rows from now on, in order."""
-    calls, real_rows = [], harness.verdict_rows
+def _counting_verdicts(monkeypatch) -> list:
+    """The bundles passed to harness.verify_bundle from now on, in order."""
+    calls, real_verify = [], harness.verify_bundle
 
     def counting(bundle, ids):
         calls.append(bundle)
-        return real_rows(bundle, ids)
+        return real_verify(bundle, ids)
 
-    monkeypatch.setattr(harness, "verdict_rows", counting)
+    monkeypatch.setattr(harness, "verify_bundle", counting)
     return calls
 
 
-def test_folded_checks_never_call_verdict_rows(monkeypatch):
+def test_folded_checks_never_call_verify_bundle(monkeypatch):
     # the masks decide the bundles with a finding too
-    calls = _counting_rows(monkeypatch)
+    calls = _counting_verdicts(monkeypatch)
     t3 = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3",)))
     assert t3.total_bundles == 8000 and t3.findings == []
     t2b = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T2B",)))
@@ -327,12 +332,17 @@ def test_mask_checks_reads_three_bits_per_check():
     from mpreg.splitting import mask_checks
 
     key = ("T3", "T2B")  # per check, low bits first: condition fails, form fails, ACM window
-    assert mask_checks(key, 0b000_000) is None and mask_checks(key, 0b011_011) is None
-    assert mask_checks(key, 0b000_111) is None  # a window does not count once the condition fails
+    # no gated id in the key: Reg = 0 reads True
+    assert mask_checks(key, 0b000_000) == mask_checks(key, 0b011_011) == (None, True)
+    # a window does not count once the condition fails
+    assert mask_checks(key, 0b000_111) == (None, True)
     # per check (condition holds, form holds, ACM window)
-    assert mask_checks(key, 0b000_100) == {"T3": (True, True, True), "T2B": (True, True, False)}
-    assert mask_checks(key, 0b001_000) == {"T3": (True, True, False), "T2B": (False, True, False)}
-    assert mask_checks(key, 0b010_011) == {"T3": (False, False, False), "T2B": (True, False, False)}
+    assert mask_checks(key, 0b000_100) == ({"T3": (True, True, True),
+                                            "T2B": (True, True, False)}, True)
+    assert mask_checks(key, 0b001_000) == ({"T3": (True, True, False),
+                                            "T2B": (False, True, False)}, True)
+    assert mask_checks(key, 0b010_011) == ({"T3": (False, False, False),
+                                            "T2B": (True, False, False)}, True)
 
 
 def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
@@ -410,7 +420,7 @@ def test_a_window_unbounded_below_raises_from_the_mask(monkeypatch):
 
     t2b = TheoremId.T2B
     monkeypatch.setitem(splitting.CHECKS, t2b, replace(splitting.CHECKS[t2b], family=top))
-    calls = _counting_rows(monkeypatch)
+    calls = _counting_verdicts(monkeypatch)
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
                             theorems=("T2B",))
     summand_facts.cache_clear()  # no mask of the real T2B
@@ -437,9 +447,9 @@ def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
     witnesses = tuple(Witness(1, (-j, 0), j, j + 1) for j in range(6))
 
     # T2B folds: its decoded mask, per check (condition, form, ACM window),
-    # is read as an applicable, inconsistent row
+    # is read as an applicable, inconsistent verdict
     monkeypatch.setattr(harness, "mask_checks",
-                        lambda key, mask: {t: (False, True, False) for t in key})
+                        lambda key, mask: ({t: (False, True, False) for t in key}, True))
     monkeypatch.setattr(splitting, "_witnesses", lambda *args: list(witnesses))
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
                             theorems=("T2B",))
@@ -495,7 +505,7 @@ def test_bundle_budget_is_the_enumerated_count(cfg, max_summands):
 def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
     from mpreg import harness
 
-    real_enumerate, real_rows = harness.enumerate_bundles, harness.verdict_rows
+    real_enumerate, real_verify = harness.enumerate_bundles, harness.verify_bundle
     real_facts, events = harness.summand_facts, []
 
     def logged_enumerate(space, cfg):
@@ -507,15 +517,15 @@ def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
         events.append(("read", key))
         return real_facts(dims, key)
 
-    def logged_rows(bundle, ids):
+    def logged_verify(bundle, ids):
         events.append(("checked", bundle))
-        return real_rows(bundle, ids)
+        return real_verify(bundle, ids)
 
     monkeypatch.setattr(harness, "enumerate_bundles", logged_enumerate)
     monkeypatch.setattr(harness, "summand_facts", logged_facts)
-    monkeypatch.setattr(harness, "verdict_rows", logged_rows)
+    monkeypatch.setattr(harness, "verify_bundle", logged_verify)
     # T1 and T3 fold, read off the summands' masks; C2 does not, so every
-    # bundle also calls verdict_rows
+    # bundle also calls verify_bundle
     cfg = EnumerationConfig(spaces=("P1xP1", "P2"), degree_min=-1, degree_max=1,
                             theorems=("T1", "T3", "C2"))
     assert run_verification(cfg).total_bundles == 54 + 9
@@ -642,14 +652,14 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     windows = run_verification(EnumerationConfig(spaces=("P1xP1xP2",), theorems=("T3", "T2B")))
     assert (regular.total_bundles, windows.total_bundles) == (5150, 8000)
     assert max(regs.values()) == max(ranks.values()) == 1
-    # the summand masks decide the Reg gate: reg runs, in verdict_rows, only
+    # the summand masks decide the Reg gate: reg runs, in verify_bundle, only
     # on the Reg = 0 bundles, and only they go on to need the rank
     applicable = regular.per_theorem["T4"].applicable
     assert 0 < applicable == regular.per_theorem["T0"].applicable < 5150
     assert set(regs) == {b for b in enumerate_bundles(parse_space("P2xP2"), cfg)
                          if real_reg(b) == 0}
     assert sum(regs.values()) == applicable
-    # T3 and T2B fold: only a bundle with a finding reads its rank, for its rows
+    # T3 and T2B fold: only a bundle with a finding reads its rank, for its verdicts
     found = {f["bundle"] for f in windows.findings}
     assert 0 < len(found) < 8000
     assert sum(ranks.values()) == applicable + len(found)
@@ -662,19 +672,19 @@ def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch
     from mpreg.regularity import reg
     from mpreg.splitting import verify_theorem
 
-    real_detect, real_rows = splitting.detect_extremal_summand, harness.verdict_rows
-    detections, rowed = Counter(), []
+    real_detect, real_verify = splitting.detect_extremal_summand, harness.verify_bundle
+    detections, verified = Counter(), []
 
     def counting_detect(bundle, *args, **kwargs):
         detections[bundle] += 1
         return real_detect(bundle, *args, **kwargs)
 
-    def recording_rows(bundle, ids):
-        rowed.append(bundle)
-        return real_rows(bundle, ids)
+    def recording_verify(bundle, ids):
+        verified.append(bundle)
+        return real_verify(bundle, ids)
 
     monkeypatch.setattr(splitting, "detect_extremal_summand", counting_detect)
-    monkeypatch.setattr(harness, "verdict_rows", recording_rows)
+    monkeypatch.setattr(harness, "verify_bundle", recording_verify)
     cfg = EnumerationConfig(spaces=("P2xP2",), cotangent=True, theorems=("T0", "T4"))
     rep = run_verification(cfg)
     monkeypatch.undo()
@@ -682,11 +692,11 @@ def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch
     assert 0 < applicable == rep.per_theorem["T0"].applicable
     assert max(detections.values()) == 1
     assert sum(detections.values()) == applicable
-    # T0 and T4 fail only the Reg gate, decided from the summand masks with no row
+    # T0 and T4 fail only the Reg gate, decided from the summand masks with no verdict pass
     irregular = [b for b in enumerate_bundles(parse_space("P2xP2"), cfg) if reg(b) != 0]
     assert rep.per_theorem["T0"].not_applicable == rep.per_theorem["T4"].not_applicable
     assert rep.per_theorem["T4"].not_applicable == len(irregular) == 5150 - applicable
-    assert len(rowed) == applicable and not set(rowed) & set(irregular)
+    assert len(verified) == applicable and not set(verified) & set(irregular)
     # the reason, with Reg's value in it, is the verdict's
     for bundle in irregular[::97]:
         for tid in ("T0", "T4"):
@@ -1233,7 +1243,7 @@ _CLI_BAD_BUNDLES = st.one_of(
     st.text("OW()0123-,*+@ ", max_size=16),
 )
 _CLI_BAD_RANGES = st.sampled_from(["5..1", "-3000..3000", "1..", "a..b", "0..1,0..1,0..1",
-                                   "-1..1,"])
+                                   "-1..1,", "1_0..1_1", "+1..2"])
 
 
 @st.composite
@@ -1273,6 +1283,14 @@ def _cli_calls(draw):
 @given(_cli_calls())
 def test_cli_returns_a_documented_exit_code_and_stdlib_json(argv):
     _cli_contract(argv)
+
+
+@pytest.mark.parametrize("bounds", ["1_0..1_1", "+1..2"])
+def test_cli_refuses_range_bounds_that_bundle_text_would_not_read(bounds):
+    # int() reads 1_0 as 10 and +1 as 1; a range bound is written -?digits
+    argv = ["cohomology", "--space", "P1xP1", "--bundle", "O(1,1)", f"--twist-range={bounds}",
+            "--format", "json"]
+    assert _cli_contract(argv)[0] == 2
 
 
 def test_cli_contract_holds_for_verify_paper_on_a_tiny_config(tmp_path):

@@ -13,11 +13,12 @@ import mpreg
 
 _MODULES = ("bundles", "cohomology", "regularity", "splitting", "harness", "cli")
 
-# moved to tests/reference.py, or folded into h_bundle (_groups)
+# moved to tests/reference.py, folded into h_bundle (_groups) or into verify_bundle
 _REMOVED = (
     "RestrictionError", "dualize", "dual_atom", "restrict_to_hyperplane", "canonical_twist",
     "h_vector", "euler_characteristic", "euler_characteristic_atom", "_chi_line", "_chi_cot",
     "extended_binomial", "_groups", "extremal_menu", "acm_closed_form_line",
+    "verdict_rows", "row_verdict",
 )
 
 

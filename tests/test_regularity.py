@@ -30,27 +30,34 @@ from mpreg.regularity import (
 from reference import euler_characteristic, h_vector, restrict_to_hyperplane
 
 
+def _box_sum(space, i):
+    """The box vectors with sum -i, as the "paper" definition reads them."""
+    return [k for k in box_offsets(space) if sum(k) == -i]
+
+
 def test_box_offsets_enumeration():
     sp = parse_space("P1xP2")
-    got = sorted(box_offsets(sp, 1))
-    assert got == [(-1, 0), (0, -1)]
-    got2 = sorted(box_offsets(sp, 2))
-    assert got2 == [(-1, -1), (0, -2)]
+    assert sorted(_box_sum(sp, 1)) == [(-1, 0), (0, -1)]
+    assert sorted(_box_sum(sp, 2)) == [(-1, -1), (0, -2)]
     # i = 3 can use the full depth of the second factor
-    assert (-1, -2) in set(box_offsets(sp, 3))
-    assert all(-1 <= a <= 0 and -2 <= b <= 0 for a, b in box_offsets(sp, 3))
+    assert (-1, -2) in set(_box_sum(sp, 3))
+    assert all(-1 <= a <= 0 and -2 <= b <= 0 for a, b in box_offsets(sp))
+    assert len(box_offsets(sp)) == len(set(box_offsets(sp))) == 2 * 3
 
 
 def test_box_offsets_variants_in_lexicographic_order():
     sp = parse_space("P1xP2")
-    assert list(box_offsets(sp, 2)) == [(-1, -1), (0, -2)]
-    assert list(box_offsets(sp, 1, at_least=True)) == [(-1, 0), (0, -1), (0, 0)]
-    assert list(box_offsets(sp, 2, at_least=True, interior=True)) == [(0, -1), (0, 0)]
+    assert box_offsets(sp) == ((-1, -2), (-1, -1), (-1, 0), (0, -2), (0, -1), (0, 0))
+    assert _box_sum(sp, 2) == [(-1, -1), (0, -2)]
+    # at least -i, and then open at the bottom of each factor
+    at_least = [k for k in box_offsets(sp) if sum(k) >= -1]
+    assert at_least == [(-1, 0), (0, -1), (0, 0)]
+    assert [k for k in at_least if k[0] > -1 and k[1] > -2] == [(0, -1), (0, 0)]
 
 
 def test_box_offsets_empty_when_too_deep():
     sp = parse_space("P1xP1")
-    assert list(box_offsets(sp, 3)) == []
+    assert _box_sum(sp, 3) == []
 
 
 def test_strict_offsets_enumeration():

@@ -41,7 +41,11 @@ from mpreg.splitting import (
     TheoremVerdict,
     Witness,
     _acm_family,
+    _boundary_family,
     _corner_summand,
+    _exact_family,
+    _interior_family,
+    _step_family,
     _summand_fails,
     _summand_tags,
     _tag_label,
@@ -57,11 +61,11 @@ from mpreg.splitting import (
     is_acm,
     mask_checks,
     summand_mask,
-    verdict_rows,
     verify_bundle,
     verify_theorem,
 )
-from reference import (acm_closed_form_line, extremal_menu, h_vector, summand_supports,
+from reference import (acm_closed_form_line, extremal_menu, h_vector, offset_family,
+                       summand_supports,
                        summand_window)
 
 
@@ -411,7 +415,7 @@ def test_condition_checker_arity_guard():
 _WRONG_ARITY = {  # every engine door reads the summands' records first
     "h_vector": lambda b: h_vector(b, (0, 0)),  # h_bundle, once per degree
     "reg": reg,
-    "verdict_rows": lambda b: verdict_rows(b, list(TheoremId)),
+    "verify_bundle": lambda b: verify_bundle(b, list(TheoremId)),
     "classify_form": lambda b: classify_form(b, TheoremId.T1),
     "is_acm": is_acm,
     "build_table": lambda b: build_table(b, ((0, 1), (0, 1))),
@@ -603,7 +607,7 @@ def test_fold_matches_bundle_windows_and_h_bundle(bundle):
 def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
     space = bundle.space
     for i in range(1, space.total_dim):
-        for k in box_offsets(space, i, at_least=True):
+        for k in (k for k in box_offsets(space) if sum(k) >= -i):
             windows = [level_windows(summand_supports(space, s), k).get(i)
                        for s in bundle.summands]
             los = [w[0] for w in windows if w is not None]
@@ -627,7 +631,7 @@ def test_acm_fold_matches_witnesses(bundle):
 # T2B findings: the condition holds, the form fails
 @example(parse_bundle("P1xP1xP1", "O(0,1,2)")[1])
 @example(parse_bundle("P1xP1xP2", "O(-1,0,1) + O(0,0,0)")[1])
-def test_decoded_masks_match_the_verdict_rows(bundle):
+def test_decoded_masks_match_the_verdicts(bundle):
     # every tuple of the folding checks that apply on the space, as a sweep's key
     space, records = bundle.space, summand_records(bundle)
     folding = [t for t, spec in CHECKS.items()
@@ -638,18 +642,63 @@ def test_decoded_masks_match_the_verdict_rows(bundle):
             mask = 0
             for f in records:
                 mask |= summand_mask(space, f, key)
-            rows = verdict_rows(bundle, key)
-            decoded = mask_checks(key, mask)
+            verdicts = verify_bundle(bundle, key)
+            decoded, regular = mask_checks(key, mask)
+            assert regular is True, key  # no gated id in the key
             if decoded is None:  # every check agrees
-                assert all(cond == form for _, cond, form, *_ in rows), key
-                assert acm or not any(row[1] for t, row in zip(key, rows)
-                                      if CHECKS[t].acm_crosscheck), key
+                assert all(v.consistent for v in verdicts), key
+                assert acm or not any(v.condition_holds for v in verdicts
+                                      if CHECKS[v.theorem].acm_crosscheck), key
                 continue
-            for t, (reason, cond, form, *_) in zip(key, rows):
+            for t, v in zip(key, verdicts):
                 condition, form_holds, window = decoded[t]
-                assert reason is None and (condition, form_holds) == (cond, form), (key, t)
+                assert v.applicable and (condition, form_holds) == (v.condition_holds,
+                                                                     v.form_holds), (key, t)
                 if condition and CHECKS[t].acm_crosscheck:
                     assert window == (not acm), (key, t)
+
+
+def test_mask_checks_reads_reg_zero_off_the_one_reg_pair():
+    # Reg of a sum is the max over its summands: it is 0 exactly when no
+    # summand has Reg above 0 and some summand has Reg 0
+    space = parse_space("P2xP2")
+    folds = tuple(t for t, spec in CHECKS.items() if spec.spread is not None)
+    key = folds + tuple(t for t, spec in CHECKS.items() if spec.reg_zero)
+    pool = [make_summand(space, atoms) for atoms in itertools.product(
+        [Line(-2), Line(-1), Line(0), Line(1), Cotangent(1, 1), Cotangent(1, 2)], repeat=2)]
+    records = [summand_facts(space.dims, s.key) for s in pool]
+    regs = [reg(make_bundle(space, [s])) for s in pool]
+    assert {(v > 0) - (v < 0) for v in regs} == {-1, 0, 1}
+    low = (1 << 3 * len(folds)) - 1  # the folded slots
+    for f in records:  # at most two bits above the folded slots: the Reg pair
+        assert summand_mask(space, f, key) >> 3 * len(folds) < 4
+        assert summand_mask(space, f, key) & low == summand_mask(space, f, folds)
+    for size in (1, 2):
+        for chosen in itertools.combinations_with_replacement(range(len(pool)), size):
+            mask = folded = 0
+            for j in chosen:
+                mask |= summand_mask(space, records[j], key)
+                folded |= summand_mask(space, records[j], folds)
+            values = [regs[j] for j in chosen]
+            bits, regular = mask_checks(key, mask)
+            assert regular == (not any(v > 0 for v in values) and 0 in values), chosen
+            assert regular == (reg(make_bundle(space, [pool[j] for j in chosen])) == 0)
+            # a key with no gated id decodes the same folded checks, and Reg = 0 as True
+            assert mask_checks(folds, folded) == (bits, True), chosen
+
+
+_FAMILIES = {"paper": _family("paper"), "exact": _exact_family, "step": _step_family,
+             "interior": _interior_family, "boundary": _boundary_family}
+
+
+@pytest.mark.parametrize("text", ["P1xP1", "P2xP3", "P1xP1xP2"])
+def test_offset_families_filter_one_box_in_order(text):
+    space = parse_space(text)
+    for name, family in _FAMILIES.items():
+        if name == "boundary" and space.num_factors != 2:
+            continue
+        for r in range(4):
+            assert offsets(space, family, r) == tuple(offset_family(space, name, r)), (name, r)
 
 
 @given(st.integers(1, 6), st.lists(st.integers(-3, 3), min_size=1, max_size=3),
@@ -757,20 +806,20 @@ def test_a_diagonal_twist_shifts_windows_and_reg_and_keeps_bits_and_masks(drawn)
                                       t if t is None else t + c) == bit
     spread = None if s.degrees is None else max(s.degrees) - min(s.degrees)
     assert f.spread == g.spread == spread
-    key = tuple(t for t, spec in CHECKS.items()
-                if (two or not spec.two_factor) and spec.spread is not None)
-    key += tuple(t for t, spec in CHECKS.items() if (two or not spec.two_factor) and spec.reg_zero)
+    folds = tuple(t for t, spec in CHECKS.items()
+                  if (two or not spec.two_factor) and spec.spread is not None)
+    key = folds + tuple(t for t, spec in CHECKS.items()
+                        if (two or not spec.two_factor) and spec.reg_zero)
     for facts, value in ((g, regs["paper"] - c), (f, regs["paper"])):
         expected = 0
-        for j, theorem in enumerate(key):
+        for j, theorem in enumerate(folds):
             spec = CHECKS[theorem]
-            if spec.reg_zero:
-                bits = (value > 0) | (value == 0) << 1
-            else:
-                failed = fails(spec.family, 0, None)
-                window = spec.acm_crosscheck and not failed and fails(_acm_family, 0, None)
-                bits = failed | (spread is None or spread > spec.spread) << 1 | window << 2
+            failed = fails(spec.family, 0, None)
+            window = spec.acm_crosscheck and not failed and fails(_acm_family, 0, None)
+            bits = failed | (spread is None or spread > spec.spread) << 1 | window << 2
             expected |= bits << 3 * j
+        # one Reg pair after the folded slots, for every gated id of the key
+        expected |= ((value > 0) | (value == 0) << 1) << 3 * len(folds)
         assert summand_mask(space, facts, key) == expected
 
 
@@ -874,13 +923,11 @@ def _reference_row(bundle, tid):
 
 @settings(max_examples=200, deadline=None)
 @given(_row_bundles(), st.lists(st.sampled_from(list(TheoremId)), min_size=1, unique=True))
-def test_rows_match_verdicts_and_the_bundle_level_reference(bundle, ids):
-    rows = verdict_rows(bundle, ids)
+def test_verdicts_match_the_bundle_level_reference(bundle, ids):
     verdicts = verify_bundle(bundle, ids)
-    assert len(rows) == len(verdicts) == len(ids)
-    for tid, row, v in zip(ids, rows, verdicts):
+    assert len(verdicts) == len(ids)
+    for tid, v in zip(ids, verdicts):
         fields = (v.reason, v.condition_holds, v.form_holds, v.detected, v.detector_agrees, v.rank)
-        assert row == fields, tid
         assert (v.theorem, v.applicable) == (tid, v.reason is None), tid
         if v.applicable:
             assert v.consistent == (v.condition_holds == v.form_holds) and v.bundle is bundle, tid
@@ -889,6 +936,12 @@ def test_rows_match_verdicts_and_the_bundle_level_reference(bundle, ids):
         assert fields == _reference_row(bundle, tid), tid
     for tid in TheoremId:
         assert classify_form(bundle, tid) == _reference_form(bundle, tid), tid
+
+
+def _verdict_fields(bundle, ids):
+    """The bundle's verdicts for ids with the bundle field cleared: every
+    other field, which two spellings of one sheaf share."""
+    return [dataclasses.replace(v, bundle=None) for v in verify_bundle(bundle, ids)]
 
 
 @st.composite
@@ -908,7 +961,7 @@ def test_a_sheaf_written_out_of_normal_form_gets_the_verdict_of_its_twin(pair):
     ids = list(TheoremId)
     # one record per sheaf, whatever the spelling
     assert all(a is b for a, b in zip(summand_records(respelled), summand_records(twin)))
-    assert verdict_rows(respelled, ids) == verdict_rows(twin, ids)
+    assert _verdict_fields(respelled, ids) == _verdict_fields(twin, ids)
     for tid in ids:
         assert classify_form(respelled, tid) == classify_form(twin, tid), tid
     if reg(twin) == 0:
@@ -926,7 +979,7 @@ def test_cotangent_written_as_a_line_is_read_as_that_line():
     verdict = verify_theorem(written, TheoremId.T4)
     assert verdict.applicable and verdict.consistent and verdict.detector_agrees is True
     assert [t.label for t in verdict.detected] == ["E01"]
-    assert verdict_rows(written, list(TheoremId)) == verdict_rows(twin, list(TheoremId))
+    assert _verdict_fields(written, list(TheoremId)) == _verdict_fields(twin, list(TheoremId))
 
 
 @settings(max_examples=200, deadline=None)
