@@ -20,6 +20,12 @@ twist c != 0 reads those of its diagonal class, whose first twist is 0.  At
 offset k its windows come from one sweep of S(k - (k_1, ..., k_1)), shifted
 by -k_1, memoized on integers (_untwisted_windows) and shared by every
 summand and family that reaches it.  reg is a max over the records.
+
+Regularity at a balanced twist p is membership in the same windows: a
+required group is nonzero at p exactly when some summand's window at its
+index holds p, and h_bundle runs only to give the dimensions of the groups
+reported (regularity_failures).  A multidegree p probes every required group
+with h_bundle, since the windows are per balanced twist.
 """
 
 from __future__ import annotations
@@ -107,21 +113,42 @@ def _family(definition: str) -> Callable:
 
 
 def _failures(bundle: Bundle, p: Union[int, tuple], definition: str) -> Iterator[tuple]:
-    """Each (i, k, dim) with the required group nonzero at base twist p, lazily."""
-    pv = _twist_vector(bundle.space, (p,) * bundle.space.num_factors if isinstance(p, int) else p)
-    groups = ((i, k, h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i))
-              for i, k, _ in offsets(bundle.space, _family(definition), 0))
-    return (group for group in groups if group[2])
+    """Each (i, k, dim) with the required group nonzero at base twist p, lazily.
+
+    At a balanced twist p the group at a family index is nonzero exactly when
+    some summand's window there holds p: a record with first twist c reads
+    the windows of its diagonal class at p + c, as reg does.  So only those
+    groups reach h_bundle, for their dimensions.  A multidegree p probes
+    every group."""
+    space = bundle.space
+    pv = _twist_vector(space, (p,) * space.num_factors if isinstance(p, int) else p)
+    family = _family(definition)
+    groups = offsets(space, family, 0)
+    if isinstance(p, int):
+        held = set()
+        for f in summand_records(bundle):
+            t = p + f.atoms[0][2]
+            for index, lo, hi in summand_windows(space, diagonal_class(f), family, 0):
+                if (lo is None or lo <= t) and (hi is None or t <= hi):
+                    held.add(index)
+        groups = [groups[index] for index in sorted(held)]
+    probes = ((i, k, h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i))
+              for i, k, _ in groups)
+    return (group for group in probes if group[2])
 
 
 def regularity_failures(
     bundle: Bundle, p: Union[int, tuple], definition: str = "paper"
 ) -> list[tuple[int, tuple[int, ...], int]]:
-    """All (i, k, dim) with the required group nonzero at base twist p."""
+    """All (i, k, dim) with the required group nonzero at base twist p, in
+    family order."""
     return list(_failures(bundle, p, definition))
 
 
 def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper") -> bool:
+    """Whether every required group vanishes at base twist p.  At a balanced
+    twist p: whether no summand's window holds p, with one h_bundle call if
+    some does; a multidegree p probes the groups until one is nonzero."""
     return next(_failures(bundle, p, definition), None) is None
 
 

@@ -177,6 +177,26 @@ def offset_family(space, name, r):
     return [(i, k, True) for i in range(1, top) for k in _box(dims) if keep(i, k)]
 
 
+def regularity_groups(space, definition):
+    """The (i, k) of each group that must vanish for regularity at a base
+    twist p, H^i(E(p + k)), in family order: "paper" is offset_family's
+    paper family; "hw" (two factors) has k = (j, -i - 1 - j) for
+    j = -i, ..., -1, for 1 <= i <= dim X."""
+    if definition == "paper":
+        return [(i, k) for i, k, _ in offset_family(space, "paper", 0)]
+    return [(i, (j, -i - 1 - j)) for i in range(1, space.total_dim + 1) for j in range(-i, 0)]
+
+
+def regularity_probe(bundle, p, definition="paper"):
+    """(i, k, dim) of each required group nonzero at base twist p, an int
+    for (p, ..., p) or a multidegree: one h_bundle probe at every group of
+    regularity_groups, in family order."""
+    pv = (p,) * bundle.space.num_factors if isinstance(p, int) else tuple(p)
+    probes = ((i, k, h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i))
+              for i, k in regularity_groups(bundle.space, definition))
+    return [group for group in probes if group[2]]
+
+
 def extremal_menu(space):
     """The summand of each top corner, a vector 0 <= h_j <= n_j with
     h_j = n_j on some factor: O where h_j = n_j, O(1) where h_j = 0 and

@@ -988,6 +988,30 @@ def test_cli_reg_far_from_the_degrees(space, bundle, expected):
     assert payload["monotone_checked"] is True
 
 
+def test_cli_reg_probes_h_bundle_only_for_the_failures_it_prints(monkeypatch, capsys):
+    # Reg, the monotone step and the failures at Reg - 1 are read from the
+    # windows; h_bundle runs once per printed failure, for its dimension
+    from mpreg import cli, regularity
+
+    calls, h_bundle = [], regularity.h_bundle
+
+    def counting(bundle, tvec, i):
+        calls.append((tuple(tvec), i))
+        return h_bundle(bundle, tvec, i)
+
+    monkeypatch.setattr(regularity, "h_bundle", counting)
+    argv = ["reg", "--space", "P2xP2", "--bundle", "W1(3)*O(-2) + O(5,-7)",
+            "--definition", "hw", "--format", "json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["monotone_checked"] is True
+    assert len(calls) == len(payload["failures"]) == 1
+    _, b = parse_bundle("P2xP2", "W1(3)*O(-2) + O(5,-7)")
+    calls.clear()
+    assert regularity.is_regular_at(b, payload["value"] + 1, "hw")
+    assert calls == []
+
+
 def test_cli_acm():
     res = run_cli("acm", "--space", "P1xP2", "--bundle", "O(0,2)",
                   "--format", "json")
@@ -1242,15 +1266,18 @@ _CLI_BAD_BUNDLES = st.one_of(
     st.sampled_from(["O(1", "O(0,1,2)", "W9(1)*O(0)", "O(10**30)", "O(99999999999999999999,0)"]),
     st.text("OW()0123-,*+@ ", max_size=16),
 )
-_CLI_BAD_RANGES = st.sampled_from(["5..1", "-3000..3000", "1..", "a..b", "0..1,0..1,0..1",
-                                   "-1..1,", "1_0..1_1", "+1..2"])
+# each refused on every space of _CLI_SPACES: five ranges are more than any
+# has factors, and 120001 twists per factor exceed MAX_TABLE_TWISTS
+_CLI_BAD_RANGES = st.sampled_from(["5..1", "-60000..60000", "1..", "a..b",
+                                   "0..1,0..1,0..1,0..1,0..1", "-1..1,", "1_0..1_1", "+1..2"])
 
 
 @st.composite
 def _cli_calls(draw):
-    """Calls of every subcommand with every required option: about a third of
-    them have a malformed space, bundle or twist range, and some an option
-    value argparse refuses."""
+    """(argv, bad range) for calls of every subcommand with every required
+    option: about a third of them have a malformed space, bundle or twist
+    range, and some an option value argparse refuses.  The flag tells whether
+    a malformed twist range was drawn."""
     command = draw(st.sampled_from(["cohomology", "reg", "acm", "check", "classify",
                                     "verify-paper"]))
     argv, bad = [command], draw(st.sampled_from(["", "", "", "space", "bundle", "range"]))
@@ -1272,17 +1299,21 @@ def _cli_calls(draw):
         box = ",".join(f"{lo}..{lo + w}" for lo, w in draw(
             st.lists(st.tuples(st.integers(-5, 3), st.integers(0, 4)), min_size=1, max_size=3)))
         argv.append("--twist-range=" + (draw(_CLI_BAD_RANGES) if bad == "range" else box))
+    bad_range = command == "cohomology" and bad == "range"
     if command == "check":
         argv += ["--theorem", draw(st.sampled_from(["T1", "t2b", "P4B", "C2", "T0", "T9"]))]
     if command == "reg" and draw(st.booleans()):
         argv += ["--definition", draw(st.sampled_from(["paper", "hw", "HW"]))]
-    return argv + ["--format", draw(st.sampled_from(["json", "json", "text", "csv"]))]
+    return argv + ["--format", draw(st.sampled_from(["json", "json", "text", "csv"]))], bad_range
 
 
 @settings(max_examples=300, deadline=None)
 @given(_cli_calls())
-def test_cli_returns_a_documented_exit_code_and_stdlib_json(argv):
-    _cli_contract(argv)
+def test_cli_returns_a_documented_exit_code_and_stdlib_json(call):
+    argv, bad_range = call
+    code, _ = _cli_contract(argv)
+    if bad_range:
+        assert code == 2, argv
 
 
 @pytest.mark.parametrize("bounds", ["1_0..1_1", "+1..2"])

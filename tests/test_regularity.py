@@ -27,7 +27,7 @@ from mpreg.regularity import (
     regularity_failures,
     summand_records,
 )
-from reference import euler_characteristic, h_vector, restrict_to_hyperplane
+from reference import euler_characteristic, h_vector, regularity_probe, restrict_to_hyperplane
 
 
 def _box_sum(space, i):
@@ -175,7 +175,12 @@ def test_hw_implies_paper_on_samples():
 def _walk_reg(bundle, definition="paper", guard=200):
     """Reg by walking one balanced twist at a time from a floor below the
     degrees: down while the next twist is still regular, or up until one is.
-    Only for small degrees."""
+    Each step is the reference point probe, not the windows reg reads.  Only
+    for small degrees."""
+
+    def regular(p):
+        return not regularity_probe(bundle, p, definition)
+
     d = bundle.space.total_dim
     floor = min(
         [0]
@@ -186,12 +191,12 @@ def _walk_reg(bundle, definition="paper", guard=200):
         ]
     )
     p = floor
-    if is_regular_at(bundle, p, definition):
-        while is_regular_at(bundle, p - 1, definition):
+    if regular(p):
+        while regular(p - 1):
             p -= 1
             assert p > floor - guard, "walk-down did not stop"
     else:
-        while not is_regular_at(bundle, p, definition):
+        while not regular(p):
             p += 1
             assert p < floor + guard, "walk-up did not stop"
     return p
@@ -298,3 +303,44 @@ def test_sum_is_regular_at_a_point_exactly_when_every_summand_is(bundle, p, q, d
         alone = [is_regular_at(make_bundle(space, [s]), point, definition)
                  for s in bundle.summands]
         assert is_regular_at(bundle, point, definition) == all(alone), point
+
+
+def _twist():
+    """A twist near 0 or anywhere within 10^6."""
+    return st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def far_bundles(draw, spaces):
+    """One or two summands with lines and cotangents, each atom twisted by
+    the summand's shift plus a twist: so summands sit near or far from their
+    diagonal and from each other."""
+    space = parse_space(draw(st.sampled_from(spaces)))
+    summands = []
+    for _ in range(draw(st.integers(1, 2))):
+        shift, atoms = draw(_twist()), []
+        for n in space.dims:
+            t = shift + draw(_twist())
+            p = draw(st.integers(0, n - 1))
+            atoms.append(Cotangent(p, t) if p else Line(t))
+        summands.append(make_summand(space, atoms))
+    return make_bundle(space, summands)
+
+
+@settings(max_examples=150, deadline=None)
+@given(far_bundles(["P1", "P3", "P1xP1", "P1xP2", "P2xP2", "P2xP3", "P1xP1xP1", "P1xP2xP3"]),
+       st.sampled_from(["paper", "hw"]))
+def test_balanced_twist_reads_the_windows_as_the_point_probe_does(bundle, definition):
+    # at an int p the engine decides from the windows; the reference probes
+    # h_bundle at every group, and the multidegree (p, ..., p) probes too
+    space = bundle.space
+    if definition == "hw" and space.num_factors != 2:
+        definition = "paper"
+    value = reg(bundle, definition)
+    for p in range(value - 3, value + 3):
+        expected = regularity_probe(bundle, p, definition)
+        point = (p,) * space.num_factors
+        assert regularity_failures(bundle, p, definition) == expected, p
+        assert regularity_failures(bundle, point, definition) == expected, p
+        assert is_regular_at(bundle, p, definition) == (not expected) == (p >= value), p
+        assert is_regular_at(bundle, point, definition) == (not expected), p
