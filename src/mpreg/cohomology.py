@@ -12,8 +12,9 @@ those ranges over the summands, each read through one record per sheaf
 window for each level is one interval, and one sweep over the ranges'
 starts gives the windows of every level at an offset (level_windows), in
 O(s^2) for s factors.  A diagonal twist by c shifts every window by -c, so
-regularity.summand_windows sweeps one record per diagonal twist class
-(diagonal_class).  A table over a box of twists (build_table) is, per
+regularity.summand_windows sweeps only one record per diagonal twist class
+(diagonal_class), and a record with first twist c reads its class's windows
+at t + c.  A table over a box of twists (build_table) is, per
 summand, the product of one column per factor: levels add, dims multiply.
 """
 
@@ -143,7 +144,8 @@ class SummandFacts:
     O(t_j), the spread of its line degrees (max - min, None for a cotangent),
     and facts filled on first use with the reader's space: windows per
     (family, r), bits per (family, r, twist), a mask per tuple of check ids,
-    Reg per definition, tags, and the origin whose windows and Reg it shifts."""
+    Reg per definition, tags, and the origin, its diagonal class, whose windows
+    it reads."""
 
     __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags", "origin")
 
@@ -177,14 +179,19 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
     return SummandFacts(tuple(atoms), None if any(key[::3]) else (max(twice) - min(twice)) // 2)
 
 
+def _twisted(facts: SummandFacts, tvec: Iterable[int]) -> SummandFacts:
+    """The record of the summand twisted by O(tvec)."""
+    dims, key = [], []
+    for (n, p, t), d in zip(facts.atoms, tvec):  # a loop: cheaper than nested generators
+        dims.append(n)
+        key += (int(p > 0), 2 * p, 2 * (t + d))
+    return summand_facts(tuple(dims), tuple(key))
+
+
 def diagonal_class(facts: SummandFacts) -> SummandFacts:
     """The record of the summand twisted by minus its first twist, kept as origin."""
     if facts.origin is None and facts.atoms[0][2]:
-        c, dims, key = facts.atoms[0][2], [], []
-        for n, p, t in facts.atoms:  # a loop: cheaper than nested generators
-            dims.append(n)
-            key += (int(p > 0), 2 * p, 2 * (t - c))
-        facts.origin = summand_facts(tuple(dims), tuple(key))
+        facts.origin = _twisted(facts, [-facts.atoms[0][2]] * len(facts.atoms))
     return facts.origin or facts
 
 

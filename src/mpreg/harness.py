@@ -141,7 +141,7 @@ def parse_config_text(text: str) -> EnumerationConfig:
             values["cotangent"] = _BOOL[val.lower()]
         elif key == "cotangent_twists":
             values["cot_twist_min"], values["cot_twist_max"] = parse_range(val)
-        elif key in ("max_summands", "jobs"):
+        elif key == "max_summands":
             try:
                 values[key] = int(val)
             except ValueError as exc:

@@ -13,19 +13,21 @@ irregular balanced twists are the union of the nonvanishing windows of the
 required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
-required).  A summand's record (cohomology.summand_facts) keeps its
-(index, lo, hi) windows per family and its Reg per definition, filled on
-first use.  A diagonal twist by c shifts both by -c, so a record with first
-twist c != 0 reads those of its diagonal class, whose first twist is 0.  At
-offset k its windows come from one sweep of S(k - (k_1, ..., k_1)), shifted
-by -k_1, memoized on integers (_untwisted_windows) and shared by every
-summand and family that reaches it.  reg is a max over the records.
+required).  A summand's record (cohomology.summand_facts) keeps its Reg per
+definition, and a record with first twist 0 its (index, lo, hi) windows per
+family, filled on first use.  A diagonal twist by c shifts both by -c, so a
+record with first twist c reads the windows of its diagonal class at t + c,
+and its Reg is the class's minus c.  At offset k a class's windows come
+from one sweep of S(k - (k_1, ..., k_1)), shifted by -k_1, memoized on
+integers (_untwisted_windows) and shared by every summand and family that
+reaches it.  reg is a max over the records.
 
-Regularity at a balanced twist p is membership in the same windows: a
-required group is nonzero at p exactly when some summand's window at its
-index holds p, and h_bundle runs only to give the dimensions of the groups
-reported (regularity_failures).  A multidegree p probes every required group
-with h_bundle, since the windows are per balanced twist.
+Regularity at p = (p_1, ..., p_s), or at an int p read as (p, ..., p), is
+membership in the same windows: H^i(S(p + k)) is H^i of the summand
+S(p - (p_1, ..., p_1)) at the balanced twist p_1 and offset k, so a required
+group is nonzero at p exactly when some summand's twisted diagonal class
+holds p_1 plus the summand's first twist in its window there.  h_bundle runs
+only to give the dimensions of the groups reported (regularity_failures).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from .bundles import ArityError, Bundle, ModelError, Space
-from .cohomology import (SummandFacts, _support, _twist_vector, diagonal_class, h_bundle,
-                         level_windows, summand_records)
+from .cohomology import (SummandFacts, _support, _twist_vector, _twisted, diagonal_class,
+                         h_bundle, level_windows, summand_records)
 
 DEFINITIONS = ("paper", "hw")
 
@@ -71,28 +73,28 @@ def _untwisted_windows(factors: tuple) -> dict:
 
 def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int) -> tuple:
     """(index, lo, hi) for each index of the family where the summand's
-    window is nonempty, None for an unbounded end.  A record with first twist
-    c != 0 shifts those of its diagonal class by -c; only one with first twist
-    0 sweeps, at offset k one _untwisted_windows of its twist by k - k_1."""
+    window is nonempty, None for an unbounded end, kept in the record: at
+    offset k one _untwisted_windows of its twist by k - k_1, shifted by
+    -k_1.  The engine reads it on diagonal classes only (first twist 0)."""
     records = facts.windows.get((family, r))
     if records is None:
-        c, records = facts.atoms[0][2], []
-        if c:
-            for index, lo, hi in summand_windows(space, diagonal_class(facts), family, r):
-                records.append((index, None if lo is None else lo - c,
-                                None if hi is None else hi - c))
-        else:
-            levels = {}
-            for index, (i, k, _) in enumerate(offsets(space, family, r)):
-                if k not in levels:
-                    levels[k] = _untwisted_windows(tuple(
-                        (n, p, t + kj - k[0]) for (n, p, t), kj in zip(facts.atoms, k)))
-                if i in levels[k]:
-                    lo, hi = levels[k][i]
-                    records.append((index, None if lo is None else lo - k[0],
-                                    None if hi is None else hi - k[0]))
+        levels, records = {}, []
+        for index, (i, k, _) in enumerate(offsets(space, family, r)):
+            if k not in levels:
+                levels[k] = _untwisted_windows(tuple(
+                    (n, p, t + kj - k[0]) for (n, p, t), kj in zip(facts.atoms, k)))
+            if i in levels[k]:
+                lo, hi = levels[k][i]
+                records.append((index, None if lo is None else lo - k[0],
+                                None if hi is None else hi - k[0]))
         records = facts.windows[family, r] = tuple(records)
     return records
+
+
+def _unbounded(space: Space, family: Callable, r: int, index: int, end: str) -> ModelError:
+    """The error for the family's window at index, unbounded at end ("below" or "above")."""
+    i, k, _ = offsets(space, family, r)[index]
+    return ModelError(f"the window of H^{i} at offset {k} is unbounded {end}")
 
 
 def _paper_family(space: Space, r: int):
@@ -112,61 +114,48 @@ def _family(definition: str) -> Callable:
     return _paper_family if definition == "paper" else _hw_family
 
 
-def _failures(bundle: Bundle, p: Union[int, tuple], definition: str) -> Iterator[tuple]:
-    """Each (i, k, dim) with the required group nonzero at base twist p, lazily.
-
-    At a balanced twist p the group at a family index is nonzero exactly when
-    some summand's window there holds p: a record with first twist c reads
-    the windows of its diagonal class at p + c, as reg does.  So only those
-    groups reach h_bundle, for their dimensions.  A multidegree p probes
-    every group."""
+def _nonzero(bundle: Bundle, p: Union[int, tuple], definition: str) -> tuple[tuple, list]:
+    """p as a twist vector, and the (i, k) of each required group nonzero
+    at base twist p, in family order: the indexes where some summand, twisted
+    by q = p - (p_1, ..., p_1), has a diagonal class whose window holds p_1
+    plus the summand's first twist."""
     space = bundle.space
     pv = _twist_vector(space, (p,) * space.num_factors if isinstance(p, int) else p)
     family = _family(definition)
-    groups = offsets(space, family, 0)
-    if isinstance(p, int):
-        held = set()
-        for f in summand_records(bundle):
-            t = p + f.atoms[0][2]
-            for index, lo, hi in summand_windows(space, diagonal_class(f), family, 0):
-                if (lo is None or lo <= t) and (hi is None or t <= hi):
-                    held.add(index)
-        groups = [groups[index] for index in sorted(held)]
-    probes = ((i, k, h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i))
-              for i, k, _ in groups)
-    return (group for group in probes if group[2])
+    groups, q, held = offsets(space, family, 0), [pj - pv[0] for pj in pv], set()
+    for f in summand_records(bundle):
+        t, g = pv[0] + f.atoms[0][2], diagonal_class(f)
+        for index, lo, hi in summand_windows(space, _twisted(g, q) if any(q) else g, family, 0):
+            if (lo is None or lo <= t) and (hi is None or t <= hi):
+                held.add(index)
+    return pv, [groups[index][:2] for index in sorted(held)]
 
 
 def regularity_failures(
     bundle: Bundle, p: Union[int, tuple], definition: str = "paper"
 ) -> list[tuple[int, tuple[int, ...], int]]:
     """All (i, k, dim) with the required group nonzero at base twist p, in
-    family order."""
-    return list(_failures(bundle, p, definition))
+    family order: one h_bundle call per group, for its dimension."""
+    pv, groups = _nonzero(bundle, p, definition)
+    return [(i, k, h_bundle(bundle, tuple(a + b for a, b in zip(pv, k)), i)) for i, k in groups]
 
 
 def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper") -> bool:
-    """Whether every required group vanishes at base twist p.  At a balanced
-    twist p: whether no summand's window holds p, with one h_bundle call if
-    some does; a multidegree p probes the groups until one is nonzero."""
-    return next(_failures(bundle, p, definition), None) is None
+    """Whether every required group vanishes at base twist p: whether no
+    summand's window holds it, with no h_bundle call."""
+    return not _nonzero(bundle, p, definition)[1]
 
 
 def _summand_reg(space: Space, facts: SummandFacts, definition: str) -> int:
-    """Reg of one summand: one past the largest upper end of its windows,
-    or for first twist c not 0, the Reg of its diagonal class minus c."""
+    """Reg of one summand: one past the largest upper end of its diagonal
+    class's windows, minus its first twist."""
     if definition not in facts.regs:
-        c = facts.atoms[0][2]
-        if c:
-            facts.regs[definition] = _summand_reg(space, diagonal_class(facts), definition) - c
-        else:
-            family = _family(definition)
-            windows = summand_windows(space, facts, family, 0)
-            for index, _, hi in windows:
-                if hi is None:
-                    i, k, _ = offsets(space, family, 0)[index]
-                    raise ModelError(f"the window of H^{i} at offset {k} is unbounded above")
-            facts.regs[definition] = 1 + max(hi for _, _, hi in windows)
+        family = _family(definition)
+        windows = summand_windows(space, diagonal_class(facts), family, 0)
+        for index, _, hi in windows:
+            if hi is None:
+                raise _unbounded(space, family, 0, index, "above")
+        facts.regs[definition] = 1 + max(hi for _, _, hi in windows) - facts.atoms[0][2]
     return facts.regs[definition]
 
 

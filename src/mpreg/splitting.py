@@ -42,7 +42,7 @@ from .bundles import (
 )
 from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, diagonal_class,
                          h_bundle, summand_facts, summand_records)
-from .regularity import _summand_reg, box_offsets, offsets, reg, summand_windows
+from .regularity import _summand_reg, _unbounded, box_offsets, offsets, reg, summand_windows
 
 
 class TheoremId(str, Enum):
@@ -83,21 +83,24 @@ class Witness:
 
 def _witnesses(bundle: Bundle, family: Callable, r: int, twist: Optional[int]) -> list[Witness]:
     """One witness per group of the family that some summand makes nonzero:
-    at the twist, or with twist None at the least lo over the summands, with
-    dimension h_bundle there.  Preconditions are not checked."""
-    starts: dict[int, list] = {}
+    at the twist, where a summand's diagonal class holds the twist plus the
+    summand's first twist c, or with twist None at the least lo - c over the
+    summands; dimension h_bundle there.  Preconditions are not checked."""
+    space, starts = bundle.space, {}
     for f in summand_records(bundle):
-        for index, lo, _ in summand_windows(bundle.space, f, family, r):
-            starts.setdefault(index, []).append(lo)
-    groups, found = offsets(bundle.space, family, r), []
+        c = f.atoms[0][2]
+        for index, lo, hi in summand_windows(space, diagonal_class(f), family, r):
+            if twist is None:
+                starts.setdefault(index, []).append(None if lo is None else lo - c)
+            elif (lo is None or lo <= twist + c) and (hi is None or twist + c <= hi):
+                starts[index] = [twist]
+    groups, found = offsets(space, family, r), []
     for index in sorted(starts):
+        if None in starts[index]:
+            raise _unbounded(space, family, r, index, "below")
         i, k, required = groups[index]
-        if twist is None and None in starts[index]:
-            raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
-        t = min(starts[index]) if twist is None else twist
-        dim = h_bundle(bundle, tuple(t + kj for kj in k), i)
-        if dim:
-            found.append(Witness(i, k, t, dim, required))
+        t = min(starts[index])
+        found.append(Witness(i, k, t, h_bundle(bundle, tuple(t + kj for kj in k), i), required))
     return found
 
 
@@ -361,19 +364,19 @@ def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
 def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
                    twist: Optional[int]) -> bool:
     """Does the summand make a required group of the family nonzero, at the
-    twist or, with twist None, at some balanced twist?  With twist None, a
-    window unbounded below raises ModelError."""
+    twist or, with twist None, at some balanced twist?  It reads the windows
+    of its diagonal class, at the twist plus its first twist.  With twist
+    None, a window unbounded below raises ModelError."""
     key = (family, r, twist)
     if key not in facts.bits:
-        windows = summand_windows(space, facts, family, r)
+        windows = summand_windows(space, diagonal_class(facts), family, r)
         groups = offsets(space, family, r)
+        t = None if twist is None else twist + facts.atoms[0][2]
         for index, lo, _ in windows:
-            if twist is None and lo is None:
-                i, k, _ = groups[index]
-                raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
+            if t is None and lo is None:
+                raise _unbounded(space, family, r, index, "below")
         facts.bits[key] = any(
-            groups[index][2] and (twist is None or (lo is None or lo <= twist)
-                                  and (hi is None or twist <= hi))
+            groups[index][2] and (t is None or (lo is None or lo <= t) and (hi is None or t <= hi))
             for index, lo, hi in windows)
     return facts.bits[key]
 

@@ -35,6 +35,7 @@ from mpreg.cohomology import (
     SummandFacts,
     _support,
     build_table,
+    diagonal_class,
     h_bott,
     h_bundle,
     h_line,
@@ -479,19 +480,22 @@ def test_summand_windows_sweep_each_distinct_offset_once(monkeypatch, space_text
 
 
 def test_summand_windows_sweep_each_untwisted_summand_once(monkeypatch):
-    # T3 and T2B over the 125 line summands of degrees -2..2 on P1xP1xP1
+    # T3 and T2B over the diagonal classes of the 125 line summands of
+    # degrees -2..2 on P1xP1xP1, the only records the engine sweeps
     space = parse_space("P1xP1xP1")
     summands = [line_summand(space, d) for d in itertools.product(range(-2, 3), repeat=3)]
     families = [CHECKS[TheoremId.T3].family, CHECKS[TheoremId.T2B].family]
     untwisted = {_untwisted(space, s, k) for s in summands for family in families
                  for _, k, _ in offsets(space, family, 1)}
     calls = _counting_sweeps(monkeypatch)
-    records = {(s, family): summand_windows(space, _record(space, s), family, 1)
-               for s in summands for family in families}
+    classes = {id(g): g for g in (diagonal_class(_record(space, s)) for s in summands)}
+    assert len(classes) == 61 and all(g.atoms[0][2] == 0 for g in classes.values())
+    records = {(id(g), family): summand_windows(space, g, family, 1)
+               for g in classes.values() for family in families}
     assert len(calls) == len(untwisted) < len(summands)
-    for (s, family), record in records.items():
-        assert _record(space, s).windows[family, 1] is record
-        assert record == summand_windows(space, _empty(space, s), family, 1)
+    for (key, family), record in records.items():
+        assert classes[key].windows[family, 1] is record
+        assert record == summand_windows(space, SummandFacts(classes[key].atoms), family, 1)
 
 
 @settings(max_examples=100, deadline=None)

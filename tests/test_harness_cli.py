@@ -44,7 +44,6 @@ def test_parse_config_full():
         cotangent_twists = 0..1
         max_summands = 3
         theorems = T1, T2
-        jobs = 1
         """
     )
     assert cfg.spaces == ("P1xP1", "P2xP3")
@@ -52,7 +51,6 @@ def test_parse_config_full():
     assert cfg.cotangent and (cfg.cot_twist_min, cfg.cot_twist_max) == (0, 1)
     assert cfg.max_summands == 3
     assert cfg.theorems == ("T1", "T2")
-    assert cfg.jobs == 1
 
 
 @pytest.mark.parametrize(
@@ -132,7 +130,7 @@ def test_parse_config_overlong_integer_is_a_config_error():
 
 _CONFIG_LINE = st.tuples(
     st.sampled_from(["spaces", "degrees", "cotangent", "cotangent_twists", "max_summands",
-                     "theorems", "jobs", "bogus"]),
+                     "theorems", "bogus"]),
     st.one_of(_dsl_text, _space_text),
 ).map(lambda kv: f"{kv[0]} = {kv[1]}")
 
@@ -742,15 +740,9 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
     classes = list({id(g): g for g in map(diagonal_class, records)}.values())
     assert len(classes) == 61 and all(f.atoms[0][2] == 0 for f in classes)
     assert summand_facts.cache_info().currsize == len(set(records) | set(classes))
-    # a record with first twist c != 0 gets windows only when the witnesses
-    # of a finding read them, as its class's shifted by -c
-    witnessed = {summand_facts(space.dims, s.key)
-                 for f in rep.findings for s in parse_bundle("P1xP1xP1", f["bundle"])[1].summands}
-    for f in records:
-        c, g = f.atoms[0][2], diagonal_class(f)
-        assert not c or not f.windows or f in witnessed
-        for family_rank, held in f.windows.items():
-            assert held == tuple((j, lo - c, hi - c) for j, lo, hi in g.windows[family_rank])
+    # a record with first twist c != 0 keeps no windows, even where the
+    # witnesses of a finding read them: it reads its class's at t + c
+    assert rep.findings and all(f.windows == {} for f in records if f.atoms[0][2])
     windows = Counter(family for f in classes for family, _ in f.windows)
     assert windows[_exact_family] == windows[_step_family] == 61
     assert 0 < windows[_acm_family] <= 61
@@ -763,6 +755,46 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
     # the verdict keeps the bundle's own rank
     _, b = parse_bundle("P1xP1xP1", "O(0,0,0) + O(1,1,1)")
     assert verify_theorem(b, "T3").rank == 2
+
+
+def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
+    # sweeps, gated verdicts, witnesses, CLI queries and points off the
+    # diagonal all read windows through diagonal classes, whose first twist
+    # is 0: no other record keeps a window entry
+    from mpreg import cli, cohomology, splitting
+    from mpreg.bundles import parse_bundle
+    from mpreg.cohomology import summand_facts
+    from mpreg.regularity import regularity_failures
+
+    seen = []
+
+    def recording(dims, key):
+        seen.append(summand_facts(dims, key))
+        return seen[-1]
+
+    summand_facts.cache_clear()
+    for module in (cohomology, splitting, harness):
+        monkeypatch.setattr(module, "summand_facts", recording)
+    try:
+        windows = run_verification(EnumerationConfig(
+            spaces=("P1xP1xP1", "P1xP1xP2"), degree_min=-1, degree_max=1,
+            theorems=("T3", "T2B", "T4")))
+        regular = run_verification(EnumerationConfig(
+            spaces=("P2xP2",), degree_min=-1, degree_max=1, cotangent=True, cot_twist_min=-1,
+            cot_twist_max=1, theorems=("T0", "T4")))
+        assert windows.findings and regular.total_bundles
+        bundle = "O(3,-2) + W1(5)*O(-4) + O(1)*W1(2)"
+        for argv in (["reg", "--format", "json"], ["acm"], ["check", "--theorem", "T4"],
+                     ["check", "--theorem", "T0"]):
+            assert cli.main([*argv, "--space", "P2xP2", "--bundle", bundle]) in (0, 3, 4)
+        capsys.readouterr()
+        _, b = parse_bundle("P2xP2", bundle)
+        assert regularity_failures(b, (2, -3)) and regularity_failures(b, (-3, 4), "hw")
+        twisted = {id(f): f for f in seen if f.atoms[0][2]}.values()
+        assert len(twisted) > 50 and any(f.windows for f in seen)
+        assert [f.windows for f in twisted if f.windows] == []
+    finally:
+        summand_facts.cache_clear()
 
 
 def test_comparison_requires_two_factors():
@@ -1123,17 +1155,17 @@ def test_cli_verify_paper_empty_or_repeated_ids_exit_2(tmp_path, capsys, argv, c
     assert "check id" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs, code", [(1, 0), (0, 2), (2, 2)], ids=["jobs-1", "jobs-0", "jobs-2"])
-def test_cli_config_jobs_must_be_1(tmp_path, capsys, jobs, code):
-    # configs written with jobs = 1 still load; runs are serial
+@pytest.mark.parametrize("jobs", [1, 0, 2], ids=["jobs-1", "jobs-0", "jobs-2"])
+def test_cli_config_key_jobs_is_unknown(tmp_path, capsys, jobs):
+    # parallel runs and the config key jobs are gone: even jobs = 1 is refused
     from mpreg import cli
 
     path = tmp_path / "run.cfg"
     path.write_text(f"spaces = P1xP1\ndegrees = -1..0\ntheorems = T1\njobs = {jobs}\n")
-    assert cli.main(["verify-paper", "--config", str(path)]) == code
-    err = capsys.readouterr().err
-    assert err == ("" if code == 0 else
-                   f"error: jobs must be 1, got {jobs}: parallel runs were removed\n")
+    assert cli.main(["verify-paper", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 4: unknown key 'jobs'\n")
+    with pytest.raises(ConfigError, match="^line 1: unknown key 'jobs'$"):
+        parse_config_text(f"jobs = {jobs}\nspaces = P1xP1")
 
 
 @pytest.mark.parametrize("argv", [[], ["--theorem", "T1"]], ids=["all-ids", "one-id"])

@@ -329,14 +329,17 @@ def far_bundles(draw, spaces):
 
 @settings(max_examples=150, deadline=None)
 @given(far_bundles(["P1", "P3", "P1xP1", "P1xP2", "P2xP2", "P2xP3", "P1xP1xP1", "P1xP2xP3"]),
-       st.sampled_from(["paper", "hw"]))
-def test_balanced_twist_reads_the_windows_as_the_point_probe_does(bundle, definition):
-    # at an int p the engine decides from the windows; the reference probes
-    # h_bundle at every group, and the multidegree (p, ..., p) probes too
+       st.sampled_from(["paper", "hw"]), st.data())
+def test_balanced_twist_reads_the_windows_as_the_point_probe_does(bundle, definition, data):
+    # at an int p, at (p, ..., p) and at an unbalanced (p + d_1, ..., p + d_s)
+    # the engine decides from the windows; the reference probes h_bundle at
+    # every group
     space = bundle.space
     if definition == "hw" and space.num_factors != 2:
         definition = "paper"
     value = reg(bundle, definition)
+    moves = data.draw(st.lists(st.tuples(*[_twist() for _ in space.dims]), min_size=2,
+                               max_size=2))
     for p in range(value - 3, value + 3):
         expected = regularity_probe(bundle, p, definition)
         point = (p,) * space.num_factors
@@ -344,3 +347,8 @@ def test_balanced_twist_reads_the_windows_as_the_point_probe_does(bundle, defini
         assert regularity_failures(bundle, point, definition) == expected, p
         assert is_regular_at(bundle, p, definition) == (not expected) == (p >= value), p
         assert is_regular_at(bundle, point, definition) == (not expected), p
+        for d in moves:
+            point = tuple(p + dj for dj in d)
+            expected = regularity_probe(bundle, point, definition)
+            assert regularity_failures(bundle, point, definition) == expected, point
+            assert is_regular_at(bundle, point, definition) == (not expected), point

@@ -32,7 +32,8 @@ from mpreg.cohomology import (
     summand_facts,
     summand_records,
 )
-from mpreg.regularity import _family, box_offsets, offsets, reg, summand_windows
+from mpreg.regularity import (_family, box_offsets, is_regular_at, offsets, reg,
+                              regularity_failures, summand_windows)
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
@@ -711,8 +712,9 @@ def test_witness_json_is_asdict_with_list_and_string(i, k, t, dim, required):
 
 def test_splitting_memos_match_unwrapped():
     # windows and bits against the reference's brute force, not a fresh
-    # record: a fresh record whose first twist is not 0 reads the memoized
-    # record of its diagonal class
+    # record: summand_windows sweeps any record it is given, and a record
+    # whose first twist c is not 0 reads its bits off its diagonal class's
+    # windows, at the twist plus c
     for space_text, text in [
         ("P1xP2", "O(0,2) + O(-3)*W1(1)"),
         ("P2xP2", "W1(0)*W1(3) + O(-2,1)"),
@@ -1068,6 +1070,48 @@ def test_reading_witnesses_calls_reg_no_further(monkeypatch):
                 assert witnesses == tuple(condition_for(b, tid)[1])
                 checked += CHECKS[tid].reg_zero
     assert checked
+
+
+def test_h_bundle_runs_once_per_group_reported(monkeypatch):
+    # membership reads the windows alone: is_regular_at asks h_bundle
+    # nothing, and regularity_failures and a verdict's witnesses ask it only
+    # for the dimensions of the groups they return, fixed twists included
+    from mpreg import regularity, splitting
+
+    calls = []
+
+    def counting(bundle, tvec, i):
+        calls.append((tuple(tvec), i))
+        return h_bundle(bundle, tvec, i)
+
+    monkeypatch.setattr(regularity, "h_bundle", counting)
+    monkeypatch.setattr(splitting, "h_bundle", counting)
+    fixed = []
+    for space, text, points in [
+        ("P2xP2", "O(3,-2) + W1(5)*O(-4)", [0, 4, (0, 1), (-3, 2), (5, -1)]),
+        ("P2xP2", "O(1)*W1(2)", [-1, 0, (0, -1)]),
+        ("P1xP1", "O(0,0) + O(0,2)", [-1, 0, (-2, 1)]),
+        ("P1xP1xP2", "O(0,1,2) + O(-1)*O(0)*W1(-2)", [-2, 1, (0, 1, -2), (3, -1, 0)]),
+    ]:
+        _, b = parse_bundle(space, text)
+        for p in points:
+            calls.clear()
+            regular = is_regular_at(b, p)
+            assert calls == []
+            pv = (p,) * b.space.num_factors if isinstance(p, int) else p
+            fails = regularity_failures(b, p)
+            assert calls == [(tuple(a + kj for a, kj in zip(pv, k)), i) for i, k, _ in fails]
+            assert regular == (not fails)
+        for verdict in verify_bundle(b, list(TheoremId)):
+            calls.clear()
+            witnesses = verdict.witnesses
+            assert calls == [(tuple(w.t + kj for kj in w.k), w.i) for w in witnesses]
+            assert all(w.dim > 0 for w in witnesses)
+            if CHECKS[verdict.theorem].twist is not None and verdict.applicable:
+                fixed.append((verdict.theorem, text, [w.t for w in witnesses]))
+    # T0 at -1 with a witness, and without one where a window misses the twist
+    assert (TheoremId.T0, "O(1)*W1(2)", [-1]) in fixed
+    assert (TheoremId.T0, "O(0,0) + O(0,2)", []) in fixed
 
 
 def _field_by_field(**values):
