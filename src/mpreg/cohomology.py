@@ -143,15 +143,15 @@ class SummandFacts:
     """One summand's atoms in normal form, (n_j, p_j, t_j) with p_j = 0 for
     O(t_j), the spread of its line degrees (max - min, None for a cotangent),
     and facts filled on first use with the reader's space: windows per
-    (family, r), bits per (family, r, twist), a mask per tuple of check ids,
+    (family, r) on a diagonal class only, a sweep mask per tuple of check ids,
     Reg per definition, tags, and the origin, its diagonal class, whose windows
-    it reads."""
+    it reads.  No check's bit is kept: splitting._summand_fails reads it."""
 
-    __slots__ = ("atoms", "spread", "windows", "bits", "regs", "tags", "origin")
+    __slots__ = ("atoms", "spread", "windows", "masks", "regs", "tags", "origin")
 
     def __init__(self, atoms: tuple, spread: Optional[int] = None):
         self.atoms, self.spread = atoms, spread
-        self.windows, self.bits, self.regs, self.tags, self.origin = {}, {}, {}, None, None
+        self.windows, self.masks, self.regs, self.tags, self.origin = {}, {}, {}, None, None
 
 
 @lru_cache(maxsize=None)

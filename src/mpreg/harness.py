@@ -98,16 +98,23 @@ class EnumerationConfig:
             raise ConfigError(f"the family holds more than MAX_BUNDLES = {MAX_BUNDLES} bundles")
 
 
+def _integer(text: str) -> int:
+    """The integer in text, written as bundle text writes one (bundles._TOKEN_RE):
+    no sign +, no underscore.  ValueError otherwise, or past int()'s digit limit."""
+    if not re.fullmatch(r"-?\d+", text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_range(value: str) -> tuple[int, int]:
     """An inclusive integer range written lo..hi, as in config files and
-    on the command line.  Each bound, stripped of whitespace, is an integer
-    as bundle text writes it (bundles._TOKEN_RE): no sign +, no underscore."""
+    on the command line, each bound read by _integer."""
     parts = value.split("..")
     if len(parts) != 2:
         raise ConfigError(f"expected a range like -2..2, got {value!r}")
-    try:  # a bound that does not match drops out, and the unpacking fails
-        lo, hi = [int(part) for part in parts if re.fullmatch(r"-?\d+", part.strip())]
-    except ValueError as exc:  # that, or a bound longer than int() reads
+    try:
+        lo, hi = map(_integer, parts)
+    except ValueError as exc:
         raise ConfigError(f"non-integer range bound in {value!r}") from exc
     if lo > hi:
         raise ConfigError(f"empty range {value!r}")
@@ -118,8 +125,9 @@ _BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0":
 
 
 def parse_config_text(text: str) -> EnumerationConfig:
-    """Parse a key = value configuration, one setting per line."""
+    """Parse a key = value configuration, one setting per line, each key once."""
     values: dict = {}
+    given: set = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,6 +136,9 @@ def parse_config_text(text: str) -> EnumerationConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in given:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
+        given.add(key)
         if key == "spaces":
             parts = [p.strip() for p in val.split(",") if p.strip()]
             if not parts:
@@ -143,7 +154,7 @@ def parse_config_text(text: str) -> EnumerationConfig:
             values["cot_twist_min"], values["cot_twist_max"] = parse_range(val)
         elif key == "max_summands":
             try:
-                values[key] = int(val)
+                values[key] = _integer(val)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad integer {val!r}") from exc
         elif key == "theorems":  # case-insensitive, as --theorem
@@ -262,7 +273,7 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
             m = 0  # the OR of the summands' masks
             for s in bundle.summands if key else ():
                 f = summand_facts(dims, s.key)
-                mask = f.bits.get(key)
+                mask = f.masks.get(key)
                 m |= summand_mask(space, f, key) if mask is None else mask
             if m not in decoded:  # what the mask decides, and the checks that get verdicts
                 bits, regular = mask_checks(key, m)  # Reg = 0, or no gated check applies

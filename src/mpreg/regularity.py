@@ -164,13 +164,7 @@ def reg(bundle: Bundle, definition: str = "paper") -> int:
 
     Every required group with i >= 1 vanishes above its window: the window
     is finite for 0 < i < dim X and a downward ray at i = dim X.  Reg is one
-    past the largest upper endpoint, whatever the size of the degrees.
+    past the largest upper endpoint, whatever the size of the degrees: the
+    max over the summands of _summand_reg, which keeps each in its record.
     """
-    value = None
-    for f in summand_records(bundle):  # Reg read inline, filled where missing
-        v = f.regs.get(definition)
-        if v is None:
-            v = _summand_reg(bundle.space, f, definition)
-        if value is None or v > value:
-            value = v
-    return value
+    return max([_summand_reg(bundle.space, f, definition) for f in summand_records(bundle)])

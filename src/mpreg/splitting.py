@@ -5,9 +5,9 @@ Each check id pairs a cohomological condition with a structural form; the
 checks are rows of one table, CHECKS, read by one evaluator.  A summand is
 read only through its record (cohomology.summand_facts, one per sheaf), so
 a bundle gets the verdict of its sheaf however its atoms are written.  The
-condition is an AND of one bit per summand, kept in its record; witnesses,
-built when read, take dimensions from h_bundle.  The forms and the
-detector (the union of the summands' tags) read only the records.
+condition is an AND of one bit per summand, read off its diagonal class's
+windows and kept nowhere; witnesses, built when read, take dimensions from
+h_bundle.  The forms and the detector (the summands' tags) read only the records.
 verify_bundle is one straight-line pass per bundle that computes rank, the
 Reg gate, the records and the detection at most once each and builds one
 TheoremVerdict per check id.  summand_mask packs a summand's bits for the
@@ -364,21 +364,18 @@ def applicability(bundle: Bundle, theorem: TheoremId) -> Optional[str]:
 def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
                    twist: Optional[int]) -> bool:
     """Does the summand make a required group of the family nonzero, at the
-    twist or, with twist None, at some balanced twist?  It reads the windows
-    of its diagonal class, at the twist plus its first twist.  With twist
-    None, a window unbounded below raises ModelError."""
-    key = (family, r, twist)
-    if key not in facts.bits:
-        windows = summand_windows(space, diagonal_class(facts), family, r)
-        groups = offsets(space, family, r)
-        t = None if twist is None else twist + facts.atoms[0][2]
-        for index, lo, _ in windows:
-            if t is None and lo is None:
-                raise _unbounded(space, family, r, index, "below")
-        facts.bits[key] = any(
-            groups[index][2] and (t is None or (lo is None or lo <= t) and (hi is None or t <= hi))
-            for index, lo, hi in windows)
-    return facts.bits[key]
+    twist or, with twist None, at some balanced twist?  A plain read, kept
+    nowhere: the windows of its diagonal class (memoized there), at the
+    twist plus its first twist.  With twist None, a window unbounded below
+    raises ModelError."""
+    windows = summand_windows(space, diagonal_class(facts), family, r)
+    groups = offsets(space, family, r)
+    t = None if twist is None else twist + facts.atoms[0][2]
+    for index, lo, _ in windows:
+        if t is None and lo is None:
+            raise _unbounded(space, family, r, index, "below")
+    return any(groups[index][2] and (t is None or (lo is None or lo <= t)
+                                     and (hi is None or t <= hi)) for index, lo, hi in windows)
 
 
 def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
@@ -391,7 +388,7 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
     the summand's Reg is above 0 and when it is 0.  A diagonal twist moves
     no window's emptiness, so a record whose first twist is not 0 takes the
     folded bits from its diagonal class."""
-    mask = facts.bits.get(key)
+    mask = facts.masks.get(key)
     if mask is None:
         folds = [CHECKS[theorem] for theorem in key if CHECKS[theorem].spread is not None]
         if facts.atoms[0][2]:
@@ -406,7 +403,7 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
         if len(folds) < len(key):
             value = _summand_reg(space, facts, "paper")
             mask |= ((value > 0) | (value == 0) << 1) << 3 * len(folds)
-        facts.bits[key] = mask
+        facts.masks[key] = mask
     return mask
 
 
@@ -535,8 +532,8 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
     a verdict that does not apply.  Rank, the Reg gate, the summands'
     records and the detection are computed at most once each, when a check
     first needs them: a bundle that fails the Reg gate never pays for its
-    rank or records.  The condition is the AND of the records' bits, read
-    inline and filled where missing; the form reads the records too."""
+    rank or records.  The condition is the AND of the summands' bits, read
+    off their classes' windows (_summand_fails); the form reads the records."""
     space, verdicts = bundle.space, []
     r = records = detection = None
     gate = _UNREAD  # the Reg gate's reason, None when Reg is 0
@@ -561,13 +558,9 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
             r = rank(bundle)
         if records is None:
             records = summand_records(bundle)
-        key, cond = (spec.family, r if spec.reads_rank else 0, spec.twist), True
-        for f in records:  # every bit is read: a window unbounded below raises
-            bit = f.bits.get(key)
-            if bit is None:
-                bit = _summand_fails(space, f, *key)
-            if bit:
-                cond = False
+        r_family = r if spec.reads_rank else 0
+        cond = not any([_summand_fails(space, f, spec.family, r_family, spec.twist)
+                        for f in records])  # every bit is read: a window unbounded below raises
         form, detected, agrees = spec.form(records), (), None
         if spec.detector:  # Reg = 0: the gate has just passed
             if detection is None:  # the tags; has the bundle every tagged summand (by record)?

@@ -426,7 +426,7 @@ def test_summand_windows_match_the_per_group_search(case):
                 window = _reference_t_window(space, s, k, i)
                 if window is not None:
                     expected.append((index, *window))
-            assert summand_windows(space, _record(space, s), family, r) == tuple(expected), family
+            assert summand_windows(space, _empty(space, s), family, r) == tuple(expected), family
 
 
 def _record(space, summand):
@@ -506,9 +506,9 @@ def test_diagonal_twist_shifts_every_window(case, c):
     r = summand_rank(space, summand)
     for family in _window_families(space):
         shifted = tuple((index, None if lo is None else lo - c, None if hi is None else hi - c)
-                        for index, lo, hi in summand_windows(space, _record(space, summand),
+                        for index, lo, hi in summand_windows(space, _empty(space, summand),
                                                              family, r))
-        assert summand_windows(space, _record(space, twisted), family, r) == shifted, family
+        assert summand_windows(space, _empty(space, twisted), family, r) == shifted, family
 
 
 # ---------------------------------------------------------------------------

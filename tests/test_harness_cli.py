@@ -65,6 +65,15 @@ def test_parse_config_full():
         # range bounds are written as bundle text writes integers
         ("spaces = P1xP1\ndegrees = +1..2", "non-integer"),
         ("spaces = P1xP1\ncotangent_twists = 1_0..1_1", "non-integer"),
+        # and so is max_summands
+        ("spaces = P1xP1\nmax_summands = 1_0", "line 2: bad integer '1_0'"),
+        ("spaces = P1xP1\nmax_summands = +3", "line 2: bad integer '+3'"),
+        pytest.param("spaces = P1xP1\nmax_summands = " + "9" * 5000, "line 2: bad integer",
+                     id="max_summands-past-the-digit-limit"),
+        # each key at most once: a second line would silently replace the first
+        ("spaces = P1xP1\nspaces = P2xP2", "line 2: key 'spaces' given twice"),
+        ("spaces = P1xP1\ndegrees = 0..1\n# again\ndegrees = -1..1",
+         "line 4: key 'degrees' given twice"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -126,6 +135,8 @@ def test_parse_config_overlong_integer_is_a_config_error():
         parse_config_text("spaces = P" + "9" * 5000)
     with pytest.raises(ConfigError, match="non-integer range bound"):  # past int()'s limit
         parse_config_text("spaces = P1xP1\ndegrees = 0.." + "9" * 5000)
+    with pytest.raises(ConfigError, match="bad integer"):  # read as range bounds are
+        parse_config_text("spaces = P1xP1\nmax_summands = " + "9" * 5000)
 
 
 _CONFIG_LINE = st.tuples(
@@ -352,7 +363,7 @@ def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
     real_mask, fills = splitting.summand_mask, Counter()
 
     def counting_mask(space, facts, key):
-        if key not in facts.bits:
+        if key not in facts.masks:
             fills[id(facts), key] += 1
         return real_mask(space, facts, key)
 
@@ -385,8 +396,8 @@ def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypa
     real_fails, read = splitting._summand_fails, []
 
     def recording_fails(space, facts, family, r, twist):
-        if family is _acm_family:
-            read.append((facts, facts.bits.get((_exact_family, 0, None))))
+        if family is _acm_family:  # the condition bit, read as the mask reads it
+            read.append((facts, real_fails(space, facts, _exact_family, 0, None)))
         return real_fails(space, facts, family, r, twist)
 
     summand_facts.cache_clear()
@@ -397,9 +408,9 @@ def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypa
     records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
     # a record whose first twist is not 0 takes its mask from its diagonal
     # class, and reads no bit of its own
-    assert all(set(f.bits) == {("T3",)} for f in records if f.atoms[0][2])
+    assert all(set(f.masks) == {("T3",)} for f in records if f.atoms[0][2])
     classes = list({id(g): g for g in map(diagonal_class, records)}.values())
-    clear = [f for f in classes if f.bits[_exact_family, 0, None] is False]
+    clear = [f for f in classes if real_fails(space, f, _exact_family, 0, None) is False]
     assert 0 < len(clear) < len(classes)
     assert all(bit is False for _, bit in read)
     assert sorted(map(id, (f for f, _ in read))) == sorted(map(id, clear))
@@ -427,7 +438,7 @@ def test_a_window_unbounded_below_raises_from_the_mask(monkeypatch):
             run_verification(cfg)
         assert calls == []
         [bundle] = enumerate_bundles(parse_space("P1"), cfg)
-        assert summand_facts((1,), bundle.summands[0].key).bits == {}  # nothing stored
+        assert summand_facts((1,), bundle.summands[0].key).masks == {}  # nothing stored
         with pytest.raises(ModelError, match="unbounded below"):
             verify_theorem(bundle, t2b)
         monkeypatch.setattr(splitting, "_acm_family", top)
@@ -748,10 +759,9 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
     assert 0 < windows[_acm_family] <= 61
     assert sum(windows.values()) == sum(len(f.windows) for f in classes)
     assert all(r == 0 for f in classes for _, r in f.windows)
-    mask_key = ("T3", "T2B")  # the run's summand masks, beside the bits (family, r, twist)
-    assert all(f.bits[mask_key] >= 0 for f in records + classes)
-    assert all(key[1] == 0 for f in classes for key in f.bits if key != mask_key)
-    assert all(set(f.bits) == {mask_key} for f in records if f.atoms[0][2])
+    mask_key = ("T3", "T2B")  # the run's summand masks, and nothing else
+    assert all(f.masks[mask_key] >= 0 for f in records + classes)
+    assert all(set(f.masks) == {mask_key} for f in records + classes)
     # the verdict keeps the bundle's own rank
     _, b = parse_bundle("P1xP1xP1", "O(0,0,0) + O(1,1,1)")
     assert verify_theorem(b, "T3").rank == 2
@@ -765,6 +775,7 @@ def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
     from mpreg.bundles import parse_bundle
     from mpreg.cohomology import summand_facts
     from mpreg.regularity import regularity_failures
+    from mpreg.splitting import TheoremId
 
     seen = []
 
@@ -793,6 +804,11 @@ def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
         twisted = {id(f): f for f in seen if f.atoms[0][2]}.values()
         assert len(twisted) > 50 and any(f.windows for f in seen)
         assert [f.windows for f in twisted if f.windows] == []
+        # a record keeps sweep masks only, each under a tuple of check ids:
+        # verdicts, acm and check read their bits off the windows, kept nowhere
+        assert any(f.masks for f in seen)
+        assert [key for f in seen for key in f.masks
+                if not (isinstance(key, tuple) and set(key) <= set(TheoremId))] == []
     finally:
         summand_facts.cache_clear()
 

@@ -387,12 +387,13 @@ def test_witness_refuses_a_window_unbounded_below():
         _witnesses(b, top, rank(b), None)
     [w] = _witnesses(b, bottom, rank(b), None)
     assert (w.t, w.dim) == (0, 1)
-    # the per-summand bit raises as well, and stores nothing
-    (f,) = summand_records(b)
+    # the per-summand bit raises as well, and neither read stores a bit: a
+    # fresh record (its own diagonal class) keeps its windows and no mask
+    (f,) = [SummandFacts(g.atoms) for g in summand_records(b)]
     with pytest.raises(ModelError, match="unbounded below"):
         _summand_fails(b.space, f, top, rank(b), None)
     assert _summand_fails(b.space, f, bottom, rank(b), None) is True
-    assert (top, rank(b), None) not in f.bits and f.bits[bottom, rank(b), None] is True
+    assert f.masks == {}
 
 
 def test_fixed_twist_bit_reads_only_windows_holding_the_twist():
@@ -711,10 +712,11 @@ def test_witness_json_is_asdict_with_list_and_string(i, k, t, dim, required):
 
 
 def test_splitting_memos_match_unwrapped():
-    # windows and bits against the reference's brute force, not a fresh
-    # record: summand_windows sweeps any record it is given, and a record
-    # whose first twist c is not 0 reads its bits off its diagonal class's
-    # windows, at the twist plus c
+    # windows and bits against the reference's brute force: summand_windows
+    # sweeps any record it is given, so a summand whose first twist c is not
+    # 0 is swept through a fresh record (the engine keeps windows on diagonal
+    # classes only), and its bit reads its diagonal class's windows at the
+    # twist plus c
     for space_text, text in [
         ("P1xP2", "O(0,2) + O(-3)*W1(1)"),
         ("P2xP2", "W1(0)*W1(3) + O(-2,1)"),
@@ -736,9 +738,10 @@ def test_splitting_memos_match_unwrapped():
                                  for window in [summand_window(space, s, k, i)]
                                  if window is not None)
                 f = summand_facts(space.dims, s.key)
-                record = summand_windows(space, f, spec.family, r)
+                swept = SummandFacts(f.atoms) if f.atoms[0][2] else f
+                record = summand_windows(space, swept, spec.family, r)
                 assert record == expected, (text, spec, s)
-                assert summand_windows(space, f, spec.family, r) is record
+                assert summand_windows(space, swept, spec.family, r) is record
                 bit = any(family[index][2] and (t is None or (lo is None or lo <= t)
                                                  and (hi is None or t <= hi))
                           for index, lo, hi in expected)
@@ -766,7 +769,8 @@ def _summands_and_diagonal_twists(draw):
 def test_a_diagonal_twist_shifts_windows_and_reg_and_keeps_bits_and_masks(drawn):
     # S(c) has the windows of S shifted by -c, Reg minus c, the bits of S at
     # the twist plus c and the masks of S, its Reg bits read at Reg minus c;
-    # both sides match the brute-force windows of the reference
+    # both sides match the brute-force windows of the reference, swept
+    # through fresh records so that no shared twisted record keeps windows
     space, s, c = drawn
     shifted = twist_summand(space, s, (c,) * space.num_factors)
     f, g = (summand_facts(space.dims, x.key) for x in (s, shifted))
@@ -786,8 +790,8 @@ def test_a_diagonal_twist_shifts_windows_and_reg_and_keeps_bits_and_masks(drawn)
     for family in families:
         for r in range(4):
             expected = reference(family, r)
-            assert summand_windows(space, g, family, r) == moved(expected, c)
-            assert summand_windows(space, f, family, r) == expected
+            assert summand_windows(space, SummandFacts(g.atoms), family, r) == moved(expected, c)
+            assert summand_windows(space, SummandFacts(f.atoms), family, r) == expected
     regs = {d: 1 + max(hi for _, _, hi in reference(_family(d), 0)) for d in definitions}
     for d in definitions:
         assert reg(make_bundle(space, [shifted]), d) == regs[d] - c
