@@ -12,9 +12,9 @@ those ranges over the summands, each read through one record per sheaf
 window for each level is one interval, and one sweep over the ranges'
 starts gives the windows of every level at an offset (level_windows), in
 O(s^2) for s factors.  A diagonal twist by c shifts every window by -c, so
-regularity.summand_windows sweeps only one record per diagonal twist class
-(diagonal_class), and a record with first twist c reads its class's windows
-at t + c.  A table over a box of twists (build_table) is, per
+regularity.summand_windows keeps windows once per diagonal twist class,
+keyed on the atoms with first twist 0, and a summand with first twist c
+reads them at t + c.  A table over a box of twists (build_table) is, per
 summand, the product of one column per factor: levels add, dims multiply.
 """
 
@@ -142,16 +142,16 @@ def _support(n: int, p: int, c: int) -> tuple[tuple[int, Endpoint, Endpoint], ..
 class SummandFacts:
     """One summand's atoms in normal form, (n_j, p_j, t_j) with p_j = 0 for
     O(t_j), the spread of its line degrees (max - min, None for a cotangent),
-    and facts filled on first use with the reader's space: windows per
-    (family, r) on a diagonal class only, a sweep mask per tuple of check ids,
-    Reg per definition, tags, and the origin, its diagonal class, whose windows
-    it reads.  No check's bit is kept: splitting._summand_fails reads it."""
+    and facts filled on first use with the reader's space: a sweep mask per
+    tuple of check ids, Reg per definition and tags.  No window and no
+    check's bit is kept: splitting._summand_fails reads a bit off the
+    windows of the diagonal class (regularity.summand_windows)."""
 
-    __slots__ = ("atoms", "spread", "windows", "masks", "regs", "tags", "origin")
+    __slots__ = ("atoms", "spread", "masks", "regs", "tags")
 
     def __init__(self, atoms: tuple, spread: Optional[int] = None):
         self.atoms, self.spread = atoms, spread
-        self.windows, self.masks, self.regs, self.tags, self.origin = {}, {}, {}, None, None
+        self.masks, self.regs, self.tags = {}, {}, None
 
 
 @lru_cache(maxsize=None)
@@ -179,24 +179,11 @@ def summand_facts(dims: tuple, key: tuple) -> SummandFacts:
     return SummandFacts(tuple(atoms), None if any(key[::3]) else (max(twice) - min(twice)) // 2)
 
 
-def _twisted(facts: SummandFacts, tvec: Iterable[int]) -> SummandFacts:
-    """The record of the summand twisted by O(tvec)."""
-    dims, key = [], []
-    for (n, p, t), d in zip(facts.atoms, tvec):  # a loop: cheaper than nested generators
-        dims.append(n)
-        key += (int(p > 0), 2 * p, 2 * (t + d))
-    return summand_facts(tuple(dims), tuple(key))
-
-
-def diagonal_class(facts: SummandFacts) -> SummandFacts:
-    """The record of the summand twisted by minus its first twist, kept as origin."""
-    if facts.origin is None and facts.atoms[0][2]:
-        facts.origin = _twisted(facts, [-facts.atoms[0][2]] * len(facts.atoms))
-    return facts.origin or facts
-
-
 def summand_records(bundle: Bundle) -> list[SummandFacts]:
-    """The record of each summand of the bundle, in order."""
+    """The record of each summand of the bundle, in order.  Every engine
+    entry point reads records here, so an empty bundle is refused here."""
+    if not bundle.summands:
+        raise ModelError("a bundle needs at least one summand")
     dims, records = bundle.space.dims, []
     for s in bundle.summands:  # a loop: cheaper than a comprehension before Python 3.12
         records.append(summand_facts(dims, s.key))

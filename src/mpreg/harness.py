@@ -251,9 +251,10 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     fold (CheckSpec.spread), each applicable and consistent or, on a
     finding, given its verdict off the mask.  It decides the Reg gate too:
     unless the bundle's Reg is 0, no gated check (CheckSpec.reg_zero)
-    applies.  ``verify_bundle`` gives the other checks' verdicts in id
-    order, the gated ones only at Reg 0.  A bundle's name and finding dicts
-    are made only for a finding."""
+    applies.  A two-factor check applies to no bundle of another space and
+    is counted so in bulk.  ``verify_bundle`` gives the other checks'
+    verdicts in id order, the gated ones only at Reg 0.  A bundle's name
+    and finding dicts are made only for a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
@@ -262,11 +263,12 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
     ids = map(TheoremId.__members__.__getitem__, cfg.theorems)  # each name is its value
     every = [(per_theorem[t], t, CHECKS[t]) for t in ids]
     for space in map(parse_space, cfg.spaces):
-        dims = space.dims
-        on = [(t, spec) for _, t, spec in every if space.num_factors == 2 or not spec.two_factor]
-        # the mask's key: the folded checks that apply on the space, then the gated ones
-        folds = tuple(t for t, spec in on if spec.spread is not None)
-        key = folds + tuple(t for t, spec in on if spec.reg_zero)
+        dims, two = space.dims, space.num_factors == 2
+        # the checks that can apply on the space; any other applies to none of its bundles
+        here = [check for check in every if two or not check[2].two_factor]
+        # the mask's key: the folded checks of here, then the gated ones
+        folds = tuple(t for _, t, spec in here if spec.spread is not None)
+        key = folds + tuple(t for _, t, spec in here if spec.reg_zero)
         decoded, before, found, irregular = {}, total, 0, 0  # mask -> what it decides; bundles
         for bundle in enumerate_bundles(space, cfg):
             total += 1
@@ -277,7 +279,7 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                 m |= summand_mask(space, f, key) if mask is None else mask
             if m not in decoded:  # what the mask decides, and the checks that get verdicts
                 bits, regular = mask_checks(key, m)  # Reg = 0, or no gated check applies
-                checks = [check for check in every if bits and check[1] in bits or
+                checks = [check for check in here if bits and check[1] in bits or
                           check[2].spread is None and (regular or not check[2].reg_zero)]
                 decoded[m] = bits, regular, tuple(t for _, t, spec in checks
                                                   if spec.spread is None), checks
@@ -322,13 +324,13 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                                     for kind in kinds)
         free = total - before - found  # the bundles whose mask agrees
         for st, t, spec in every:
-            if spec.reg_zero:  # not applicable on a bundle whose Reg is not 0
+            if spec.two_factor and not two:  # not in here: it applies to no bundle
+                st.not_applicable += total - before
+            elif spec.reg_zero:  # not applicable on a bundle whose Reg is not 0
                 st.not_applicable += irregular
             elif t in folds:  # consistent on each bundle whose mask agrees
                 st.applicable += free
                 st.consistent += free
-            elif spec.spread is not None:  # a two-factor check applies to no bundle of the space
-                st.not_applicable += total - before
 
     return RunReport(cfg, total, per_theorem, findings, time.monotonic() - start)
 

@@ -13,21 +13,22 @@ irregular balanced twists are the union of the nonvanishing windows of the
 required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
-required).  A summand's record (cohomology.summand_facts) keeps its Reg per
-definition, and a record with first twist 0 its (index, lo, hi) windows per
-family, filled on first use.  A diagonal twist by c shifts both by -c, so a
-record with first twist c reads the windows of its diagonal class at t + c,
-and its Reg is the class's minus c.  At offset k a class's windows come
-from one sweep of S(k - (k_1, ..., k_1)), shifted by -k_1, memoized on
-integers (_untwisted_windows) and shared by every summand and family that
-reaches it.  reg is a max over the records.
+required).  A diagonal twist by c shifts every window by -c, so the
+(index, lo, hi) windows per family are memoized once per diagonal class, on
+the atoms twisted to first twist 0 (_class_windows); a summand with first
+twist c reads them at t + c, and its Reg, kept in its record
+(cohomology.summand_facts), is the class's minus c.  At offset k a class's
+windows come from one sweep of S(k - (k_1, ..., k_1)), shifted by -k_1,
+memoized on integers too (_untwisted_windows) and shared by every summand
+and family that reaches it.  reg is a max over the records.
 
 Regularity at p = (p_1, ..., p_s), or at an int p read as (p, ..., p), is
 membership in the same windows: H^i(S(p + k)) is H^i of the summand
 S(p - (p_1, ..., p_1)) at the balanced twist p_1 and offset k, so a required
-group is nonzero at p exactly when some summand's twisted diagonal class
-holds p_1 plus the summand's first twist in its window there.  h_bundle runs
-only to give the dimensions of the groups reported (regularity_failures).
+group is nonzero at p exactly when the diagonal class of some summand's twist
+by p - (p_1, ..., p_1), made of integers and not a record, holds p_1 plus
+the summand's first twist in its window there.  h_bundle runs only to give
+the dimensions of the groups reported (regularity_failures).
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from .bundles import ArityError, Bundle, ModelError, Space
-from .cohomology import (SummandFacts, _support, _twist_vector, _twisted, diagonal_class,
-                         h_bundle, level_windows, summand_records)
+from .cohomology import (SummandFacts, _support, _twist_vector, h_bundle, level_windows,
+                         summand_records)
 
 DEFINITIONS = ("paper", "hw")
 
@@ -66,29 +67,39 @@ def offsets(space: Space, family: Callable, r: int) -> tuple:
 def _untwisted_windows(factors: tuple) -> dict:
     """level_windows at offset 0 of the summand with factors (n_j, p_j, t_j):
     W^p_j(t_j) on P^n_j, or O(t_j) for p_j = 0.  Keyed on integers, with
-    t_1 = 0 (summand_windows), so summands that differ by an offset or a
+    t_1 = 0 (_class_windows), so summands that differ by an offset or a
     diagonal twist share one sweep."""
     return level_windows(tuple(_support(*f) for f in factors), (0,) * len(factors))
 
 
-def summand_windows(space: Space, facts: SummandFacts, family: Callable, r: int) -> tuple:
-    """(index, lo, hi) for each index of the family where the summand's
-    window is nonempty, None for an unbounded end, kept in the record: at
-    offset k one _untwisted_windows of its twist by k - k_1, shifted by
-    -k_1.  The engine reads it on diagonal classes only (first twist 0)."""
-    records = facts.windows.get((family, r))
-    if records is None:
-        levels, records = {}, []
-        for index, (i, k, _) in enumerate(offsets(space, family, r)):
-            if k not in levels:
-                levels[k] = _untwisted_windows(tuple(
-                    (n, p, t + kj - k[0]) for (n, p, t), kj in zip(facts.atoms, k)))
-            if i in levels[k]:
-                lo, hi = levels[k][i]
-                records.append((index, None if lo is None else lo - k[0],
-                                None if hi is None else hi - k[0]))
-        records = facts.windows[family, r] = tuple(records)
-    return records
+@lru_cache(maxsize=None)
+def _class_windows(space: Space, factors: tuple, family: Callable, r: int) -> tuple:
+    """(index, lo, hi) for each index of the family where the window of the
+    summand with factors (n_j, p_j, t_j), t_1 = 0, is nonempty, None for an
+    unbounded end: at offset k one _untwisted_windows, shifted by -k_1."""
+    levels, windows = {}, []
+    for index, (i, k, _) in enumerate(offsets(space, family, r)):
+        if k not in levels:
+            levels[k] = _untwisted_windows(tuple(
+                (n, p, t + kj - k[0]) for (n, p, t), kj in zip(factors, k)))
+        if i in levels[k]:
+            lo, hi = levels[k][i]
+            windows.append((index, None if lo is None else lo - k[0],
+                            None if hi is None else hi - k[0]))
+    return tuple(windows)
+
+
+def summand_windows(space: Space, atoms: tuple, family: Callable, r: int) -> tuple:
+    """The _class_windows of the diagonal class of the summand with atoms
+    (n_j, p_j, t_j), its twist by -t_1: the summand's own windows, read at
+    t + t_1 with no shifted copy made."""
+    c = atoms[0][2]
+    if c:
+        factors = []
+        for n, p, t in atoms:  # a loop: cheaper than a comprehension before Python 3.12
+            factors.append((n, p, t - c))
+        atoms = tuple(factors)
+    return _class_windows(space, atoms, family, r)
 
 
 def _unbounded(space: Space, family: Callable, r: int, index: int, end: str) -> ModelError:
@@ -124,8 +135,9 @@ def _nonzero(bundle: Bundle, p: Union[int, tuple], definition: str) -> tuple[tup
     family = _family(definition)
     groups, q, held = offsets(space, family, 0), [pj - pv[0] for pj in pv], set()
     for f in summand_records(bundle):
-        t, g = pv[0] + f.atoms[0][2], diagonal_class(f)
-        for index, lo, hi in summand_windows(space, _twisted(g, q) if any(q) else g, family, 0):
+        atoms = tuple([(n, e, t + qj) for (n, e, t), qj in zip(f.atoms, q)]) if any(q) else f.atoms
+        t = pv[0] + f.atoms[0][2]  # q_1 = 0: the first twist stays
+        for index, lo, hi in summand_windows(space, atoms, family, 0):
             if (lo is None or lo <= t) and (hi is None or t <= hi):
                 held.add(index)
     return pv, [groups[index][:2] for index in sorted(held)]
@@ -147,11 +159,11 @@ def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper
 
 
 def _summand_reg(space: Space, facts: SummandFacts, definition: str) -> int:
-    """Reg of one summand: one past the largest upper end of its diagonal
-    class's windows, minus its first twist."""
+    """Reg of one summand, kept in its record: one past the largest upper
+    end of its diagonal class's windows, minus its first twist."""
     if definition not in facts.regs:
         family = _family(definition)
-        windows = summand_windows(space, diagonal_class(facts), family, 0)
+        windows = summand_windows(space, facts.atoms, family, 0)
         for index, _, hi in windows:
             if hi is None:
                 raise _unbounded(space, family, 0, index, "above")

@@ -5,9 +5,10 @@ Each check id pairs a cohomological condition with a structural form; the
 checks are rows of one table, CHECKS, read by one evaluator.  A summand is
 read only through its record (cohomology.summand_facts, one per sheaf), so
 a bundle gets the verdict of its sheaf however its atoms are written.  The
-condition is an AND of one bit per summand, read off its diagonal class's
-windows and kept nowhere; witnesses, built when read, take dimensions from
-h_bundle.  The forms and the detector (the summands' tags) read only the records.
+condition is an AND of one bit per summand, read off the windows of its
+diagonal class (regularity.summand_windows) and kept nowhere; witnesses,
+built when read, take dimensions from h_bundle.  The forms and the detector
+(the summands' tags) read only the records.
 verify_bundle is one straight-line pass per bundle that computes rank, the
 Reg gate, the records and the detection at most once each and builds one
 TheoremVerdict per check id.  summand_mask packs a summand's bits for the
@@ -40,8 +41,8 @@ from .bundles import (
     make_summand,
     rank,
 )
-from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, diagonal_class,
-                         h_bundle, summand_facts, summand_records)
+from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, h_bundle,
+                         summand_facts, summand_records)
 from .regularity import _summand_reg, _unbounded, box_offsets, offsets, reg, summand_windows
 
 
@@ -83,13 +84,14 @@ class Witness:
 
 def _witnesses(bundle: Bundle, family: Callable, r: int, twist: Optional[int]) -> list[Witness]:
     """One witness per group of the family that some summand makes nonzero:
-    at the twist, where a summand's diagonal class holds the twist plus the
-    summand's first twist c, or with twist None at the least lo - c over the
-    summands; dimension h_bundle there.  Preconditions are not checked."""
+    at the twist, where the window of a summand's diagonal class
+    (summand_windows) holds the twist plus the summand's first twist c, or
+    with twist None at the least lo - c over the summands; dimension
+    h_bundle there.  Preconditions are not checked."""
     space, starts = bundle.space, {}
     for f in summand_records(bundle):
         c = f.atoms[0][2]
-        for index, lo, hi in summand_windows(space, diagonal_class(f), family, r):
+        for index, lo, hi in summand_windows(space, f.atoms, family, r):
             if twist is None:
                 starts.setdefault(index, []).append(None if lo is None else lo - c)
             elif (lo is None or lo <= twist + c) and (hi is None or twist + c <= hi):
@@ -365,10 +367,10 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
                    twist: Optional[int]) -> bool:
     """Does the summand make a required group of the family nonzero, at the
     twist or, with twist None, at some balanced twist?  A plain read, kept
-    nowhere: the windows of its diagonal class (memoized there), at the
-    twist plus its first twist.  With twist None, a window unbounded below
-    raises ModelError."""
-    windows = summand_windows(space, diagonal_class(facts), family, r)
+    nowhere: the windows of its diagonal class (summand_windows, memoized on
+    integers), at the twist plus its first twist.  With twist None, a window
+    unbounded below raises ModelError."""
+    windows = summand_windows(space, facts.atoms, family, r)
     groups = offsets(space, family, r)
     t = None if twist is None else twist + facts.atoms[0][2]
     for index, lo, _ in windows:
@@ -385,21 +387,17 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
     gated id.  A folded check's are set when its condition fails
     (_summand_fails), when its form fails (_beyond) and, if the condition
     should force ACM and holds, on an ACM window.  The Reg pair is set when
-    the summand's Reg is above 0 and when it is 0.  A diagonal twist moves
-    no window's emptiness, so a record whose first twist is not 0 takes the
-    folded bits from its diagonal class."""
+    the summand's Reg is above 0 and when it is 0.  Each record fills its
+    own bits, off the windows its diagonal class shares."""
     mask = facts.masks.get(key)
     if mask is None:
         folds = [CHECKS[theorem] for theorem in key if CHECKS[theorem].spread is not None]
-        if facts.atoms[0][2]:
-            mask = summand_mask(space, diagonal_class(facts), key) & (1 << 3 * len(folds)) - 1
-        else:
-            mask = 0
-            for j, spec in enumerate(folds):
-                fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
-                window = spec.acm_crosscheck and not fails and _summand_fails(
-                    space, facts, _acm_family, 0, None)
-                mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << 3 * j
+        mask = 0
+        for j, spec in enumerate(folds):
+            fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
+            window = spec.acm_crosscheck and not fails and _summand_fails(
+                space, facts, _acm_family, 0, None)
+            mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << 3 * j
         if len(folds) < len(key):
             value = _summand_reg(space, facts, "paper")
             mask |= ((value > 0) | (value == 0) << 1) << 3 * len(folds)

@@ -32,10 +32,8 @@ from mpreg.bundles import (
     twist_summand,
 )
 from mpreg.cohomology import (
-    SummandFacts,
     _support,
     build_table,
-    diagonal_class,
     h_bott,
     h_bundle,
     h_line,
@@ -414,29 +412,35 @@ def _window_families(space):
     return families
 
 
+def _atoms(space, summand):
+    """The summand's atoms in normal form, as its record keeps them."""
+    return summand_facts(space.dims, summand.key).atoms
+
+
+def _moved(windows, by):
+    """The (index, lo, hi) windows shifted by -by."""
+    return tuple((index, None if lo is None else lo - by, None if hi is None else hi - by)
+                 for index, lo, hi in windows)
+
+
+def _searched(space, summand, family, r):
+    """The summand's own windows of the family, by the per-group search."""
+    return tuple((index, *window) for index, (i, k, _) in enumerate(offsets(space, family, r))
+                 for window in [_reference_t_window(space, summand, k, i)] if window is not None)
+
+
 @settings(max_examples=50, deadline=None)
 @given(_random_summands(2))
 def test_summand_windows_match_the_per_group_search(case):
+    # summand_windows gives the windows of the diagonal class: the summand's
+    # own, read at t + c for its first twist c
     space, summands, _ = case
     r = rank(make_bundle(space, summands))
     for family in _window_families(space):
         for s in summands:
-            expected = []
-            for index, (i, k, _) in enumerate(offsets(space, family, r)):
-                window = _reference_t_window(space, s, k, i)
-                if window is not None:
-                    expected.append((index, *window))
-            assert summand_windows(space, _empty(space, s), family, r) == tuple(expected), family
-
-
-def _record(space, summand):
-    """The summand's memoized fact record."""
-    return summand_facts(space.dims, summand.key)
-
-
-def _empty(space, summand):
-    """A record of the summand with nothing filled in yet."""
-    return SummandFacts(_record(space, summand).atoms)
+            atoms = _atoms(space, s)
+            expected = _moved(_searched(space, s, family, r), -atoms[0][2])
+            assert summand_windows(space, atoms, family, r) == expected, family
 
 
 def _untwisted(space, summand, k):
@@ -458,6 +462,7 @@ def _counting_sweeps(monkeypatch):
 
     summand_facts.cache_clear()
     regularity._untwisted_windows.cache_clear()
+    regularity._class_windows.cache_clear()
     monkeypatch.setattr(regularity, "level_windows", counting)
     return calls
 
@@ -471,44 +476,53 @@ def test_summand_windows_sweep_each_distinct_offset_once(monkeypatch, space_text
     family, r = CHECKS[TheoremId.T2B].family, rank(bundle)
     assert len(offsets(space, family, r)) == groups
     (summand,) = bundle.summands
-    expected = summand_windows(space, _empty(space, summand), family, r)
+    expected = summand_windows(space, _atoms(space, summand), family, r)
     ks = {k for _, k, _ in offsets(space, family, r)}
     assert len(ks) == distinct
     calls = _counting_sweeps(monkeypatch)
-    assert summand_windows(space, _empty(space, summand), family, r) == expected
+    assert summand_windows(space, _atoms(space, summand), family, r) == expected
     assert len(calls) == len({_untwisted(space, summand, k) for k in ks}) <= distinct
 
 
 def test_summand_windows_sweep_each_untwisted_summand_once(monkeypatch):
-    # T3 and T2B over the diagonal classes of the 125 line summands of
-    # degrees -2..2 on P1xP1xP1, the only records the engine sweeps
+    # T3 and T2B over the 125 line summands of degrees -2..2 on P1xP1xP1:
+    # their 61 diagonal classes O(0, b, c) keep one window entry per family,
+    # keyed on atoms with first twist 0, and each untwisted offset summand is
+    # swept once
     space = parse_space("P1xP1xP1")
     summands = [line_summand(space, d) for d in itertools.product(range(-2, 3), repeat=3)]
     families = [CHECKS[TheoremId.T3].family, CHECKS[TheoremId.T2B].family]
     untwisted = {_untwisted(space, s, k) for s in summands for family in families
                  for _, k, _ in offsets(space, family, 1)}
     calls = _counting_sweeps(monkeypatch)
-    classes = {id(g): g for g in (diagonal_class(_record(space, s)) for s in summands)}
-    assert len(classes) == 61 and all(g.atoms[0][2] == 0 for g in classes.values())
-    records = {(id(g), family): summand_windows(space, g, family, 1)
-               for g in classes.values() for family in families}
+    windows = {(s, family): summand_windows(space, _atoms(space, s), family, 1)
+               for s in summands for family in families}
     assert len(calls) == len(untwisted) < len(summands)
-    for (key, family), record in records.items():
-        assert classes[key].windows[family, 1] is record
-        assert record == summand_windows(space, SummandFacts(classes[key].atoms), family, 1)
+    classes = {tuple((n, p, t - a[0][2]) for n, p, t in a)
+               for a in (_atoms(space, s) for s in summands)}
+    assert len(classes) == 61 and regularity._class_windows.cache_info().currsize == 2 * 61
+    for (s, family), record in windows.items():
+        atoms = _atoms(space, s)
+        factors = tuple((n, p, t - atoms[0][2]) for n, p, t in atoms)
+        assert regularity._class_windows(space, factors, family, 1) is record
+        assert record == regularity._class_windows.__wrapped__(space, factors, family, 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_random_summands(1), st.integers(-4, 4))
 def test_diagonal_twist_shifts_every_window(case, c):
+    # S(c) shares the class windows of S, and the per-group search of S(c)
+    # gives the windows of S shifted by -c
     space, (summand,), _ = case
     twisted = twist_summand(space, summand, (c,) * space.num_factors)
     r = summand_rank(space, summand)
+    first = _atoms(space, summand)[0][2]
     for family in _window_families(space):
-        shifted = tuple((index, None if lo is None else lo - c, None if hi is None else hi - c)
-                        for index, lo, hi in summand_windows(space, _empty(space, summand),
-                                                             family, r))
-        assert summand_windows(space, _empty(space, twisted), family, r) == shifted, family
+        windows = summand_windows(space, _atoms(space, summand), family, r)
+        assert summand_windows(space, _atoms(space, twisted), family, r) is windows, family
+        searched = _searched(space, summand, family, r)
+        assert windows == _moved(searched, -first), family
+        assert _searched(space, twisted, family, r) == _moved(searched, c), family
 
 
 # ---------------------------------------------------------------------------

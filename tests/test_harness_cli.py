@@ -358,7 +358,7 @@ def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
     from collections import Counter
 
     from mpreg import splitting
-    from mpreg.cohomology import diagonal_class, summand_facts
+    from mpreg.cohomology import summand_facts
 
     real_mask, fills = splitting.summand_mask, Counter()
 
@@ -369,28 +369,28 @@ def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
 
     summand_facts.cache_clear()
     monkeypatch.setattr(harness, "summand_mask", counting_mask)
-    monkeypatch.setattr(splitting, "summand_mask", counting_mask)  # a diagonal class's fill too
+    monkeypatch.setattr(splitting, "summand_mask", counting_mask)  # a fill outside the harness too
     # on P1xP1 the mask covers T1, T2B and T3, on P1xP1xP1 T2B and T3; C2 does not fold
     cfg = EnumerationConfig(spaces=("P1xP1", "P1xP1xP1"), degree_min=-1, degree_max=1,
                             max_summands=3, theorems=("T1", "T2B", "C2", "T3"))
     first = run_verification(cfg)
     assert max(fills.values()) == 1
-    # one per summand and one per diagonal class outside the family: the
-    # classes of P1xP1 are O(0, d) for -2 <= d <= 2, two of them outside
-    assert sorted(Counter(key for _, key in fills).values()) == [9 + 2, 27 + 10]
+    # one per summand of the family, and no other record: each record fills
+    # its own bits off the windows its diagonal class shares
+    assert sorted(Counter(key for _, key in fills).values()) == [9, 27]
     for text in cfg.spaces:
         space = parse_space(text)
         records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
         filled = {i for i, key in fills if len(key) == 5 - space.num_factors}
-        assert filled == set(map(id, records)) | {id(diagonal_class(f)) for f in records}
+        assert filled == set(map(id, records))
     second = run_verification(cfg)
-    assert sum(fills.values()) == 11 + 37
+    assert sum(fills.values()) == 9 + 27
     assert replace(second, elapsed_seconds=0) == replace(first, elapsed_seconds=0)
 
 
 def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypatch):
     from mpreg import splitting
-    from mpreg.cohomology import diagonal_class, summand_facts
+    from mpreg.cohomology import summand_facts
     from mpreg.splitting import _acm_family, _exact_family
 
     real_fails, read = splitting._summand_fails, []
@@ -406,12 +406,10 @@ def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypa
     assert run_verification(cfg).findings == []
     space = parse_space("P1xP1xP1")
     records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
-    # a record whose first twist is not 0 takes its mask from its diagonal
-    # class, and reads no bit of its own
-    assert all(set(f.masks) == {("T3",)} for f in records if f.atoms[0][2])
-    classes = list({id(g): g for g in map(diagonal_class, records)}.values())
-    clear = [f for f in classes if real_fails(space, f, _exact_family, 0, None) is False]
-    assert 0 < len(clear) < len(classes)
+    # every record fills its own mask, whatever its first twist
+    assert all(set(f.masks) == {("T3",)} for f in records)
+    clear = [f for f in records if real_fails(space, f, _exact_family, 0, None) is False]
+    assert 0 < len(clear) < len(records)
     assert all(bit is False for _, bit in read)
     assert sorted(map(id, (f for f, _ in read))) == sorted(map(id, clear))
 
@@ -539,10 +537,31 @@ def test_serial_run_streams_one_bundle_at_a_time(monkeypatch):
                             theorems=("T1", "T3", "C2"))
     assert run_verification(cfg).total_bundles == 54 + 9
     bundles = [b for text in cfg.spaces for b in real_enumerate(parse_space(text), cfg)]
-    # bundle n + 1 is pulled only after bundle n has been read and checked
+    # bundle n + 1 is pulled only after bundle n has been read and checked;
+    # C2 applies to no bundle of P2, so those are counted without a check
     assert events == [event for b in bundles
                       for event in [("pulled", b), *(("read", s.key) for s in b.summands),
-                                    ("checked", b)]]
+                                    *[("checked", b)] * (b.space.num_factors == 2)]]
+
+
+def test_two_factor_checks_off_two_factor_spaces_are_counted_without_a_verdict(monkeypatch):
+    from mpreg import harness
+
+    real_verify, calls = harness.verify_bundle, []
+
+    def counting_verify(bundle, ids):
+        calls.append(ids)
+        return real_verify(bundle, ids)
+
+    monkeypatch.setattr(harness, "verify_bundle", counting_verify)
+    cfg = EnumerationConfig(spaces=("P1xP1xP1",), degree_min=-1, degree_max=1,
+                            theorems=("C1", "C2", "T0", "P4", "T3"))
+    rep = run_verification(cfg)
+    assert calls == []
+    assert (rep.total_bundles, rep.findings) == (27 + 27 * 28 // 2, [])
+    off = harness.TheoremStats(not_applicable=405)
+    assert rep.per_theorem == {"C1": off, "C2": off, "T0": off, "P4": off,
+                               "T3": harness.TheoremStats(applicable=405, consistent=405)}
 
 
 def _count_eq(monkeypatch) -> dict:
@@ -731,37 +750,54 @@ def test_run_verification_builds_verdicts_only_for_findings(monkeypatch):
     assert len(built) == len(found)
 
 
-def test_rank_free_families_keep_one_window_entry_per_summand():
-    # T3's, T2B's and the ACM family ignore the rank, so a summand of a
-    # rank-1 and of a rank-2 bundle fills each of their windows once
+def _recording_class_windows(monkeypatch) -> set:
+    """The keys (space, factors, family, r) that regularity._class_windows
+    reads from now on, from an empty memo."""
+    from mpreg import regularity
+
+    real, keys = regularity._class_windows, set()
+
+    def recording(space, factors, family, r):
+        keys.add((space, factors, family, r))
+        return real(space, factors, family, r)
+
+    real.cache_clear()
+    monkeypatch.setattr(regularity, "_class_windows", recording)
+    return keys
+
+
+def test_rank_free_families_keep_one_window_entry_per_summand(monkeypatch):
+    # T3's, T2B's and the ACM family ignore the rank, so the diagonal class
+    # of a summand of a rank-1 and of a rank-2 bundle fills each of their
+    # windows once
     from collections import Counter
 
+    from mpreg import regularity
     from mpreg.bundles import parse_bundle
-    from mpreg.cohomology import diagonal_class, summand_facts
+    from mpreg.cohomology import summand_facts
     from mpreg.splitting import _acm_family, _exact_family, _step_family, verify_theorem
 
     summand_facts.cache_clear()
+    memo, keys = regularity._class_windows, _recording_class_windows(monkeypatch)
     space = parse_space("P1xP1xP1")
     cfg = EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3", "T2B"))
     rep = run_verification(cfg)
     assert rep.total_bundles == 125 + 125 * 126 // 2
     records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
-    # windows are swept only for records whose first twist is 0: the 61
-    # diagonal classes O(0, b, c) of the 125 summands
-    classes = list({id(g): g for g in map(diagonal_class, records)}.values())
-    assert len(classes) == 61 and all(f.atoms[0][2] == 0 for f in classes)
-    assert summand_facts.cache_info().currsize == len(set(records) | set(classes))
-    # a record with first twist c != 0 keeps no windows, even where the
-    # witnesses of a finding read them: it reads its class's at t + c
-    assert rep.findings and all(f.windows == {} for f in records if f.atoms[0][2])
-    windows = Counter(family for f in classes for family, _ in f.windows)
+    # one record per summand, and none for a diagonal class
+    assert summand_facts.cache_info().currsize == len(set(records)) == 125
+    # windows are kept per diagonal class, keyed on the atoms with first
+    # twist 0: the 61 classes O(0, b, c) of the 125 summands, also where
+    # the witnesses of a finding read them
+    assert rep.findings and memo.cache_info().currsize == len(keys)
+    windows = Counter(family for _, _, family, _ in keys)
     assert windows[_exact_family] == windows[_step_family] == 61
     assert 0 < windows[_acm_family] <= 61
-    assert sum(windows.values()) == sum(len(f.windows) for f in classes)
-    assert all(r == 0 for f in classes for _, r in f.windows)
+    assert sum(windows.values()) == len(keys)
+    assert all(r == 0 and factors[0][2] == 0 for _, factors, _, r in keys)
     mask_key = ("T3", "T2B")  # the run's summand masks, and nothing else
-    assert all(f.masks[mask_key] >= 0 for f in records + classes)
-    assert all(set(f.masks) == {mask_key} for f in records + classes)
+    assert all(f.masks[mask_key] >= 0 for f in records)
+    assert all(set(f.masks) == {mask_key} for f in records)
     # the verdict keeps the bundle's own rank
     _, b = parse_bundle("P1xP1xP1", "O(0,0,0) + O(1,1,1)")
     assert verify_theorem(b, "T3").rank == 2
@@ -769,11 +805,11 @@ def test_rank_free_families_keep_one_window_entry_per_summand():
 
 def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
     # sweeps, gated verdicts, witnesses, CLI queries and points off the
-    # diagonal all read windows through diagonal classes, whose first twist
-    # is 0: no other record keeps a window entry
+    # diagonal all read windows through diagonal classes, keyed on atoms
+    # whose first twist is 0: no record keeps a window entry
     from mpreg import cli, cohomology, splitting
     from mpreg.bundles import parse_bundle
-    from mpreg.cohomology import summand_facts
+    from mpreg.cohomology import SummandFacts, summand_facts
     from mpreg.regularity import regularity_failures
     from mpreg.splitting import TheoremId
 
@@ -784,6 +820,7 @@ def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
         return seen[-1]
 
     summand_facts.cache_clear()
+    keys = _recording_class_windows(monkeypatch)
     for module in (cohomology, splitting, harness):
         monkeypatch.setattr(module, "summand_facts", recording)
     try:
@@ -802,8 +839,9 @@ def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
         _, b = parse_bundle("P2xP2", bundle)
         assert regularity_failures(b, (2, -3)) and regularity_failures(b, (-3, 4), "hw")
         twisted = {id(f): f for f in seen if f.atoms[0][2]}.values()
-        assert len(twisted) > 50 and any(f.windows for f in seen)
-        assert [f.windows for f in twisted if f.windows] == []
+        assert SummandFacts.__slots__ == ("atoms", "spread", "masks", "regs", "tags")
+        assert len(twisted) > 50 and len(keys) > 50
+        assert [factors for _, factors, _, _ in keys if factors[0][2]] == []
         # a record keeps sweep masks only, each under a tuple of check ids:
         # verdicts, acm and check read their bits off the windows, kept nowhere
         assert any(f.masks for f in seen)

@@ -30,8 +30,8 @@ def test_benchmark_reset_clears_every_memo():
     spec = importlib.util.spec_from_file_location("perfbench_run", _RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    memos = (regularity.offsets, regularity._untwisted_windows, cohomology.summand_facts,
-             bundles.parse_space)
+    memos = (regularity.offsets, regularity._untwisted_windows, regularity._class_windows,
+             cohomology.summand_facts, bundles.parse_space)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
     _, b0 = parse_bundle("P2xP2", "O(0,0) + O(0,1)")  # Reg 0, so T0 and T4 detect
     before = [splitting.verify_theorem(x, tid) for x in (b, b0) for tid in splitting.TheoremId]
@@ -46,6 +46,7 @@ def test_benchmark_reset_clears_every_memo():
               if name.startswith(("mpreg.cohomology.", "mpreg.regularity.", "mpreg.splitting."))}
     assert engine - references == {"mpreg.regularity.offsets",
                                    "mpreg.regularity._untwisted_windows",
+                                   "mpreg.regularity._class_windows",
                                    "mpreg.cohomology.summand_facts"}
     # nothing is cached on a model object: a summand holds what it was made with
     assert all(set(vars(s)) == {"atoms", "key", "min_dims", "degrees"}

@@ -352,3 +352,47 @@ def test_balanced_twist_reads_the_windows_as_the_point_probe_does(bundle, defini
             expected = regularity_probe(bundle, point, definition)
             assert regularity_failures(bundle, point, definition) == expected, point
             assert is_regular_at(bundle, point, definition) == (not expected), point
+
+
+# ---------------------------------------------------------------------------
+# records: one per distinct summand, none per diagonal class or multidegree
+
+_TWISTED = ("P2xP3", "O(-30,12) + W1(7)*O(20) + O(3,-17)")  # every first twist is not 0
+
+
+def test_a_cold_query_makes_one_record_per_distinct_summand():
+    from mpreg.cohomology import summand_facts
+    from mpreg.splitting import is_acm
+
+    _, b = parse_bundle(*_TWISTED)
+    summand_facts.cache_clear()
+    assert is_acm(b) is False
+    assert summand_facts.cache_info().currsize == 3
+    assert reg(b) == 30
+    assert summand_facts.cache_info().currsize == 3
+
+
+def test_multidegree_queries_add_no_record():
+    from mpreg.cohomology import summand_facts
+
+    _, b = parse_bundle(*_TWISTED)
+    summand_facts.cache_clear()
+    reg(b)
+    assert not is_regular_at(b, (2, -3))
+    assert regularity_failures(b, (-3, 4), "hw")[0] == (2, (-2, -1), 457776)
+    assert is_regular_at(b, (100, 100))
+    assert summand_facts.cache_info().currsize == 3
+
+
+def test_the_definition_comparison_keeps_one_record_per_summand():
+    # criterion 09's family: one record for each of its 325 summands, which
+    # the comparison probes at every point, and none for a multidegree
+    from mpreg.cohomology import summand_facts
+    from mpreg.harness import EnumerationConfig, compare_regularity_definitions, enumerate_bundles
+
+    cfg = EnumerationConfig(spaces=("P1xP1", "P1xP2", "P2xP2", "P2xP3"), cotangent=True)
+    bundles = [b for text in cfg.spaces for b in enumerate_bundles(parse_space(text), cfg)]
+    summand_facts.cache_clear()
+    rep = compare_regularity_definitions(bundles, p_range=(-2, 2))
+    assert rep["checked_bundles"] == len(bundles) and rep["hw_implies_box_violations"] == []
+    assert summand_facts.cache_info().currsize == 325

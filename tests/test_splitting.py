@@ -32,8 +32,8 @@ from mpreg.cohomology import (
     summand_facts,
     summand_records,
 )
-from mpreg.regularity import (_family, box_offsets, is_regular_at, offsets, reg,
-                              regularity_failures, summand_windows)
+from mpreg.regularity import (_class_windows, _family, box_offsets, is_regular_at, offsets,
+                              reg, regularity_failures, summand_windows)
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
@@ -434,6 +434,27 @@ def test_a_summand_of_the_wrong_arity_is_refused(door, atoms):
         _WRONG_ARITY[door](bundle)
 
 
+_EMPTY = {  # every engine door refuses a bundle with no summand
+    "h_bundle": lambda b: h_bundle(b, (0, 0), 0),
+    "build_table": lambda b: build_table(b, ((0, 1), (0, 1))),
+    "reg": reg,
+    "is_regular_at": lambda b: is_regular_at(b, 0),
+    "regularity_failures": lambda b: regularity_failures(b, (1, -1)),
+    "is_acm": is_acm,
+    "acm_witnesses": acm_witnesses,
+    "verify_bundle": lambda b: verify_bundle(b, list(TheoremId)),
+    "classify_form": lambda b: classify_form(b, TheoremId.T1),
+}
+
+
+@pytest.mark.parametrize("door", _EMPTY)
+def test_an_empty_bundle_is_refused(door):
+    # Bundle(...) checks nothing; summand_records refuses it as make_bundle does
+    bundle = Bundle(parse_space("P1xP1"), ())
+    with pytest.raises(ModelError, match="a bundle needs at least one summand"):
+        _EMPTY[door](bundle)
+
+
 def test_condition_for_enforces_rank_preconditions():
     # rank 6 on P2xP3: both rank bounds fail, and the condition must say so
     # instead of evaluating an unbounded window
@@ -713,10 +734,10 @@ def test_witness_json_is_asdict_with_list_and_string(i, k, t, dim, required):
 
 def test_splitting_memos_match_unwrapped():
     # windows and bits against the reference's brute force: summand_windows
-    # sweeps any record it is given, so a summand whose first twist c is not
-    # 0 is swept through a fresh record (the engine keeps windows on diagonal
-    # classes only), and its bit reads its diagonal class's windows at the
-    # twist plus c
+    # gives the memoized windows of the diagonal class, keyed on the atoms
+    # twisted to first twist 0, equal to an unmemoized sweep and to the
+    # summand's own windows shifted by its first twist c; its bit reads them
+    # at the twist plus c
     for space_text, text in [
         ("P1xP2", "O(0,2) + O(-3)*W1(1)"),
         ("P2xP2", "W1(0)*W1(3) + O(-2,1)"),
@@ -724,7 +745,7 @@ def test_splitting_memos_match_unwrapped():
     ]:
         space, b = parse_bundle(space_text, text)
         first_twists = {summand_facts(space.dims, s.key).atoms[0][2] for s in b.summands}
-        assert 0 in first_twists and len(first_twists) == 2  # one summand delegates
+        assert 0 in first_twists and len(first_twists) == 2  # one summand reads at t + c
         for spec in CHECKS.values():
             if spec.two_factor and space.num_factors != 2:
                 continue
@@ -738,10 +759,14 @@ def test_splitting_memos_match_unwrapped():
                                  for window in [summand_window(space, s, k, i)]
                                  if window is not None)
                 f = summand_facts(space.dims, s.key)
-                swept = SummandFacts(f.atoms) if f.atoms[0][2] else f
-                record = summand_windows(space, swept, spec.family, r)
-                assert record == expected, (text, spec, s)
-                assert summand_windows(space, swept, spec.family, r) is record
+                c = f.atoms[0][2]
+                record = summand_windows(space, f.atoms, spec.family, r)
+                assert record == tuple((index, None if lo is None else lo + c,
+                                        None if hi is None else hi + c)
+                                       for index, lo, hi in expected), (text, spec, s)
+                assert summand_windows(space, f.atoms, spec.family, r) is record
+                factors = tuple((n, p, t - c) for n, p, t in f.atoms)
+                assert record == _class_windows.__wrapped__(space, factors, spec.family, r)
                 bit = any(family[index][2] and (t is None or (lo is None or lo <= t)
                                                  and (hi is None or t <= hi))
                           for index, lo, hi in expected)
@@ -767,10 +792,10 @@ def _summands_and_diagonal_twists(draw):
 @example((parse_space("P2xP3"), make_summand(parse_space("P2xP3"),
                                              [Cotangent(1, 2), Cotangent(2, -1)]), -10**6))
 def test_a_diagonal_twist_shifts_windows_and_reg_and_keeps_bits_and_masks(drawn):
-    # S(c) has the windows of S shifted by -c, Reg minus c, the bits of S at
-    # the twist plus c and the masks of S, its Reg bits read at Reg minus c;
-    # both sides match the brute-force windows of the reference, swept
-    # through fresh records so that no shared twisted record keeps windows
+    # S(c) reads the class windows of S, which are those of S shifted by its
+    # first twist, and has Reg minus c, the bits of S at the twist plus c and
+    # the masks of S, its Reg bits read at Reg minus c; the windows match the
+    # brute-force windows of the reference
     space, s, c = drawn
     shifted = twist_summand(space, s, (c,) * space.num_factors)
     f, g = (summand_facts(space.dims, x.key) for x in (s, shifted))
@@ -789,9 +814,9 @@ def test_a_diagonal_twist_shifts_windows_and_reg_and_keeps_bits_and_masks(drawn)
 
     for family in families:
         for r in range(4):
-            expected = reference(family, r)
-            assert summand_windows(space, SummandFacts(g.atoms), family, r) == moved(expected, c)
-            assert summand_windows(space, SummandFacts(f.atoms), family, r) == expected
+            windows = summand_windows(space, f.atoms, family, r)
+            assert summand_windows(space, g.atoms, family, r) is windows
+            assert windows == moved(reference(family, r), -f.atoms[0][2])
     regs = {d: 1 + max(hi for _, _, hi in reference(_family(d), 0)) for d in definitions}
     for d in definitions:
         assert reg(make_bundle(space, [shifted]), d) == regs[d] - c
