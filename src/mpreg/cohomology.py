@@ -10,12 +10,14 @@ once, as ranges of the twist (_support); point values and windows fold
 those ranges over the summands, each read through one record per sheaf
 (summand_facts, atoms in normal form).  In a balanced twist a summand's
 window for each level is one interval, and one sweep over the ranges'
-starts gives the windows of every level at an offset (level_windows), in
-O(s^2) for s factors.  A diagonal twist by c shifts every window by -c, so
-regularity.summand_windows keeps windows once per diagonal twist class,
-keyed on the atoms with first twist 0, and a summand with first twist c
-reads them at t + c.  A table over a box of twists (build_table) is, per
-summand, the product of one column per factor: levels add, dims multiply.
+starts gives the windows of every level (level_windows; those at an offset
+k are the windows of the summand twisted by k), in O(s^2) for s factors.
+A diagonal twist by c shifts every window by -c, so windows are kept once
+per diagonal twist class: each record carries its class, the atoms with
+first twist 0 (SummandFacts.diagonal), and regularity.holding reads the
+class's windows at t + c for a summand with first twist c.  A table over a
+box of twists (build_table) is, per summand, the product of one column per
+factor: levels add, dims multiply.
 """
 
 from __future__ import annotations
@@ -141,16 +143,19 @@ def _support(n: int, p: int, c: int) -> tuple[tuple[int, Endpoint, Endpoint], ..
 
 class SummandFacts:
     """One summand's atoms in normal form, (n_j, p_j, t_j) with p_j = 0 for
-    O(t_j), the spread of its line degrees (max - min, None for a cotangent),
-    and facts filled on first use with the reader's space: a sweep mask per
-    tuple of check ids, Reg per definition and tags.  No window and no
-    check's bit is kept: splitting._summand_fails reads a bit off the
-    windows of the diagonal class (regularity.summand_windows)."""
+    O(t_j), its diagonal class (the atoms with the first twist t_1
+    subtracted from every twist, the atoms themselves when t_1 = 0), the
+    spread of its line degrees (max - min, None for a cotangent), and facts
+    filled on first use with the reader's space: a sweep mask per tuple of
+    check ids, Reg per definition and tags.  No window and no check's bit is
+    kept: regularity.holding reads them off the windows of the class."""
 
-    __slots__ = ("atoms", "spread", "masks", "regs", "tags")
+    __slots__ = ("atoms", "diagonal", "spread", "masks", "regs", "tags")
 
     def __init__(self, atoms: tuple, spread: Optional[int] = None):
+        c = atoms[0][2]
         self.atoms, self.spread = atoms, spread
+        self.diagonal = tuple([(n, p, t - c) for n, p, t in atoms]) if c else atoms
         self.masks, self.regs, self.tags = {}, {}, None
 
 
@@ -231,9 +236,9 @@ def h_bundle(bundle: Bundle, tvec: Iterable[int], i: int) -> int:
 # nonvanishing windows in a balanced twist parameter
 
 
-def level_windows(supports: tuple, k: tuple[int, ...]) -> dict[int, tuple[Endpoint, Endpoint]]:
-    """{i: (lo, hi)} for every level i where some t makes h^i(summand
-    twisted by (t+k_1, ..., t+k_s)) nonzero, from the summand's supports;
+def level_windows(supports: tuple) -> dict[int, tuple[Endpoint, Endpoint]]:
+    """{i: (lo, hi)} for every level i where some balanced t makes h^i of
+    the summand twisted by (t, ..., t) nonzero, from the summand's supports;
     None for an unbounded end.
 
     Each atom's nonzero level can only fall as t grows (n -> 0 for O(a),
@@ -243,26 +248,24 @@ def level_windows(supports: tuple, k: tuple[int, ...]) -> dict[int, tuple[Endpoi
     interval, the intersection of one range per factor, and it starts at
     the largest lo among them, or at -infinity when none has a finite lo.
     The sweep visits those starts: -infinity, where each factor sits in its
-    last range, and each finite lo shifted by -k_j.  A factor's ranges are
-    disjoint, so at each start it sits in at most one of them; that fixes
-    the level and the window's upper end, and every window is found.
-    O(s^2) for s factors.
+    last range, and each finite lo.  A factor's ranges are disjoint, so at
+    each start it sits in at most one of them; that fixes the level and the
+    window's upper end, and every window is found.  O(s^2) for s factors.
     """
     windows = {sum(ranges[-1][0] for ranges in supports):
-               (None, min(ranges[-1][2] - kj for ranges, kj in zip(supports, k)))}
-    starts = {lo - kj for ranges, kj in zip(supports, k) for _, lo, _ in ranges if lo is not None}
+               (None, min(ranges[-1][2] for ranges in supports))}
+    starts = {lo for ranges in supports for _, lo, _ in ranges if lo is not None}
     for t in starts:
         i, hi = 0, None
-        for ranges, kj in zip(supports, k):
-            u = t + kj
-            for level, rlo, rhi in ranges:  # top down: the one range that can hold u
-                if rlo is None or rlo <= u:
+        for ranges in supports:
+            for level, rlo, rhi in ranges:  # top down: the one range that can hold t
+                if rlo is None or rlo <= t:
                     break
             if rhi is not None:
-                if rhi < u:
+                if rhi < t:
                     break
-                if hi is None or rhi - kj < hi:
-                    hi = rhi - kj
+                if hi is None or rhi < hi:
+                    hi = rhi
             i += level
         else:
             windows[i] = (t, hi)
@@ -282,8 +285,9 @@ def nonvanishing_t_window(
     k = _twist_vector(space, k)
     if not 0 <= i <= space.total_dim:
         return ()
-    windows = (level_windows(tuple(_support(*a) for a in f.atoms), k).get(i)
-               for f in summand_records(bundle))
+    # S at offset k is S(k) at offset 0: each atom's support moved by k_j
+    windows = (level_windows(tuple(_support(n, p, t + kj) for (n, p, t), kj in zip(f.atoms, k)))
+               .get(i) for f in summand_records(bundle))
     merged: list[tuple[Endpoint, Endpoint]] = []
     for lo, hi in sorted(filter(None, windows), key=lambda w: (w[0] is not None, w[0])):
         if merged:

@@ -26,7 +26,6 @@ from .bundles import (
     format_space,
     make_summand,
     parse_space,
-    rank,
 )
 from .cohomology import summand_facts
 from .regularity import is_regular_at
@@ -287,12 +286,11 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
             irregular += not regular
             if bits is not None:  # a finding: the folded checks' verdicts off the mask
                 found += 1
-                r = rank(bundle)
                 others = iter(verify_bundle(bundle, rest_ids) if rest_ids else ())
                 verdicts = [TheoremVerdict(t, True, condition_holds=bits[t][0],
                                            form_holds=bits[t][1],
                                            consistent=bits[t][0] == bits[t][1],
-                                           bundle=bundle, rank=r) if t in bits else next(others)
+                                           bundle=bundle) if t in bits else next(others)
                             for _, t, _ in checks]
             elif rest_ids:
                 verdicts = verify_bundle(bundle, rest_ids)

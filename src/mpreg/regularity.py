@@ -14,13 +14,16 @@ required groups, and Reg is one past the largest point of that union.
 
 Each definition, like each splitting check, is an offset family (i, k,
 required).  A diagonal twist by c shifts every window by -c, so the
-(index, lo, hi) windows per family are memoized once per diagonal class, on
-the atoms twisted to first twist 0 (_class_windows); a summand with first
-twist c reads them at t + c, and its Reg, kept in its record
-(cohomology.summand_facts), is the class's minus c.  At offset k a class's
-windows come from one sweep of S(k - (k_1, ..., k_1)), shifted by -k_1,
-memoized on integers too (_untwisted_windows) and shared by every summand
-and family that reaches it.  reg is a max over the records.
+(index, lo, hi) windows per family are memoized once per diagonal class,
+keyed on the class a record carries (SummandFacts.diagonal, the atoms
+twisted to first twist 0; _class_windows).  At offset k a class's windows
+come from one sweep of S(k - (k_1, ..., k_1)), shifted by -k_1, memoized on
+integers too (_untwisted_windows) and shared by every summand and family
+that reaches it.  One reader, holding, answers every window question of a
+record at a balanced twist t, reading its class at t + c for a summand with
+first twist c: which windows hold t, or where each starts; the splitting
+checks ask it too.  A summand's Reg, kept in its record, is its class's
+minus c, and reg is a max over the records.
 
 Regularity at p = (p_1, ..., p_s), or at an int p read as (p, ..., p), is
 membership in the same windows: H^i(S(p + k)) is H^i of the summand
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .bundles import ArityError, Bundle, ModelError, Space
 from .cohomology import (SummandFacts, _support, _twist_vector, h_bundle, level_windows,
@@ -69,7 +72,7 @@ def _untwisted_windows(factors: tuple) -> dict:
     W^p_j(t_j) on P^n_j, or O(t_j) for p_j = 0.  Keyed on integers, with
     t_1 = 0 (_class_windows), so summands that differ by an offset or a
     diagonal twist share one sweep."""
-    return level_windows(tuple(_support(*f) for f in factors), (0,) * len(factors))
+    return level_windows(tuple(_support(*f) for f in factors))
 
 
 @lru_cache(maxsize=None)
@@ -89,23 +92,28 @@ def _class_windows(space: Space, factors: tuple, family: Callable, r: int) -> tu
     return tuple(windows)
 
 
-def summand_windows(space: Space, atoms: tuple, family: Callable, r: int) -> tuple:
-    """The _class_windows of the diagonal class of the summand with atoms
-    (n_j, p_j, t_j), its twist by -t_1: the summand's own windows, read at
-    t + t_1 with no shifted copy made."""
-    c = atoms[0][2]
-    if c:
-        factors = []
-        for n, p, t in atoms:  # a loop: cheaper than a comprehension before Python 3.12
-            factors.append((n, p, t - c))
-        atoms = tuple(factors)
-    return _class_windows(space, atoms, family, r)
-
-
-def _unbounded(space: Space, family: Callable, r: int, index: int, end: str) -> ModelError:
-    """The error for the family's window at index, unbounded at end ("below" or "above")."""
-    i, k, _ = offsets(space, family, r)[index]
-    return ModelError(f"the window of H^{i} at offset {k} is unbounded {end}")
+def holding(space: Space, facts: SummandFacts, family: Callable, r: int,
+            t: Optional[int], q: Optional[list] = None) -> list:
+    """The (index, twist) of each window of the family that the summand's
+    diagonal class (facts.diagonal, or its twist by q, q_1 = 0) has, read
+    at t plus the summand's first twist c: those that hold the balanced
+    twist t, each at t, or with t None every window at its least twist
+    lo - c.  A window unbounded below has no least twist: ModelError."""
+    c, diagonal = facts.atoms[0][2], facts.diagonal
+    if q is not None:
+        diagonal = tuple([(n, p, d + qj) for (n, p, d), qj in zip(diagonal, q)])
+    windows = _class_windows(space, diagonal, family, r)
+    if t is None:
+        least = []
+        for index, lo, _ in windows:
+            if lo is None:
+                i, k, _ = offsets(space, family, r)[index]
+                raise ModelError(f"the window of H^{i} at offset {k} is unbounded below")
+            least.append((index, lo - c))
+        return least
+    u = t + c
+    return [(index, t) for index, lo, hi in windows
+            if (lo is None or lo <= u) and (hi is None or u <= hi)]
 
 
 def _paper_family(space: Space, r: int):
@@ -127,19 +135,15 @@ def _family(definition: str) -> Callable:
 
 def _nonzero(bundle: Bundle, p: Union[int, tuple], definition: str) -> tuple[tuple, list]:
     """p as a twist vector, and the (i, k) of each required group nonzero
-    at base twist p, in family order: the indexes where some summand, twisted
-    by q = p - (p_1, ..., p_1), has a diagonal class whose window holds p_1
-    plus the summand's first twist."""
+    at base twist p, in family order: the indexes where the diagonal class
+    of some summand twisted by q = p - (p_1, ..., p_1) holds p_1 (holding)."""
     space = bundle.space
     pv = _twist_vector(space, (p,) * space.num_factors if isinstance(p, int) else p)
     family = _family(definition)
     groups, q, held = offsets(space, family, 0), [pj - pv[0] for pj in pv], set()
     for f in summand_records(bundle):
-        atoms = tuple([(n, e, t + qj) for (n, e, t), qj in zip(f.atoms, q)]) if any(q) else f.atoms
-        t = pv[0] + f.atoms[0][2]  # q_1 = 0: the first twist stays
-        for index, lo, hi in summand_windows(space, atoms, family, 0):
-            if (lo is None or lo <= t) and (hi is None or t <= hi):
-                held.add(index)
+        for index, _ in holding(space, f, family, 0, pv[0], q if any(q) else None):
+            held.add(index)
     return pv, [groups[index][:2] for index in sorted(held)]
 
 
@@ -160,13 +164,12 @@ def is_regular_at(bundle: Bundle, p: Union[int, tuple], definition: str = "paper
 
 def _summand_reg(space: Space, facts: SummandFacts, definition: str) -> int:
     """Reg of one summand, kept in its record: one past the largest upper
-    end of its diagonal class's windows, minus its first twist."""
+    end of its diagonal class's windows, minus its first twist.  Every
+    window has an upper end: every family has i >= 1, so at each of its
+    groups some factor sits at a level above 0, whose range is bounded above
+    (only level 0 holds at every large twist)."""
     if definition not in facts.regs:
-        family = _family(definition)
-        windows = summand_windows(space, facts.atoms, family, 0)
-        for index, _, hi in windows:
-            if hi is None:
-                raise _unbounded(space, family, 0, index, "above")
+        windows = _class_windows(space, facts.diagonal, _family(definition), 0)
         facts.regs[definition] = 1 + max(hi for _, _, hi in windows) - facts.atoms[0][2]
     return facts.regs[definition]
 

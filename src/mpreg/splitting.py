@@ -5,17 +5,18 @@ Each check id pairs a cohomological condition with a structural form; the
 checks are rows of one table, CHECKS, read by one evaluator.  A summand is
 read only through its record (cohomology.summand_facts, one per sheaf), so
 a bundle gets the verdict of its sheaf however its atoms are written.  The
-condition is an AND of one bit per summand, read off the windows of its
-diagonal class (regularity.summand_windows) and kept nowhere; witnesses,
-built when read, take dimensions from h_bundle.  The forms and the detector
+condition is an AND of one bit per summand and the witnesses are built when
+read, both from the windows that regularity.holding says the summand's
+diagonal class has at the twist, or at some twist; no bit is kept, and the
+witnesses take dimensions from h_bundle.  The forms and the detector
 (the summands' tags) read only the records.
-verify_bundle is one straight-line pass per bundle that computes rank, the
-Reg gate, the records and the detection at most once each and builds one
-TheoremVerdict per check id.  summand_mask packs a summand's bits for the
-checks that fold (CheckSpec.spread) and one pair for the Reg gate into one
-int in its record, so the enumeration harness decides those from the OR of
-a bundle's masks alone; mask_checks decodes it, and only these two know
-the layout.  applicability and condition_for read the verdict of
+verify_bundle is one straight-line pass per bundle that reads the records
+and the rank first, computes the Reg gate and the detection at most once
+each and builds one TheoremVerdict per check id.  summand_mask packs a
+summand's bits for the checks that fold (CheckSpec.spread) and one pair for
+the Reg gate into one int in its record, so the enumeration harness decides
+those from the OR of a bundle's masks alone; mask_checks decodes it, and
+only these two know the layout.  applicability and condition_for read the verdict of
 verify_theorem.
 """
 
@@ -43,7 +44,7 @@ from .bundles import (
 )
 from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, h_bundle,
                          summand_facts, summand_records)
-from .regularity import _summand_reg, _unbounded, box_offsets, offsets, reg, summand_windows
+from .regularity import _summand_reg, box_offsets, holding, offsets, reg
 
 
 class TheoremId(str, Enum):
@@ -83,25 +84,18 @@ class Witness:
 
 
 def _witnesses(bundle: Bundle, family: Callable, r: int, twist: Optional[int]) -> list[Witness]:
-    """One witness per group of the family that some summand makes nonzero:
-    at the twist, where the window of a summand's diagonal class
-    (summand_windows) holds the twist plus the summand's first twist c, or
-    with twist None at the least lo - c over the summands; dimension
-    h_bundle there.  Preconditions are not checked."""
+    """One witness per group of the family that some summand makes nonzero
+    (regularity.holding): at the twist, or with twist None at the least
+    twist where some summand's window starts; dimension h_bundle there.
+    Preconditions are not checked."""
     space, starts = bundle.space, {}
     for f in summand_records(bundle):
-        c = f.atoms[0][2]
-        for index, lo, hi in summand_windows(space, f.atoms, family, r):
-            if twist is None:
-                starts.setdefault(index, []).append(None if lo is None else lo - c)
-            elif (lo is None or lo <= twist + c) and (hi is None or twist + c <= hi):
-                starts[index] = [twist]
+        for index, t in holding(space, f, family, r, twist):
+            starts[index] = min(t, starts.get(index, t))
     groups, found = offsets(space, family, r), []
     for index in sorted(starts):
-        if None in starts[index]:
-            raise _unbounded(space, family, r, index, "below")
         i, k, required = groups[index]
-        t = min(starts[index])
+        t = starts[index]
         found.append(Witness(i, k, t, h_bundle(bundle, tuple(t + kj for kj in k), i), required))
     return found
 
@@ -367,17 +361,10 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
                    twist: Optional[int]) -> bool:
     """Does the summand make a required group of the family nonzero, at the
     twist or, with twist None, at some balanced twist?  A plain read, kept
-    nowhere: the windows of its diagonal class (summand_windows, memoized on
-    integers), at the twist plus its first twist.  With twist None, a window
-    unbounded below raises ModelError."""
-    windows = summand_windows(space, facts.atoms, family, r)
+    nowhere, of the windows of its diagonal class (regularity.holding).
+    With twist None, a window unbounded below raises ModelError."""
     groups = offsets(space, family, r)
-    t = None if twist is None else twist + facts.atoms[0][2]
-    for index, lo, _ in windows:
-        if t is None and lo is None:
-            raise _unbounded(space, family, r, index, "below")
-    return any(groups[index][2] and (t is None or (lo is None or lo <= t)
-                                     and (hi is None or t <= hi)) for index, lo, hi in windows)
+    return any([groups[index][2] for index, _ in holding(space, facts, family, r, twist)])
 
 
 def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
@@ -525,15 +512,17 @@ class TheoremVerdict:
 
 def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdict]:
     """The verdicts of the check ids (TheoremId members) on the bundle, in
-    order, from one pass.  The preconditions are checked in order: two
-    factors, the rank rule, Reg = 0; the first that fails is the reason of
-    a verdict that does not apply.  Rank, the Reg gate, the summands'
-    records and the detection are computed at most once each, when a check
-    first needs them: a bundle that fails the Reg gate never pays for its
-    rank or records.  The condition is the AND of the summands' bits, read
-    off their classes' windows (_summand_fails); the form reads the records."""
+    order, from one pass.  The summands' records and the rank are read
+    first, so an empty bundle is refused whatever the checks.  The
+    preconditions are checked in order: two factors, the rank rule, Reg = 0;
+    the first that fails is the reason of a verdict that does not apply.
+    The Reg gate and the detection are computed at most once each, when a
+    check first needs them.  The condition is the AND of the summands'
+    bits, read off their classes' windows (_summand_fails); the form reads
+    the records."""
     space, verdicts = bundle.space, []
-    r = records = detection = None
+    records, r = summand_records(bundle), rank(bundle)
+    detection = None
     gate = _UNREAD  # the Reg gate's reason, None when Reg is 0
     for theorem in ids:
         spec, reason = CHECKS[theorem], None
@@ -541,8 +530,6 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
             reason = f"{theorem.value} is a two-factor check, space has {space.num_factors} factors"
         else:
             if spec.rank_rule is not None:
-                if r is None:
-                    r = rank(bundle)
                 reason = spec.rank_rule(space, r)
             if reason is None and spec.reg_zero:
                 if gate is _UNREAD:  # one read per bundle: its reason is every gated reason
@@ -552,10 +539,6 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
         if reason is not None:
             verdicts.append(TheoremVerdict(theorem, False, reason))
             continue
-        if r is None:
-            r = rank(bundle)
-        if records is None:
-            records = summand_records(bundle)
         r_family = r if spec.reads_rank else 0
         cond = not any([_summand_fails(space, f, spec.family, r_family, spec.twist)
                         for f in records])  # every bit is read: a window unbounded below raises

@@ -43,7 +43,7 @@ from mpreg.cohomology import (
     oracle_euler_sequence,
     summand_facts,
 )
-from mpreg.regularity import _family, offsets, summand_windows
+from mpreg.regularity import _family, offsets
 from mpreg.splitting import CHECKS, TheoremId, _acm_family
 from reference import (
     atom_support,
@@ -362,7 +362,8 @@ def test_summand_window_is_one_interval_matching_brute_force(case):
     space, (summand,), k = case
     bundle = make_bundle(space, [summand])
     for i in range(space.total_dim + 1):
-        window = level_windows(summand_supports(space, summand), k).get(i)
+        # the windows at offset k are those of S(k) at offset 0
+        window = level_windows(summand_supports(space, twist_summand(space, summand, k))).get(i)
         assert window is None or len(window) == 2
         if window is not None and None not in window:
             assert window[0] <= window[1]
@@ -417,6 +418,12 @@ def _atoms(space, summand):
     return summand_facts(space.dims, summand.key).atoms
 
 
+def _class(space, summand, family, r):
+    """The windows of the diagonal class that the summand's record carries."""
+    return regularity._class_windows(space, summand_facts(space.dims, summand.key).diagonal,
+                                     family, r)
+
+
 def _moved(windows, by):
     """The (index, lo, hi) windows shifted by -by."""
     return tuple((index, None if lo is None else lo - by, None if hi is None else hi - by)
@@ -432,15 +439,15 @@ def _searched(space, summand, family, r):
 @settings(max_examples=50, deadline=None)
 @given(_random_summands(2))
 def test_summand_windows_match_the_per_group_search(case):
-    # summand_windows gives the windows of the diagonal class: the summand's
-    # own, read at t + c for its first twist c
+    # the record's diagonal class has the summand's own windows, read at
+    # t + c for its first twist c
     space, summands, _ = case
     r = rank(make_bundle(space, summands))
     for family in _window_families(space):
         for s in summands:
             atoms = _atoms(space, s)
             expected = _moved(_searched(space, s, family, r), -atoms[0][2])
-            assert summand_windows(space, atoms, family, r) == expected, family
+            assert _class(space, s, family, r) == expected, family
 
 
 def _untwisted(space, summand, k):
@@ -453,12 +460,12 @@ def _untwisted(space, summand, k):
 
 
 def _counting_sweeps(monkeypatch):
-    """The level_windows calls of summand_windows from empty memos."""
+    """The level_windows calls of the class windows from empty memos."""
     calls = []
 
-    def counting(supports, k):
-        calls.append(k)
-        return level_windows(supports, k)
+    def counting(supports):
+        calls.append(supports)
+        return level_windows(supports)
 
     summand_facts.cache_clear()
     regularity._untwisted_windows.cache_clear()
@@ -476,11 +483,11 @@ def test_summand_windows_sweep_each_distinct_offset_once(monkeypatch, space_text
     family, r = CHECKS[TheoremId.T2B].family, rank(bundle)
     assert len(offsets(space, family, r)) == groups
     (summand,) = bundle.summands
-    expected = summand_windows(space, _atoms(space, summand), family, r)
+    expected = _class(space, summand, family, r)
     ks = {k for _, k, _ in offsets(space, family, r)}
     assert len(ks) == distinct
     calls = _counting_sweeps(monkeypatch)
-    assert summand_windows(space, _atoms(space, summand), family, r) == expected
+    assert _class(space, summand, family, r) == expected
     assert len(calls) == len({_untwisted(space, summand, k) for k in ks}) <= distinct
 
 
@@ -495,7 +502,7 @@ def test_summand_windows_sweep_each_untwisted_summand_once(monkeypatch):
     untwisted = {_untwisted(space, s, k) for s in summands for family in families
                  for _, k, _ in offsets(space, family, 1)}
     calls = _counting_sweeps(monkeypatch)
-    windows = {(s, family): summand_windows(space, _atoms(space, s), family, 1)
+    windows = {(s, family): _class(space, s, family, 1)
                for s in summands for family in families}
     assert len(calls) == len(untwisted) < len(summands)
     classes = {tuple((n, p, t - a[0][2]) for n, p, t in a)
@@ -518,8 +525,8 @@ def test_diagonal_twist_shifts_every_window(case, c):
     r = summand_rank(space, summand)
     first = _atoms(space, summand)[0][2]
     for family in _window_families(space):
-        windows = summand_windows(space, _atoms(space, summand), family, r)
-        assert summand_windows(space, _atoms(space, twisted), family, r) is windows, family
+        windows = _class(space, summand, family, r)
+        assert _class(space, twisted, family, r) is windows, family
         searched = _searched(space, summand, family, r)
         assert windows == _moved(searched, -first), family
         assert _searched(space, twisted, family, r) == _moved(searched, c), family

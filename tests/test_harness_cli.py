@@ -674,7 +674,8 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
 
     monkeypatch.setattr(splitting, "reg", counting_reg)
     monkeypatch.setattr(splitting, "rank", counting_rank)
-    monkeypatch.setattr(harness, "rank", counting_rank)
+    # the harness imports no rank; were it to, its reads would count too
+    monkeypatch.setattr(harness, "rank", counting_rank, raising=False)
     cfg = EnumerationConfig(spaces=("P2xP2",), cotangent=True, theorems=("T0", "T4"))
     regular = run_verification(cfg)
     windows = run_verification(EnumerationConfig(spaces=("P1xP1xP2",), theorems=("T3", "T2B")))
@@ -687,10 +688,11 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     assert set(regs) == {b for b in enumerate_bundles(parse_space("P2xP2"), cfg)
                          if real_reg(b) == 0}
     assert sum(regs.values()) == applicable
-    # T3 and T2B fold: only a bundle with a finding reads its rank, for its verdicts
+    # T3 and T2B fold, and their families ignore the rank: a bundle with a
+    # finding gets its verdicts off the mask, with no rank read
     found = {f["bundle"] for f in windows.findings}
     assert 0 < len(found) < 8000
-    assert sum(ranks.values()) == applicable + len(found)
+    assert sum(ranks.values()) == applicable
 
 
 def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch):
@@ -839,7 +841,8 @@ def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
         _, b = parse_bundle("P2xP2", bundle)
         assert regularity_failures(b, (2, -3)) and regularity_failures(b, (-3, 4), "hw")
         twisted = {id(f): f for f in seen if f.atoms[0][2]}.values()
-        assert SummandFacts.__slots__ == ("atoms", "spread", "masks", "regs", "tags")
+        assert SummandFacts.__slots__ == ("atoms", "diagonal", "spread", "masks", "regs",
+                                          "tags")
         assert len(twisted) > 50 and len(keys) > 50
         assert [factors for _, factors, _, _ in keys if factors[0][2]] == []
         # a record keeps sweep masks only, each under a tuple of check ids:
@@ -849,6 +852,45 @@ def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):
                 if not (isinstance(key, tuple) and set(key) <= set(TheoremId))] == []
     finally:
         summand_facts.cache_clear()
+
+
+def test_class_windows_are_read_on_each_records_own_diagonal(monkeypatch):
+    # a sweep, is_acm, reg and witnesses on summands with first twists other
+    # than 0 key every class-window read on the reading record's diagonal
+    # slot itself: no read builds a key
+    from mpreg import regularity
+    from mpreg.cohomology import summand_facts, summand_records
+    from mpreg.regularity import reg
+    from mpreg.splitting import acm_witnesses, condition_for, is_acm
+
+    real, keys = regularity._class_windows, []
+
+    def recording(space, factors, family, r):
+        keys.append(factors)
+        return real(space, factors, family, r)
+
+    summand_facts.cache_clear()
+    real.cache_clear()
+    monkeypatch.setattr(regularity, "_class_windows", recording)
+    try:
+        cfg = EnumerationConfig(spaces=("P1xP1xP1",), degree_min=-2, degree_max=2,
+                                max_summands=2, theorems=("T3", "T2B"))
+        assert run_verification(cfg).findings
+        records = [summand_facts((1, 1, 1), s.key)
+                   for s in enumerate_summands(parse_space("P1xP1xP1"), cfg)]
+        text = "O(-30,12) + W1(7)*O(20) + O(3,-17)"
+        space, b = parse_bundle("P2xP3", text)
+        records += summand_records(b)
+        assert not is_acm(b) and acm_witnesses(b) and reg(b) > 0
+        _, c1 = parse_bundle("P1xP2", "O(4,4) + O(4,6)")
+        records += summand_records(c1)
+        assert condition_for(c1, "C1")[1]
+        diagonals = {id(f.diagonal) for f in records}
+        assert sum(f.diagonal is not f.atoms for f in records) > 50
+        assert len(keys) > 100 and all(id(factors) in diagonals for factors in keys)
+    finally:
+        summand_facts.cache_clear()
+        real.cache_clear()
 
 
 def test_comparison_requires_two_factors():

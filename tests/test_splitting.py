@@ -32,8 +32,8 @@ from mpreg.cohomology import (
     summand_facts,
     summand_records,
 )
-from mpreg.regularity import (_class_windows, _family, box_offsets, is_regular_at, offsets,
-                              reg, regularity_failures, summand_windows)
+from mpreg.regularity import (_class_windows, _family, box_offsets, holding, is_regular_at,
+                              offsets, reg, regularity_failures)
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
@@ -446,13 +446,20 @@ _EMPTY = {  # every engine door refuses a bundle with no summand
     "classify_form": lambda b: classify_form(b, TheoremId.T1),
 }
 
+_EMPTY_OFF_TWO_FACTORS = {  # on P1xP1xP1, where these checks apply to no bundle
+    "verify_bundle_two_factor_ids": lambda b: verify_bundle(b, [TheoremId.T1, TheoremId.C2]),
+    "applicability_two_factor_id": lambda b: applicability(b, "T0"),
+}
 
-@pytest.mark.parametrize("door", _EMPTY)
+
+@pytest.mark.parametrize("door", [*_EMPTY, *_EMPTY_OFF_TWO_FACTORS])
 def test_an_empty_bundle_is_refused(door):
-    # Bundle(...) checks nothing; summand_records refuses it as make_bundle does
-    bundle = Bundle(parse_space("P1xP1"), ())
+    # Bundle(...) checks nothing; summand_records refuses it as make_bundle
+    # does, before any check's precondition is read
+    three = door in _EMPTY_OFF_TWO_FACTORS
+    bundle = Bundle(parse_space("P1xP1xP1" if three else "P1xP1"), ())
     with pytest.raises(ModelError, match="a bundle needs at least one summand"):
-        _EMPTY[door](bundle)
+        (_EMPTY_OFF_TWO_FACTORS if three else _EMPTY)[door](bundle)
 
 
 def test_condition_for_enforces_rank_preconditions():
@@ -631,7 +638,7 @@ def test_least_twist_dimension_is_the_sum_over_summands_starting_there(bundle):
     space = bundle.space
     for i in range(1, space.total_dim):
         for k in (k for k in box_offsets(space) if sum(k) >= -i):
-            windows = [level_windows(summand_supports(space, s), k).get(i)
+            windows = [level_windows(summand_supports(space, twist_summand(space, s, k))).get(i)
                        for s in bundle.summands]
             los = [w[0] for w in windows if w is not None]
             if not los:
@@ -733,9 +740,9 @@ def test_witness_json_is_asdict_with_list_and_string(i, k, t, dim, required):
 
 
 def test_splitting_memos_match_unwrapped():
-    # windows and bits against the reference's brute force: summand_windows
-    # gives the memoized windows of the diagonal class, keyed on the atoms
-    # twisted to first twist 0, equal to an unmemoized sweep and to the
+    # windows and bits against the reference's brute force: _class_windows
+    # gives the memoized windows of the diagonal class the record carries,
+    # the atoms twisted to first twist 0, equal to an unmemoized sweep and to the
     # summand's own windows shifted by its first twist c; its bit reads them
     # at the twist plus c
     for space_text, text in [
@@ -760,16 +767,20 @@ def test_splitting_memos_match_unwrapped():
                                  if window is not None)
                 f = summand_facts(space.dims, s.key)
                 c = f.atoms[0][2]
-                record = summand_windows(space, f.atoms, spec.family, r)
+                record = _class_windows(space, f.diagonal, spec.family, r)
                 assert record == tuple((index, None if lo is None else lo + c,
                                         None if hi is None else hi + c)
                                        for index, lo, hi in expected), (text, spec, s)
-                assert summand_windows(space, f.atoms, spec.family, r) is record
+                assert _class_windows(space, f.diagonal, spec.family, r) is record
                 factors = tuple((n, p, t - c) for n, p, t in f.atoms)
+                assert f.diagonal == factors and (c or f.diagonal is f.atoms)
                 assert record == _class_windows.__wrapped__(space, factors, spec.family, r)
-                bit = any(family[index][2] and (t is None or (lo is None or lo <= t)
-                                                 and (hi is None or t <= hi))
-                          for index, lo, hi in expected)
+                # holding reads them at the twist plus c: the summand's own
+                # windows that hold the twist, or each at its least twist
+                held = [(index, lo if t is None else t) for index, lo, hi in expected
+                        if t is None or (lo is None or lo <= t) and (hi is None or t <= hi)]
+                assert holding(space, f, spec.family, r, t) == held, (text, spec, s)
+                bit = any(family[index][2] for index, _ in held)
                 assert _summand_fails(space, f, spec.family, r, t) == bit, (text, spec, s)
 
 
@@ -814,8 +825,8 @@ def test_a_diagonal_twist_shifts_windows_and_reg_and_keeps_bits_and_masks(drawn)
 
     for family in families:
         for r in range(4):
-            windows = summand_windows(space, f.atoms, family, r)
-            assert summand_windows(space, g.atoms, family, r) is windows
+            windows = _class_windows(space, f.diagonal, family, r)
+            assert _class_windows(space, g.diagonal, family, r) is windows
             assert windows == moved(reference(family, r), -f.atoms[0][2])
     regs = {d: 1 + max(hi for _, _, hi in reference(_family(d), 0)) for d in definitions}
     for d in definitions:
