@@ -2,7 +2,15 @@
 checks over them, and aggregate agreement statistics.  The OR of a
 bundle's summand masks alone decides the checks that fold and the Reg = 0
 gate (splitting.mask_checks); verify_bundle gives the verdicts of the
-other checks, the gated ones only on a bundle whose Reg is 0."""
+other checks, the gated ones only on a bundle whose Reg is 0.  A folded
+check gets a verdict only where it reports a finding.
+
+A sweep may be many small runs (the sweep_windows benchmark workload makes
+100 runs of 20 bundles per round), so what a run decides from its config
+alone is memoized per process: the family's size check (_family_size),
+the checks that can apply on each space with their mask key
+(_space_checks), and what each distinct (key, mask) pair decides
+(_decoded).  A run pays only for its bundles."""
 
 from __future__ import annotations
 
@@ -10,6 +18,7 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from typing import Iterable
 
@@ -80,21 +89,31 @@ class EnumerationConfig:
                 raise ConfigError(f"unknown check id {t!r}")
         if not self.theorems or len(set(self.theorems)) < len(self.theorems):
             raise ConfigError(f"list each check id once, got {', '.join(self.theorems) or 'none'}")
-        canonical, count = set(), 0
         lines = self.degree_max - self.degree_min + 1
         twists = self.cot_twist_max - self.cot_twist_min + 1 if self.cotangent else 0
-        for text in self.spaces:
-            try:
-                space = parse_space(text)
-            except ParseError as exc:
-                raise ConfigError(f"bad space {text!r}: {exc}") from exc
-            canonical.add(space)  # one Space per dims, whatever the text
-            summands = prod(lines + (n - 1) * twists for n in space.dims)  # as enumerate_atoms
-            count += _multisets(summands, self.max_summands, MAX_BUNDLES)
-        if len(canonical) < len(self.spaces):
-            raise ConfigError(f"list each space once, got {', '.join(self.spaces)}")
-        if count > MAX_BUNDLES:
+        if _family_size(tuple(self.spaces), lines, twists, self.max_summands) > MAX_BUNDLES:
             raise ConfigError(f"the family holds more than MAX_BUNDLES = {MAX_BUNDLES} bundles")
+
+
+@lru_cache(maxsize=None)
+def _family_size(spaces: tuple, lines: int, twists: int, max_summands: int) -> int:
+    """The bundles of a run over the spaces, with lines line atoms per
+    factor and twists twists per cotangent power, or a value past
+    MAX_BUNDLES (_multisets).  A bad space text, or a space listed twice
+    under any text, is a ConfigError.  Counted once per process, for the
+    many small runs that each check a config."""
+    canonical, count = set(), 0
+    for text in spaces:
+        try:
+            space = parse_space(text)
+        except ParseError as exc:
+            raise ConfigError(f"bad space {text!r}: {exc}") from exc
+        canonical.add(space.dims)  # one Space per dims, whatever the text
+        summands = prod(lines + (n - 1) * twists for n in space.dims)  # as enumerate_atoms
+        count += _multisets(summands, max_summands, MAX_BUNDLES)
+    if len(canonical) < len(spaces):
+        raise ConfigError(f"list each space once, got {', '.join(spaces)}")
+    return count
 
 
 def _integer(text: str) -> int:
@@ -243,32 +262,77 @@ def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
     return found
 
 
+@lru_cache(maxsize=None)
+def _space_checks(theorems: tuple, spaces: tuple) -> tuple:
+    """Per space of a run, (space, positions, ids, key): the positions in
+    theorems of the checks that can apply on the space (a two-factor check
+    applies to no bundle of another), their ids, and the key of the summand
+    masks: the folded ids among them, then the gated ones.  Planned once
+    per process, for the many small runs."""
+    every, plans = [TheoremId(t) for t in theorems], []
+    for space in map(parse_space, spaces):
+        two = space.num_factors == 2
+        positions = tuple([j for j, t in enumerate(every) if two or not CHECKS[t].two_factor])
+        ids = tuple([every[j] for j in positions])
+        key = tuple([t for t in ids if CHECKS[t].spread is not None])
+        key += tuple([t for t in ids if CHECKS[t].reg_zero])
+        plans.append((space, positions, ids, key))
+    return tuple(plans)
+
+
+@lru_cache(maxsize=None)
+def _decoded(ids: tuple, key: tuple, mask: int) -> tuple:
+    """What mask, the OR of a bundle's summand masks for key, decides for
+    ids, the check ids that can apply on a space in run order: (regular,
+    finding, verdicts, rest, agreeing).  regular: Reg is 0, or no gated
+    check applies.  finding: some folded check reports one.  verdicts: the
+    (position in ids, bits) of each check that gets a verdict, bits the
+    folded check's (condition, form, window) for one that reports a
+    finding, None for a check that does not fold and applies.  rest: the
+    ids of the latter, for verify_bundle.  agreeing: the positions of the
+    folded checks that agree on a bundle with a finding, tallied with no
+    verdict.  Decoded once per process, for the many small runs."""
+    bits, regular = mask_checks(key, mask)
+    verdicts, agreeing = [], []
+    for position, t in enumerate(ids):
+        spec = CHECKS[t]
+        if spec.spread is None:
+            if regular or not spec.reg_zero:
+                verdicts.append((position, None))
+        elif bits is not None:
+            cond, form, window = bits[t]
+            if cond != form or spec.acm_crosscheck and cond and window:
+                verdicts.append((position, bits[t]))
+            else:
+                agreeing.append(position)
+    rest = tuple([ids[position] for position, b in verdicts if b is None])
+    return regular, bits is not None, tuple(verdicts), rest, tuple(agreeing)
+
+
 def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``,
     streamed from ``enumerate_bundles``.  The OR of a bundle's summand
-    masks (summand_mask), decoded by mask_checks, decides the checks that
-    fold (CheckSpec.spread), each applicable and consistent or, on a
-    finding, given its verdict off the mask.  It decides the Reg gate too:
-    unless the bundle's Reg is 0, no gated check (CheckSpec.reg_zero)
-    applies.  A two-factor check applies to no bundle of another space and
-    is counted so in bulk.  ``verify_bundle`` gives the other checks'
-    verdicts in id order, the gated ones only at Reg 0.  A bundle's name
-    and finding dicts are made only for a finding."""
+    masks (summand_mask), decoded by _decoded, decides the checks that
+    fold (CheckSpec.spread): each is applicable and consistent or, on a
+    finding it reports, gets its verdict off the mask.  It decides the Reg
+    gate too: unless the bundle's Reg is 0, no gated check
+    (CheckSpec.reg_zero) applies.  A two-factor check applies to no bundle
+    of another space and is counted so in bulk.  ``verify_bundle`` gives
+    the other checks' verdicts in id order, the gated ones only at Reg 0.
+    A verdict is built only for a check that does not fold or reports a
+    finding, and a bundle's name and finding dicts only for a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
     total = 0
 
-    ids = map(TheoremId.__members__.__getitem__, cfg.theorems)  # each name is its value
-    every = [(per_theorem[t], t, CHECKS[t]) for t in ids]
-    for space in map(parse_space, cfg.spaces):
+    every = [(per_theorem[t], CHECKS[t]) for t in cfg.theorems]
+    for space, positions, ids, key in _space_checks(cfg.theorems, tuple(cfg.spaces)):
         dims, two = space.dims, space.num_factors == 2
-        # the checks that can apply on the space; any other applies to none of its bundles
-        here = [check for check in every if two or not check[2].two_factor]
-        # the mask's key: the folded checks of here, then the gated ones
-        folds = tuple(t for _, t, spec in here if spec.spread is not None)
-        key = folds + tuple(t for _, t, spec in here if spec.reg_zero)
+        # the checks that can apply on the space, in ids; any other applies to none of its bundles
+        here = [(*every[j], t) for j, t in zip(positions, ids)]
         decoded, before, found, irregular = {}, total, 0, 0  # mask -> what it decides; bundles
+        space_text = None  # format_space(space), made at most once
         for bundle in enumerate_bundles(space, cfg):
             total += 1
             m = 0  # the OR of the summands' masks
@@ -276,28 +340,28 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                 f = summand_facts(dims, s.key)
                 mask = f.masks.get(key)
                 m |= summand_mask(space, f, key) if mask is None else mask
-            if m not in decoded:  # what the mask decides, and the checks that get verdicts
-                bits, regular = mask_checks(key, m)  # Reg = 0, or no gated check applies
-                checks = [check for check in here if bits and check[1] in bits or
-                          check[2].spread is None and (regular or not check[2].reg_zero)]
-                decoded[m] = bits, regular, tuple(t for _, t, spec in checks
-                                                  if spec.spread is None), checks
-            bits, regular, rest_ids, checks = decoded[m]
+            entry = decoded.get(m)
+            if entry is None:  # the decoded mask, with this run's checks and stats
+                regular, finding, verdicts, rest, agreeing = _decoded(ids, key, m)
+                entry = decoded[m] = (regular, finding, [(here[j], b) for j, b in verdicts],
+                                      rest, [here[j][0] for j in agreeing])
+            regular, finding, checks, rest, agreeing = entry
             irregular += not regular
-            if bits is not None:  # a finding: the folded checks' verdicts off the mask
+            if finding:  # the folded checks that agree are tallied, the others get verdicts
                 found += 1
-                others = iter(verify_bundle(bundle, rest_ids) if rest_ids else ())
-                verdicts = [TheoremVerdict(t, True, condition_holds=bits[t][0],
-                                           form_holds=bits[t][1],
-                                           consistent=bits[t][0] == bits[t][1],
-                                           bundle=bundle) if t in bits else next(others)
-                            for _, t, _ in checks]
-            elif rest_ids:
-                verdicts = verify_bundle(bundle, rest_ids)
+                for st in agreeing:
+                    st.applicable += 1
+                    st.consistent += 1
+                others = iter(verify_bundle(bundle, rest) if rest else ())
+                verdicts = [TheoremVerdict(t, True, condition_holds=b[0], form_holds=b[1],
+                                           consistent=b[0] == b[1], bundle=bundle)
+                            if b is not None else next(others) for (_, _, t), b in checks]
+            elif rest:
+                verdicts = verify_bundle(bundle, rest)
             else:
                 continue
             name = None  # format_bundle(bundle), made at most once
-            for (st, theorem, spec), verdict in zip(checks, verdicts):
+            for ((st, spec, _), b), verdict in zip(checks, verdicts):
                 if not verdict.applicable:
                     st.not_applicable += 1
                     continue
@@ -312,21 +376,21 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                     kinds.append("detector_mismatch")
                 if spec.detector and cond and not verdict.detected:
                     kinds.append("detector_empty")
-                if spec.acm_crosscheck and cond and bits[theorem][2]:  # a folded check's ACM bit
+                if spec.acm_crosscheck and cond and b[2]:  # a folded check's ACM window bit
                     kinds.append("t1_without_acm")
                 if kinds:
                     name = name or format_bundle(bundle)
+                    space_text = space_text or format_space(space)
                     if not verdict.consistent and len(st.samples) < _SAMPLE_CAP:
                         st.samples.append(name)
-                    findings.extend(_finding(kind, format_space(space), name, verdict)
-                                    for kind in kinds)
+                    findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
         free = total - before - found  # the bundles whose mask agrees
-        for st, t, spec in every:
+        for st, spec in every:
             if spec.two_factor and not two:  # not in here: it applies to no bundle
                 st.not_applicable += total - before
             elif spec.reg_zero:  # not applicable on a bundle whose Reg is not 0
                 st.not_applicable += irregular
-            elif t in folds:  # consistent on each bundle whose mask agrees
+            elif spec.spread is not None:  # consistent on each bundle whose mask agrees
                 st.applicable += free
                 st.consistent += free
 

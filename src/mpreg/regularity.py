@@ -19,10 +19,13 @@ keyed on the class a record carries (SummandFacts.diagonal, the atoms
 twisted to first twist 0; _class_windows).  At offset k a class's windows
 come from one sweep of S(k - (k_1, ..., k_1)), shifted by -k_1, memoized on
 integers too (_untwisted_windows) and shared by every summand and family
-that reaches it.  One reader, holding, answers every window question of a
-record at a balanced twist t, reading its class at t + c for a summand with
-first twist c: which windows hold t, or where each starts; the splitting
-checks ask it too.  A summand's Reg, kept in its record, is its class's
+that reaches it.  The memoized family (offsets) carries its plan
+(Offsets): the shift k - (k_1, ..., k_1) once per distinct offset, and per
+group its level, the slot of its offset and k_1, so a class reads one sweep
+per distinct offset and walks no offset twice.  One reader, holding,
+answers every window question of a record at a balanced twist t, reading
+its class at t + c for a summand with first twist c: which windows hold t,
+or where each starts; the splitting checks ask it too.  A summand's Reg, kept in its record, is its class's
 minus c, and reg is a max over the records.
 
 Regularity at p = (p_1, ..., p_s), or at an int p read as (p, ..., p), is
@@ -60,10 +63,25 @@ def hw_offsets(space: Space, i: int) -> Iterator[tuple[int, int]]:
         yield (j, -i - 1 - j)
 
 
+class Offsets(tuple):
+    """An offset family, the (i, k, required) of each group in family order,
+    with its plan for the windows of a class (_class_windows): shifts holds
+    k - (k_1, ..., k_1) once per distinct offset k, in first-seen order, and
+    entries the (index, i, slot, k_1) of each group, slot the position of its
+    k in shifts."""
+
+    shifts: tuple
+    entries: tuple
+
+
 @lru_cache(maxsize=None)
-def offsets(space: Space, family: Callable, r: int) -> tuple:
-    """The offset family (i, k, required) for the space and rank r."""
-    return tuple(family(space, r))
+def offsets(space: Space, family: Callable, r: int) -> Offsets:
+    """The offset family (i, k, required) for the space and rank r, planned."""
+    groups, slots = Offsets(family(space, r)), {}
+    groups.entries = tuple([(index, i, slots.setdefault(k, len(slots)), k[0])
+                            for index, (i, k, _) in enumerate(groups)])
+    groups.shifts = tuple([tuple([kj - k[0] for kj in k]) for k in slots])
+    return groups
 
 
 @lru_cache(maxsize=None)
@@ -79,16 +97,18 @@ def _untwisted_windows(factors: tuple) -> dict:
 def _class_windows(space: Space, factors: tuple, family: Callable, r: int) -> tuple:
     """(index, lo, hi) for each index of the family where the window of the
     summand with factors (n_j, p_j, t_j), t_1 = 0, is nonempty, None for an
-    unbounded end: at offset k one _untwisted_windows, shifted by -k_1."""
-    levels, windows = {}, []
-    for index, (i, k, _) in enumerate(offsets(space, family, r)):
-        if k not in levels:
-            levels[k] = _untwisted_windows(tuple(
-                (n, p, t + kj - k[0]) for (n, p, t), kj in zip(factors, k)))
-        if i in levels[k]:
-            lo, hi = levels[k][i]
-            windows.append((index, None if lo is None else lo - k[0],
-                            None if hi is None else hi - k[0]))
+    unbounded end: at offset k one _untwisted_windows, shifted by -k_1, read
+    once per distinct k (Offsets.shifts)."""
+    groups = offsets(space, family, r)
+    levels = [_untwisted_windows(tuple([(n, p, t + d) for (n, p, t), d in zip(factors, shift)]))
+              for shift in groups.shifts]
+    windows = []
+    for index, i, slot, k1 in groups.entries:
+        window = levels[slot].get(i)
+        if window is not None:
+            lo, hi = window
+            windows.append((index, None if lo is None else lo - k1,
+                            None if hi is None else hi - k1))
     return tuple(windows)
 
 

@@ -363,8 +363,11 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
     twist or, with twist None, at some balanced twist?  A plain read, kept
     nowhere, of the windows of its diagonal class (regularity.holding).
     With twist None, a window unbounded below raises ModelError."""
+    held = holding(space, facts, family, r, twist)
+    if not held:
+        return False
     groups = offsets(space, family, r)
-    return any([groups[index][2] for index, _ in holding(space, facts, family, r, twist)])
+    return any([groups[index][2] for index, _ in held])
 
 
 def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
@@ -375,19 +378,22 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
     (_summand_fails), when its form fails (_beyond) and, if the condition
     should force ACM and holds, on an ACM window.  The Reg pair is set when
     the summand's Reg is above 0 and when it is 0.  Each record fills its
-    own bits, off the windows its diagonal class shares."""
+    own bits, off the windows its diagonal class shares, in one pass over
+    the key."""
     mask = facts.masks.get(key)
     if mask is None:
-        folds = [CHECKS[theorem] for theorem in key if CHECKS[theorem].spread is not None]
-        mask = 0
-        for j, spec in enumerate(folds):
+        mask = shift = 0
+        for theorem in key:
+            spec = CHECKS[theorem]
+            if spec.spread is None:  # the Reg pair, after the folded ids
+                value = _summand_reg(space, facts, "paper")
+                mask |= ((value > 0) | (value == 0) << 1) << shift
+                break
             fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
             window = spec.acm_crosscheck and not fails and _summand_fails(
                 space, facts, _acm_family, 0, None)
-            mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << 3 * j
-        if len(folds) < len(key):
-            value = _summand_reg(space, facts, "paper")
-            mask |= ((value > 0) | (value == 0) << 1) << 3 * len(folds)
+            mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << shift
+            shift += 3
         facts.masks[key] = mask
     return mask
 
@@ -498,15 +504,15 @@ class TheoremVerdict:
     detected: tuple = ()
     detector_agrees: Optional[bool] = None
     bundle: Optional[Bundle] = field(default=None, repr=False)
-    rank: Optional[int] = field(default=None, repr=False)  # the bundle's
 
     @cached_property
     def witnesses(self) -> tuple:
-        """The condition_for witnesses, built on first read."""
+        """The condition_for witnesses, built on first read, at the bundle's
+        rank for a family that reads it."""
         if not self.applicable:
             return ()
         spec = CHECKS[self.theorem]
-        r = self.rank if spec.reads_rank else 0
+        r = rank(self.bundle) if spec.reads_rank else 0
         return tuple(_witnesses(self.bundle, spec.family, r, spec.twist))
 
 
@@ -552,7 +558,7 @@ def verify_bundle(bundle: Bundle, ids: Iterable[TheoremId]) -> list[TheoremVerdi
                 detection = detected, agrees
             detected, agrees = detection
         verdicts.append(TheoremVerdict(theorem, True, None, cond, form, cond == form, detected,
-                                       agrees, bundle, r))
+                                       agrees, bundle))
     return verdicts
 
 

@@ -197,6 +197,17 @@ def regularity_probe(bundle, p, definition="paper"):
     return [group for group in probes if group[2]]
 
 
+def class_windows(space, factors, groups):
+    """(index, lo, hi) of each group (i, k) of groups, in order, where the
+    summand with factors (n_j, p_j, t_j), W^p_j(t_j) or O(t_j) for p_j = 0,
+    has a nonempty window: one summand_window per entry, walked group by
+    group with no sharing between offsets."""
+    summand = make_summand(space, [Cotangent(p, t) if p else Line(t) for _, p, t in factors])
+    windows = ((index, summand_window(space, summand, k, i))
+               for index, (i, k) in enumerate(groups))
+    return tuple((index, *window) for index, window in windows if window is not None)
+
+
 def extremal_menu(space):
     """The summand of each top corner, a vector 0 <= h_j <= n_j with
     h_j = n_j on some factor: O where h_j = n_j, O(1) where h_j = 0 and

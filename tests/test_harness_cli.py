@@ -454,13 +454,18 @@ def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
     witnesses = tuple(Witness(1, (-j, 0), j, j + 1) for j in range(6))
 
     # T2B folds: its decoded mask, per check (condition, form, ACM window),
-    # is read as an applicable, inconsistent verdict
+    # is read as an applicable, inconsistent verdict; masks are decoded once
+    # per process, so the decoding memo starts and ends empty
     monkeypatch.setattr(harness, "mask_checks",
                         lambda key, mask: ({t: (False, True, False) for t in key}, True))
     monkeypatch.setattr(splitting, "_witnesses", lambda *args: list(witnesses))
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
                             theorems=("T2B",))
-    [finding] = run_verification(cfg).findings
+    harness._decoded.cache_clear()
+    try:
+        [finding] = run_verification(cfg).findings
+    finally:
+        harness._decoded.cache_clear()
     assert finding["witnesses"] == [w.to_json() for w in witnesses[:4]]
 
 
@@ -660,6 +665,7 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     from collections import Counter
 
     from mpreg import splitting
+    from mpreg.bundles import format_bundle
 
     real_reg, real_rank = splitting.reg, splitting.rank
     regs, ranks = Counter(), Counter()
@@ -680,7 +686,7 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     regular = run_verification(cfg)
     windows = run_verification(EnumerationConfig(spaces=("P1xP1xP2",), theorems=("T3", "T2B")))
     assert (regular.total_bundles, windows.total_bundles) == (5150, 8000)
-    assert max(regs.values()) == max(ranks.values()) == 1
+    assert max(regs.values()) == 1
     # the summand masks decide the Reg gate: reg runs, in verify_bundle, only
     # on the Reg = 0 bundles, and only they go on to need the rank
     applicable = regular.per_theorem["T4"].applicable
@@ -692,7 +698,12 @@ def test_run_verification_reads_reg_and_rank_once_per_bundle(monkeypatch):
     # finding gets its verdicts off the mask, with no rank read
     found = {f["bundle"] for f in windows.findings}
     assert 0 < len(found) < 8000
-    assert sum(ranks.values()) == applicable
+    # verify_bundle reads the rank once per bundle; the witnesses of an
+    # inconsistent T0 or T4 finding, whose family reads the rank, read it
+    # once more off the bundle, and no other reader does
+    witnessed = Counter(f["bundle"] for f in regular.findings if f["type"] == "inconsistent")
+    assert witnessed and len(ranks) == applicable
+    assert +Counter({format_bundle(b): n - 1 for b, n in ranks.items()}) == witnessed
 
 
 def test_run_verification_detects_at_most_once_per_applicable_bundle(monkeypatch):
@@ -752,6 +763,49 @@ def test_run_verification_builds_verdicts_only_for_findings(monkeypatch):
     assert len(built) == len(found)
 
 
+def test_a_windows_sweep_builds_one_verdict_per_finding(monkeypatch):
+    # on a bundle with a finding only the checks that report one get a
+    # verdict: T3 agrees wherever T2B does not, and is tallied off the mask
+    from collections import Counter
+
+    from mpreg.splitting import TheoremVerdict
+
+    real_init, built = TheoremVerdict.__init__, []
+
+    def counting_init(self, theorem, *args, **kwargs):
+        built.append(theorem)
+        real_init(self, theorem, *args, **kwargs)
+
+    monkeypatch.setattr(TheoremVerdict, "__init__", counting_init)
+    rep = run_verification(EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3", "T2B")))
+    assert rep.findings and all(f["theorem"] == "T2B" for f in rep.findings)
+    assert len(built) == len(rep.findings) and set(built) == {"T2B"}
+    t3, t2b = rep.per_theorem["T3"], rep.per_theorem["T2B"]
+    assert t3.applicable == t3.consistent == t2b.applicable == rep.total_bundles == 8000
+    assert t2b.inconsistent == len(rep.findings)
+    assert Counter(f["type"] for f in rep.findings) == {"inconsistent": len(rep.findings)}
+
+
+def test_masks_are_decoded_once_per_process(monkeypatch):
+    # the first run decodes each distinct (checks, mask) pair once; a second
+    # run of the same family, with the memos kept, decodes none again
+    real, decodes = harness.mask_checks, []
+
+    def counting(key, mask):
+        decodes.append((key, mask))
+        return real(key, mask)
+
+    monkeypatch.setattr(harness, "mask_checks", counting)
+    harness._decoded.cache_clear()
+    cfg = EnumerationConfig(spaces=("P1xP1xP1", "P1xP1xP2"), theorems=("T3", "T2B"))
+    first = run_verification(cfg)
+    assert decodes and len(decodes) == len(set(decodes)) == harness._decoded.cache_info().misses
+    decodes.clear()
+    second = run_verification(cfg)
+    assert decodes == []
+    assert (second.total_bundles, second.findings) == (first.total_bundles, first.findings)
+
+
 def _recording_class_windows(monkeypatch) -> set:
     """The keys (space, factors, family, r) that regularity._class_windows
     reads from now on, from an empty memo."""
@@ -777,7 +831,8 @@ def test_rank_free_families_keep_one_window_entry_per_summand(monkeypatch):
     from mpreg import regularity
     from mpreg.bundles import parse_bundle
     from mpreg.cohomology import summand_facts
-    from mpreg.splitting import _acm_family, _exact_family, _step_family, verify_theorem
+    from mpreg.splitting import (_acm_family, _exact_family, _interior_family, _step_family,
+                                 verify_theorem)
 
     summand_facts.cache_clear()
     memo, keys = regularity._class_windows, _recording_class_windows(monkeypatch)
@@ -800,9 +855,13 @@ def test_rank_free_families_keep_one_window_entry_per_summand(monkeypatch):
     mask_key = ("T3", "T2B")  # the run's summand masks, and nothing else
     assert all(f.masks[mask_key] >= 0 for f in records)
     assert all(set(f.masks) == {mask_key} for f in records)
-    # the verdict keeps the bundle's own rank
+    # a verdict whose family reads the rank reads its witnesses at the
+    # bundle's own rank
     _, b = parse_bundle("P1xP1xP1", "O(0,0,0) + O(1,1,1)")
-    assert verify_theorem(b, "T3").rank == 2
+    verdict = verify_theorem(b, "T4")
+    keys.clear()
+    assert verdict.applicable and verdict.witnesses is verdict.witnesses
+    assert {(family, r) for _, _, family, r in keys} == {(_interior_family, 2)}
 
 
 def test_only_diagonal_classes_keep_windows(monkeypatch, capsys):

@@ -16,9 +16,13 @@ from mpreg.bundles import (
     parse_bundle,
     parse_space,
 )
+from mpreg import regularity
+from mpreg.bundles import Space
 from mpreg.cohomology import h_bundle
 from mpreg.regularity import (
     SummandFacts,
+    _class_windows,
+    _family,
     _summand_reg,
     box_offsets,
     hw_offsets,
@@ -27,7 +31,10 @@ from mpreg.regularity import (
     regularity_failures,
     summand_records,
 )
-from reference import euler_characteristic, h_vector, regularity_probe, restrict_to_hyperplane
+from mpreg.splitting import (_acm_family, _boundary_family, _exact_family, _interior_family,
+                             _step_family)
+from reference import (class_windows, euler_characteristic, h_vector, offset_family,
+                       regularity_groups, regularity_probe, restrict_to_hyperplane)
 
 
 def _box_sum(space, i):
@@ -396,3 +403,61 @@ def test_the_definition_comparison_keeps_one_record_per_summand():
     rep = compare_regularity_definitions(bundles, p_range=(-2, 2))
     assert rep["checked_bundles"] == len(bundles) and rep["hw_implies_box_violations"] == []
     assert summand_facts.cache_info().currsize == 325
+
+
+@st.composite
+def _class_factors(draw):
+    """A space of one to four factors (dimension at most 3, at most 2 past
+    two factors) and a diagonal class on it: factors (n_j, p_j, t_j) with
+    t_1 = 0, a cotangent p_j where the factor allows one, and the other
+    twists near 0 or up to +-10^6."""
+    s = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 3 if s <= 2 else 2), min_size=s, max_size=s)))
+    twist = st.one_of(st.integers(-4, 4), st.integers(-10**6, 10**6))
+    factors = tuple((n, draw(st.integers(0, n - 1)), 0 if j == 0 else draw(twist))
+                    for j, n in enumerate(dims))
+    return Space(dims), factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(_class_factors())
+def test_class_windows_from_the_plan_match_a_walk_per_entry(case):
+    # the plan groups each family by distinct offset; the walk reads every
+    # (i, k) entry on its own, in family order
+    space, factors = case
+    d = space.total_dim
+    families = [("exact", _exact_family, [0]), ("step", _step_family, [0]),
+                ("acm", _acm_family, [0]), ("paper", _family("paper"), [0]),
+                ("interior", _interior_family, range(d))]
+    if space.num_factors == 2:
+        families += [("boundary", _boundary_family, range(d)), ("hw", _family("hw"), [0])]
+    for name, family, ranks in families:
+        for r in ranks:
+            if name == "acm":
+                groups = [(i, (0,) * space.num_factors) for i in range(1, d)]
+            elif name == "hw":
+                groups = regularity_groups(space, "hw")
+            else:
+                groups = [(i, k) for i, k, _ in offset_family(space, name, r)]
+            expected = class_windows(space, factors, groups)
+            assert _class_windows.__wrapped__(space, factors, family, r) == expected, (name, r)
+
+
+@pytest.mark.parametrize("family,distinct", [(_exact_family, 10), (_step_family, 5)])
+def test_a_class_window_miss_sweeps_once_per_distinct_offset(monkeypatch, family, distinct):
+    # P1xP1xP2: the exact family's 10 offsets are all distinct; the step
+    # family's 11 groups sit at 5 offsets
+    space = parse_space("P1xP1xP2")
+    real, reads = regularity._untwisted_windows, []
+
+    def counting(factors):
+        reads.append(factors)
+        return real(factors)
+
+    monkeypatch.setattr(regularity, "_untwisted_windows", counting)
+    factors = ((1, 0, 0), (1, 0, 1), (2, 1, -3))
+    groups = regularity.offsets(space, family, 0)
+    assert len({k for _, k, _ in groups}) == len(groups.shifts) == distinct
+    windows = _class_windows.__wrapped__(space, factors, family, 0)
+    assert len(reads) == distinct
+    assert windows == class_windows(space, factors, [(i, k) for i, k, _ in groups])

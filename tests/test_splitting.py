@@ -940,10 +940,10 @@ def _reference_form(bundle, tid):
 
 
 def _reference_row(bundle, tid):
-    """(reason, condition, form, detected, agrees, rank) from the
-    preconditions, the bundle's merged windows, _reference_form and the
-    pointwise detector, agreeing when the make_bundle twin holds every
-    tagged summand."""
+    """(reason, condition, form, detected, agrees, witnesses) from the
+    preconditions, the bundle's merged windows at the bundle's rank,
+    _reference_form and the pointwise detector, agreeing when the
+    make_bundle twin holds every tagged summand."""
     space, spec, r = bundle.space, CHECKS[tid], rank(bundle)
     if spec.two_factor and space.num_factors != 2:
         reason = f"{tid.value} is a two-factor check, space has {space.num_factors} factors"
@@ -952,7 +952,7 @@ def _reference_row(bundle, tid):
     if reason is None and spec.reg_zero and reg(bundle) != 0:
         reason = f"Reg must be 0, got {reg(bundle)}"
     if reason is not None:
-        return reason, None, None, (), None, None
+        return reason, None, None, (), None, []
     witnesses = _reference_witnesses(bundle, spec.family(space, r), spec.twist)
     detected, agrees = (), None
     if spec.detector:
@@ -960,7 +960,7 @@ def _reference_row(bundle, tid):
         twin = make_bundle(space, bundle.summands)
         agrees = all(t.summand in twin.summands for t in detected) if detected else None
     return (None, not any(w.required for w in witnesses), _reference_form(bundle, tid),
-            detected, agrees, r)
+            detected, agrees, witnesses)
 
 
 @settings(max_examples=200, deadline=None)
@@ -969,7 +969,8 @@ def test_verdicts_match_the_bundle_level_reference(bundle, ids):
     verdicts = verify_bundle(bundle, ids)
     assert len(verdicts) == len(ids)
     for tid, v in zip(ids, verdicts):
-        fields = (v.reason, v.condition_holds, v.form_holds, v.detected, v.detector_agrees, v.rank)
+        fields = (v.reason, v.condition_holds, v.form_holds, v.detected, v.detector_agrees,
+                  list(v.witnesses))
         assert (v.theorem, v.applicable) == (tid, v.reason is None), tid
         if v.applicable:
             assert v.consistent == (v.condition_holds == v.form_holds) and v.bundle is bundle, tid
@@ -1158,7 +1159,11 @@ def _field_by_field(**values):
     """A verdict made as the generated frozen __init__ makes one: a
     setattr per field, the defaults for the fields not given."""
     defaults = {"reason": None, "condition_holds": None, "form_holds": None, "consistent": None,
-                "detected": (), "detector_agrees": None, "bundle": None, "rank": None}
+                "detected": (), "detector_agrees": None, "bundle": None}
+    # every field but the two without a default, and no rank: the witnesses
+    # read it off the bundle
+    assert {f.name for f in dataclasses.fields(TheoremVerdict)} == {"theorem", "applicable",
+                                                                   *defaults}
     verdict = object.__new__(TheoremVerdict)
     for f in dataclasses.fields(TheoremVerdict):
         object.__setattr__(verdict, f.name, values.get(f.name, defaults.get(f.name)))
