@@ -1,9 +1,11 @@
 """Enumeration harness: generate families of bundles, run the splitting
 checks over them, and aggregate agreement statistics.  The OR of a
-bundle's summand masks alone decides the checks that fold and the Reg = 0
-gate (splitting.mask_checks); verify_bundle gives the verdicts of the
-other checks, the gated ones only on a bundle whose Reg is 0.  A folded
-check gets a verdict only where it reports a finding.
+bundle's summand masks, its mask class, alone decides the checks that
+fold and the Reg = 0 gate (splitting.mask_checks).  A folded check gets a
+verdict only where it reports a finding; verify_bundle gives the verdicts
+of the other checks, the gated ones only on a bundle whose Reg is 0.
+Each space keeps one dict from mask class to bundle count, and every
+check the mask alone decides is tallied once per class off it.
 
 A sweep may be many small runs (the sweep_windows benchmark workload makes
 100 runs of 20 bundles per round), so what a run decides from its config
@@ -76,6 +78,11 @@ class EnumerationConfig:
     jobs: int = 1  # only 1; kept because the benchmark (perfbench/workloads.py) passes jobs=1
 
     def __post_init__(self):
+        # tuples, so that a config built from lists keys the per-process memos
+        object.__setattr__(self, "spaces", tuple(self.spaces))
+        object.__setattr__(self, "theorems", tuple(self.theorems))
+        if not self.spaces:
+            raise ConfigError("configuration must list at least one space")
         if self.degree_min > self.degree_max:
             raise ConfigError("empty degree range")
         if self.cot_twist_min > self.cot_twist_max:
@@ -91,7 +98,7 @@ class EnumerationConfig:
             raise ConfigError(f"list each check id once, got {', '.join(self.theorems) or 'none'}")
         lines = self.degree_max - self.degree_min + 1
         twists = self.cot_twist_max - self.cot_twist_min + 1 if self.cotangent else 0
-        if _family_size(tuple(self.spaces), lines, twists, self.max_summands) > MAX_BUNDLES:
+        if _family_size(self.spaces, lines, twists, self.max_summands) > MAX_BUNDLES:
             raise ConfigError(f"the family holds more than MAX_BUNDLES = {MAX_BUNDLES} bundles")
 
 
@@ -144,7 +151,7 @@ _BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0":
 
 def parse_config_text(text: str) -> EnumerationConfig:
     """Parse a key = value configuration, one setting per line, each key once."""
-    values: dict = {}
+    values: dict = {"spaces": ()}  # refused by EnumerationConfig unless a line lists some
     given: set = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -179,8 +186,6 @@ def parse_config_text(text: str) -> EnumerationConfig:
             values["theorems"] = tuple(p.strip().upper() for p in val.split(",") if p.strip())
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if "spaces" not in values:
-        raise ConfigError("configuration must list at least one space")
     return EnumerationConfig(**values)
 
 
@@ -264,104 +269,84 @@ def _finding(kind: str, space_text: str, name: str, verdict) -> dict:
 
 @lru_cache(maxsize=None)
 def _space_checks(theorems: tuple, spaces: tuple) -> tuple:
-    """Per space of a run, (space, positions, ids, key): the positions in
-    theorems of the checks that can apply on the space (a two-factor check
-    applies to no bundle of another), their ids, and the key of the summand
-    masks: the folded ids among them, then the gated ones.  Planned once
-    per process, for the many small runs."""
-    every, plans = [TheoremId(t) for t in theorems], []
+    """Per space of a run, (space, ids, key): the ids of the checks that can
+    apply on the space, in run order (a two-factor check applies to no
+    bundle of another), and the key of the summand masks: the folded ids
+    among them, then the gated ones.  Planned once per process, for the
+    many small runs."""
+    plans = []
     for space in map(parse_space, spaces):
         two = space.num_factors == 2
-        positions = tuple([j for j, t in enumerate(every) if two or not CHECKS[t].two_factor])
-        ids = tuple([every[j] for j in positions])
+        ids = tuple([t for t in map(TheoremId, theorems) if two or not CHECKS[t].two_factor])
         key = tuple([t for t in ids if CHECKS[t].spread is not None])
         key += tuple([t for t in ids if CHECKS[t].reg_zero])
-        plans.append((space, positions, ids, key))
+        plans.append((space, ids, key))
     return tuple(plans)
 
 
 @lru_cache(maxsize=None)
 def _decoded(ids: tuple, key: tuple, mask: int) -> tuple:
     """What mask, the OR of a bundle's summand masks for key, decides for
-    ids, the check ids that can apply on a space in run order: (regular,
-    finding, verdicts, rest, agreeing).  regular: Reg is 0, or no gated
-    check applies.  finding: some folded check reports one.  verdicts: the
-    (position in ids, bits) of each check that gets a verdict, bits the
-    folded check's (condition, form, window) for one that reports a
-    finding, None for a check that does not fold and applies.  rest: the
-    ids of the latter, for verify_bundle.  agreeing: the positions of the
-    folded checks that agree on a bundle with a finding, tallied with no
-    verdict.  Decoded once per process, for the many small runs."""
-    bits, regular = mask_checks(key, mask)
-    verdicts, agreeing = [], []
-    for position, t in enumerate(ids):
-        spec = CHECKS[t]
-        if spec.spread is None:
-            if regular or not spec.reg_zero:
-                verdicts.append((position, None))
-        elif bits is not None:
-            cond, form, window = bits[t]
-            if cond != form or spec.acm_crosscheck and cond and window:
-                verdicts.append((position, bits[t]))
-            else:
-                agreeing.append(position)
-    rest = tuple([ids[position] for position, b in verdicts if b is None])
-    return regular, bits is not None, tuple(verdicts), rest, tuple(agreeing)
+    ids, the check ids that can apply on a space in run order: (findings,
+    regular, verdict_ids, rest).  findings and regular are mask_checks':
+    the bits of each folded id that reports a finding, and whether Reg is
+    0 (or no gated check applies).  verdict_ids: in run order, the ids
+    that get a verdict on the bundle, the folded ones in findings and the
+    others that apply (a gated one only at Reg 0).  rest: those of them
+    that do not fold, for verify_bundle.  Decoded once per process, for
+    the many small runs."""
+    findings, regular = mask_checks(key, mask)
+    verdict_ids = tuple([t for t in ids if t in findings or CHECKS[t].spread is None
+                         and (regular or not CHECKS[t].reg_zero)])
+    rest = tuple([t for t in verdict_ids if t not in findings])
+    return findings, regular, verdict_ids, rest
 
 
 def run_verification(cfg: EnumerationConfig) -> RunReport:
     """Check every bundle of every configured space for ``cfg.theorems``,
     streamed from ``enumerate_bundles``.  The OR of a bundle's summand
-    masks (summand_mask), decoded by _decoded, decides the checks that
-    fold (CheckSpec.spread): each is applicable and consistent or, on a
-    finding it reports, gets its verdict off the mask.  It decides the Reg
-    gate too: unless the bundle's Reg is 0, no gated check
-    (CheckSpec.reg_zero) applies.  A two-factor check applies to no bundle
-    of another space and is counted so in bulk.  ``verify_bundle`` gives
-    the other checks' verdicts in id order, the gated ones only at Reg 0.
-    A verdict is built only for a check that does not fold or reports a
-    finding, and a bundle's name and finding dicts only for a finding."""
+    masks (summand_mask) is its mask class, and _decoded says what the
+    class decides.  A folded check (CheckSpec.spread) gets a verdict, off
+    the mask, only where it reports a finding; ``verify_bundle`` gives the
+    other checks' verdicts in id order, the gated ones (CheckSpec.reg_zero)
+    only at Reg 0.  Every other check is tallied once per mask class at the
+    end of the space: a folded check with no finding is applicable and
+    consistent, a gated one off Reg 0 and a two-factor one off two factors
+    are not applicable.  A bundle's name and finding dicts are made only
+    for a finding."""
     start = time.monotonic()
     per_theorem = {tid: TheoremStats() for tid in cfg.theorems}
     findings: list = []
     total = 0
 
-    every = [(per_theorem[t], CHECKS[t]) for t in cfg.theorems]
-    for space, positions, ids, key in _space_checks(cfg.theorems, tuple(cfg.spaces)):
-        dims, two = space.dims, space.num_factors == 2
-        # the checks that can apply on the space, in ids; any other applies to none of its bundles
-        here = [(*every[j], t) for j, t in zip(positions, ids)]
-        decoded, before, found, irregular = {}, total, 0, 0  # mask -> what it decides; bundles
+    for space, ids, key in _space_checks(cfg.theorems, cfg.spaces):
+        dims = space.dims
+        classes: dict = {}  # mask -> [bundles, *_decoded(ids, key, mask)]
         space_text = None  # format_space(space), made at most once
         for bundle in enumerate_bundles(space, cfg):
-            total += 1
             m = 0  # the OR of the summands' masks
             for s in bundle.summands if key else ():
                 f = summand_facts(dims, s.key)
                 mask = f.masks.get(key)
                 m |= summand_mask(space, f, key) if mask is None else mask
-            entry = decoded.get(m)
-            if entry is None:  # the decoded mask, with this run's checks and stats
-                regular, finding, verdicts, rest, agreeing = _decoded(ids, key, m)
-                entry = decoded[m] = (regular, finding, [(here[j], b) for j, b in verdicts],
-                                      rest, [here[j][0] for j in agreeing])
-            regular, finding, checks, rest, agreeing = entry
-            irregular += not regular
-            if finding:  # the folded checks that agree are tallied, the others get verdicts
-                found += 1
-                for st in agreeing:
-                    st.applicable += 1
-                    st.consistent += 1
-                others = iter(verify_bundle(bundle, rest) if rest else ())
-                verdicts = [TheoremVerdict(t, True, condition_holds=b[0], form_holds=b[1],
-                                           consistent=b[0] == b[1], bundle=bundle)
-                            if b is not None else next(others) for (_, _, t), b in checks]
-            elif rest:
-                verdicts = verify_bundle(bundle, rest)
-            else:
+            entry = classes.get(m)
+            if entry is None:
+                entry = classes[m] = [0, *_decoded(ids, key, m)]
+            entry[0] += 1
+            _, bits, _, verdict_ids, rest = entry
+            if not verdict_ids:
                 continue
+            verdicts = verify_bundle(bundle, rest) if rest else ()
+            if bits:  # the folded findings' verdicts, off the mask, among the others
+                others = iter(verdicts)
+                verdicts = [TheoremVerdict(t, True, condition_holds=bits[t][0],
+                                           form_holds=bits[t][1],
+                                           consistent=bits[t][0] == bits[t][1], bundle=bundle)
+                            if t in bits else next(others) for t in verdict_ids]
             name = None  # format_bundle(bundle), made at most once
-            for ((st, spec, _), b), verdict in zip(checks, verdicts):
+            for verdict in verdicts:
+                t = verdict.theorem
+                st, spec = per_theorem[t], CHECKS[t]
                 if not verdict.applicable:
                     st.not_applicable += 1
                     continue
@@ -376,7 +361,7 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                     kinds.append("detector_mismatch")
                 if spec.detector and cond and not verdict.detected:
                     kinds.append("detector_empty")
-                if spec.acm_crosscheck and cond and b[2]:  # a folded check's ACM window bit
+                if spec.acm_crosscheck and cond and bits[t][2]:  # a folded check's ACM window bit
                     kinds.append("t1_without_acm")
                 if kinds:
                     name = name or format_bundle(bundle)
@@ -384,15 +369,16 @@ def run_verification(cfg: EnumerationConfig) -> RunReport:
                     if not verdict.consistent and len(st.samples) < _SAMPLE_CAP:
                         st.samples.append(name)
                     findings.extend(_finding(kind, space_text, name, verdict) for kind in kinds)
-        free = total - before - found  # the bundles whose mask agrees
-        for st, spec in every:
-            if spec.two_factor and not two:  # not in here: it applies to no bundle
-                st.not_applicable += total - before
-            elif spec.reg_zero:  # not applicable on a bundle whose Reg is not 0
-                st.not_applicable += irregular
-            elif spec.spread is not None:  # consistent on each bundle whose mask agrees
-                st.applicable += free
-                st.consistent += free
+        for bundles, _, _, verdict_ids, _ in classes.values():  # the checks the mask decides
+            total += bundles
+            for t, st in per_theorem.items():
+                if t in verdict_ids:  # tallied per bundle
+                    continue
+                if t in key and CHECKS[t].spread is not None:  # folded, with no finding
+                    st.applicable += bundles
+                    st.consistent += bundles
+                else:  # gated off Reg 0, or two-factor off two factors
+                    st.not_applicable += bundles
 
     return RunReport(cfg, total, per_theorem, findings, time.monotonic() - start)
 

@@ -15,8 +15,9 @@ and the rank first, computes the Reg gate and the detection at most once
 each and builds one TheoremVerdict per check id.  summand_mask packs a
 summand's bits for the checks that fold (CheckSpec.spread) and one pair for
 the Reg gate into one int in its record, so the enumeration harness decides
-those from the OR of a bundle's masks alone; mask_checks decodes it, and
-only these two know the layout.  applicability and condition_for read the verdict of
+those from the OR of a bundle's masks alone; mask_checks decodes it into
+the folded checks that report a finding, the one statement of when a
+folded check agrees, and only these two know the layout.  applicability and condition_for read the verdict of
 verify_theorem.
 """
 
@@ -398,26 +399,27 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
     return mask
 
 
-def mask_checks(key: tuple, mask: int) -> tuple[Optional[dict], bool]:
+def mask_checks(key: tuple, mask: int) -> tuple[dict, bool]:
     """Decode mask, the OR of a bundle's summand masks for key
-    (summand_mask), as (checks, Reg is 0).  checks holds per folded id of
-    key (condition, form, window): whether the condition holds, whether the
-    form holds and whether some summand has an ACM window, which is not
-    is_acm(bundle) when the condition holds; it is None when every folded
-    check agrees: condition and form hold together, and a condition that
-    holds meets no ACM window.  Reg(E + F) = max(Reg E, Reg F), so Reg is 0
-    when no summand has Reg above 0 and some has Reg 0; with no gated id in
-    key, it reads True."""
-    checks, agree, regular = {}, True, True
+    (summand_mask), as (findings, Reg is 0).  findings maps each folded id
+    of key that reports a finding to its (condition, form, window): whether
+    the condition holds, whether the form holds and whether some summand
+    has an ACM window, which is not is_acm(bundle) when the condition
+    holds.  A folded id agrees, and is absent, when its condition and form
+    hold together and a condition that holds meets no ACM window; this is
+    the one place that states the rule.  Reg(E + F) = max(Reg E, Reg F),
+    so Reg is 0 when no summand has Reg above 0 and some has Reg 0; with no
+    gated id in key, it reads True."""
+    findings, regular = {}, True
     for theorem in key:
         if CHECKS[theorem].spread is None:  # the Reg pair, after the folded ids
             regular = mask == 2
             break
         condition, form, window = not mask & 1, not mask & 2, bool(mask & 4)
-        agree = agree and condition == form and not (condition and window)
-        checks[theorem] = condition, form, window
+        if condition != form or condition and window:
+            findings[theorem] = condition, form, window
         mask >>= 3
-    return None if agree else checks, regular
+    return findings, regular
 
 
 def condition_for(bundle: Bundle, theorem: TheoremId) -> tuple[bool, list[Witness]]:

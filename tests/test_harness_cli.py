@@ -130,6 +130,28 @@ def test_space_listed_twice_is_a_config_error(tmp_path, capsys):
     assert "list each space once, got P1xP1, p1xp1" in capsys.readouterr().err
 
 
+def test_config_without_spaces_is_refused_through_the_library_too(tmp_path, capsys):
+    from mpreg import cli
+
+    # one check, in EnumerationConfig, for the library and the config file
+    with pytest.raises(ConfigError, match="^configuration must list at least one space$"):
+        EnumerationConfig(spaces=())
+    path = tmp_path / "none.cfg"
+    path.write_text("degrees = 0..1\n")
+    assert cli.main(["verify-paper", "--config", str(path)]) == 2
+    assert "configuration must list at least one space" in capsys.readouterr().err
+
+
+def test_config_of_lists_runs_as_the_config_of_tuples():
+    # the lists are kept as tuples, which key the harness's per-process memos
+    listed = EnumerationConfig(spaces=["P1xP1"], theorems=["T1", "T3"])
+    tupled = EnumerationConfig(spaces=("P1xP1",), theorems=("T1", "T3"))
+    assert listed == tupled and isinstance(listed.spaces, tuple)
+    got, want = run_verification(listed), run_verification(tupled)
+    assert got.total_bundles == want.total_bundles == 350
+    assert (got.per_theorem, got.findings) == (want.per_theorem, want.findings)
+
+
 def test_parse_config_overlong_integer_is_a_config_error():
     with pytest.raises(ConfigError, match="bad space"):
         parse_config_text("spaces = P" + "9" * 5000)
@@ -303,6 +325,10 @@ def _differential_configs(draw):
                            theorems=("P4B", "T2B", "C2", "T4")))
 @example(EnumerationConfig(spaces=("P1xP1xP1", "P1xP2"), degree_min=0, degree_max=2,
                            max_summands=1, theorems=("T2B", "C1", "T0", "T4", "T3")))
+# a gated, a folded and a rank-rule id interleave in run order, on mask
+# classes that mix folded findings with bundles whose Reg is not 0
+@example(EnumerationConfig(spaces=("P1xP2", "P1xP1xP1"), degree_min=0, degree_max=2,
+                           max_summands=2, theorems=("T4", "T2B", "C2", "T3", "T0")))
 def test_run_verification_matches_eager_reference_on_drawn_configs(cfg):
     rep = run_verification(cfg)
     total, per_theorem, findings = _reference_report(cfg)
@@ -341,16 +367,15 @@ def test_mask_checks_reads_three_bits_per_check():
     from mpreg.splitting import mask_checks
 
     key = ("T3", "T2B")  # per check, low bits first: condition fails, form fails, ACM window
-    # no gated id in the key: Reg = 0 reads True
-    assert mask_checks(key, 0b000_000) == mask_checks(key, 0b011_011) == (None, True)
+    # no gated id in the key: Reg = 0 reads True; a check that agrees is absent
+    assert mask_checks(key, 0b000_000) == mask_checks(key, 0b011_011) == ({}, True)
     # a window does not count once the condition fails
-    assert mask_checks(key, 0b000_111) == (None, True)
-    # per check (condition holds, form holds, ACM window)
-    assert mask_checks(key, 0b000_100) == ({"T3": (True, True, True),
-                                            "T2B": (True, True, False)}, True)
-    assert mask_checks(key, 0b001_000) == ({"T3": (True, True, False),
-                                            "T2B": (False, True, False)}, True)
-    assert mask_checks(key, 0b010_011) == ({"T3": (False, False, False),
+    assert mask_checks(key, 0b000_111) == ({}, True)
+    # per check that reports a finding (condition holds, form holds, ACM window)
+    assert mask_checks(key, 0b000_100) == ({"T3": (True, True, True)}, True)
+    assert mask_checks(key, 0b001_000) == ({"T2B": (False, True, False)}, True)
+    assert mask_checks(key, 0b010_011) == ({"T2B": (True, False, False)}, True)
+    assert mask_checks(key, 0b010_100) == ({"T3": (True, True, True),
                                             "T2B": (True, False, False)}, True)
 
 

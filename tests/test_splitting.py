@@ -673,19 +673,21 @@ def test_decoded_masks_match_the_verdicts(bundle):
             for f in records:
                 mask |= summand_mask(space, f, key)
             verdicts = verify_bundle(bundle, key)
-            decoded, regular = mask_checks(key, mask)
+            findings, regular = mask_checks(key, mask)
             assert regular is True, key  # no gated id in the key
-            if decoded is None:  # every check agrees
-                assert all(v.consistent for v in verdicts), key
-                assert acm or not any(v.condition_holds for v in verdicts
-                                      if CHECKS[v.theorem].acm_crosscheck), key
-                continue
             for t, v in zip(key, verdicts):
-                condition, form_holds, window = decoded[t]
-                assert v.applicable and (condition, form_holds) == (v.condition_holds,
-                                                                     v.form_holds), (key, t)
-                if condition and CHECKS[t].acm_crosscheck:
+                crosscheck = CHECKS[t].acm_crosscheck
+                assert v.applicable, (key, t)
+                if t not in findings:  # it agrees: consistent, and ACM where the condition holds
+                    assert v.consistent, (key, t)
+                    assert acm or not (crosscheck and v.condition_holds), (key, t)
+                    continue
+                condition, form_holds, window = findings[t]
+                assert (condition, form_holds) == (v.condition_holds, v.form_holds), (key, t)
+                if condition and crosscheck:
                     assert window == (not acm), (key, t)
+                # a reported id has a finding: inconsistent, or a condition without ACM
+                assert not v.consistent or crosscheck and condition and not acm, (key, t)
 
 
 def test_mask_checks_reads_reg_zero_off_the_one_reg_pair():
