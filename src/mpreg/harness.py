@@ -1,10 +1,10 @@
 """Enumeration harness: generate families of bundles, run the splitting
-checks over them, and aggregate agreement statistics.  The OR of a
-bundle's summand masks, its mask class, alone decides the checks that
-fold and the Reg = 0 gate (splitting.mask_checks).  A folded check gets a
-verdict only where it reports a finding; verify_bundle gives the verdicts
-of the other checks, the gated ones only on a bundle whose Reg is 0.
-Each space keeps one dict from mask class to bundle count, and every
+checks over them, and aggregate agreement statistics.  The OR of a bundle's
+summand masks, its mask class, alone decides the checks that fold, from
+bits of each summand's diagonal class, and the Reg = 0 gate, from a pair of
+its record (splitting.mask_checks).  A folded check gets a verdict only where
+it reports a finding; verify_bundle gives the others', the gated ones only at
+Reg 0.  Each space keeps one dict from mask class to bundle count, and every
 check the mask alone decides is tallied once per class off it.
 
 A sweep may be many small runs (the sweep_windows benchmark workload makes
@@ -78,9 +78,10 @@ class EnumerationConfig:
     jobs: int = 1  # only 1; kept because the benchmark (perfbench/workloads.py) passes jobs=1
 
     def __post_init__(self):
-        # tuples, so that a config built from lists keys the per-process memos
-        object.__setattr__(self, "spaces", tuple(self.spaces))
-        object.__setattr__(self, "theorems", tuple(self.theorems))
+        for name in ("spaces", "theorems"):  # tuples, so that a config keys the memos
+            if isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a sequence of texts, not one text")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.spaces:
             raise ConfigError("configuration must list at least one space")
         if self.degree_min > self.degree_max:
@@ -287,14 +288,11 @@ def _space_checks(theorems: tuple, spaces: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _decoded(ids: tuple, key: tuple, mask: int) -> tuple:
     """What mask, the OR of a bundle's summand masks for key, decides for
-    ids, the check ids that can apply on a space in run order: (findings,
-    regular, verdict_ids, rest).  findings and regular are mask_checks':
-    the bits of each folded id that reports a finding, and whether Reg is
-    0 (or no gated check applies).  verdict_ids: in run order, the ids
-    that get a verdict on the bundle, the folded ones in findings and the
-    others that apply (a gated one only at Reg 0).  rest: those of them
-    that do not fold, for verify_bundle.  Decoded once per process, for
-    the many small runs."""
+    ids, the check ids that can apply on a space in run order: mask_checks'
+    (findings, regular), then verdict_ids, in run order the ids that get a
+    verdict on the bundle (the folded ones in findings and the others that
+    apply, a gated one only at Reg 0), and rest, those of them that do not
+    fold, for verify_bundle.  Decoded once per process, for small runs."""
     findings, regular = mask_checks(key, mask)
     verdict_ids = tuple([t for t in ids if t in findings or CHECKS[t].spread is None
                          and (regular or not CHECKS[t].reg_zero)])

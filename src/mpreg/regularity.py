@@ -21,12 +21,12 @@ come from one sweep of S(k - (k_1, ..., k_1)), shifted by -k_1, memoized on
 integers too (_untwisted_windows) and shared by every summand and family
 that reaches it.  The memoized family (offsets) carries its plan
 (Offsets): the shift k - (k_1, ..., k_1) once per distinct offset, and per
-group its level, the slot of its offset and k_1, so a class reads one sweep
-per distinct offset and walks no offset twice.  One reader, holding,
-answers every window question of a record at a balanced twist t, reading
-its class at t + c for a summand with first twist c: which windows hold t,
-or where each starts; the splitting checks ask it too.  A summand's Reg, kept in its record, is its class's
-minus c, and reg is a max over the records.
+group its level, the slot of its offset and k_1; a class reads one sweep per
+distinct offset of a family, or of a sweep mask's families (_class_fails).
+One reader, holding, answers a record's other window questions at a
+balanced twist t, reading its class at t + c for a summand with first twist
+c: which windows hold t, or where each starts.  A summand's Reg, kept in its
+record, is its class's minus c; reg is the max.
 
 Regularity at p = (p_1, ..., p_s), or at an int p read as (p, ..., p), is
 membership in the same windows: H^i(S(p + k)) is H^i of the summand
@@ -110,6 +110,26 @@ def _class_windows(space: Space, factors: tuple, family: Callable, r: int) -> tu
             windows.append((index, None if lo is None else lo - k1,
                             None if hi is None else hi - k1))
     return tuple(windows)
+
+
+def _class_fails(space: Space, factors: tuple, family: Callable, read: dict) -> bool:
+    """Whether the class with factors (n_j, p_j, t_j), t_1 = 0, has a window of
+    a required group of the family at rank 0: one sweep per shift not yet in
+    read, kept there, and no window tuple; unbounded below raises as holding."""
+    groups, levels, held = offsets(space, family, 0), [], False
+    for shift in groups.shifts:
+        level = read.get(shift)
+        if level is None:
+            level = read[shift] = _untwisted_windows(tuple([
+                (n, p, t + d) for (n, p, t), d in zip(factors, shift)]))
+        levels.append(level)
+    for index, i, slot, _ in groups.entries:
+        window = levels[slot].get(i)
+        if window is not None:
+            if window[0] is None:  # no least twist
+                holding(space, SummandFacts(factors), family, 0, None)
+            held = held or groups[index][2]
+    return held
 
 
 def holding(space: Space, facts: SummandFacts, family: Callable, r: int,

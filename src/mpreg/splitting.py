@@ -7,18 +7,18 @@ read only through its record (cohomology.summand_facts, one per sheaf), so
 a bundle gets the verdict of its sheaf however its atoms are written.  The
 condition is an AND of one bit per summand and the witnesses are built when
 read, both from the windows that regularity.holding says the summand's
-diagonal class has at the twist, or at some twist; no bit is kept, and the
-witnesses take dimensions from h_bundle.  The forms and the detector
-(the summands' tags) read only the records.
-verify_bundle is one straight-line pass per bundle that reads the records
-and the rank first, computes the Reg gate and the detection at most once
-each and builds one TheoremVerdict per check id.  summand_mask packs a
-summand's bits for the checks that fold (CheckSpec.spread) and one pair for
-the Reg gate into one int in its record, so the enumeration harness decides
-those from the OR of a bundle's masks alone; mask_checks decodes it into
-the folded checks that report a finding, the one statement of when a
-folded check agrees, and only these two know the layout.  applicability and condition_for read the verdict of
-verify_theorem.
+diagonal class has at the twist, or at some twist; the witnesses take
+dimensions from h_bundle.  The forms and the detector (the summands' tags)
+read only the records.  verify_bundle is one straight-line pass per bundle
+that reads the records and the rank first, computes the Reg gate and the
+detection at most once each and builds one TheoremVerdict per check id.
+summand_mask packs into one int in a record the bits of the checks that
+fold (CheckSpec.spread), a fact of the diagonal class decided once per
+class, and one Reg pair, a fact of the record, so the enumeration harness
+decides those from the OR of a bundle's masks alone; mask_checks decodes
+it into the folded checks that report a finding, the one statement of
+when a folded check agrees.  Only these two know the layout.
+applicability and condition_for read the verdict of verify_theorem.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .bundles import (
@@ -45,7 +45,7 @@ from .bundles import (
 )
 from .cohomology import (MAX_TABLE_TWISTS, SummandFacts, _summand_group, h_bundle,
                          summand_facts, summand_records)
-from .regularity import _summand_reg, box_offsets, holding, offsets, reg
+from .regularity import _class_fails, _summand_reg, box_offsets, holding, offsets, reg
 
 
 class TheoremId(str, Enum):
@@ -231,16 +231,16 @@ def _rank_two_on_large_factors(space: Space, r: int) -> Optional[str]:
 # structural forms
 
 
-def _beyond(facts: SummandFacts, spread: int) -> bool:
-    """The summand is not a line whose degrees differ by at most spread."""
-    return facts.spread is None or facts.spread > spread
+def _beyond(spread: Optional[int], bound: int) -> bool:
+    """A summand of this spread is not a line whose degrees differ by at most bound."""
+    return spread is None or spread > bound
 
 
 def _lines_within(records: list, spread: int) -> bool:
     """Every summand a line whose degrees differ by at most spread: balanced
     lines for spread 0, step lines for spread 1.  Read off the records."""
     for f in records:  # a loop: cheaper than all() over a generator
-        if _beyond(f, spread):
+        if _beyond(f.spread, spread):
             return False
     return True
 
@@ -313,16 +313,16 @@ class CheckSpec:
     # whether the family reads the rank; the others are read, and their
     # windows, bits and witnesses kept, at rank 0 for every bundle
     reads_rank: bool = field(init=False)
-    # the bound of a line-spread form when the check folds: with no rank
-    # rule, Reg gate or detector and a rank-free family, the condition, the
-    # form and the ACM cross-check each fail by an OR of summand bits
+    # the bound of a line-spread form when the check folds (no fixed twist,
+    # rank rule, Reg gate or detector, and a rank-free family): the condition,
+    # the form and the ACM cross-check each fail by an OR of summand bits
     # (summand_mask); None for the other checks
     spread: Optional[int] = field(init=False)
 
     def __post_init__(self):
         reads_rank = self.family in (_interior_family, _boundary_family)
         folds = (getattr(self.form, "func", None) is _lines_within and self.rank_rule is None
-                 and not (self.reg_zero or self.detector or reads_rank))
+                 and self.twist is None and not (self.reg_zero or self.detector or reads_rank))
         object.__setattr__(self, "reads_rank", reads_rank)
         object.__setattr__(self, "spread", self.form.keywords["spread"] if folds else None)
 
@@ -371,30 +371,33 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
     return any([groups[index][2] for index, _ in held])
 
 
+@lru_cache(maxsize=None)
+def _class_bits(space: Space, factors: tuple, spread: Optional[int], folds: tuple) -> int:
+    """summand_mask's bits for folds, its key's folded ids, on every summand of
+    the diagonal class with these factors, from one walk over the families'
+    plans (regularity._class_fails); ACM only where the condition bit is clear."""
+    read, mask = {}, 0
+    for j, theorem in enumerate(folds):
+        spec = CHECKS[theorem]
+        fails = _class_fails(space, factors, spec.family, read)
+        acm = spec.acm_crosscheck and not fails and _class_fails(space, factors, _acm_family, read)
+        mask |= (fails | _beyond(spread, spec.spread) << 1 | acm << 2) << 3 * j
+    return mask
+
+
 def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
-    """The summand's bits for key, check ids that apply on the space (those
-    that fold, then those with the Reg gate), stored in the record on a
-    miss: three per folded id in key order, then one Reg pair if key has a
-    gated id.  A folded check's are set when its condition fails
-    (_summand_fails), when its form fails (_beyond) and, if the condition
-    should force ACM and holds, on an ACM window.  The Reg pair is set when
-    the summand's Reg is above 0 and when it is 0.  Each record fills its
-    own bits, off the windows its diagonal class shares, in one pass over
-    the key."""
+    """The summand's bits for key, ids that apply on the space (folded, then
+    gated), kept in the record: three per folded id in key order, set when its
+    condition fails (_summand_fails), its form fails (_beyond) and, if the
+    condition should force ACM and holds, on an ACM window: the class's bits
+    (_class_bits); then the record's pair for any gated id: Reg > 0, Reg = 0."""
     mask = facts.masks.get(key)
     if mask is None:
-        mask = shift = 0
-        for theorem in key:
-            spec = CHECKS[theorem]
-            if spec.spread is None:  # the Reg pair, after the folded ids
-                value = _summand_reg(space, facts, "paper")
-                mask |= ((value > 0) | (value == 0) << 1) << shift
-                break
-            fails = _summand_fails(space, facts, spec.family, 0, spec.twist)
-            window = spec.acm_crosscheck and not fails and _summand_fails(
-                space, facts, _acm_family, 0, None)
-            mask |= (fails | _beyond(facts, spec.spread) << 1 | window << 2) << shift
-            shift += 3
+        n = sum([CHECKS[theorem].spread is not None for theorem in key])  # the folded ids lead
+        mask = _class_bits(space, facts.diagonal, facts.spread, key[:n]) if n else 0
+        if n < len(key):
+            value = _summand_reg(space, facts, "paper")
+            mask |= ((value > 0) | (value == 0) << 1) << 3 * n
         facts.masks[key] = mask
     return mask
 
@@ -402,14 +405,13 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
 def mask_checks(key: tuple, mask: int) -> tuple[dict, bool]:
     """Decode mask, the OR of a bundle's summand masks for key
     (summand_mask), as (findings, Reg is 0).  findings maps each folded id
-    of key that reports a finding to its (condition, form, window): whether
-    the condition holds, whether the form holds and whether some summand
-    has an ACM window, which is not is_acm(bundle) when the condition
-    holds.  A folded id agrees, and is absent, when its condition and form
-    hold together and a condition that holds meets no ACM window; this is
-    the one place that states the rule.  Reg(E + F) = max(Reg E, Reg F),
-    so Reg is 0 when no summand has Reg above 0 and some has Reg 0; with no
-    gated id in key, it reads True."""
+    of key that reports a finding to (condition holds, form holds, some
+    summand has an ACM window), the last not is_acm(bundle) when the
+    condition holds.  A folded id agrees, and is absent, when its condition
+    and form hold together and a condition that holds meets no ACM window:
+    the one statement of the rule.  Reg(E + F) = max(Reg E, Reg F), so Reg
+    is 0 when no summand has Reg above 0 and some has Reg 0; with no gated
+    id in key, it reads True."""
     findings, regular = {}, True
     for theorem in key:
         if CHECKS[theorem].spread is None:  # the Reg pair, after the folded ids

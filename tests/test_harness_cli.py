@@ -142,6 +142,15 @@ def test_config_without_spaces_is_refused_through_the_library_too(tmp_path, caps
     assert "configuration must list at least one space" in capsys.readouterr().err
 
 
+def test_config_refuses_one_text_where_it_wants_a_sequence_of_texts():
+    # a str is a sequence of one-character texts: refused by name, not split
+    for fields, name in (({"spaces": "P1xP1"}, "spaces"),
+                         ({"spaces": ("P1xP1",), "theorems": "T1"}, "theorems")):
+        with pytest.raises(ConfigError, match=f"^{name} must be a sequence of texts, not one"):
+            EnumerationConfig(**fields)
+    assert EnumerationConfig(spaces=["P1xP1"], theorems=["T1"]).theorems == ("T1",)
+
+
 def test_config_of_lists_runs_as_the_config_of_tuples():
     # the lists are kept as tuples, which key the harness's per-process memos
     listed = EnumerationConfig(spaces=["P1xP1"], theorems=["T1", "T3"])
@@ -393,6 +402,7 @@ def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
         return real_mask(space, facts, key)
 
     summand_facts.cache_clear()
+    splitting._class_bits.cache_clear()
     monkeypatch.setattr(harness, "summand_mask", counting_mask)
     monkeypatch.setattr(splitting, "summand_mask", counting_mask)  # a fill outside the harness too
     # on P1xP1 the mask covers T1, T2B and T3, on P1xP1xP1 T2B and T3; C2 does not fold
@@ -400,43 +410,118 @@ def test_each_summand_mask_is_filled_at_most_once_per_run(monkeypatch):
                             max_summands=3, theorems=("T1", "T2B", "C2", "T3"))
     first = run_verification(cfg)
     assert max(fills.values()) == 1
-    # one per summand of the family, and no other record: each record fills
-    # its own bits off the windows its diagonal class shares
+    # one fill per summand of the family, and no other record; the folded
+    # bits come from one class pass per diagonal class of the space
     assert sorted(Counter(key for _, key in fills).values()) == [9, 27]
+    classes = set()
     for text in cfg.spaces:
         space = parse_space(text)
         records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
         filled = {i for i, key in fills if len(key) == 5 - space.num_factors}
         assert filled == set(map(id, records))
+        classes |= {(space.dims, f.diagonal) for f in records}
+    assert len(classes) == 5 + 19
+    assert splitting._class_bits.cache_info().misses == len(classes)
     second = run_verification(cfg)
     assert sum(fills.values()) == 9 + 27
+    assert splitting._class_bits.cache_info().misses == len(classes)
     assert replace(second, elapsed_seconds=0) == replace(first, elapsed_seconds=0)
 
 
-def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypatch):
-    from mpreg import splitting
+def test_a_cold_sweep_decides_folded_bits_once_per_diagonal_class(monkeypatch):
+    # a cold T3/T2B sweep of P1xP1xP1 runs one class pass per diagonal class
+    # (61 for the 125 summands), which reads one untwisted sweep per distinct
+    # offset of the union of T3's, T2B's and the ACM family; the mask path
+    # calls no holding
+    from mpreg import regularity, splitting
     from mpreg.cohomology import summand_facts
-    from mpreg.splitting import _acm_family, _exact_family
+    from mpreg.splitting import _acm_family, _exact_family, _step_family
 
-    real_fails, read = splitting._summand_fails, []
+    real_mask, real_windows = splitting.summand_mask, regularity._untwisted_windows
+    inside, reads, holds = [], [], []
 
-    def recording_fails(space, facts, family, r, twist):
-        if family is _acm_family:  # the condition bit, read as the mask reads it
-            read.append((facts, real_fails(space, facts, _exact_family, 0, None)))
-        return real_fails(space, facts, family, r, twist)
+    def masking(space, facts, key):
+        inside.append(key)
+        try:
+            return real_mask(space, facts, key)
+        finally:
+            inside.pop()
+
+    def untwisted(factors):
+        if inside:
+            reads.append(factors)
+        return real_windows(factors)
+
+    def recording_holding(real):
+        def holding(*args):
+            if inside:
+                holds.append(args)
+            return real(*args)
+        return holding
+
+    for memo in (summand_facts, splitting._class_bits, regularity._untwisted_windows,
+                 regularity._class_windows):
+        memo.cache_clear()
+    monkeypatch.setattr(harness, "summand_mask", masking)
+    monkeypatch.setattr(regularity, "_untwisted_windows", untwisted)
+    for module in (splitting, regularity):
+        monkeypatch.setattr(module, "holding", recording_holding(module.holding))
+    cfg = EnumerationConfig(spaces=("P1xP1xP1",), degree_min=-2, degree_max=2,
+                            theorems=("T3", "T2B"))
+    assert run_verification(cfg).findings
+    space = parse_space("P1xP1xP1")
+    classes = {summand_facts(space.dims, s.key).diagonal for s in enumerate_summands(space, cfg)}
+    shifts = set()
+    for family in (_exact_family, _step_family, _acm_family):
+        shifts |= set(regularity.offsets(space, family, 0).shifts)
+    assert len(classes) == 61 and len(shifts) == 7
+    assert splitting._class_bits.cache_info().misses == 61
+    assert sorted(reads) == sorted(tuple((n, p, t + d) for (n, p, t), d in zip(diagonal, shift))
+                                   for diagonal in classes for shift in shifts)
+    assert holds == []
+    # a key with no folded id holds only the Reg pair, and takes no class pass
+    before = splitting._class_bits.cache_info()
+    regular = EnumerationConfig(spaces=("P2xP2",), degree_min=-1, degree_max=1, cotangent=True,
+                                cot_twist_min=-1, cot_twist_max=1, theorems=("T0", "T4"))
+    assert run_verification(regular).total_bundles
+    assert splitting._class_bits.cache_info() == before
+
+
+def test_acm_bit_is_read_only_for_summands_whose_condition_bit_is_clear(monkeypatch):
+    # T3's exact family has no zero offset on P1xP1xP1 and the ACM family
+    # only that one, so a class pass reads its own diagonal's untwisted
+    # windows exactly when it reads the ACM family
+    from mpreg import regularity, splitting
+    from mpreg.cohomology import summand_facts
+    from mpreg.splitting import _exact_family
+
+    real_pass, real_windows = splitting._class_bits, regularity._untwisted_windows
+    current, read = [], []
+
+    def recording_pass(space, diagonal, spread, folds):
+        current[:] = [diagonal]
+        return real_pass(space, diagonal, spread, folds)
+
+    def recording_windows(factors):
+        read.append((current[0], factors))
+        return real_windows(factors)
 
     summand_facts.cache_clear()
-    monkeypatch.setattr(splitting, "_summand_fails", recording_fails)
+    real_pass.cache_clear()
+    monkeypatch.setattr(splitting, "_class_bits", recording_pass)
+    monkeypatch.setattr(regularity, "_untwisted_windows", recording_windows)
     cfg = EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3",))
     assert run_verification(cfg).findings == []
+    acm_read = {diagonal for diagonal, factors in read if factors == diagonal}
     space = parse_space("P1xP1xP1")
+    assert all(any(k) for _, k, _ in splitting.offsets(space, _exact_family, 0))
     records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
-    # every record fills its own mask, whatever its first twist
+    # every record takes its mask from its class's pass, whatever its first twist
     assert all(set(f.masks) == {("T3",)} for f in records)
-    clear = [f for f in records if real_fails(space, f, _exact_family, 0, None) is False]
-    assert 0 < len(clear) < len(records)
-    assert all(bit is False for _, bit in read)
-    assert sorted(map(id, (f for f, _ in read))) == sorted(map(id, clear))
+    clear = {f.diagonal for f in records if not splitting._summand_fails(
+        space, f, _exact_family, 0, None)}
+    assert 0 < len(clear) < len({f.diagonal for f in records})
+    assert acm_read == clear
 
 
 def test_a_window_unbounded_below_raises_from_the_mask(monkeypatch):
@@ -456,12 +541,14 @@ def test_a_window_unbounded_below_raises_from_the_mask(monkeypatch):
     cfg = EnumerationConfig(spaces=("P1",), degree_min=0, degree_max=0, max_summands=1,
                             theorems=("T2B",))
     summand_facts.cache_clear()  # no mask of the real T2B
+    splitting._class_bits.cache_clear()  # nor class bits
     try:
         with pytest.raises(ModelError, match="unbounded below"):
             run_verification(cfg)
         assert calls == []
         [bundle] = enumerate_bundles(parse_space("P1"), cfg)
         assert summand_facts((1,), bundle.summands[0].key).masks == {}  # nothing stored
+        assert splitting._class_bits.cache_info().currsize == 0
         with pytest.raises(ModelError, match="unbounded below"):
             verify_theorem(bundle, t2b)
         monkeypatch.setattr(splitting, "_acm_family", top)
@@ -469,6 +556,7 @@ def test_a_window_unbounded_below_raises_from_the_mask(monkeypatch):
             is_acm(bundle)
     finally:
         summand_facts.cache_clear()  # nor of this one
+        splitting._class_bits.cache_clear()
 
 
 def test_inconsistent_finding_carries_the_first_four_witnesses(monkeypatch):
@@ -832,17 +920,24 @@ def _recording_class_windows(monkeypatch) -> set:
 
 def test_rank_free_families_keep_one_window_entry_per_summand(monkeypatch):
     # T3's, T2B's and the ACM family ignore the rank, so the diagonal class
-    # of a summand of a rank-1 and of a rank-2 bundle fills each of their
-    # windows once
-    from collections import Counter
-
-    from mpreg import regularity
+    # of a summand of a rank-1 and of a rank-2 bundle takes one class pass
+    # for its folded bits, and the witnesses of a finding read each of its
+    # windows at rank 0, once
+    from mpreg import regularity, splitting
     from mpreg.bundles import parse_bundle
     from mpreg.cohomology import summand_facts
     from mpreg.splitting import (_acm_family, _exact_family, _interior_family, _step_family,
                                  verify_theorem)
 
+    real_pass, passes = splitting._class_bits, []
+
+    def recording_pass(space, diagonal, spread, folds):
+        passes.append((space, diagonal, spread, folds))
+        return real_pass(space, diagonal, spread, folds)
+
     summand_facts.cache_clear()
+    real_pass.cache_clear()
+    monkeypatch.setattr(splitting, "_class_bits", recording_pass)
     memo, keys = regularity._class_windows, _recording_class_windows(monkeypatch)
     space = parse_space("P1xP1xP1")
     cfg = EnumerationConfig(spaces=("P1xP1xP1",), theorems=("T3", "T2B"))
@@ -851,14 +946,14 @@ def test_rank_free_families_keep_one_window_entry_per_summand(monkeypatch):
     records = [summand_facts(space.dims, s.key) for s in enumerate_summands(space, cfg)]
     # one record per summand, and none for a diagonal class
     assert summand_facts.cache_info().currsize == len(set(records)) == 125
-    # windows are kept per diagonal class, keyed on the atoms with first
-    # twist 0: the 61 classes O(0, b, c) of the 125 summands, also where
-    # the witnesses of a finding read them
+    # folded bits are kept per diagonal class, keyed on the atoms with first
+    # twist 0: the 61 classes O(0, b, c) of the 125 summands, with no rank
+    assert len(passes) == 125 and real_pass.cache_info().currsize == len(set(passes)) == 61
+    assert {f.diagonal for f in records} == {diagonal for _, diagonal, _, _ in passes}
+    assert all(diagonal[0][2] == 0 for _, diagonal, _, _ in passes)
+    # the witnesses of a finding read class windows, at rank 0, one entry each
     assert rep.findings and memo.cache_info().currsize == len(keys)
-    windows = Counter(family for _, _, family, _ in keys)
-    assert windows[_exact_family] == windows[_step_family] == 61
-    assert 0 < windows[_acm_family] <= 61
-    assert sum(windows.values()) == len(keys)
+    assert {family for _, _, family, _ in keys} <= {_exact_family, _step_family, _acm_family}
     assert all(r == 0 and factors[0][2] == 0 for _, factors, _, r in keys)
     mask_key = ("T3", "T2B")  # the run's summand masks, and nothing else
     assert all(f.masks[mask_key] >= 0 for f in records)

@@ -31,8 +31,8 @@ def test_benchmark_reset_clears_every_memo():
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     memos = (regularity.offsets, regularity._untwisted_windows, regularity._class_windows,
-             cohomology.summand_facts, bundles.parse_space, harness._family_size,
-             harness._space_checks, harness._decoded)
+             splitting._class_bits, cohomology.summand_facts, bundles.parse_space,
+             harness._family_size, harness._space_checks, harness._decoded)
     _, b = parse_bundle("P2xP2", "O(0,0) + W1(1)*O(-1)")
     _, b0 = parse_bundle("P2xP2", "O(0,0) + O(0,1)")  # Reg 0, so T0 and T4 detect
     before = [splitting.verify_theorem(x, tid) for x in (b, b0) for tid in splitting.TheoremId]
@@ -51,6 +51,7 @@ def test_benchmark_reset_clears_every_memo():
     assert engine - references == {"mpreg.regularity.offsets",
                                    "mpreg.regularity._untwisted_windows",
                                    "mpreg.regularity._class_windows",
+                                   "mpreg.splitting._class_bits",
                                    "mpreg.cohomology.summand_facts"}
     # the harness checks a config's family, plans its spaces' checks and
     # decodes each summand mask once per process

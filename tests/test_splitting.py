@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from mpreg.bundles import (
     BoxSummand,
     Bundle,
     Cotangent,
+    MAX_SPACE_SIZE,
     Line,
     ModelError,
     line_bundle,
@@ -43,6 +45,7 @@ from mpreg.splitting import (
     Witness,
     _acm_family,
     _boundary_family,
+    _class_bits,
     _corner_summand,
     _exact_family,
     _interior_family,
@@ -688,6 +691,64 @@ def test_decoded_masks_match_the_verdicts(bundle):
                     assert window == (not acm), (key, t)
                 # a reported id has a finding: inconsistent, or a condition without ACM
                 assert not v.consistent or crosscheck and condition and not acm, (key, t)
+
+
+@st.composite
+def _class_bit_cases(draw):
+    """A summand on 1 to 4 factors of dimension 1 to 4 (a space within
+    MAX_SPACE_SIZE), lines and cotangents, whose twists are a diagonal twist
+    c with |c| <= 10^6 plus a small or, less often, a large one each."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
+        lambda dims: sum(dims) * math.prod(n + 1 for n in dims) <= MAX_SPACE_SIZE))
+    space = parse_space("x".join(f"P{n}" for n in dims))
+    c = draw(st.integers(-10**6, 10**6))
+    small = st.integers(-2, 2)  # drawn three times as often, for spreads the forms accept
+    twist = st.one_of(small, small, small, st.integers(-10**6, 10**6)).map(lambda t: c + t)
+    atoms = [draw(st.one_of(twist.map(Line), st.builds(Cotangent, st.integers(1, n - 1), twist))
+                  if n > 1 else twist.map(Line)) for n in dims]
+    return space, make_summand(space, atoms)
+
+
+def _outcome(read):
+    """read()'s value, or the message of the ModelError it raises."""
+    try:
+        return read()
+    except ModelError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_bit_cases())
+@example((parse_space("P1xP1xP1"), parse_bundle("P1xP1xP1", "O(5,6,7)")[1].summands[0]))
+@example((parse_space("P1xP1"), parse_bundle("P1xP1", "O(-999999,-1000000)")[1].summands[0]))
+@example((parse_space("P2xP3"), parse_bundle("P2xP3", "W1(7)*O(20)")[1].summands[0]))
+def test_class_bits_match_the_per_record_reads(case):
+    # the class pass decides each folded id's three bits as the record's own
+    # reads do, for every non-empty subset of the folded ids on the space
+    space, s = case
+    f = summand_facts(space.dims, s.key)
+    beyond = {0: True, 1: True} if s.degrees is None else {
+        bound: max(s.degrees) - min(s.degrees) > bound for bound in (0, 1)}
+    folding = [t for t, spec in CHECKS.items()
+               if spec.spread is not None and (space.num_factors == 2 or not spec.two_factor)]
+
+    def per_record(folds):
+        mask = 0
+        for j, theorem in enumerate(folds):
+            spec = CHECKS[theorem]
+            fails = _summand_fails(space, f, spec.family, 0, None)
+            window = spec.acm_crosscheck and not fails and _summand_fails(
+                space, f, _acm_family, 0, None)
+            mask |= (fails | beyond[spec.spread] << 1 | window << 2) << 3 * j
+        return mask
+
+    for size in range(1, len(folding) + 1):
+        for folds in itertools.combinations(folding, size):
+            expected = _outcome(lambda: per_record(folds))
+            assert _outcome(lambda: _class_bits.__wrapped__(
+                space, f.diagonal, f.spread, folds)) == expected, folds
+            if not isinstance(expected, str):
+                assert summand_mask(space, f, folds) == expected, folds
 
 
 def test_mask_checks_reads_reg_zero_off_the_one_reg_pair():
