@@ -288,11 +288,14 @@ def _space_checks(theorems: tuple, spaces: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _decoded(ids: tuple, key: tuple, mask: int) -> tuple:
     """What mask, the OR of a bundle's summand masks for key, decides for
-    ids, the check ids that can apply on a space in run order: mask_checks'
-    (findings, regular), then verdict_ids, in run order the ids that get a
-    verdict on the bundle (the folded ones in findings and the others that
-    apply, a gated one only at Reg 0), and rest, those of them that do not
-    fold, for verify_bundle.  Decoded once per process, for small runs."""
+    ids, the check ids that can apply on a space in run order: (findings,
+    regular, verdict_ids, rest).  findings and regular are mask_checks':
+    the bits of each folded id that reports a finding, and whether Reg is
+    0 (or no gated check applies).  verdict_ids: in run order, the ids
+    that get a verdict on the bundle, the folded ones in findings and the
+    others that apply (a gated one only at Reg 0).  rest: those of them
+    that do not fold, for verify_bundle.  Decoded once per process, for
+    the many small runs."""
     findings, regular = mask_checks(key, mask)
     verdict_ids = tuple([t for t in ids if t in findings or CHECKS[t].spread is None
                          and (regular or not CHECKS[t].reg_zero)])

@@ -113,9 +113,8 @@ def _class_windows(space: Space, factors: tuple, family: Callable, r: int) -> tu
 
 
 def _class_fails(space: Space, factors: tuple, family: Callable, read: dict) -> bool:
-    """Whether the class with factors (n_j, p_j, t_j), t_1 = 0, has a window of
-    a required group of the family at rank 0: one sweep per shift not yet in
-    read, kept there, and no window tuple; unbounded below raises as holding."""
+    """Whether the class (factors, t_1 = 0) has a required group's window in the family at
+    rank 0, reading each shift's sweep not in read into it; no least twist raises as holding."""
     groups, levels, held = offsets(space, family, 0), [], False
     for shift in groups.shifts:
         level = read.get(shift)

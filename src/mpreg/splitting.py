@@ -12,13 +12,12 @@ dimensions from h_bundle.  The forms and the detector (the summands' tags)
 read only the records.  verify_bundle is one straight-line pass per bundle
 that reads the records and the rank first, computes the Reg gate and the
 detection at most once each and builds one TheoremVerdict per check id.
-summand_mask packs into one int in a record the bits of the checks that
-fold (CheckSpec.spread), a fact of the diagonal class decided once per
-class, and one Reg pair, a fact of the record, so the enumeration harness
-decides those from the OR of a bundle's masks alone; mask_checks decodes
-it into the folded checks that report a finding, the one statement of
-when a folded check agrees.  Only these two know the layout.
-applicability and condition_for read the verdict of verify_theorem.
+summand_mask packs into one int in a record a summand's bits for the checks
+that fold (CheckSpec.spread), a fact of its diagonal class, and one Reg
+pair, a fact of the record, so the harness decides those from the OR of a
+bundle's masks alone; mask_checks decodes it into the folded checks that
+report a finding, the one statement of when a folded check agrees, and only
+these two know the layout.  applicability and condition_for read verify_theorem.
 """
 
 from __future__ import annotations
@@ -313,10 +312,9 @@ class CheckSpec:
     # whether the family reads the rank; the others are read, and their
     # windows, bits and witnesses kept, at rank 0 for every bundle
     reads_rank: bool = field(init=False)
-    # the bound of a line-spread form when the check folds (no fixed twist,
-    # rank rule, Reg gate or detector, and a rank-free family): the condition,
-    # the form and the ACM cross-check each fail by an OR of summand bits
-    # (summand_mask); None for the other checks
+    # the bound of a line-spread form when the check folds (no fixed twist, rank rule, Reg
+    # gate or detector, and a rank-free family): the condition, the form and the ACM
+    # cross-check each fail by an OR of summand bits (summand_mask); None for the others
     spread: Optional[int] = field(init=False)
 
     def __post_init__(self):
@@ -373,9 +371,8 @@ def _summand_fails(space: Space, facts: SummandFacts, family: Callable, r: int,
 
 @lru_cache(maxsize=None)
 def _class_bits(space: Space, factors: tuple, spread: Optional[int], folds: tuple) -> int:
-    """summand_mask's bits for folds, its key's folded ids, on every summand of
-    the diagonal class with these factors, from one walk over the families'
-    plans (regularity._class_fails); ACM only where the condition bit is clear."""
+    """summand_mask's bits for folds, its key's folded ids, on every summand of the
+    diagonal class: one walk of the families' plans, ACM only on a clear condition."""
     read, mask = {}, 0
     for j, theorem in enumerate(folds):
         spec = CHECKS[theorem]
@@ -405,13 +402,14 @@ def summand_mask(space: Space, facts: SummandFacts, key: tuple) -> int:
 def mask_checks(key: tuple, mask: int) -> tuple[dict, bool]:
     """Decode mask, the OR of a bundle's summand masks for key
     (summand_mask), as (findings, Reg is 0).  findings maps each folded id
-    of key that reports a finding to (condition holds, form holds, some
-    summand has an ACM window), the last not is_acm(bundle) when the
-    condition holds.  A folded id agrees, and is absent, when its condition
-    and form hold together and a condition that holds meets no ACM window:
-    the one statement of the rule.  Reg(E + F) = max(Reg E, Reg F), so Reg
-    is 0 when no summand has Reg above 0 and some has Reg 0; with no gated
-    id in key, it reads True."""
+    of key that reports a finding to its (condition, form, window): whether
+    the condition holds, whether the form holds and whether some summand
+    has an ACM window, which is not is_acm(bundle) when the condition
+    holds.  A folded id agrees, and is absent, when its condition and form
+    hold together and a condition that holds meets no ACM window; this is
+    the one place that states the rule.  Reg(E + F) = max(Reg E, Reg F),
+    so Reg is 0 when no summand has Reg above 0 and some has Reg 0; with no
+    gated id in key, it reads True."""
     findings, regular = {}, True
     for theorem in key:
         if CHECKS[theorem].spread is None:  # the Reg pair, after the folded ids

@@ -34,8 +34,8 @@ from mpreg.cohomology import (
     summand_facts,
     summand_records,
 )
-from mpreg.regularity import (_class_windows, _family, box_offsets, holding, is_regular_at,
-                              offsets, reg, regularity_failures)
+from mpreg.regularity import (_class_fails, _class_windows, _family, box_offsets, holding,
+                              is_regular_at, offsets, reg, regularity_failures)
 from mpreg.splitting import (
     CHECKS,
     PreconditionError,
@@ -749,6 +749,13 @@ def test_class_bits_match_the_per_record_reads(case):
                 space, f.diagonal, f.spread, folds)) == expected, folds
             if not isinstance(expected, str):
                 assert summand_mask(space, f, folds) == expected, folds
+    # the walk raises "unbounded below" exactly where the record's read does:
+    # the paper family's top group, at the box corner, has a window that is a ray
+    paper = _family("paper")
+    for family in {CHECKS[t].family for t in folding} | {_acm_family, paper}:
+        walked = _outcome(lambda: _class_fails(space, f.diagonal, family, {}))
+        assert walked == _outcome(lambda: _summand_fails(space, f, family, 0, None)), family
+        assert isinstance(walked, str) == (family is paper), family
 
 
 def test_mask_checks_reads_reg_zero_off_the_one_reg_pair():
